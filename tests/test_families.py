@@ -1,14 +1,16 @@
 """Deformation families: decomposition, upper-family detection, slice
 invariants, the verdict rules, and the augmentation identity tables."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
 
 from lecalc.engine import Ideal
-from lecalc.errors import (DegenerateInputError, NonReducedError, UsageError)
+from lecalc.errors import (DegenerateInputError, InternalCheckError,
+                           NonReducedError, UsageError)
 from lecalc.families import (EQUIMULTIPLE, FAILS, GENERIC, HOLDS,
-                             INCONCLUSIVE, NOT_CHECKED,
+                             INCONCLUSIVE, EquimultiplicityResult, NOT_CHECKED,
                              NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED,
                              ZERO, analyze_family, check_corollaries,
                              check_homogeneous_base, check_mt2, check_mt3,
@@ -124,6 +126,19 @@ def test_mt3_needs_the_irreducibility_assertion(worked, suspension):
     assert good.user_asserted
     unasserted = check_mt3(suspension, False, None)
     assert unasserted.conclusion == INCONCLUSIVE
+
+
+def test_contradicted_orders_under_verified_premises(suspension):
+    """No real family reaches these branches: all premises of mt2 (or of
+    mt3 with the assertion) hold while the computed orders differ."""
+    broken = replace(suspension, equimultiplicity=EquimultiplicityResult(4, 3))
+    with pytest.raises(InternalCheckError):
+        check_mt2(broken)
+    verdict = check_mt3(broken, True, None)
+    assert verdict.conclusion == INCONCLUSIVE
+    assert verdict.notes == (
+        "computed orders contradict the conclusion; the asserted "
+        "irreducibility must fail for this family",)
 
 
 def test_corollaries_fire_the_contrapositive(worked):
