@@ -18,10 +18,8 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lecalc import (DEFAULT_BUDGET, Context, analyze_family,
-                    check_corollaries, check_homogeneous_base, check_mt2,
-                    check_mt3, irreducibility_evidence, parse_polynomial,
-                    render, verify_ilm)
+from lecalc import (DEFAULT_BUDGET, Context, analyze_family, evaluate_rules,
+                    parse_polynomial, render, verify_ilm)
 from lecalc.families import GENERIC, ZERO
 from lecalc.report import ilm_lines, record_lines, verdict_lines
 
@@ -64,16 +62,12 @@ def main(cfg: ExampleConfig) -> int:
             print(line)
         print()
 
-    evidence = irreducibility_evidence(an.generic.record.polar_ideal)
+    # assert irreducibility (the evidence supports it but cannot certify it)
+    # so the contrapositive rule may fire
+    verdicts, evidence = evaluate_rules(an, False, True, cfg.budget)
     print(f"irreducibility evidence for the generic polar curve: "
           f"{evidence.verdict} ({evidence.certificate})")
     print()
-    # assert irreducibility (the evidence supports it but cannot certify it)
-    # so the contrapositive rule may fire
-    verdicts = [check_mt2(an, cfg.budget),
-                check_mt3(an, True, evidence),
-                *check_corollaries(an, False, True, evidence, cfg.budget),
-                check_homogeneous_base(an, False)]
     print("--- verdicts ---")
     for verdict in verdicts:
         for line in verdict_lines(verdict):

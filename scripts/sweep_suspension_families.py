@@ -17,7 +17,7 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lecalc import (DEFAULT_BUDGET, Context, analyze_family, check_mt2,
+from lecalc import (DEFAULT_BUDGET, Context, analyze_family, evaluate_rules,
                     parse_polynomial)
 from lecalc.families import EQUIMULTIPLE
 
@@ -47,7 +47,8 @@ def main(cfg: SweepConfig) -> int:
             an = analyze_family(f, Random(cfg.seed), cfg.budget)
             rec = an.zero.record
             expected = (a - 1) * (b - 1)
-            verdict = check_mt2(an, cfg.budget)
+            verdicts, _ = evaluate_rules(an, False, False, cfg.budget)
+            verdict = {v.theorem: v for v in verdicts}["mt2"]
             orders = f"{an.equimultiplicity.order_zero}={an.equimultiplicity.order_generic}" \
                 if an.equimultiplicity.equimultiple else \
                 f"{an.equimultiplicity.order_zero}!{an.equimultiplicity.order_generic}"

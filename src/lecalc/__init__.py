@@ -22,9 +22,8 @@ from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      PolarDimensionError, UnluckySpecializationError,
                      UsageError)
 from .families import (Family, FamilyAnalysis, IlmTable, TheoremVerdict,
-                       analyze_family, check_corollaries,
-                       check_homogeneous_base, check_mt2, check_mt3,
-                       decompose_family, irreducibility_evidence,
+                       analyze_family, decompose_family, evaluate_rules,
+                       irreducibility_evidence,
                        is_equimultiple, is_upper, verify_ilm)
 from .invariants import (InvariantRecord, WeightSystem, check_polar_ratio_lemma,
                          detect_weights, germ_record, is_line_singularity,
@@ -45,11 +44,10 @@ __all__ = [
     "NotLineSingularityError", "ParseError", "PolarDimensionError",
     "Polynomial", "StandardBasis", "TheoremVerdict",
     "UnluckySpecializationError", "UsageError", "WeightSystem",
-    "analyze_family", "check_corollaries", "check_homogeneous_base",
-    "check_mt2", "check_mt3", "check_polar_ratio_lemma",
-    "colength_at_origin", "colength_by_truncation", "colength_global",
-    "contains_local_unit", "decompose_family", "detect_weights",
-    "dimension_at_origin", "eliminate", "germ_record", "ideal_quotient",
+    "analyze_family", "check_polar_ratio_lemma", "colength_at_origin",
+    "colength_by_truncation", "colength_global", "contains_local_unit",
+    "decompose_family", "detect_weights", "dimension_at_origin",
+    "eliminate", "evaluate_rules", "germ_record", "ideal_quotient",
     "ideals_equal", "intersect", "irreducibility_evidence",
     "is_equimultiple", "is_line_singularity", "is_upper", "milnor_number",
     "order_at_origin", "parse_polynomial", "polar_variety_1", "render",

@@ -16,10 +16,9 @@ from . import report as rp
 from .engine import DEFAULT_BUDGET
 from .errors import (ContextError, MathRefusal, NotLineSingularityError,
                      UsageError)
-from .families import (EQUIMULTIPLE, GENERIC, NOT_TOPOLOGICALLY_V_EQUISINGULAR,
-                       ZERO, analyze_family, check_corollaries,
-                       check_homogeneous_base, check_mt2, check_mt3,
-                       decompose_family, invariants_at, irreducibility_evidence,
+from .families import (EQUIMULTIPLE, GENERIC, IRREDUCIBLE_POLAR_CURVE,
+                       NOT_TOPOLOGICALLY_V_EQUISINGULAR, ZERO, analyze_family,
+                       decompose_family, evaluate_rules, invariants_at,
                        verify_ilm)
 from .invariants import germ_record, milnor_number
 from .parse import parse_polynomial
@@ -287,7 +286,7 @@ def _summary_line(an, verdicts, evidence) -> str:
         if v.conclusion != NOT_TOPOLOGICALLY_V_EQUISINGULAR:
             continue
         clause = f"; rule {v.theorem} => NOT topologically V-equisingular"
-        if v.theorem == "cmt3":
+        if IRREDUCIBLE_POLAR_CURVE in v.user_asserted:
             ev = "no evidence computed" if evidence is None \
                 else f"evidence {evidence.verdict}"
             clause += f" (polar curve irreducibility: asserted, {ev}, " \
@@ -306,15 +305,8 @@ def cmd_family(cfg: rp.RunConfig) -> int:
     fam = an.family
     t = cfg.parameter
 
-    evidence = None
-    if an.generic is not None and not an.generic.record.polar_empty:
-        evidence = irreducibility_evidence(an.generic.record.polar_ideal)
-    v2 = check_mt2(an, cfg.budget)
-    v3 = check_mt3(an, cfg.assert_irreducible, evidence)
-    c2, c3 = check_corollaries(an, cfg.assert_equisingular,
-                               cfg.assert_irreducible, evidence, cfg.budget)
-    hom = check_homogeneous_base(an, cfg.assert_equisingular)
-    verdicts = [v2, v3, c2, c3, hom]
+    verdicts, evidence = evaluate_rules(an, cfg.assert_equisingular,
+                                        cfg.assert_irreducible, cfg.budget)
     summary = _summary_line(an, verdicts, evidence)
 
     lines = rp.header_lines("family", cfg, cfg.expression)

@@ -421,14 +421,6 @@ def normal_form(p: Polynomial, basis: StandardBasis,
     return Polynomial(p.context, out)
 
 
-def ideal_contains(ideal: Ideal, p: Polynomial, budget: int = DEFAULT_BUDGET,
-                   basis: StandardBasis | None = None) -> bool:
-    if p.is_zero():
-        return True
-    sb = basis or standard_basis(ideal, GREVLEX, budget)
-    return normal_form(p, sb, budget).is_zero()
-
-
 def ideals_equal(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     """Two-sided membership (generator presentations are not canonical)."""
     sa = standard_basis(a, GREVLEX, budget)
@@ -615,10 +607,3 @@ def colength_by_truncation(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
         if cur == prev:
             return cur
         prev = cur
-
-
-def monomial_colength(exponents, nvars: int) -> int | None:
-    """Lattice-point count of the staircase complement of a monomial ideal
-    given by generator exponents; a purely combinatorial oracle."""
-    stairs = _staircase([tuple(e) for e in exponents], nvars)
-    return None if stairs is None else len(stairs)

@@ -11,8 +11,10 @@ with computed facts.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 from random import Random
 
 from .engine import DEFAULT_BUDGET, Ideal
@@ -37,6 +39,8 @@ EQUIMULTIPLE = "EQUIMULTIPLE"
 NOT_EQUIMULTIPLE = "NOT_EQUIMULTIPLE"
 NOT_TOPOLOGICALLY_V_EQUISINGULAR = "NOT_TOPOLOGICALLY_V_EQUISINGULAR"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+IRREDUCIBLE_POLAR_CURVE = "generic_polar_curve_irreducible"
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +423,8 @@ def _distinct_prime_summary(g: Polynomial) -> tuple[int, list[str]]:
 
 
 def _rational_roots(g: Polynomial, v: str) -> set[Fraction]:
-    """Rational roots of a univariate polynomial with rational coefficients
+    """Rational roots of a univariate polynomial with rational coefficients,
+    by the rational root theorem on the coefficients scaled to integers
     (candidates p/q with p | constant term, q | leading term); empty when
     coefficients involve parameters."""
     ctx = g.context
@@ -430,15 +435,14 @@ def _rational_roots(g: Polynomial, v: str) -> set[Fraction]:
         if not c.den_is_one or any(k != zkey for k in c.num):
             return set()
         coeffs[m[i]] = c.num[zkey]
-    deg = max(coeffs)
-    low = min(coeffs)
-    if low > 0:
+    if min(coeffs) > 0:
         return set()  # coordinate content is removed by the caller
-    lead = coeffs[deg]
-    const = coeffs[low]
+    scale = lcm(*(c.denominator for c in coeffs.values()))
+    lead = coeffs[max(coeffs)] * scale
+    const = coeffs[0] * scale
     roots: set[Fraction] = set()
-    for p in _divisors(const.numerator * const.denominator):
-        for q in _divisors(lead.numerator * lead.denominator):
+    for p in _divisors(const.numerator):
+        for q in _divisors(lead.numerator):
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if cand not in roots and \
                         sum(c * cand ** k for k, c in coeffs.items()) == 0:
@@ -447,8 +451,10 @@ def _rational_roots(g: Polynomial, v: str) -> set[Fraction]:
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, found in pairs (d, n // d) up to sqrt."""
     n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def irreducibility_evidence(ideal: Ideal) -> EvidenceReport:
@@ -518,127 +524,111 @@ def analyze_family(f: Polynomial, rng: Random,
                           is_equimultiple(fam), weights, upper)
 
 
-def _line_singularity_check(an: FamilyAnalysis) -> HypothesisCheck:
+_LINE = "line_singularities_at_both_slices"
+
+
+def _hypotheses(an: FamilyAnalysis, equisingular_asserted: bool,
+                irreducible_asserted: bool,
+                evidence: EvidenceReport | None) -> dict[str, HypothesisCheck]:
+    """Every hypothesis any rule lists, each built once, keyed by name."""
+    checks: dict[str, HypothesisCheck] = {}
+
+    def add(name: str, status: str, detail: str) -> None:
+        checks[name] = HypothesisCheck(name, status, detail)
+
     t = an.family.parameter
-    if an.zero is not None and an.generic is not None:
+    zero = an.zero.record if an.zero is not None else None
+    generic = an.generic.record if an.generic is not None else None
+    failures = [f"{where}: {failure}" for where, rec, failure in (
+        (f"{t} = 0", zero, an.zero_failure),
+        (f"generic {t}", generic, an.generic_failure)) if rec is None]
+    if failures:
+        add(_LINE, FAILS, "; ".join(failures))
+    else:
         axis = an.family.base.context.variables[0]
-        return HypothesisCheck(
-            "line_singularities_at_both_slices", HOLDS,
+        add(_LINE, HOLDS,
             f"singular locus is the {axis}-axis at {t} = 0 and generically")
-    parts = []
-    if an.zero is None:
-        parts.append(f"{t} = 0: {an.zero_failure}")
-    if an.generic is None:
-        parts.append(f"generic {t}: {an.generic_failure}")
-    return HypothesisCheck("line_singularities_at_both_slices", FAILS,
-                           "; ".join(parts))
 
-
-def _weights_check(an: FamilyAnalysis) -> HypothesisCheck:
-    if an.weights is None:
-        return HypothesisCheck("base_weighted_homogeneous", FAILS,
-                               "no positive weight system fits the base")
     w = an.weights
-    return HypothesisCheck(
-        "base_weighted_homogeneous", HOLDS,
-        f"weights {w.weights}, degree {w.degree}"
-        + (f", free variables {w.free_variables}" if w.free_variables else ""))
+    if w is None:
+        add("base_weighted_homogeneous", FAILS,
+            "no positive weight system fits the base")
+        add("smallest_weight_divides_degree", NOT_CHECKED, "no weight system")
+        add("weights_with_divisibility", FAILS,
+            "no positive weight system fits the base")
+    else:
+        weights = f"weights {w.weights}, degree {w.degree}"
+        free = f", free variables {w.free_variables}" if w.free_variables else ""
+        add("base_weighted_homogeneous", HOLDS, weights + free)
+        divides = w.degree % w.smallest_weight == 0
+        div = (f"{w.smallest_weight} "
+               f"{'divides' if divides else 'does not divide'} {w.degree}")
+        add("smallest_weight_divides_degree", HOLDS if divides else FAILS, div)
+        add("weights_with_divisibility", HOLDS if divides else FAILS,
+            f"{weights}; {div}" if divides else div)
 
-
-def _divisibility_check(an: FamilyAnalysis) -> HypothesisCheck:
-    if an.weights is None:
-        return HypothesisCheck("smallest_weight_divides_degree", NOT_CHECKED,
-                               "no weight system")
-    w = an.weights
-    w0 = w.smallest_weight
-    if w.degree % w0 == 0:
-        return HypothesisCheck("smallest_weight_divides_degree", HOLDS,
-                               f"{w0} divides {w.degree}")
-    return HypothesisCheck("smallest_weight_divides_degree", FAILS,
-                           f"{w0} does not divide {w.degree}")
-
-
-def _threshold_check(an: FamilyAnalysis) -> HypothesisCheck:
     name = "degree_ratio_meets_augmentation_threshold"
-    if an.weights is None or an.zero is None:
-        return HypothesisCheck(
-            name, NOT_CHECKED,
-            f"needs weights and the {an.family.parameter} = 0 record")
-    ratio = Fraction(an.weights.degree, an.weights.smallest_weight)
-    bound = 2 + an.zero.record.lambda0
-    if ratio >= bound:
-        return HypothesisCheck(name, HOLDS, f"d/w_min = {ratio} >= {bound}")
-    return HypothesisCheck(name, FAILS, f"d/w_min = {ratio} < {bound}")
+    if w is None or zero is None:
+        add(name, NOT_CHECKED, f"needs weights and the {t} = 0 record")
+    else:
+        ratio = Fraction(w.degree, w.smallest_weight)
+        bound = 2 + zero.lambda0
+        ok = ratio >= bound
+        add(name, HOLDS if ok else FAILS,
+            f"d/w_min = {ratio} {'>=' if ok else '<'} {bound}")
+
+    # a quantity is a record field or a sum of fields, e.g. "gamma1 + lambda0"
+    for name, quantities, sep in (
+            ("le_numbers_constant", ("lambda0", "lambda1"), ", "),
+            ("le_invariants_constant", ("lambda1", "gamma1 + lambda0"), "; "),
+            ("polar_number_constant", ("gamma1",), ", ")):
+        if zero is None or generic is None:
+            add(name, NOT_CHECKED, "needs both slice records")
+            continue
+        values = [(q, *(sum(getattr(rec, f) for f in q.split(" + "))
+                        for rec in (zero, generic))) for q in quantities]
+        diffs = [f"{q}: {a} vs {b}" for q, a, b in values if a != b]
+        if diffs:
+            add(name, FAILS, "; ".join(diffs))
+        else:
+            add(name, HOLDS, sep.join(f"{q} = {a}" for q, a, _ in values))
+
+    degs = {sum(m) for m in an.family.base.terms}
+    if len(degs) == 1:
+        add("base_homogeneous", HOLDS, f"all terms of degree {degs.pop()}")
+    else:
+        add("base_homogeneous", FAILS, f"term degrees {sorted(degs)}")
+
+    irreducible = ("irreducibility of the generic polar curve asserted by "
+                   "the user")
+    if evidence is not None:
+        irreducible += f" (heuristic evidence: {evidence.verdict})"
+    for name, asserted, detail, missing in (
+            (IRREDUCIBLE_POLAR_CURVE, irreducible_asserted, irreducible,
+             "irreducibility"),
+            ("topologically_V_equisingular", equisingular_asserted,
+             "topological V-equisingularity asserted by the user",
+             "equisingularity")):
+        if asserted:
+            add(name, USER_ASSERTED, detail)
+        else:
+            add(name, NOT_CHECKED, f"no {missing} assertion supplied")
+    return checks
 
 
-def _constancy_check(an: FamilyAnalysis, fields: tuple[str, ...],
-                     name: str) -> HypothesisCheck:
-    if an.zero is None or an.generic is None:
-        return HypothesisCheck(name, NOT_CHECKED, "needs both slice records")
-    diffs = []
-    for field_name in fields:
-        a = getattr(an.zero.record, field_name)
-        b = getattr(an.generic.record, field_name)
-        if a != b:
-            diffs.append(f"{field_name}: {a} vs {b}")
-    if diffs:
-        return HypothesisCheck(name, FAILS, "; ".join(diffs))
-    vals = ", ".join(f"{f} = {getattr(an.zero.record, f)}" for f in fields)
-    return HypothesisCheck(name, HOLDS, vals)
-
-
-def _sum_constancy_check(an: FamilyAnalysis) -> HypothesisCheck:
-    name = "polar_plus_le_intersection_constant"
-    if an.zero is None or an.generic is None:
-        return HypothesisCheck(name, NOT_CHECKED, "needs both slice records")
-    a = an.zero.record.gamma1 + an.zero.record.lambda0
-    b = an.generic.record.gamma1 + an.generic.record.lambda0
-    if a == b:
-        return HypothesisCheck(name, HOLDS, f"gamma1 + lambda0 = {a}")
-    return HypothesisCheck(name, FAILS, f"gamma1 + lambda0: {a} vs {b}")
-
-
-def _assertion_check(name: str, asserted: bool, detail_on: str,
-                     detail_off: str) -> HypothesisCheck:
-    if asserted:
-        return HypothesisCheck(name, USER_ASSERTED, detail_on)
-    return HypothesisCheck(name, NOT_CHECKED, detail_off)
-
-
-def _all_hold(checks: list[HypothesisCheck], allow_asserted: bool = False) -> bool:
-    ok = {HOLDS, USER_ASSERTED} if allow_asserted else {HOLDS}
-    return all(c.status in ok for c in checks)
-
-
-def check_mt2(an: FamilyAnalysis, budget: int = DEFAULT_BUDGET) -> TheoremVerdict:
-    """Fully computed sufficient condition for equimultiplicity: line
-    singularities, weighted homogeneous base, smallest weight divides the
-    degree, constant Le numbers, and the degree ratio meeting the
-    augmentation threshold."""
-    h1 = _line_singularity_check(an)
-    h2 = _weights_check(an)
-    h3 = _divisibility_check(an)
-    h4 = _constancy_check(an, ("lambda0", "lambda1"), "le_numbers_constant")
-    h5 = _threshold_check(an)
-    checks = [h1, h2, h3, h4, h5]
+def _mt2_notes(an: FamilyAnalysis, checks: dict[str, HypothesisCheck],
+               budget: int) -> list[str]:
     notes = []
-
-    if an.weights is not None and h3.status == HOLDS \
+    if checks["smallest_weight_divides_degree"].status == HOLDS \
             and an.weights.smallest_index == 0:
         notes.append(_axis_weight_note(an, budget))
-    if h4.status == HOLDS and h5.status == HOLDS:
+    if checks["le_numbers_constant"].status == HOLDS and \
+            checks["degree_ratio_meets_augmentation_threshold"].status == HOLDS:
         t = an.family.parameter
         notes.append(
             f"constant lambda0 upgrades the threshold to every small {t}: "
             f"d/w_min >= 2 + lambda0(f_{t}) for all small {t}")
-
-    if _all_hold(checks):
-        if not an.equimultiplicity.equimultiple:
-            raise InternalCheckError(
-                "equimultiplicity theorem hypotheses verified but computed "
-                "orders differ — this is a bug")
-        return TheoremVerdict("mt2", tuple(checks), EQUIMULTIPLE, tuple(notes))
-    return TheoremVerdict("mt2", tuple(checks), INCONCLUSIVE, tuple(notes))
+    return notes
 
 
 def _axis_weight_note(an: FamilyAnalysis, budget: int) -> str:
@@ -647,204 +637,116 @@ def _axis_weight_note(an: FamilyAnalysis, budget: int) -> str:
     report the Milnor numbers of both slices' augmented germs rather than
     privileging one reading.  The generic side is evaluated at the family's
     two stored witness values, which must agree."""
-    w = an.weights
+    fam, w = an.family, an.weights
     e = w.degree // w.smallest_weight
-    fam = an.family
-    axis = fam.base.context.variables[0]
-    t = fam.parameter
+    axis, t = fam.base.context.variables[0], fam.parameter
     note = (f"smallest weight belongs to the axis variable {axis}; the two "
             f"augmentation forms coincide at exponent {e}")
     if e < 2:
         return note + " (exponent below 2: no Milnor number to report)"
-
-    def describe(mu):
-        return "not isolated" if mu is None else str(mu)
-
     try:
-        note += (f"; mu at {t} = 0 with {axis}^{e} added = "
-                 f"{describe(_augmented_milnor(fam.base, e, budget))}")
-        pair = [_augmented_milnor(fam.member(tau), e, budget)
-                for tau in fam.reduced_witnesses]
-        if pair[0] == pair[1]:
-            note += (f"; mu at generic {t} with {axis}^{e} added = "
-                     f"{describe(pair[0])}")
-        else:
-            note += (f"; mu at generic {t} with {axis}^{e} added: "
-                     "specializations disagree")
+        for where, members in (
+                (f"{t} = 0", [fam.base]),
+                (f"generic {t}", [fam.member(tau)
+                                  for tau in fam.reduced_witnesses])):
+            mus = {_augmented_milnor(g, e, budget) for g in members}
+            note += f"; mu at {where} with {axis}^{e} added"
+            if len(mus) > 1:
+                note += ": specializations disagree"
+            else:
+                mu = mus.pop()
+                note += " = " + ("not isolated" if mu is None else str(mu))
     except MathRefusal as exc:
         note += f"; augmented Milnor numbers unavailable ({exc})"
     return note
 
 
-def check_mt3(an: FamilyAnalysis, irreducible_asserted: bool,
-              evidence: EvidenceReport | None = None) -> TheoremVerdict:
-    """Equimultiplicity from constant lambda1 and constant gamma1+lambda0,
-    given weighted homogeneity with the divisibility condition and an
-    asserted irreducible generic polar curve."""
-    h1 = _line_singularity_check(an)
-    w_ok = an.weights is not None
-    div = _divisibility_check(an)
-    if w_ok and div.status == HOLDS:
-        h2 = HypothesisCheck("weights_with_divisibility", HOLDS,
-                             f"weights {an.weights.weights}, degree "
-                             f"{an.weights.degree}; {div.detail}")
-    elif not w_ok:
-        h2 = HypothesisCheck("weights_with_divisibility", FAILS,
-                             "no positive weight system fits the base")
-    else:
-        h2 = HypothesisCheck("weights_with_divisibility", div.status, div.detail)
-    lam1 = _constancy_check(an, ("lambda1",), "transverse_milnor_constant")
-    tot = _sum_constancy_check(an)
-    if lam1.status == HOLDS and tot.status == HOLDS:
-        h3 = HypothesisCheck("le_invariants_constant", HOLDS,
-                             f"{lam1.detail}; {tot.detail}")
-    elif FAILS in (lam1.status, tot.status):
-        h3 = HypothesisCheck("le_invariants_constant", FAILS,
-                             "; ".join(c.detail for c in (lam1, tot)
-                                       if c.status == FAILS))
-    else:
-        h3 = HypothesisCheck("le_invariants_constant", NOT_CHECKED,
-                             "needs both slice records")
-    detail_on = "irreducibility of the generic polar curve asserted by the user"
-    if evidence is not None:
-        detail_on += f" (heuristic evidence: {evidence.verdict})"
-    h4 = _assertion_check("generic_polar_curve_irreducible",
-                          irreducible_asserted, detail_on,
-                          "no irreducibility assertion supplied")
-    checks = [h1, h2, h3, h4]
-    notes = []
-    if _all_hold(checks, allow_asserted=True):
-        if not an.equimultiplicity.equimultiple:
-            notes.append(
-                "computed orders contradict the conclusion; the asserted "
-                "irreducibility must fail for this family")
-            return TheoremVerdict("mt3", tuple(checks), INCONCLUSIVE,
-                                  tuple(notes))
-        return TheoremVerdict("mt3", tuple(checks), EQUIMULTIPLE, tuple(notes))
-    return TheoremVerdict("mt3", tuple(checks), INCONCLUSIVE, tuple(notes))
+@dataclass(frozen=True)
+class Rule:
+    """One verdict rule as data; it lists its premises, then its triggers.
+    A hypothesis holds when it is HOLDS or USER_ASSERTED.  If every premise
+    holds, agreeing orders give EQUIMULTIPLE when there is no trigger or one
+    holds, and differing orders give `contradiction` (None: a violated
+    theorem, an internal error).  Anything else is INCONCLUSIVE."""
+
+    name: str
+    premises: tuple[str, ...]
+    triggers: tuple[str, ...]
+    contradiction: str | None
+    contradiction_note: str   # formatted with the two orders {zero}, {generic}
+    extra_notes: Callable[..., list[str]] | None = None   # (an, checks, budget)
 
 
-def check_corollaries(an: FamilyAnalysis, equisingular_asserted: bool,
-                      irreducible_asserted: bool,
-                      evidence: EvidenceReport | None = None,
-                      budget: int = DEFAULT_BUDGET
-                      ) -> tuple[TheoremVerdict, TheoremVerdict]:
-    """The two corollaries that consume an asserted topological
-    V-equisingularity, plus their contrapositives: when the computed
-    hypotheses hold and the family is not equimultiple, the family cannot be
-    topologically V-equisingular."""
-    equi = an.equimultiplicity
-    asserted_detail = "topological V-equisingularity asserted by the user"
-    not_asserted = "no equisingularity assertion supplied"
+_EQUISINGULAR = ("topologically_V_equisingular",)
 
-    # corollary with the augmentation threshold
-    c2_computed = [_line_singularity_check(an), _weights_check(an),
-                   _divisibility_check(an), _threshold_check(an)]
-    c2_assert = _assertion_check("topologically_V_equisingular",
-                                 equisingular_asserted, asserted_detail,
-                                 not_asserted)
-    notes2 = []
-    if _all_hold(c2_computed):
-        if not equi.equimultiple:
-            notes2.append(
-                f"orders {equi.order_zero} vs {equi.order_generic}: "
-                "the family is not equimultiple, so it cannot be "
-                "topologically V-equisingular")
-            if equisingular_asserted:
-                notes2.append("the user assertion of equisingularity is "
-                              "thereby contradicted")
-            cmt2 = TheoremVerdict("cmt2", tuple(c2_computed + [c2_assert]),
-                                  NOT_TOPOLOGICALLY_V_EQUISINGULAR,
-                                  tuple(notes2))
-        elif equisingular_asserted:
-            cmt2 = TheoremVerdict("cmt2", tuple(c2_computed + [c2_assert]),
-                                  EQUIMULTIPLE, tuple(notes2))
-        else:
-            cmt2 = TheoremVerdict("cmt2", tuple(c2_computed + [c2_assert]),
-                                  INCONCLUSIVE, tuple(notes2))
-    else:
-        cmt2 = TheoremVerdict("cmt2", tuple(c2_computed + [c2_assert]),
-                              INCONCLUSIVE, tuple(notes2))
-
-    # corollary with constant gamma1 and the irreducible polar curve
-    w_ok = an.weights is not None
-    div = _divisibility_check(an)
-    if w_ok and div.status == HOLDS:
-        wd = HypothesisCheck("weights_with_divisibility", HOLDS,
-                             f"weights {an.weights.weights}, degree "
-                             f"{an.weights.degree}; {div.detail}")
-    elif not w_ok:
-        wd = HypothesisCheck("weights_with_divisibility", FAILS,
-                             "no positive weight system fits the base")
-    else:
-        wd = HypothesisCheck("weights_with_divisibility", div.status, div.detail)
-    gam = _constancy_check(an, ("gamma1",), "polar_number_constant")
-    c3_computed = [_line_singularity_check(an), wd, gam]
-    irr_detail = "irreducibility of the generic polar curve asserted by the user"
-    if evidence is not None:
-        irr_detail += f" (heuristic evidence: {evidence.verdict})"
-    c3_irr = _assertion_check("generic_polar_curve_irreducible",
-                              irreducible_asserted, irr_detail,
-                              "no irreducibility assertion supplied")
-    c3_assert = _assertion_check("topologically_V_equisingular",
-                                 equisingular_asserted, asserted_detail,
-                                 not_asserted)
-    notes3 = []
-    hyps3 = tuple(c3_computed + [c3_irr, c3_assert])
-    if _all_hold(c3_computed) and c3_irr.status == USER_ASSERTED:
-        if not equi.equimultiple:
-            notes3.append(
-                f"orders {equi.order_zero} vs {equi.order_generic}: not "
-                "equimultiple, and with the asserted irreducible polar curve "
-                "the family cannot be topologically V-equisingular")
-            if equisingular_asserted:
-                notes3.append("the user assertion of equisingularity is "
-                              "thereby contradicted")
-            cmt3 = TheoremVerdict("cmt3", hyps3,
-                                  NOT_TOPOLOGICALLY_V_EQUISINGULAR,
-                                  tuple(notes3))
-        elif equisingular_asserted:
-            cmt3 = TheoremVerdict("cmt3", hyps3, EQUIMULTIPLE, tuple(notes3))
-        else:
-            cmt3 = TheoremVerdict("cmt3", hyps3, INCONCLUSIVE, tuple(notes3))
-    else:
-        cmt3 = TheoremVerdict("cmt3", hyps3, INCONCLUSIVE, tuple(notes3))
-    return cmt2, cmt3
+RULES = (
+    # fully computed sufficient condition for equimultiplicity
+    Rule("mt2", (_LINE, "base_weighted_homogeneous",
+                 "smallest_weight_divides_degree", "le_numbers_constant",
+                 "degree_ratio_meets_augmentation_threshold"), (),
+         None, "equimultiplicity theorem hypotheses verified but computed "
+               "orders differ — this is a bug", _mt2_notes),
+    # constant lambda1 and gamma1+lambda0, given an irreducible polar curve
+    Rule("mt3", (_LINE, "weights_with_divisibility", "le_invariants_constant",
+                 IRREDUCIBLE_POLAR_CURVE), (),
+         INCONCLUSIVE, "computed orders contradict the conclusion; the "
+                       "asserted irreducibility must fail for this family"),
+    # the corollaries consume an asserted topological V-equisingularity
+    Rule("cmt2", (_LINE, "base_weighted_homogeneous",
+                  "smallest_weight_divides_degree",
+                  "degree_ratio_meets_augmentation_threshold"), _EQUISINGULAR,
+         NOT_TOPOLOGICALLY_V_EQUISINGULAR,
+         "orders {zero} vs {generic}: the family is not equimultiple, so it "
+         "cannot be topologically V-equisingular"),
+    Rule("cmt3", (_LINE, "weights_with_divisibility", "polar_number_constant",
+                  IRREDUCIBLE_POLAR_CURVE), _EQUISINGULAR,
+         NOT_TOPOLOGICALLY_V_EQUISINGULAR,
+         "orders {zero} vs {generic}: not equimultiple, and with the asserted "
+         "irreducible polar curve the family cannot be topologically "
+         "V-equisingular"),
+    # a homogeneous base with constant Le numbers or asserted equisingularity
+    Rule("homogeneous", (_LINE, "base_homogeneous"),
+         ("le_numbers_constant", *_EQUISINGULAR),
+         NOT_TOPOLOGICALLY_V_EQUISINGULAR,
+         "homogeneous base with non-equimultiple orders: the family is not "
+         "topologically V-equisingular and its Le numbers cannot be constant"),
+)
 
 
-def check_homogeneous_base(an: FamilyAnalysis,
-                           equisingular_asserted: bool) -> TheoremVerdict:
-    """For a homogeneous base, either constant Le numbers or an asserted
-    topological V-equisingularity forces equimultiplicity; contrapositively a
-    non-equimultiple such family can be neither."""
-    h1 = _line_singularity_check(an)
-    degs = {sum(m) for m in an.family.base.terms}
-    if len(degs) == 1:
-        h2 = HypothesisCheck("base_homogeneous", HOLDS,
-                             f"all terms of degree {degs.pop()}")
-    else:
-        h2 = HypothesisCheck("base_homogeneous", FAILS,
-                             f"term degrees {sorted(degs)}")
-    h3 = _constancy_check(an, ("lambda0", "lambda1"), "le_numbers_constant")
-    h4 = _assertion_check("topologically_V_equisingular", equisingular_asserted,
-                          "topological V-equisingularity asserted by the user",
-                          "no equisingularity assertion supplied")
-    checks = (h1, h2, h3, h4)
-    notes = []
-    equi = an.equimultiplicity
-    if h1.status == HOLDS and h2.status == HOLDS:
-        if not equi.equimultiple:
-            notes.append(
-                "homogeneous base with non-equimultiple orders: the family is "
-                "not topologically V-equisingular and its Le numbers cannot "
-                "be constant")
-            if equisingular_asserted:
-                notes.append("the user assertion of equisingularity is "
-                             "thereby contradicted")
-            return TheoremVerdict("homogeneous", checks,
-                                  NOT_TOPOLOGICALLY_V_EQUISINGULAR,
-                                  tuple(notes))
-        if h3.status == HOLDS or h4.status == USER_ASSERTED:
-            return TheoremVerdict("homogeneous", checks, EQUIMULTIPLE,
-                                  tuple(notes))
-    return TheoremVerdict("homogeneous", checks, INCONCLUSIVE, tuple(notes))
+def evaluate_rules(an: FamilyAnalysis, equisingular_asserted: bool,
+                   irreducible_asserted: bool, budget: int = DEFAULT_BUDGET
+                   ) -> tuple[tuple[TheoremVerdict, ...], EvidenceReport | None]:
+    """The verdicts of every rule in RULES, in order, and the heuristic
+    irreducibility evidence for the generic polar curve they cite (None
+    when the generic slice is unavailable or its polar curve is empty)."""
+    evidence = None
+    if an.generic is not None and not an.generic.record.polar_empty:
+        evidence = irreducibility_evidence(an.generic.record.polar_ideal)
+    checks = _hypotheses(an, equisingular_asserted, irreducible_asserted,
+                         evidence)
+
+    held = {h.name for h in checks.values()
+            if h.status in (HOLDS, USER_ASSERTED)}
+    eq = an.equimultiplicity
+    verdicts = []
+    for rule in RULES:
+        notes = rule.extra_notes(an, checks, budget) if rule.extra_notes else []
+        conclusion = INCONCLUSIVE
+        if held.issuperset(rule.premises):
+            if not eq.equimultiple:
+                note = rule.contradiction_note.format(
+                    zero=eq.order_zero, generic=eq.order_generic)
+                if rule.contradiction is None:
+                    raise InternalCheckError(note)
+                conclusion = rule.contradiction
+                notes.append(note)
+                if conclusion == NOT_TOPOLOGICALLY_V_EQUISINGULAR \
+                        and equisingular_asserted:
+                    notes.append("the user assertion of equisingularity is "
+                                 "thereby contradicted")
+            elif not rule.triggers or held.intersection(rule.triggers):
+                conclusion = EQUIMULTIPLE
+        hypotheses = tuple(checks[h] for h in rule.premises + rule.triggers)
+        verdicts.append(TheoremVerdict(rule.name, hypotheses, conclusion,
+                                       tuple(notes)))
+    return tuple(verdicts), evidence

@@ -61,10 +61,6 @@ class Context:
             k += 1
         return f"{stem}{k}"
 
-    def without_variable(self, name: str) -> "Context":
-        i = self.var_index(name)
-        return Context(self.variables[:i] + self.variables[i + 1:], self.parameters)
-
     def variable_as_parameter(self, name: str) -> "Context":
         i = self.var_index(name)
         return Context(self.variables[:i] + self.variables[i + 1:],
@@ -78,11 +74,6 @@ class Context:
 
     def with_prepended_variable(self, name: str) -> "Context":
         return Context((name,) + self.variables, self.parameters)
-
-    def permuted(self, new_order: tuple[str, ...]) -> "Context":
-        if sorted(new_order) != sorted(self.variables):
-            raise ContextError(f"{new_order} is not a permutation of {self.variables}")
-        return Context(tuple(new_order), self.parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +535,6 @@ class Polynomial:
         out = {tuple(m[i] for i in keep): c for m, c in self.terms.items()}
         return Polynomial(target, out)
 
-    def permute_variables(self, new_order: tuple[str, ...]) -> "Polynomial":
-        target = self.context.permuted(new_order)
-        old_of_new = [self.context.var_index(v) for v in new_order]
-        out = {tuple(m[i] for i in old_of_new): c for m, c in self.terms.items()}
-        return Polynomial(target, out)
-
     def rename(self, target: Context) -> "Polynomial":
         """Reinterpret in a same-shape context (identical arities)."""
         if (target.nvars, target.nparams) != (self.context.nvars, self.context.nparams):
@@ -562,49 +547,6 @@ class Polynomial:
         _, lc = self.leading(order)
         inv = Coefficient.one(self.context.nparams) / lc
         return Polynomial(self.context, sparse.pscale(self.terms, inv))
-
-    def clear_param_denominators(self) -> "Polynomial":
-        """Scale by a unit of QQ(params) so every coefficient is a parameter
-        polynomial, the parameter content is trivial, the rational content is
-        one and the grevlex-leading rational is positive.  Canonical up to
-        nothing: this *is* the canonical representative of the scaling class."""
-        if not self.terms:
-            return self
-        np = self.context.nparams
-        common_den = {_zkey(np): _FR_ONE}
-        for c in self.terms.values():
-            if not c.den_is_one:
-                common_den = sparse.plcm(common_den, c.den)
-        scale = Coefficient.from_param_poly(common_den, np)
-        terms = {m: c * scale for m, c in self.terms.items()}
-        content = {}
-        for c in terms.values():
-            content = sparse.pgcd(content, c.num) if content else dict(c.num)
-            if len(content) == 1 and not any(next(iter(content))):
-                break
-        if len(content) > 1 or any(next(iter(content))):
-            inv = Coefficient.one(np) / Coefficient.from_param_poly(content, np)
-            terms = {m: c * inv for m, c in terms.items()}
-        nums = []
-        dens = []
-        for c in terms.values():
-            for q in c.num.values():
-                nums.append(q.numerator)
-                dens.append(q.denominator)
-        from math import gcd, lcm
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
-        l = 1
-        for x in dens:
-            l = lcm(l, x)
-        factor = Fraction(l, g) if g else _FR_ONE
-        lead_mono = max(terms, key=GREVLEX.key)
-        _, lead_val = sparse.lead(terms[lead_mono].num)
-        if lead_val * factor < 0:
-            factor = -factor
-        fc = Coefficient.from_fraction(factor, np)
-        return Polynomial(self.context, {m: c * fc for m, c in terms.items()})
 
     # -- printing --------------------------------------------------------------
 

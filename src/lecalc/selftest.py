@@ -23,8 +23,7 @@ from .engine import (DEFAULT_BUDGET, Ideal, colength_at_origin,
 from .errors import BudgetExceededError, MathRefusal, UsageError
 from .families import (EQUIMULTIPLE, GENERIC, HOLDS,
                        NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED, ZERO,
-                       analyze_family, check_corollaries, check_mt2,
-                       irreducibility_evidence, verify_ilm)
+                       analyze_family, evaluate_rules, verify_ilm)
 from .invariants import check_polar_ratio_lemma, detect_weights, milnor_number
 from .orders import GREVLEX, LOCAL
 from .parse import parse_polynomial
@@ -159,11 +158,11 @@ def criterion_verdict(env: SelfTestEnv) -> str:
     eq = an.equimultiplicity
     expect((eq.order_zero, eq.order_generic) == (4, 3),
            f"orders ({eq.order_zero}, {eq.order_generic}), expected (4, 3)")
-    evidence = irreducibility_evidence(
-        env.slice_record("nonupper_family", GENERIC).record.polar_ideal)
+    env.slice_record("nonupper_family", GENERIC)  # re-raises a budget failure
+    verdicts, evidence = evaluate_rules(an, False, True, env.budget)
     expect(evidence.verdict == "SUPPORTING",
            f"evidence verdict {evidence.verdict}")
-    _, c3 = check_corollaries(an, False, True, evidence, env.budget)
+    c3 = {v.theorem: v for v in verdicts}["cmt3"]
     expect(c3.conclusion == NOT_TOPOLOGICALLY_V_EQUISINGULAR,
            f"cmt3 concluded {c3.conclusion}")
     status = {h.name: h.status for h in c3.hypotheses}
@@ -236,7 +235,8 @@ def criterion_suspension(env: SelfTestEnv) -> str:
                f"{sl.where}: (lambda0, gamma1, lambda1) = "
                f"({rec.lambda0}, {rec.gamma1}, {rec.lambda1})")
     expect(an.equimultiplicity.equimultiple, "family must be equimultiple")
-    verdict = check_mt2(an, env.budget)
+    verdict = {v.theorem: v for v in evaluate_rules(
+        an, False, False, env.budget)[0]}["mt2"]
     expect(verdict.conclusion == EQUIMULTIPLE,
            f"mt2 concluded {verdict.conclusion}")
     detail = {h.name: h.detail for h in verdict.hypotheses}

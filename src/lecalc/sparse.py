@@ -109,25 +109,6 @@ def pmul(a, b):
     return c
 
 
-def ppow(a, n: int):
-    if n < 0:
-        raise ValueError("negative power of a polynomial")
-    if n == 0:
-        if not a:
-            raise ValueError("0^0 at the polynomial level")
-        return _one_like(a)
-    result = None
-    base = a
-    while True:
-        if n & 1:
-            result = dict(base) if result is None else pmul(result, base)
-        n >>= 1
-        if not n:
-            break
-        base = pmul(base, base)
-    return result
-
-
 def lead(a, key=grevlex_key):
     """(monomial, coefficient) of the largest term under the key."""
     m = max(a, key=key)
@@ -299,11 +280,3 @@ def pgcd(a, b):
     g = _gcd_rec(a, b)
     _, lc = lead(g)
     return {m: c / lc for m, c in g.items()}
-
-
-def plcm(a, b):
-    if not a or not b:
-        return {}
-    g = pgcd(a, b)
-    q = pdiv_exact(a, g)
-    return pmul(q, b)

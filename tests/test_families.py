@@ -10,12 +10,11 @@ from lecalc.engine import Ideal
 from lecalc.errors import (DegenerateInputError, InternalCheckError,
                            NonReducedError, UsageError)
 from lecalc.families import (EQUIMULTIPLE, FAILS, GENERIC, HOLDS,
-                             INCONCLUSIVE, EquimultiplicityResult, NOT_CHECKED,
+                             INCONCLUSIVE, NOT_CHECKED,
                              NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED,
-                             ZERO, analyze_family, check_corollaries,
-                             check_homogeneous_base, check_mt2, check_mt3,
-                             decompose_family, irreducibility_evidence,
-                             is_equimultiple, verify_ilm)
+                             ZERO, EquimultiplicityResult, analyze_family,
+                             decompose_family, evaluate_rules,
+                             irreducibility_evidence, verify_ilm)
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, render
 
@@ -28,6 +27,11 @@ HOMOGENEOUS = "z1^2*z2^2 + z2^4 + z3^4 + t*z2^4"
 
 def fampoly(text):
     return parse_polynomial(text, CTX)
+
+
+def verdicts(an, equisingular=False, irreducible=False):
+    return {v.theorem: v
+            for v in evaluate_rules(an, equisingular, irreducible)[0]}
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +101,7 @@ def test_slice_invariants_of_worked_family(worked):
 
 
 def test_mt2_inconclusive_on_worked_family(worked):
-    verdict = check_mt2(worked)
+    verdict = verdicts(worked)["mt2"]
     assert verdict.theorem == "mt2"
     assert verdict.conclusion == INCONCLUSIVE
     status = {h.name: (h.status, h.detail) for h in verdict.hypotheses}
@@ -107,7 +111,7 @@ def test_mt2_inconclusive_on_worked_family(worked):
 
 
 def test_mt2_concludes_on_suspension(suspension):
-    verdict = check_mt2(suspension)
+    verdict = verdicts(suspension)["mt2"]
     assert verdict.conclusion == EQUIMULTIPLE
     status = {h.name: h.status for h in verdict.hypotheses}
     assert status["le_numbers_constant"] == HOLDS
@@ -116,25 +120,28 @@ def test_mt2_concludes_on_suspension(suspension):
 
 
 def test_mt3_needs_the_irreducibility_assertion(worked, suspension):
-    verdict = check_mt3(worked, True, None)
+    verdict = verdicts(worked, irreducible=True)["mt3"]
     assert verdict.conclusion == INCONCLUSIVE
     status = {h.name: (h.status, h.detail) for h in verdict.hypotheses}
     assert status["le_invariants_constant"][0] == FAILS
     assert "30 vs 15" in status["le_invariants_constant"][1]
-    good = check_mt3(suspension, True, None)
+    good = verdicts(suspension, irreducible=True)["mt3"]
     assert good.conclusion == EQUIMULTIPLE
     assert good.user_asserted
-    unasserted = check_mt3(suspension, False, None)
+    unasserted = verdicts(suspension)["mt3"]
     assert unasserted.conclusion == INCONCLUSIVE
 
 
-def test_contradicted_orders_under_verified_premises(suspension):
+def test_contradicted_orders_under_verified_premises(suspension, homogeneous):
     """No real family reaches these branches: all premises of mt2 (or of
     mt3 with the assertion) hold while the computed orders differ."""
-    broken = replace(suspension, equimultiplicity=EquimultiplicityResult(4, 3))
+    differ = EquimultiplicityResult(4, 3)
     with pytest.raises(InternalCheckError):
-        check_mt2(broken)
-    verdict = check_mt3(broken, True, None)
+        evaluate_rules(replace(suspension, equimultiplicity=differ),
+                       False, False)
+    # the homogeneous family misses mt2's threshold but meets mt3's premises
+    verdict = verdicts(replace(homogeneous, equimultiplicity=differ),
+                       irreducible=True)["mt3"]
     assert verdict.conclusion == INCONCLUSIVE
     assert verdict.notes == (
         "computed orders contradict the conclusion; the asserted "
@@ -142,11 +149,12 @@ def test_contradicted_orders_under_verified_premises(suspension):
 
 
 def test_corollaries_fire_the_contrapositive(worked):
-    evidence = irreducibility_evidence(worked.generic.record.polar_ideal)
+    rules, evidence = evaluate_rules(worked, False, True)
+    assert [v.theorem for v in rules] == [
+        "mt2", "mt3", "cmt2", "cmt3", "homogeneous"]
     assert evidence.verdict == "SUPPORTING"
     assert evidence.certificate == "NOT_A_CERTIFICATE"
-    c2, c3 = check_corollaries(worked, False, True, evidence)
-    assert c2.theorem == "cmt2" and c3.theorem == "cmt3"
+    _, _, c2, c3, _ = rules
     assert c2.conclusion == INCONCLUSIVE
     assert c3.conclusion == NOT_TOPOLOGICALLY_V_EQUISINGULAR
     status = {h.name: h.status for h in c3.hypotheses}
@@ -155,13 +163,13 @@ def test_corollaries_fire_the_contrapositive(worked):
 
 
 def test_homogeneous_rule(worked, homogeneous):
-    verdict = check_homogeneous_base(homogeneous, False)
+    verdict = verdicts(homogeneous)["homogeneous"]
     assert verdict.conclusion == EQUIMULTIPLE
     status = {h.name: h.status for h in verdict.hypotheses}
     assert status["base_homogeneous"] == HOLDS
     assert status["le_numbers_constant"] == HOLDS
     assert status["topologically_V_equisingular"] == NOT_CHECKED
-    off_topic = check_homogeneous_base(worked, False)
+    off_topic = verdicts(worked)["homogeneous"]
     assert off_topic.conclusion == INCONCLUSIVE
 
 
@@ -181,6 +189,20 @@ def test_irreducibility_evidence_counter_case():
     assert split.verdict == "COUNTER"
     single = irreducibility_evidence(Ideal(ctx, (z3,)))
     assert single.verdict == "SUPPORTING"
+
+
+@pytest.mark.parametrize("text, roots", [
+    ("z2^2 - 1/4", "-1/2, 1/2"),
+    ("z2^2 - 9/4*z2 + 1/2", "1/4, 2"),
+    # a 13-digit constant: divisors are found up to its square root
+    ("z2^2 - 1000000000000", "-1000000, 1000000"),
+])
+def test_irreducibility_evidence_finds_rational_roots(text, roots):
+    ctx = Context(("z1", "z2", "z3"), ())
+    g = parse_polynomial(text, ctx)
+    report = irreducibility_evidence(Ideal(ctx, (g,)))
+    assert report.verdict == "COUNTER"
+    assert report.details == (f"{render(g)}: rational roots {roots}",)
 
 
 def test_ilm_tables_for_worked_family(worked):

@@ -135,29 +135,6 @@ def test_promote_variable_to_parameter_round_trips_evaluation():
     assert render(h) == render(direct.restrict_to(("z2", "z3")))
 
 
-def test_permute_variables_reorders_context_not_values():
-    z1, z2 = v("z1"), v("z2")
-    f = z1 ** 2 * z2
-    g = f.permute_variables(("z2", "z1", "z3"))
-    assert g.context.variables == ("z2", "z1", "z3")
-    # same polynomial under the new ordering: z1 still carries exponent 2
-    ctx2 = g.context
-    assert g == Polynomial.variable(ctx2, "z1") ** 2 \
-        * Polynomial.variable(ctx2, "z2")
-    assert render(g) == "z2*z1^2"
-
-
-def test_clear_param_denominators():
-    t = Polynomial.parameter(CTXP, "t")
-    x, y = v("z1", CTXP), v("z2", CTXP)
-    g = ((t ** 2 + 1) * x * y - t * y ** 2).monic(GREVLEX)
-    assert not all(c.den_is_one for c in g.terms.values())
-    cleared = g.clear_param_denominators()
-    assert all(c.den_is_one for c in cleared.terms.values())
-    # clearing only rescales by a unit of the coefficient field
-    assert cleared.monic(GREVLEX) == g.monic(GREVLEX)
-
-
 def test_coefficient_division():
     a = Coefficient.from_fraction(Fraction(3, 7), 0)
     b = Coefficient.from_fraction(Fraction(-2), 0)
