@@ -12,8 +12,8 @@ conservative verdict per rule.
 from .engine import (DEFAULT_BUDGET, ColengthResult, Ideal, StandardBasis,
                      colength_at_origin, colength_by_truncation,
                      colength_global, contains_local_unit,
-                     dimension_at_origin, eliminate, ideal_quotient,
-                     ideals_equal, intersect, saturate, standard_basis)
+                     dimension_at_origin, eliminate, ideals_equal,
+                     intersect, saturate, standard_basis)
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
                      LecalcError, MathRefusal, NonIntegerResultError,
@@ -47,9 +47,9 @@ __all__ = [
     "analyze_family", "check_polar_ratio_lemma", "colength_at_origin",
     "colength_by_truncation", "colength_global", "contains_local_unit",
     "decompose_family", "detect_weights", "dimension_at_origin",
-    "eliminate", "evaluate_rules", "germ_record", "ideal_quotient",
-    "ideals_equal", "intersect", "irreducibility_evidence",
-    "is_equimultiple", "is_line_singularity", "is_upper", "milnor_number",
-    "order_at_origin", "parse_polynomial", "polar_variety_1", "render",
-    "saturate", "standard_basis", "verify_ilm",
+    "eliminate", "evaluate_rules", "germ_record", "ideals_equal",
+    "intersect", "irreducibility_evidence", "is_equimultiple",
+    "is_line_singularity", "is_upper", "milnor_number", "order_at_origin",
+    "parse_polynomial", "polar_variety_1", "render", "saturate",
+    "standard_basis", "verify_ilm",
 ]

@@ -430,7 +430,7 @@ def ideals_equal(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# elimination, intersection, quotient, saturation
+# elimination, intersection, saturation
 
 def _embed(p: Polynomial, target: Context) -> Polynomial:
     src = p.context
@@ -483,42 +483,37 @@ def intersect(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
     return Ideal(ctx, tuple(g.rename(ctx) for g in out.generators))
 
 
-def _quotient_by_element(i: Ideal, g: Polynomial, budget: int) -> Ideal:
-    inter = intersect(i, Ideal(i.context, (g,)), budget)
-    quots = []
-    for q in inter.generators:
-        d = q.divide_exact(g)
-        if d is None:
-            raise InternalCheckError("element of I ∩ (g) not divisible by g")
-        quots.append(d)
-    return Ideal(i.context, tuple(quots))
-
-
 def _normalized(ideal: Ideal, budget: int) -> Ideal:
     sb = standard_basis(ideal, GREVLEX, budget)
     return Ideal(ideal.context, sb.elements)
 
 
-def ideal_quotient(i: Ideal, k: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
-    """I : K = { p : p*K ⊆ I }, via intersection of the element quotients."""
-    if i.context != k.context:
-        raise ContextError("quotient across different contexts")
-    acc = None
-    for g in k.generators:
-        part = _quotient_by_element(i, g, budget)
-        acc = part if acc is None else intersect(acc, part, budget)
-    return _normalized(acc, budget)
+def _saturate_by_element(i: Ideal, g: Polynomial, budget: int) -> Ideal:
+    """I : g^infinity = (I + (1 - u*g)) ∩ F[z], u a fresh variable
+    (Rabinowitsch): one elimination."""
+    ctx = i.context
+    aux = ctx.fresh_name("u")
+    ext = ctx.with_prepended_variable(aux)
+    u = Polynomial.variable(ext, aux)
+    gens = [_embed(p, ext) for p in i.generators]
+    gens.append(Polynomial.one(ext) - u * _embed(g, ext))
+    out = eliminate(Ideal(ext, tuple(gens)), (aux,), budget)
+    if out is None:
+        raise InternalCheckError("saturation of a nonzero ideal came out zero")
+    return Ideal(ctx, tuple(p.rename(ctx) for p in out.generators))
 
 
 def saturate(i: Ideal, k: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
-    """I : K^infinity by iterating the quotient to a two-sided-membership
-    fixpoint.  Idempotent; the result contains I."""
-    current = _normalized(i, budget)
-    while True:
-        nxt = ideal_quotient(current, k, budget)
-        if ideals_equal(nxt, current, budget):
-            return current
-        current = nxt
+    """I : K^infinity as the intersection of I : g^infinity over the
+    generators g of K, returned as the (unique) reduced GREVLEX basis.
+    Idempotent; the result contains I."""
+    if i.context != k.context:
+        raise ContextError("saturation across different contexts")
+    acc = None
+    for g in k.generators:
+        part = _saturate_by_element(i, g, budget)
+        acc = part if acc is None else intersect(acc, part, budget)
+    return _normalized(acc, budget)
 
 
 # ---------------------------------------------------------------------------

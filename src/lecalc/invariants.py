@@ -18,15 +18,15 @@ from itertools import product as iter_product
 from math import gcd, lcm
 from random import Random
 
-from .engine import (DEFAULT_BUDGET, ColengthResult, Ideal,
-                     colength_at_origin, colength_global, contains_local_unit,
-                     dimension_at_origin, saturate)
+from .engine import (DEFAULT_BUDGET, Ideal, colength_at_origin,
+                     colength_global, contains_local_unit, dimension_at_origin,
+                     saturate)
 from .errors import (ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
                      NonIntegerResultError, NonIsolatedError,
                      NotLineSingularityError, PolarDimensionError,
                      UnluckySpecializationError)
-from .poly import Coefficient, Context, Polynomial, render, require_reduced
+from .poly import Context, Polynomial, require_reduced
 
 
 def draw_rational(rng: Random) -> Fraction:
@@ -291,7 +291,10 @@ def is_line_singularity(f: Polynomial,
     """Three checks: every partial vanishes identically on the z1-axis, the
     slice f|V(z1) has an isolated singularity, and the Jacobian ideal
     saturated by (z2, ..., zn) stays away from the origin (the critical locus
-    has no extra component through 0)."""
+    has no extra component through 0).  That saturation is the intersection
+    of the saturations by each z_i, and an intersection is the whole local
+    ring only when every factor is, so the factors are tested one at a time
+    and never intersected."""
     require_reduced(f)
     ctx = f.context
     if ctx.nvars < 2:
@@ -314,11 +317,12 @@ def is_line_singularity(f: Polynomial,
         except NonIsolatedError:
             slice_isolated = False
 
-    jac = [p for p in parts if not p.is_zero()]
-    sat = saturate(Ideal(ctx, tuple(jac)),
-                   Ideal(ctx, tuple(Polynomial.variable(ctx, v) for v in others)),
-                   budget)
-    extra = not contains_local_unit(sat, budget)
+    jac = Ideal(ctx, tuple(p for p in parts if not p.is_zero()))
+    extra = not all(
+        contains_local_unit(
+            saturate(jac, Ideal(ctx, (Polynomial.variable(ctx, v),)), budget),
+            budget)
+        for v in others)
     return LineSingularityCheck(vanishes, slice_isolated, slice_mu, extra)
 
 
@@ -355,14 +359,10 @@ def polar_variety_1(f: Polynomial, budget: int = DEFAULT_BUDGET) -> Ideal:
     return gamma
 
 
-def polar_is_empty(gamma: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
-    return contains_local_unit(gamma, budget)
-
-
 def gamma1(gamma: Ideal, budget: int = DEFAULT_BUDGET) -> int:
-    """Intersection number of the polar curve with V(z1) at the origin."""
-    if polar_is_empty(gamma, budget):
-        return 0
+    """Intersection number of the polar curve with V(z1) at the origin; 0
+    when the curve misses the origin (the ideal then contains a local unit
+    and its colength is 0)."""
     ctx = gamma.context
     z1 = Polynomial.variable(ctx, ctx.variables[0])
     res = colength_at_origin(gamma.with_extra(z1), budget)
@@ -374,8 +374,6 @@ def gamma1(gamma: Ideal, budget: int = DEFAULT_BUDGET) -> int:
 
 def lambda0(f: Polynomial, gamma: Ideal, budget: int = DEFAULT_BUDGET) -> int:
     """Intersection number of the polar curve with V(df/dz1) at the origin."""
-    if polar_is_empty(gamma, budget):
-        return 0
     d1 = f.partial(f.context.variables[0])
     ideal = gamma if d1.is_zero() else gamma.with_extra(d1)
     res = colength_at_origin(ideal, budget)
@@ -553,19 +551,15 @@ def germ_record(f: Polynomial, rng: Random,
     check = require_line_singularity(f, budget)
     order = order_at_origin(f)
     gamma = polar_variety_1(f, budget)
-    empty = polar_is_empty(gamma, budget)
     g1 = gamma1(gamma, budget)
     l0 = lambda0(f, gamma, budget)
     l1, witnesses = lambda1(f, rng, budget)
 
-    if empty:
-        inter = 0
-    else:
-        res = colength_at_origin(gamma.with_extra(f), budget)
-        if not res.is_finite:
-            raise ImproperIntersectionError(
-                "polar curve meets V(f) improperly (infinite colength)")
-        inter = res.value
+    res = colength_at_origin(gamma.with_extra(f), budget)
+    if not res.is_finite:
+        raise ImproperIntersectionError(
+            "polar curve meets V(f) improperly (infinite colength)")
+    inter = res.value
     if inter != g1 + l0:
         raise InternalCheckError(
             f"intersection number {inter} != gamma1 + lambda0 = {g1 + l0}")
@@ -585,7 +579,7 @@ def germ_record(f: Polynomial, rng: Random,
         slice_milnor=check.slice_milnor,
         intersection_with_hypersurface=inter,
         polar_ideal=gamma,
-        polar_empty=empty,
+        polar_empty=g1 == 0,  # a curve through 0 meets V(z1) there
         line_check=check,
         lambda_k_zero=lamk,
         axis_witnesses=witnesses,

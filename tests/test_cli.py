@@ -3,8 +3,6 @@ determinism, and input-file handling."""
 
 import json
 
-import pytest
-
 from lecalc.cli import entrypoint, read_input_file
 
 WORKED_BASE = "z1^2*z2^2 + z2^5 + z3^4"
@@ -113,6 +111,14 @@ def test_not_line_singularity_fallback_json(capsys):
     assert doc["refusal"]["token"] == "NOT_LINE_SINGULARITY"
     assert doc["refusal"]["failing_check"] == "vanishes_on_axis"
     assert doc["refusal"]["fallback_milnor"] == 1
+
+
+def test_not_line_singularity_extra_critical_component(capsys):
+    code, out, _ = run(capsys, "invariants", "-e",
+                       "z2^2 + z3^2*(z3 - z1)^2")
+    assert code == 2
+    assert "first failing check: no_extra_critical_component" in out
+    assert "refused: NOT_LINE_SINGULARITY" in out
 
 
 def test_parse_error_exits_one(capsys):

@@ -1,16 +1,18 @@
 """Standard bases and ideal operations, checked against hand computations
-and independent oracles (Rabinowitsch saturation, jet-space truncation)."""
+and independent oracles (iterated-quotient saturation, jet-space
+truncation)."""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lecalc.engine import (DEFAULT_BUDGET, Ideal, colength_at_origin,
-                           colength_by_truncation, colength_global,
-                           contains_local_unit, dimension_at_origin,
-                           eliminate, ideal_quotient, ideals_equal, intersect,
-                           saturate, standard_basis)
+from lecalc.engine import (Ideal, colength_at_origin, colength_by_truncation,
+                           colength_global, contains_local_unit,
+                           dimension_at_origin, eliminate, ideals_equal,
+                           intersect, saturate, standard_basis)
 from lecalc.errors import BudgetExceededError, DegenerateInputError
 from lecalc.orders import GREVLEX, LOCAL
 from lecalc.poly import Context, Polynomial, render
@@ -69,6 +71,32 @@ def test_intersection_of_coordinate_ideals():
     assert gens(standard_basis(meet, GREVLEX)) == ["z1*z2"]
 
 
+# ---------------------------------------------------------------------------
+# independent saturation oracle: the iterated-quotient fixpoint
+
+def ideal_quotient(i: Ideal, k: Ideal) -> Ideal:
+    """I : K = { p : p*K ⊆ I }, the intersection over the generators g of K
+    of (I ∩ (g)) / g."""
+    acc = None
+    for g in k.generators:
+        inter = intersect(i, Ideal(i.context, (g,)))
+        quots = tuple(q.divide_exact(g) for q in inter.generators)
+        assert None not in quots, "element of I ∩ (g) not divisible by g"
+        part = Ideal(i.context, quots)
+        acc = part if acc is None else intersect(acc, part)
+    return Ideal(acc.context, standard_basis(acc, GREVLEX).elements)
+
+
+def quotient_fixpoint_saturation(i: Ideal, k: Ideal) -> Ideal:
+    """I : K^infinity as the first I : K^j that equals I : K^(j+1)."""
+    current = i
+    while True:
+        nxt = ideal_quotient(current, k)
+        if ideals_equal(nxt, current):
+            return current
+        current = nxt
+
+
 def test_quotient_of_principal_ideals():
     q = ideal_quotient(Ideal(C2, (X * Y,)), Ideal(C2, (X,)))
     assert gens(standard_basis(q, GREVLEX)) == ["z2"]
@@ -94,24 +122,12 @@ def test_eliminate_auxiliary_variable():
     assert gens(standard_basis(image, GREVLEX)) == ["z1^2*z2 - 1"]
 
 
-def _rabinowitsch_saturation(ideal: Ideal, g: Polynomial) -> Ideal:
-    """Independent oracle: I : g^infinity = (I + (1 - u*g)) with u eliminated."""
-    ctx = ideal.context
-    name = ctx.fresh_name("u")
-    big = Context(ctx.variables + (name,), ctx.parameters)
-    images = {v: Polynomial.variable(big, v) for v in ctx.variables}
-    lifted = [p.substitute(images, big) for p in ideal.generators]
-    u = Polynomial.variable(big, name)
-    lifted.append(Polynomial.one(big) - u * g.substitute(images, big))
-    return eliminate(Ideal(big, tuple(lifted)), (name,))
-
-
 def test_saturation_strips_axis_factor():
     ideal = Ideal(C2, (2 * X ** 2 * Y + 5 * Y ** 4,))
     sat = saturate(ideal, Ideal(C2, (Y,)))
     assert gens(standard_basis(sat, GREVLEX)) == ["z2^3 + 2/5*z1^2"]
-    oracle = _rabinowitsch_saturation(ideal, Y)
-    assert ideals_equal(sat, oracle)
+    assert ideals_equal(
+        sat, quotient_fixpoint_saturation(ideal, Ideal(C2, (Y,))))
 
 
 def test_saturation_collapses_when_locus_sits_inside_divisor():
@@ -119,13 +135,52 @@ def test_saturation_collapses_when_locus_sits_inside_divisor():
     ideal = Ideal(C2, (2 * X ** 2 * Y + 5 * Y ** 4, X * Y ** 2))
     sat = saturate(ideal, Ideal(C2, (Y,)))
     assert contains_local_unit(sat)
-    assert ideals_equal(sat, _rabinowitsch_saturation(ideal, Y))
+    assert ideals_equal(
+        sat, quotient_fixpoint_saturation(ideal, Ideal(C2, (Y,))))
 
 
 def test_saturation_by_local_unit_is_identity():
     ideal = Ideal(C2, (X * Y,))
     sat = saturate(ideal, Ideal(C2, (Y + 1,)))
     assert ideals_equal(sat, ideal)
+
+
+def _two_variable_ideals():
+    """One or two generators, each a power of z2 times a small polynomial,
+    so that saturating by z2 has something to strip."""
+    term = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                     st.integers(-3, 3).filter(bool))
+
+    def generator(terms, shift):
+        p = Polynomial.zero(C2)
+        for a, b, c in terms:
+            p = p + Polynomial.monomial(C2, (a, b), Fraction(c))
+        return p * Y ** shift
+
+    gen = st.builds(generator, st.lists(term, min_size=1, max_size=3),
+                    st.integers(0, 2)).filter(lambda p: not p.is_zero())
+    return st.lists(gen, min_size=1, max_size=2).map(
+        lambda gs: Ideal(C2, tuple(gs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_variable_ideals())
+def test_saturation_matches_quotient_fixpoint(ideal):
+    for k in (Ideal(C2, (Y,)), Ideal(C2, (X, Y))):
+        assert ideals_equal(saturate(ideal, k),
+                            quotient_fixpoint_saturation(ideal, k))
+
+
+def test_saturation_matches_quotient_fixpoint_over_rational_functions():
+    ctx = Context(("z1", "z2"), ("t",))
+    x = Polynomial.variable(ctx, "z1")
+    y = Polynomial.variable(ctx, "z2")
+    t = Polynomial.parameter(ctx, "t")
+    ideal = Ideal(ctx, (t * x * y ** 2 + y ** 3, (x - t) * x ** 2 * y))
+    for k in (Ideal(ctx, (y,)), Ideal(ctx, (x, y))):
+        sat = saturate(ideal, k)
+        assert ideals_equal(sat, quotient_fixpoint_saturation(ideal, k))
+        assert ideals_equal(saturate(sat, k), sat)
 
 
 def test_local_unit_detection():

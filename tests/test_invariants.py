@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from lecalc.engine import Ideal, ideals_equal, standard_basis
+from lecalc.engine import Ideal, ideals_equal
 from lecalc.errors import (DegenerateInputError, NonIsolatedError,
                            NonReducedError, NotLineSingularityError)
 from lecalc.invariants import (check_polar_ratio_lemma, detect_weights,
@@ -16,9 +16,8 @@ from lecalc.invariants import (check_polar_ratio_lemma, detect_weights,
                                milnor_orlik, multiplicity_at_origin,
                                order_at_origin, polar_ratio, polar_variety_1,
                                require_line_singularity)
-from lecalc.orders import GREVLEX
 from lecalc.parse import parse_polynomial
-from lecalc.poly import Context, Polynomial, render
+from lecalc.poly import Context, Polynomial
 
 C3 = Context(("z1", "z2", "z3"), ())
 BASE = parse_polynomial("z1^2*z2^2 + z2^5 + z3^4", C3)
@@ -89,6 +88,20 @@ def test_line_singularity_check_fails_on_isolated_point():
         require_line_singularity(parse_polynomial("z1^2 + z2^2 + z3^2", C3))
     assert err.value.failing_check == "vanishes_on_axis"
     assert "failing check: vanishes_on_axis" in str(err.value)
+
+
+def test_line_singularity_check_fails_on_extra_critical_line():
+    # the extra critical line {z2 = 0, z3 = z1} lies in {z2 = 0}: saturating
+    # by z2 alone removes it, and only the z3 factor keeps it through 0
+    f = parse_polynomial("z2^2 + z3^2*(z3 - z1)^2", C3)
+    check = is_line_singularity(f)
+    assert check.vanishes_on_axis and check.slice_isolated
+    assert check.slice_milnor == 3
+    assert check.extra_critical_component_at_origin
+    assert check.failing_check == "no_extra_critical_component"
+    with pytest.raises(NotLineSingularityError) as err:
+        germ_record(f, Random(0))
+    assert err.value.failing_check == "no_extra_critical_component"
 
 
 def test_line_singularity_requires_reduced_input():
