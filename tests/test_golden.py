@@ -1,5 +1,5 @@
-"""Golden `family` reports: the text and JSON output of each case must match
-the committed file in tests/golden/ byte for byte.
+"""Golden reports: the text and JSON output of each case must match the
+committed file in tests/golden/ byte for byte, with the expected exit code.
 
 A golden file is the contract that refactors of the verdict rules and the
 report code are held to; a change to one needs a CHANGES.md line saying why.
@@ -40,14 +40,38 @@ CASES = {
                          "--param", "t"],
 }
 
+# name -> (command, arguments, exit code)
+COMMAND_CASES = {
+    # the worked base: weights, every record line
+    "invariants_worked": ("invariants", ["-e", "z1^2*z2^2 + z2^5 + z3^4"], 0),
+    # over QQ(t): "weights: skipped" and the parameter warning
+    "invariants_param": ("invariants",
+                         ["-e", "z1^2*z2^2 + z2^5 + z3^4 + t*z1*z2^2",
+                          "--param", "t"], 0),
+    # NOT_LINE_SINGULARITY with the isolated-singularity fallback
+    "invariants_not_line": ("invariants", ["-e", "z1^2 + z2^2 + z3^2"], 2),
+    "ilm_suspension": ("ilm", ["-f", str(CORPUS / "suspension_family.lec")],
+                       0),
+    "ilm_constant": ("ilm", ["-f", str(CORPUS / "constant_family.lec")], 0),
+}
+
+
+def _check(capsys, command, args, code, case, fmt):
+    got = entrypoint([command, "--seed", "0", "--format", fmt, *args])
+    out = capsys.readouterr().out
+    suffix = "txt" if fmt == "text" else "json"
+    expected = (GOLDEN / f"{case}.{suffix}").read_text(encoding="utf-8")
+    assert got == code
+    assert out == expected
+
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_family_report_matches_golden(capsys, case, fmt):
-    code = entrypoint(["family", "--seed", "0", "--format", fmt,
-                       *CASES[case]])
-    out = capsys.readouterr().out
-    suffix = "txt" if fmt == "text" else "json"
-    expected = (GOLDEN / f"{case}.{suffix}").read_text(encoding="utf-8")
-    assert code == 0
-    assert out == expected
+    _check(capsys, "family", CASES[case], 0, case, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(COMMAND_CASES))
+def test_command_report_matches_golden(capsys, case, fmt):
+    _check(capsys, *COMMAND_CASES[case], case, fmt)
