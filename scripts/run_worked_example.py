@@ -21,7 +21,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lecalc import (DEFAULT_BUDGET, Context, analyze_family, evaluate_rules,
                     parse_polynomial, render, verify_ilm)
 from lecalc.families import GENERIC, ZERO
-from lecalc.report import ilm_lines, record_lines, verdict_lines
+from lecalc.report import (ilm_json, ilm_text, record_json,
+                           record_json_extra, record_text, verdict_json,
+                           verdict_text, weights_json, weights_text)
 
 FAMILY = "z1^2*z2^2 + z2^5 + z3^4 + t*z1*z2^2 + t^2*z1^2*z2^2"
 
@@ -58,7 +60,11 @@ def main(cfg: ExampleConfig) -> int:
     for sl in (an.zero, an.generic):
         title = "t = 0" if sl.where == ZERO else "generic t"
         print(f"--- invariants at {title} ---")
-        for line in record_lines(sl.record):
+        rec = sl.record
+        weights = weights_text(weights_json(rec.weights),
+                               fam.parameter if sl.where == GENERIC else None)
+        for line in record_text(record_json(rec), record_json_extra(rec),
+                                "z1", weights):
             print(line)
         print()
 
@@ -70,7 +76,7 @@ def main(cfg: ExampleConfig) -> int:
     print()
     print("--- verdicts ---")
     for verdict in verdicts:
-        for line in verdict_lines(verdict):
+        for line in verdict_text(verdict_json(verdict)):
             print(line)
         print()
 
@@ -79,7 +85,7 @@ def main(cfg: ExampleConfig) -> int:
         for where, sl in ((ZERO, an.zero), (GENERIC, an.generic)):
             table = verify_ilm(fam, where, sl, Random(cfg.seed),
                                budget=cfg.budget)
-            for line in ilm_lines(table, fam.parameter):
+            for line in ilm_text(ilm_json(table), fam.parameter):
                 print(line)
             print()
 

@@ -16,13 +16,11 @@ from . import report as rp
 from .engine import DEFAULT_BUDGET
 from .errors import (ContextError, MathRefusal, NotLineSingularityError,
                      UsageError)
-from .families import (EQUIMULTIPLE, GENERIC, IRREDUCIBLE_POLAR_CURVE,
-                       NOT_TOPOLOGICALLY_V_EQUISINGULAR, ZERO, analyze_family,
-                       decompose_family, evaluate_rules, invariants_at,
-                       verify_ilm)
+from .families import (GENERIC, ZERO, analyze_family, decompose_family,
+                       evaluate_rules, invariants_at, verify_ilm)
 from .invariants import germ_record, milnor_number
 from .parse import parse_polynomial
-from .poly import Context, render
+from .poly import Context
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,11 +152,9 @@ def _config_from_args(args) -> rp.RunConfig:
         parameter = file_param
     elif getattr(args, "vars", None) is not None:
         variables = _split_names(args.vars, "variable")
-    permute = None
     if getattr(args, "permute", None) is not None:
-        raw = tuple(args.permute.split(","))
         try:
-            permute = tuple(int(x) for x in raw)
+            permute = tuple(int(x) for x in args.permute.split(","))
         except ValueError:
             raise UsageError(f"malformed --permute {args.permute!r}") from None
         if sorted(permute) != list(range(1, len(variables) + 1)):
@@ -175,11 +171,11 @@ def _config_from_args(args) -> rp.RunConfig:
         if not j_values:
             raise UsageError("--j needs at least one exponent")
     return rp.RunConfig(
-        expression=expression, path=path, variables=variables,
-        parameter=parameter, seed=seed, budget=args.budget, fmt=args.fmt,
+        expression=expression, variables=variables, parameter=parameter,
+        seed=seed, budget=args.budget, fmt=args.fmt,
         assert_equisingular=getattr(args, "assert_equisingular", False),
         assert_irreducible=getattr(args, "assert_irreducible", False),
-        permute=permute, j_values=j_values)
+        j_values=j_values)
 
 
 def _parse_expression(cfg: rp.RunConfig):
@@ -194,106 +190,35 @@ def _parse_expression(cfg: rp.RunConfig):
 def cmd_invariants(cfg: rp.RunConfig) -> int:
     f = _parse_expression(cfg)
     rng = Random(cfg.seed)
-    lines = rp.header_lines("invariants", cfg, cfg.expression)
-    doc = rp.base_json("invariants", cfg, cfg.expression)
-    warnings: list[str] = []
+    doc = rp.base_json("invariants", cfg)
     if cfg.parameter:
-        warnings.append(
+        doc["warnings"].append(
             f"coefficients live in the fraction field of {cfg.parameter}; "
             "weight detection is skipped and generic values are cross-checked "
             "at two random specializations")
-    axis = cfg.variables[0]
     try:
         rec = germ_record(f, rng, cfg.budget)
     except NotLineSingularityError as exc:
-        refusal = {"token": "NOT_LINE_SINGULARITY",
-                   "message": str(exc),
-                   "failing_check": exc.failing_check,
-                   "fallback_milnor": None,
-                   "order": f.min_total_degree()}
-        lines.append("")
-        lines.append(f"line singularity along the {axis}-axis: NO "
-                     f"(first failing check: {exc.failing_check})")
-        lines.append(f"refused: NOT_LINE_SINGULARITY: {exc}")
-        lines.append(f"order at origin: {f.min_total_degree()}")
         try:
             mu = milnor_number(f, budget=cfg.budget)
         except MathRefusal:
-            lines.append("fallback: the germ is not an isolated singularity "
-                         "either")
-        else:
-            refusal["fallback_milnor"] = mu
-            lines.append(
-                f"fallback: isolated singularity with milnor number {mu}")
-        doc["refusal"] = refusal
-        doc["warnings"] = warnings
-        lines.extend(f"warning: {w}" for w in warnings)
-        sys.stdout.write(rp.finish(cfg, lines, doc))
+            mu = None
+        doc["refusal"] = {"token": exc.token,
+                          "message": str(exc),
+                          "failing_check": exc.failing_check,
+                          "fallback_milnor": mu,
+                          "order": f.min_total_degree()}
+        sys.stdout.write(rp.render(doc, cfg.fmt))
         return 2
-    lines.append("")
-    lines.append(f"line singularity along the {axis}-axis: yes")
-    lines.extend(rp.record_lines(rec))
-    lines.extend(f"warning: {w}" for w in warnings)
     doc["weights"] = rp.weights_json(rec.weights)
     doc["invariants"] = rp.record_json(rec)
     doc["invariants_extra"] = rp.record_json_extra(rec)
-    doc["warnings"] = warnings
-    sys.stdout.write(rp.finish(cfg, lines, doc))
+    sys.stdout.write(rp.render(doc, cfg.fmt))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # family
-
-def _deformation_text(fam) -> str:
-    if not fam.deformation:
-        return "none (constant family)"
-    t = fam.parameter
-    parts = []
-    for j, g in fam.deformation:
-        power = t if j == 1 else f"{t}^{j}"
-        parts.append(f"{power} * ({render(g)})")
-    return "; ".join(parts)
-
-
-def _upper_text(an) -> str:
-    if an.upper is None:
-        return "not applicable (base not weighted homogeneous)"
-    if an.upper.upper:
-        return f"yes (every deformation monomial has weighted degree >= " \
-               f"{an.upper.degree})"
-    j, expo, wdeg = an.upper.offenders[0]
-    names = an.family.base.context.variables
-    mono = "*".join(f"{v}^{e}" if e > 1 else v
-                    for v, e in zip(names, expo) if e) or "1"
-    return (f"no ({an.family.parameter}^{j} carries {mono} of weighted "
-            f"degree {wdeg} < {an.upper.degree}; "
-            f"{len(an.upper.offenders)} offending monomial(s))")
-
-
-def _summary_line(an, verdicts, evidence) -> str:
-    eq = an.equimultiplicity
-    if eq.equimultiple:
-        head = f"equimultiple (orders {eq.order_zero} = {eq.order_generic})"
-        fired = [v.theorem for v in verdicts if v.conclusion == EQUIMULTIPLE]
-        if fired:
-            head += "; established by rule " + ", ".join(fired)
-        else:
-            head += "; verified directly, no rule applies"
-        return head
-    head = f"NOT equimultiple (orders {eq.order_zero} vs {eq.order_generic})"
-    for v in verdicts:
-        if v.conclusion != NOT_TOPOLOGICALLY_V_EQUISINGULAR:
-            continue
-        clause = f"; rule {v.theorem} => NOT topologically V-equisingular"
-        if IRREDUCIBLE_POLAR_CURVE in v.user_asserted:
-            ev = "no evidence computed" if evidence is None \
-                else f"evidence {evidence.verdict}"
-            clause += f" (polar curve irreducibility: asserted, {ev}, " \
-                      "not a certificate)"
-        head += clause
-    return head
-
 
 def cmd_family(cfg: rp.RunConfig) -> int:
     if not cfg.parameter:
@@ -302,57 +227,18 @@ def cmd_family(cfg: rp.RunConfig) -> int:
     f = _parse_expression(cfg)
     rng = Random(cfg.seed)
     an = analyze_family(f, rng, cfg.budget)
-    fam = an.family
-    t = cfg.parameter
-
     verdicts, evidence = evaluate_rules(an, cfg.assert_equisingular,
                                         cfg.assert_irreducible, cfg.budget)
-    summary = _summary_line(an, verdicts, evidence)
 
-    lines = rp.header_lines("family", cfg, cfg.expression)
-    lines.append("")
-    lines.append(f"base ({t} = 0): {render(fam.base)}")
-    lines.append(f"deformation: {_deformation_text(fam)}")
-    lines.append(f"base weights: {rp.weights_text(an.weights)}")
-    lines.append(f"upper deformation: {_upper_text(an)}")
-    eq = an.equimultiplicity
-    lines.append(f"orders at origin: {eq.order_zero} at {t} = 0, "
-                 f"{eq.order_generic} at generic {t} => {eq.verdict}")
-    lines.append("")
-    if an.zero is not None:
-        lines.append(f"invariants at {t} = 0:")
-        lines.extend(rp.record_lines(an.zero.record, indent="  "))
-    else:
-        lines.append(f"invariants at {t} = 0: unavailable "
-                     f"({an.zero_failure})")
-    if an.generic is not None:
-        wit = ", ".join(f"{t} = {rp.fmt_rational(w)}"
-                        for w in an.generic.t_witnesses)
-        lines.append(f"invariants at generic {t} (cross-checked at {wit}):")
-        lines.extend(rp.record_lines(an.generic.record, indent="  "))
-    else:
-        lines.append(f"invariants at generic {t}: unavailable "
-                     f"({an.generic_failure})")
-    if evidence is not None:
-        lines.append("")
-        lines.append(
-            f"irreducibility evidence for the generic polar curve "
-            f"({evidence.certificate}): {evidence.verdict}")
-        lines.extend(f"  {d}" for d in evidence.details)
-    for v in verdicts:
-        lines.append("")
-        lines.extend(rp.verdict_lines(v))
-    lines.append("")
-    lines.append(f"summary: {summary}")
-
-    doc = rp.base_json("family", cfg, cfg.expression)
+    doc = rp.base_json("family", cfg)
     doc["family"] = rp.family_json(an)
     doc["weights"] = rp.weights_json(an.weights)
-    if an.zero is not None:
-        doc["invariants"] = rp.record_json(an.zero.record)
-        doc["invariants_extra"] = rp.record_json_extra(an.zero.record)
+    for key, sl in (("invariants", an.zero),
+                    ("invariants_generic", an.generic)):
+        if sl is not None:
+            doc[key] = rp.record_json(sl.record)
+            doc[f"{key}_extra"] = rp.record_json_extra(sl.record)
     if an.generic is not None:
-        doc["invariants_generic"] = rp.record_json(an.generic.record)
         doc["generic_witnesses"] = [rp.json_rational(w)
                                     for w in an.generic.t_witnesses]
     if evidence is not None:
@@ -362,14 +248,11 @@ def cmd_family(cfg: rp.RunConfig) -> int:
             "certificate": evidence.certificate,
         }
     doc["verdicts"] = [rp.verdict_json(v) for v in verdicts]
-    doc["summary"] = summary
-    warnings = []
+    doc["summary"] = rp.family_summary(doc)
     if cfg.assert_irreducible or cfg.assert_equisingular:
-        warnings.append("user assertions are recorded as USER_ASSERTED "
-                        "hypotheses, never verified")
-    doc["warnings"] = warnings
-    lines.extend(f"warning: {w}" for w in warnings)
-    sys.stdout.write(rp.finish(cfg, lines, doc))
+        doc["warnings"].append("user assertions are recorded as USER_ASSERTED "
+                               "hypotheses, never verified")
+    sys.stdout.write(rp.render(doc, cfg.fmt))
     return 0
 
 
@@ -388,18 +271,11 @@ def cmd_ilm(cfg: rp.RunConfig) -> int:
     table0 = verify_ilm(fam, ZERO, slice0, rng, cfg.j_values, cfg.budget)
     tableg = verify_ilm(fam, GENERIC, sliceg, rng, cfg.j_values, cfg.budget)
     passed = table0.passed and tableg.passed
-
-    lines = rp.header_lines("ilm", cfg, cfg.expression)
-    for table in (table0, tableg):
-        lines.append("")
-        lines.extend(rp.ilm_lines(table, cfg.parameter))
-    lines.append("")
-    lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
-    doc = rp.base_json("ilm", cfg, cfg.expression)
+    doc = rp.base_json("ilm", cfg)
     doc["ilm"] = {"zero": rp.ilm_json(table0),
                   "generic": rp.ilm_json(tableg),
                   "passed": passed}
-    sys.stdout.write(rp.finish(cfg, lines, doc))
+    sys.stdout.write(rp.render(doc, cfg.fmt))
     return 0 if passed else 2
 
 
@@ -422,14 +298,11 @@ def entrypoint(argv=None) -> int:
         if args.command == "ilm":
             return cmd_ilm(cfg)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ContextError as exc:
+    except (UsageError, ContextError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MathRefusal as exc:
-        print(f"refused: {rp.refusal_token(exc)}: {exc}", file=sys.stderr)
+        print(f"refused: {exc.token}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -32,11 +32,16 @@ class ContextError(LecalcError):
 
 
 class MathRefusal(LecalcError):
-    """Input rejected on mathematical grounds; exit code 2 territory."""
+    """Input rejected on mathematical grounds; exit code 2 territory.
+
+    ``token`` names the refusal in reports and on stderr; the tokens are part
+    of the public contract, like the exit codes."""
+    token = "REFUSED"
 
 
 class NonReducedError(MathRefusal):
     """Equation has a repeated factor; the witness is the offending gcd."""
+    token = "NON_REDUCED"
 
     def __init__(self, message: str, witness=None):
         super().__init__(message)
@@ -45,10 +50,12 @@ class NonReducedError(MathRefusal):
 
 class NonIsolatedError(MathRefusal):
     """A Milnor number was requested at a non-isolated singular point."""
+    token = "NON_ISOLATED"
 
 
 class NotLineSingularityError(MathRefusal):
     """Germ failed the line-singularity test; carries the failing field."""
+    token = "NOT_LINE_SINGULARITY"
 
     def __init__(self, message: str, failing_check: str, check=None):
         super().__init__(message)
@@ -58,26 +65,32 @@ class NotLineSingularityError(MathRefusal):
 
 class ImproperIntersectionError(MathRefusal):
     """An intersection number came out infinite."""
+    token = "IMPROPER_INTERSECTION"
 
 
 class PolarDimensionError(MathRefusal):
     """Relative polar variety has unexpected dimension (coordinates not generic)."""
+    token = "POLAR_DIMENSION"
 
 
 class NonIntegerResultError(MathRefusal):
     """A quantity that must be a non-negative integer evaluated otherwise."""
+    token = "NON_INTEGER_RESULT"
 
 
 class DegenerateInputError(MathRefusal):
     """Zero polynomial, nonvanishing constant term, or similar degeneracies."""
+    token = "DEGENERATE_INPUT"
 
 
 class UnluckySpecializationError(MathRefusal):
     """Random specialization disagreed twice with the generic computation."""
+    token = "UNLUCKY_SPECIALIZATION"
 
 
 class BudgetExceededError(MathRefusal):
     """Reduction-step budget exhausted during a basis computation."""
+    token = "BUDGET_EXCEEDED"
 
     def __init__(self, message: str, limit: int):
         super().__init__(message)

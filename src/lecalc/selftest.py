@@ -9,7 +9,6 @@ matrix.  All comparisons are exact.
 from __future__ import annotations
 
 import io
-import json
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -28,6 +27,7 @@ from .invariants import check_polar_ratio_lemma, detect_weights, milnor_number
 from .orders import GREVLEX, LOCAL
 from .parse import parse_polynomial
 from .poly import Context, Polynomial, render
+from .report import render as render_report
 
 CORPUS_FILES = ("nonupper_family.lec", "suspension_family.lec",
                 "homogeneous_family.lec", "constant_family.lec")
@@ -459,43 +459,24 @@ CRITERIA: tuple[tuple[str, object], ...] = (
 def run_selftest(seed: int = 0, budget: int = DEFAULT_BUDGET,
                  fmt: str = "text", corpus_dir: str | None = None) -> int:
     env = SelfTestEnv(seed, budget, corpus_dir)
-    lines = ["lecalc selftest", f"seed: {seed}", f"budget: {budget}"]
-    try:
-        count = env.load_corpus()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    lines.append(f"corpus: {count} file(s) loaded")
-    lines.append("")
-
+    count = env.load_corpus()
     results = []
-    failed = 0
     for index, (description, criterion) in enumerate(CRITERIA, start=1):
         try:
             status, detail = "PASS", criterion(env)
         except CheckFailure as exc:
             status, detail = "FAIL", str(exc)
-            failed += 1
         except BudgetExceededError as exc:
-            print("\n".join(lines), file=sys.stdout)
-            print(f"[{index:2}/{len(CRITERIA)}] BUDGET_EXCEEDED  "
-                  f"{description}: {exc}")
-            return 2
+            status, detail = exc.token, str(exc)
         except MathRefusal as exc:
-            status = "FAIL"
-            detail = f"{type(exc).__name__}: {exc}"
-            failed += 1
+            status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
         results.append({"index": index, "description": description,
                         "status": status, "detail": detail})
-        lines.append(f"[{index:2}/{len(CRITERIA)}] {status}  "
-                     f"{description}: {detail}")
-    lines.append("")
-    lines.append(f"result: {len(CRITERIA) - failed}/{len(CRITERIA)} passed")
-
-    if fmt == "json":
-        doc = {"schema": 1, "command": "selftest", "seed": seed,
-               "budget": budget, "results": results, "passed": failed == 0}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
-    return 0 if failed == 0 else 2
+        if status == BudgetExceededError.token:
+            break
+    passed = all(r["status"] == "PASS" for r in results)
+    doc = {"schema": 1, "command": "selftest", "seed": seed,
+           "budget": budget, "corpus_files": count,
+           "criteria": len(CRITERIA), "results": results, "passed": passed}
+    sys.stdout.write(render_report(doc, fmt))
+    return 0 if passed else 2

@@ -3,6 +3,9 @@ determinism, and input-file handling."""
 
 import json
 
+import pytest
+
+from lecalc import errors, report
 from lecalc.cli import entrypoint, read_input_file
 
 WORKED_BASE = "z1^2*z2^2 + z2^5 + z3^4"
@@ -121,6 +124,23 @@ def test_not_line_singularity_extra_critical_component(capsys):
     assert "refused: NOT_LINE_SINGULARITY" in out
 
 
+@pytest.mark.parametrize("cls, token", [
+    (errors.MathRefusal, "REFUSED"),
+    (errors.NonReducedError, "NON_REDUCED"),
+    (errors.NonIsolatedError, "NON_ISOLATED"),
+    (errors.NotLineSingularityError, "NOT_LINE_SINGULARITY"),
+    (errors.ImproperIntersectionError, "IMPROPER_INTERSECTION"),
+    (errors.PolarDimensionError, "POLAR_DIMENSION"),
+    (errors.NonIntegerResultError, "NON_INTEGER_RESULT"),
+    (errors.DegenerateInputError, "DEGENERATE_INPUT"),
+    (errors.UnluckySpecializationError, "UNLUCKY_SPECIALIZATION"),
+    (errors.BudgetExceededError, "BUDGET_EXCEEDED"),
+])
+def test_refusal_tokens_are_fixed(cls, token):
+    # the tokens are a public contract, printed on stderr and in reports
+    assert cls.token == token
+
+
 def test_parse_error_exits_one(capsys):
     code, out, err = run(capsys, "invariants", "-e", "z1 +")
     assert code == 1
@@ -148,6 +168,25 @@ def test_usage_rejects_bad_flags(capsys):
     code, _, err = run(capsys, "invariants", "-e", WORKED_BASE,
                        "--no-such-flag")
     assert code == 1
+
+
+def test_selftest_out_of_budget_reports_json(capsys):
+    code, out, _ = run(capsys, "selftest", "--budget", "50",
+                       "--format", "json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert doc["corpus_files"] == 4
+    last = doc["results"][-1]
+    assert last["status"] == "BUDGET_EXCEEDED"
+    assert all(r["status"] == "PASS" for r in doc["results"][:-1])
+    code, text, _ = run(capsys, "selftest", "--budget", "50")
+    assert code == 2
+    assert text == report.text(doc)
+    # the matrix stops at the exhausted criterion, with no tally line
+    assert text.endswith(f"[{last['index']:2}/10] BUDGET_EXCEEDED  "
+                         f"{last['description']}: {last['detail']}\n")
+    assert "result:" not in text
 
 
 def test_family_command_verdicts(capsys):

@@ -10,11 +10,13 @@ To regenerate a file, run the case's command with ``--seed 0`` (and
         -f src/lecalc/corpus/suspension_family.lec > tests/golden/suspension.txt
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 import lecalc
+from lecalc import report
 from lecalc.cli import entrypoint
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,3 +77,10 @@ def test_family_report_matches_golden(capsys, case, fmt):
 @pytest.mark.parametrize("case", sorted(COMMAND_CASES))
 def test_command_report_matches_golden(capsys, case, fmt):
     _check(capsys, *COMMAND_CASES[case], case, fmt)
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(COMMAND_CASES))
+def test_golden_text_is_rendered_from_golden_json(case):
+    doc = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert report.text(doc) == expected
