@@ -194,8 +194,9 @@ def cmd_invariants(cfg: rp.RunConfig) -> int:
     if cfg.parameter:
         doc["warnings"].append(
             f"coefficients live in the fraction field of {cfg.parameter}; "
-            "weight detection is skipped and generic values are cross-checked "
-            "at two random specializations")
+            "weight detection is skipped and the values are computed over "
+            f"QQ({cfg.parameter}) with no specialization cross-check "
+            "('lecalc family' performs one)")
     try:
         rec = germ_record(f, rng, cfg.budget)
     except NotLineSingularityError as exc:
