@@ -153,8 +153,9 @@ def _config_from_args(args) -> rp.RunConfig:
     elif getattr(args, "vars", None) is not None:
         variables = _split_names(args.vars, "variable")
     if getattr(args, "permute", None) is not None:
+        raw = tuple(args.permute.split(","))
         try:
-            permute = tuple(int(x) for x in args.permute.split(","))
+            permute = tuple(int(x) for x in raw)
         except ValueError:
             raise UsageError(f"malformed --permute {args.permute!r}") from None
         if sorted(permute) != list(range(1, len(variables) + 1)):

@@ -212,20 +212,16 @@ def weights_text(w: dict | None, parameter: str | None = None) -> str:
 
 def record_text(inv: dict, extra: dict, axis: str, weights: str,
                 indent: str = "") -> list[str]:
-    """An invariants document and its extra side information; WEIGHTS is
-    the record's weights as `weights_text` renders them."""
-    if extra["polar_curve_empty"]:
-        polar = "empty near the origin"
-    else:
-        polar = "; ".join(extra["polar_curve"])
+    """The lines of an invariants document and its extra side information;
+    WEIGHTS is the record's weights as `weights_text` renders them."""
+    polar = "empty near the origin" if extra["polar_curve_empty"] else \
+        "; ".join(extra["polar_curve"])
     vanishing = extra["higher_le_numbers_zero"]
-    if not vanishing:
-        higher = "none to check (two variables)"
-    elif all(vanishing):
-        higher = ", ".join(f"lambda{k} = 0"
-                           for k in range(2, len(vanishing) + 2))
+    if vanishing:
+        ks = ", ".join(f"lambda{k + 2} = 0" for k in range(len(vanishing)))
+        higher = ks if all(vanishing) else "NOT all zero (unexpected)"
     else:
-        higher = "NOT all zero (unexpected)"
+        higher = "none to check (two variables)"
     ratio = inv["polar_ratio"]
     # germ_record refuses a record unless the polar curve meets V(f) with
     # this multiplicity, so the sum is also the intersection number
