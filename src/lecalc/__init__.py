@@ -30,7 +30,7 @@ from .invariants import (InvariantRecord, WeightSystem, check_polar_ratio_lemma,
                          milnor_number, order_at_origin, polar_variety_1)
 from .orders import GREVLEX, LOCAL, MonomialOrder
 from .parse import parse_polynomial
-from .poly import Coefficient, Context, Polynomial, render
+from .poly import Coefficient, Context, Modular, Polynomial, render
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "ContextError", "DEFAULT_BUDGET", "DegenerateInputError", "Family",
     "FamilyAnalysis", "GREVLEX", "Ideal", "IlmTable",
     "ImproperIntersectionError", "InternalCheckError", "InvariantRecord",
-    "LOCAL", "LecalcError", "MathRefusal", "MonomialOrder",
+    "LOCAL", "LecalcError", "MathRefusal", "Modular", "MonomialOrder",
     "NonIntegerResultError", "NonIsolatedError", "NonReducedError",
     "NotLineSingularityError", "ParseError", "PolarDimensionError",
     "Polynomial", "StandardBasis", "TheoremVerdict",

@@ -21,14 +21,14 @@ single term-cancellation steps per basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
 from . import sparse
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      InternalCheckError)
 from .orders import GREVLEX, LOCAL, MonomialOrder, elimination
-from .poly import Coefficient, Context, Polynomial
+from .poly import Context, Polynomial
 
 DEFAULT_BUDGET = 100_000
 
@@ -224,12 +224,8 @@ def _reduce_truncated(p_terms, rows, order, bound, budget):
 # ---------------------------------------------------------------------------
 # Buchberger / Mora pair loop
 
-def _coeff_fingerprint(c: Coefficient):
-    return (tuple(sorted(c.num.items())), tuple(sorted(c.den.items())))
-
-
 def _terms_fingerprint(terms):
-    return tuple(sorted((m, _coeff_fingerprint(c)) for m, c in terms.items()))
+    return tuple(sorted((m, c.sort_key()) for m, c in terms.items()))
 
 
 def _canonical_input(gens, order):
@@ -464,7 +460,7 @@ def eliminate(ideal: Ideal, drop: tuple[str, ...],
         kept.append(g.restrict_to(remaining))
     if not kept:
         return None
-    return Ideal(Context(remaining, ctx.parameters), tuple(kept))
+    return Ideal(replace(ctx, variables=remaining), tuple(kept))
 
 
 def intersect(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:

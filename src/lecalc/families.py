@@ -3,6 +3,11 @@
 A family F(t, z) = f0(z) + sum_j t^j g_j(z) is analyzed in two slices: at
 t = 0 (exact) and at generic t (over the rational function field, with every
 generic value cross-checked at two random rational specializations of t).
+The generic rows of the augmentation (ILM) table are the exception: each
+mu(f_t + z1^j) is evaluated modulo the two fixed primes in PRIMES, at a
+value of t drawn uniformly from [1, p - 1] for each prime, and the two
+values must agree; the table then cross-checks them against the exact
+lambda0 and lambda1.
 The theorem checkers record each hypothesis with a HOLDS / FAILS /
 USER_ASSERTED / NOT_CHECKED status and only emit a conclusion licensed by
 those statuses; user assertions are always listed, never silently mixed
@@ -24,8 +29,8 @@ from .errors import (ContextError, DegenerateInputError, InternalCheckError,
 from .invariants import (InvariantRecord, WeightSystem, detect_weights,
                          draw_distinct_rationals, draw_rational, germ_record,
                          milnor_number, order_at_origin)
-from .poly import (Coefficient, Polynomial, multivariate_gcd, render,
-                   require_reduced)
+from .poly import (Coefficient, Modular, Polynomial, multivariate_gcd,
+                   render, require_reduced)
 
 ZERO = "ZERO"
 GENERIC = "GENERIC"
@@ -42,6 +47,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 IRREDUCIBLE_POLAR_CURVE = "generic_polar_curve_irreducible"
 
+# the two prime fields of the generic augmented Milnor numbers (2^31 - 1 and
+# the largest prime below it; the tests check both by Miller-Rabin)
+PRIMES = (2147483647, 2147483629)
+
 
 # ---------------------------------------------------------------------------
 # decomposition
@@ -56,6 +65,10 @@ class Family:
 
     def member(self, value: Fraction) -> Polynomial:
         return self.full.specialize_parameter(self.parameter, value)
+
+    def member_mod(self, value: int, prime: int) -> Polynomial:
+        """The member at parameter value `value` in GF(prime), over GF(prime)."""
+        return self.full.specialize_parameter_mod(self.parameter, value, prime)
 
 
 def decompose_family(f: Polynomial, rng: Random,
@@ -234,7 +247,7 @@ class IlmTable:
     slice_milnor: int
     inferred: tuple[int, int, int] | None   # (lambda0, lambda1, gamma1+lambda0)
     expected: tuple[int, int, int]
-    t_witnesses: tuple[Fraction, ...] = ()
+    t_witnesses: tuple[tuple[int, int], ...] = ()   # (prime, t mod prime)
 
     @property
     def passed(self) -> bool:
@@ -258,6 +271,19 @@ def _augmented_milnor(g: Polynomial, j: int, budget: int) -> int | None:
         return None
 
 
+def _generic_augmented_milnor(fam: Family, j: int,
+                              points: tuple[tuple[int, int], ...],
+                              budget: int) -> list[int | None]:
+    """mu(f_t + z1^j) over GF(p) at t = tau, for each (p, tau) in points."""
+    return [_augmented_milnor(fam.member_mod(tau, p), j, budget)
+            for p, tau in points]
+
+
+def _draw_mod_points(rng: Random) -> tuple[tuple[int, int], ...]:
+    """One parameter value per prime of PRIMES, uniform in [1, p - 1]."""
+    return tuple((p, rng.randint(1, p - 1)) for p in PRIMES)
+
+
 def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
                j_values: tuple[int, ...] | None = None,
                budget: int = DEFAULT_BUDGET) -> IlmTable:
@@ -266,10 +292,11 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
     j lambda1; also re-derives (lambda0, lambda1, gamma1+lambda0) from the
     table alone and compares with the direct record.
 
-    At GENERIC each mu is evaluated at two random rational parameter values
-    (working over the fraction field itself is hopeless here: the augmented
-    Jacobian colengths drag enormous coefficients in t around).  Both draws
-    must agree; one joint redraw is allowed before refusing."""
+    At GENERIC each mu is evaluated modulo each prime of PRIMES, at a
+    parameter value drawn uniformly from [1, p - 1] (over QQ(t), or at
+    rational t, the augmented Jacobian bases drag enormous coefficients
+    around; mod p they stay word-sized).  The two values must agree; one
+    joint redraw is allowed before refusing.  The t = 0 rows stay over QQ."""
     rec = slice_rec.record
     if j_values is None:
         j_values = default_j_values(rec.lambda0)
@@ -284,28 +311,26 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
 
     mu_slice = rec.slice_milnor
     expected = (rec.lambda0, rec.lambda1, rec.gamma1 + rec.lambda0)
-    witnesses: tuple[Fraction, ...] = ()
+    witnesses: tuple[tuple[int, int], ...] = ()
 
     if where == ZERO:
         def mu_of(j: int) -> int | None:
             return _augmented_milnor(fam.base, j, budget)
     else:
-        witnesses = tuple(draw_distinct_rationals(rng, 2))
+        witnesses = _draw_mod_points(rng)
 
         def mu_of(j: int) -> int | None:
             nonlocal witnesses
-            pair = [_augmented_milnor(fam.member(w), j, budget)
-                    for w in witnesses]
+            pair = _generic_augmented_milnor(fam, j, witnesses, budget)
             if pair[0] != pair[1]:
-                witnesses = tuple(draw_distinct_rationals(rng, 2))
-                pair = [_augmented_milnor(fam.member(w), j, budget)
-                        for w in witnesses]
+                witnesses = _draw_mod_points(rng)
+                pair = _generic_augmented_milnor(fam, j, witnesses, budget)
                 if pair[0] != pair[1]:
                     axis = fam.base.context.variables[0]
                     raise UnluckySpecializationError(
-                        f"mu(f + {axis}^{j}) disagrees at "
-                        f"{fam.parameter} = {witnesses[0]} and "
-                        f"{fam.parameter} = {witnesses[1]}")
+                        f"mu(f + {axis}^{j}) disagrees at " + " and ".join(
+                            f"{fam.parameter} = {tau} mod {p}"
+                            for p, tau in witnesses))
             return pair[0]
 
     rows = []
@@ -636,7 +661,8 @@ def _axis_weight_note(an: FamilyAnalysis, budget: int) -> str:
     augmentation z_min^{d/w_min} coincides with the axis form z_axis^j;
     report the Milnor numbers of both slices' augmented germs rather than
     privileging one reading.  The generic side is evaluated at the family's
-    two stored witness values, which must agree."""
+    two stored witness values, reduced modulo the two primes of PRIMES (one
+    each, as in the generic ILM rows); the two values must agree."""
     fam, w = an.family, an.weights
     e = w.degree // w.smallest_weight
     axis, t = fam.base.context.variables[0], fam.parameter
@@ -644,12 +670,14 @@ def _axis_weight_note(an: FamilyAnalysis, budget: int) -> str:
             f"augmentation forms coincide at exponent {e}")
     if e < 2:
         return note + " (exponent below 2: no Milnor number to report)"
+    points = tuple((p, Modular.from_rational(tau, p).value)
+                   for p, tau in zip(PRIMES, fam.reduced_witnesses))
     try:
-        for where, members in (
-                (f"{t} = 0", [fam.base]),
-                (f"generic {t}", [fam.member(tau)
-                                  for tau in fam.reduced_witnesses])):
-            mus = {_augmented_milnor(g, e, budget) for g in members}
+        for where, mus_of in (
+                (f"{t} = 0", lambda: [_augmented_milnor(fam.base, e, budget)]),
+                (f"generic {t}",
+                 lambda: _generic_augmented_milnor(fam, e, points, budget))):
+            mus = set(mus_of())
             note += f"; mu at {where} with {axis}^{e} added"
             if len(mus) > 1:
                 note += ": specializations disagree"

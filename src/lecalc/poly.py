@@ -1,10 +1,15 @@
-"""Exact multivariate polynomials over QQ and over fraction fields QQ(params).
+"""Exact multivariate polynomials over QQ, over fraction fields QQ(params)
+and over prime fields GF(p).
 
-A `Context` fixes the ring: an ordered tuple of ring variables and an ordered
-tuple of parameters.  Ring arithmetic happens on sparse exponent dicts whose
-values are `Coefficient`s, elements of the fraction field of the parameter
-polynomial ring.  With no parameters a Coefficient degenerates to a plain
-rational, so one implementation serves QQ, QQ(t), QQ(z1) and QQ(t)(z1) alike.
+A `Context` fixes the ring: an ordered tuple of ring variables, an ordered
+tuple of parameters and a modulus.  Ring arithmetic happens on sparse
+exponent dicts whose values are field elements.  With modulus 0 they are
+`Coefficient`s, elements of the fraction field of the parameter polynomial
+ring; with no parameters a Coefficient degenerates to a plain rational, so
+one implementation serves QQ, QQ(t), QQ(z1) and QQ(t)(z1) alike.  With a
+prime modulus p they are `Modular` residues in GF(p), and the context has no
+parameters.  Only the constructors (through `Context.coefficient`) and
+`render` look at the modulus; the arithmetic never does.
 
 Everything here is immutable by convention: operations return fresh objects
 and never mutate term dicts that have been handed out.
@@ -13,8 +18,9 @@ and never mutate term dicts that have been handed out.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import sparse
 from .errors import ContextError, DegenerateInputError, NonReducedError, UnluckySpecializationError
@@ -25,15 +31,23 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 @dataclass(frozen=True)
 class Context:
-    """Ordered ring variables plus ordered coefficient-field parameters."""
+    """Ordered ring variables, ordered coefficient-field parameters, and the
+    field's characteristic: modulus 0 is QQ(parameters), a prime p is GF(p)
+    (no parameters allowed; primality is the caller's promise)."""
 
     variables: tuple[str, ...]
     parameters: tuple[str, ...] = ()
+    modulus: int = 0
 
     def __post_init__(self):
         names = list(self.variables) + list(self.parameters)
         if not self.variables:
             raise ContextError("a context needs at least one ring variable")
+        if self.modulus < 0 or self.modulus == 1:
+            raise ContextError(f"bad modulus {self.modulus}")
+        if self.modulus and self.parameters:
+            raise ContextError(
+                f"a context over GF({self.modulus}) allows no parameters")
         for n in names:
             if not _IDENT_RE.match(n):
                 raise ContextError(f"bad identifier {n!r}")
@@ -63,17 +77,31 @@ class Context:
 
     def variable_as_parameter(self, name: str) -> "Context":
         i = self.var_index(name)
-        return Context(self.variables[:i] + self.variables[i + 1:],
-                       self.parameters + (name,))
+        return replace(self,
+                       variables=self.variables[:i] + self.variables[i + 1:],
+                       parameters=self.parameters + (name,))
 
     def without_parameter(self, name: str) -> "Context":
         if name not in self.parameters:
             raise ContextError(f"{name!r} is not a parameter of {self}")
-        return Context(self.variables,
-                       tuple(p for p in self.parameters if p != name))
+        return replace(self, parameters=tuple(p for p in self.parameters
+                                              if p != name))
 
     def with_prepended_variable(self, name: str) -> "Context":
-        return Context((name,) + self.variables, self.parameters)
+        return replace(self, variables=(name,) + self.variables)
+
+    def coefficient(self, q) -> "Coefficient | Modular":
+        """The rational q (an int or Fraction) as an element of this
+        context's coefficient field."""
+        if self.modulus:
+            return Modular.from_rational(q, self.modulus)
+        return Coefficient.from_fraction(q, self.nparams)
+
+    @cached_property
+    def unit(self) -> "Coefficient | Modular":
+        """1 in this context's coefficient field, built once per context
+        (field elements are never mutated, so it can be shared)."""
+        return self.coefficient(1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +258,10 @@ class Coefficient:
     def __repr__(self):
         return f"Coefficient({self.num!r}/{self.den!r})"
 
+    def sort_key(self):
+        """A total order on coefficients of one arity, for canonical sorting."""
+        return (tuple(sorted(self.num.items())), tuple(sorted(self.den.items())))
+
     # -- context plumbing ---------------------------------------------------
 
     def embed(self, new_arity: int, index_map: tuple[int, ...]) -> "Coefficient":
@@ -272,9 +304,91 @@ class Coefficient:
         one = _FR_ONE
         return Coefficient(sparse.pshift(self.num, expo, one), self.den, self.arity)
 
+    def residue(self, point: tuple[int, ...], prime: int) -> "Modular":
+        """The image in GF(prime) of this coefficient with its parameters set
+        to the residues in point; unlucky when prime divides a rational
+        denominator or the denominator vanishes at point."""
+
+        def ev(d):
+            acc = 0
+            for m, q in d.items():
+                term = Modular.from_rational(q, prime).value
+                for x, e in zip(point, m):
+                    term = term * pow(x, e, prime) % prime
+                acc += term
+            return acc % prime
+
+        try:
+            num, den = ev(self.num), ev(self.den)
+        except ZeroDivisionError as exc:
+            raise UnluckySpecializationError(str(exc)) from exc
+        if not den:
+            raise UnluckySpecializationError(
+                f"specialization mod {prime} hit a coefficient denominator zero")
+        return Modular(num * pow(den, -1, prime), prime)
+
 
 def _is_den_one(den, arity) -> bool:
     return len(den) == 1 and den.get(_zkey(arity)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the coefficient field GF(p)
+
+class Modular:
+    """An element of the prime field GF(modulus), stored as its residue in
+    [0, modulus).  It offers exactly what `sparse.py` and the basis engine
+    use: + - * /, negation, truthiness as a zero test, == and hash.  Both
+    operands of an operation come from one context, so the moduli agree and
+    are not compared."""
+
+    __slots__ = ("value", "modulus")
+
+    def __init__(self, value: int, modulus: int):
+        self.value = value % modulus
+        self.modulus = modulus
+
+    @staticmethod
+    def from_rational(q, modulus: int) -> "Modular":
+        q = Fraction(q)
+        if q.denominator % modulus == 0:
+            raise ZeroDivisionError(f"{q} has no image in GF({modulus})")
+        return Modular(q.numerator * pow(q.denominator, -1, modulus), modulus)
+
+    def __bool__(self):
+        return self.value != 0
+
+    def __add__(self, other):
+        return Modular(self.value + other.value, self.modulus)
+
+    def __sub__(self, other):
+        return Modular(self.value - other.value, self.modulus)
+
+    def __neg__(self):
+        return Modular(-self.value, self.modulus)
+
+    def __mul__(self, other):
+        return Modular(self.value * other.value, self.modulus)
+
+    def __truediv__(self, other):
+        if not other.value:
+            raise ZeroDivisionError(f"division by zero in GF({self.modulus})")
+        return Modular(self.value * pow(other.value, -1, self.modulus),
+                       self.modulus)
+
+    def __eq__(self, other):
+        if not isinstance(other, Modular):
+            return NotImplemented
+        return self.value == other.value and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.value, self.modulus))
+
+    def __repr__(self):
+        return f"Modular({self.value} mod {self.modulus})"
+
+    def sort_key(self):
+        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +413,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, context: Context, q) -> "Polynomial":
-        c = Coefficient.from_fraction(q, context.nparams)
+        c = context.coefficient(q)
         if not c:
             return cls(context, {})
         return cls(context, {(0,) * context.nvars: c})
@@ -312,7 +426,7 @@ class Polynomial:
     def variable(cls, context: Context, name: str) -> "Polynomial":
         i = context.var_index(name)
         e = tuple(1 if j == i else 0 for j in range(context.nvars))
-        return cls(context, {e: Coefficient.one(context.nparams)})
+        return cls(context, {e: context.unit})
 
     @classmethod
     def parameter(cls, context: Context, name: str) -> "Polynomial":
@@ -325,7 +439,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, context: Context, expo: tuple[int, ...], coeff=1) -> "Polynomial":
-        c = coeff if isinstance(coeff, Coefficient) else Coefficient.from_fraction(coeff, context.nparams)
+        c = coeff if isinstance(coeff, (Coefficient, Modular)) \
+            else context.coefficient(coeff)
         if not c:
             return cls(context, {})
         return cls(context, {tuple(expo): c})
@@ -352,11 +467,12 @@ class Polynomial:
             raise DegenerateInputError("order of the zero polynomial")
         return sparse.min_total_degree(self.terms)
 
-    def constant_coefficient(self) -> Coefficient:
+    def constant_coefficient(self) -> "Coefficient | Modular":
         z = (0,) * self.context.nvars
-        return self.terms.get(z, Coefficient.zero(self.context.nparams))
+        c = self.terms.get(z)
+        return self.context.coefficient(0) if c is None else c
 
-    def leading(self, order) -> tuple[tuple[int, ...], Coefficient]:
+    def leading(self, order) -> tuple[tuple[int, ...], "Coefficient | Modular"]:
         if not self.terms:
             raise DegenerateInputError("leading term of the zero polynomial")
         m = max(self.terms, key=order.key)
@@ -404,9 +520,9 @@ class Polynomial:
             self._check(other)
             return Polynomial(self.context, sparse.pmul(self.terms, other.terms))
         if isinstance(other, (int, Fraction)):
-            c = Coefficient.from_fraction(other, self.context.nparams)
+            c = self.context.coefficient(other)
             return Polynomial(self.context, sparse.pscale(self.terms, c) if c else {})
-        if isinstance(other, Coefficient):
+        if isinstance(other, (Coefficient, Modular)):
             return Polynomial(self.context, sparse.pscale(self.terms, other) if other else {})
         return NotImplemented
 
@@ -435,13 +551,13 @@ class Polynomial:
     def partial(self, name: str) -> "Polynomial":
         i = self.context.var_index(name)
         out = {}
-        np = self.context.nparams
+        field = self.context.coefficient
         for m, c in self.terms.items():
             e = m[i]
             if not e:
                 continue
             nm = m[:i] + (e - 1,) + m[i + 1:]
-            scaled = c * Coefficient.from_fraction(e, np)
+            scaled = c * field(e)
             w = out.get(nm)
             w = scaled if w is None else w + scaled
             if w:
@@ -492,6 +608,24 @@ class Polynomial:
                 out[m] = nc
         return Polynomial(target, out)
 
+    def specialize_parameter_mod(self, name: str, value: int,
+                                 prime: int) -> "Polynomial":
+        """Evaluate the only parameter at value in GF(prime); the image lives
+        in the GF(prime) context on the same variables.  Raises
+        UnluckySpecializationError when prime divides a rational denominator
+        or a coefficient's denominator vanishes at value."""
+        if self.context.parameters != (name,):
+            raise ContextError(
+                f"{name!r} is not the only parameter of {self.context}")
+        target = replace(self.context, parameters=(), modulus=prime)
+        point = (value % prime,)
+        out = {}
+        for m, c in self.terms.items():
+            nc = c.residue(point, prime)
+            if nc:
+                out[m] = nc
+        return Polynomial(target, out)
+
     def promote_variable_to_parameter(self, name: str) -> "Polynomial":
         """Move a ring variable into the coefficient field (it becomes the
         last parameter), i.e. regard it as transcendental over the base."""
@@ -531,7 +665,7 @@ class Polynomial:
                 if m[i]:
                     raise ContextError(
                         f"polynomial involves dropped variable {ctx.variables[i]!r}")
-        target = Context(tuple(variables), ctx.parameters)
+        target = replace(ctx, variables=tuple(variables))
         out = {tuple(m[i] for i in keep): c for m, c in self.terms.items()}
         return Polynomial(target, out)
 
@@ -545,7 +679,7 @@ class Polynomial:
 
     def monic(self, order) -> "Polynomial":
         _, lc = self.leading(order)
-        inv = Coefficient.one(self.context.nparams) / lc
+        inv = self.context.unit / lc
         return Polynomial(self.context, sparse.pscale(self.terms, inv))
 
     # -- printing --------------------------------------------------------------
@@ -590,11 +724,17 @@ def render(p: Polynomial) -> str:
         return "0"
     vnames = p.context.variables
     pnames = p.context.parameters
+    modular = bool(p.context.modulus)
     chunks: list[tuple[str, str]] = []  # (sign, body)
     for m in sorted(p.terms, key=GREVLEX.key, reverse=True):
         c = p.terms[m]
         mono = _mono_str(m, vnames)
-        if c.den_is_one and len(c.num) <= 1:
+        if modular:  # reduced residues, always added
+            factors = [str(c.value)] if c.value != 1 or not mono else []
+            if mono:
+                factors.append(mono)
+            chunks.append(("+", "*".join(factors)))
+        elif c.den_is_one and len(c.num) <= 1:
             (pm, q), = c.num.items()
             pmono = _mono_str(pm, pnames) if any(pm) else ""
             sign = "+" if q > 0 else "-"

@@ -105,7 +105,7 @@ def ilm_json(table: IlmTable) -> dict:
     return {
         "where": table.where,
         "mu_slice": table.slice_milnor,
-        "t_witnesses": [json_rational(w) for w in table.t_witnesses],
+        "t_witnesses": [{"prime": p, "t": t} for p, t in table.t_witnesses],
         "rows": [asdict(r) for r in table.rows],
         "inferred": list(table.inferred) if table.inferred else None,
         "expected": list(table.expected),
@@ -261,7 +261,9 @@ def ilm_text(table: dict, parameter: str) -> list[str]:
         else f"generic {parameter}"
     head = f"ILM table at {where} (mu_slice = {table['mu_slice']}"
     if table["t_witnesses"]:
-        head += f"; {parameter} witnesses {_join(table['t_witnesses'])}"
+        points = ", ".join(f"{w['t']} mod {w['prime']}"
+                           for w in table["t_witnesses"])
+        head += f"; {parameter} witnesses {points}"
     lines = [head + "):", "  j    mu    predicted  residual  sum_residual"]
     for r in table["rows"]:
         if r["error"] is not None:

@@ -238,6 +238,15 @@ def test_ilm_command_passes(capsys):
     assert "overall: PASS" in out
 
 
+def test_ilm_refuses_a_prime_dividing_a_denominator(capsys):
+    code, out, err = run(capsys, "ilm", "-e",
+                         SUSPENSION + " + 1/2147483647*t*z2^5", "--param", "t")
+    assert code == 2
+    assert out == ""
+    assert err == ("refused: UNLUCKY_SPECIALIZATION: 1/2147483647 has no "
+                   "image in GF(2147483647)\n")
+
+
 def test_ilm_rejects_small_exponents(capsys):
     code, _, err = run(capsys, "ilm", "-e", SUSPENSION, "--param", "t",
                        "--j", "1,2")

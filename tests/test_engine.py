@@ -122,6 +122,27 @@ def test_eliminate_auxiliary_variable():
     assert gens(standard_basis(image, GREVLEX)) == ["z1^2*z2 - 1"]
 
 
+def test_eliminate_keeps_the_modulus():
+    ctx = Context(("z1", "z2", "u0"), (), 7)
+    a, b, u = (Polynomial.variable(ctx, n) for n in ("z1", "z2", "u0"))
+    image = eliminate(Ideal(ctx, (u * a - 1, b - u ** 2)), ("u0",))
+    assert image.context == Context(("z1", "z2"), (), 7)
+    assert gens(standard_basis(image, GREVLEX)) == ["z1^2*z2 + 6"]
+
+
+def test_bases_over_a_prime_field(checked_bases):
+    c7 = Context(("z1", "z2"), (), 7)
+    x, y = Polynomial.variable(c7, "z1"), Polynomial.variable(c7, "z2")
+    cusp = Ideal(c7, (x ** 2 - y ** 3, x * y ** 2))
+    assert colength_at_origin(cusp).value == 7
+    # the reduced basis over QQ is z2^2 + 2*z1, z1*z2 - 1, z1^2 + 1/2*z2;
+    # 7 is a lucky prime for it, so its image mod 7 is the basis over GF(7)
+    basis = standard_basis(Ideal(c7, (2 * x ** 2 + y, x * y - 1)), GREVLEX)
+    assert gens(basis) == ["z1*z2 + 6", "z1^2 + 4*z2", "z2^2 + 2*z1"]
+    over_q = standard_basis(Ideal(C2, (2 * X ** 2 + Y, X * Y - 1)), GREVLEX)
+    assert gens(over_q) == ["z1*z2 - 1", "z1^2 + 1/2*z2", "z2^2 + 2*z1"]
+
+
 def test_saturation_strips_axis_factor():
     ideal = Ideal(C2, (2 * X ** 2 * Y + 5 * Y ** 4,))
     sat = saturate(ideal, Ideal(C2, (Y,)))

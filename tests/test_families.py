@@ -2,21 +2,25 @@
 invariants, the verdict rules, and the augmentation identity tables."""
 
 from dataclasses import replace
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from lecalc.engine import Ideal
 from lecalc.errors import (DegenerateInputError, InternalCheckError,
-                           NonReducedError, UsageError)
+                           NonReducedError, UnluckySpecializationError,
+                           UsageError)
 from lecalc.families import (EQUIMULTIPLE, FAILS, GENERIC, HOLDS,
                              INCONCLUSIVE, NOT_CHECKED,
-                             NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED,
-                             ZERO, EquimultiplicityResult, analyze_family,
-                             decompose_family, evaluate_rules,
-                             irreducibility_evidence, verify_ilm)
+                             NOT_TOPOLOGICALLY_V_EQUISINGULAR, PRIMES,
+                             USER_ASSERTED, ZERO, EquimultiplicityResult,
+                             analyze_family, decompose_family, evaluate_rules,
+                             invariants_at, irreducibility_evidence,
+                             verify_ilm)
+from lecalc.invariants import milnor_number
 from lecalc.parse import parse_polynomial
-from lecalc.poly import Context, Polynomial, render
+from lecalc.poly import Context, Modular, Polynomial, render
 
 CTX = Context(("z1", "z2", "z3"), ("t",))
 
@@ -215,7 +219,71 @@ def test_ilm_tables_for_worked_family(worked):
     assert [r.j for r in tg.rows] == [8, 9, 10, 11]
     assert [r.mu for r in tg.rows] == [27, 30, 33, 36]
     assert tg.passed and tg.inferred == (6, 3, 15)
-    assert len(tg.t_witnesses) == 2
+    assert [p for p, _ in tg.t_witnesses] == list(PRIMES)
+    assert all(1 <= tau < p for p, tau in tg.t_witnesses)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: these bases decide every n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_ilm_primes_are_prime():
+    assert [_is_prime(n) for n in (2, 97, 561, 2 ** 31 - 3, 2 ** 61 - 1)] \
+        == [True, True, False, False, True]   # 561 is a Carmichael number
+    assert len(set(PRIMES)) == 2
+    assert all(_is_prime(p) and 2 ** 30 < p < 2 ** 31 for p in PRIMES)
+
+
+def _augmented_mu(g, j):
+    z1 = Polynomial.variable(g.context, g.context.variables[0])
+    return milnor_number(g + z1 ** j)
+
+
+@pytest.mark.parametrize("text, j_values", [
+    ("z2^3 + z3^3", (2, 3, 4, 5)),            # the constant family
+    (SUSPENSION, (2, 3, 4, 5)),
+    (HOMOGENEOUS, (2, 3, 4, 5)),
+    (WORKED, (8, 11)),
+])
+def test_augmented_milnor_mod_p_matches_rational(text, j_values):
+    fam = decompose_family(fampoly(text), Random(0))
+    for tau in (Fraction(91, 9), Fraction(-73, 29)):
+        for j in j_values:
+            over_q = _augmented_mu(fam.member(tau), j)
+            for p in PRIMES:
+                image = fam.member_mod(Modular.from_rational(tau, p).value, p)
+                assert image.context.modulus == p
+                assert _augmented_mu(image, j) == over_q
+
+
+def test_ilm_refuses_a_prime_dividing_a_denominator():
+    fam = decompose_family(fampoly(SUSPENSION + " + 1/2147483647*t*z2^5"),
+                           Random(0))
+    generic = invariants_at(fam, GENERIC, Random(0))
+    assert verify_ilm(fam, ZERO, invariants_at(fam, ZERO, Random(0)),
+                      Random(0)).passed
+    with pytest.raises(UnluckySpecializationError):
+        verify_ilm(fam, GENERIC, generic, Random(0))
 
 
 def test_ilm_custom_exponents_on_suspension(suspension):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecalc.errors import ContextError
+from lecalc.errors import ContextError, UnluckySpecializationError
 from lecalc.orders import GREVLEX, LOCAL
-from lecalc.poly import (Coefficient, Context, Polynomial, is_reduced,
-                         multivariate_gcd, reduced_witness, render)
+from lecalc.poly import (Coefficient, Context, Modular, Polynomial,
+                         is_reduced, multivariate_gcd, reduced_witness, render)
 
 CTX = Context(("z1", "z2", "z3"), ())
 CTXP = Context(("z1", "z2"), ("t",))
@@ -141,6 +141,134 @@ def test_coefficient_division():
     assert (a / b).as_fraction() == Fraction(-3, 14)
     assert b.as_fraction() == Fraction(-2)
     assert (a / a) == Coefficient.one(0)
+
+
+# ---------------------------------------------------------------------------
+# prime-field contexts
+
+CTX7 = Context(("z1", "z2", "z3"), (), 7)
+
+
+def test_context_modulus_excludes_parameters():
+    with pytest.raises(ContextError):
+        Context(("z1",), ("t",), 7)
+    with pytest.raises(ContextError):
+        Context(("z1",), (), 1)
+    with pytest.raises(ContextError):
+        Context(("z1",), (), -7)
+    assert Context(("z1",)).modulus == 0
+
+
+def test_context_moves_keep_the_modulus():
+    assert CTX7.with_prepended_variable("u0").modulus == 7
+    # a GF(p) context has no parameters: moving a variable into the
+    # coefficient field, or dropping a parameter, cannot lose the modulus
+    with pytest.raises(ContextError):
+        CTX7.variable_as_parameter("z1")
+    with pytest.raises(ContextError):
+        CTX7.without_parameter("z1")
+    assert CTXP.without_parameter("t").modulus == 0
+    assert CTX.variable_as_parameter("z1").modulus == 0
+
+
+def test_restrict_to_keeps_the_modulus():
+    f = v("z2", CTX7) ** 2 + 3 * v("z3", CTX7)
+    g = f.restrict_to(("z2", "z3"))
+    assert g.context == Context(("z2", "z3"), (), 7)
+    assert g == v("z2", g.context) ** 2 + 3 * v("z3", g.context)
+
+
+def test_constructors_follow_the_field():
+    z1, z2 = v("z1", CTX7), v("z2", CTX7)
+    f = Fraction(1, 2) * z1 ** 3 - z2
+    assert all(isinstance(c, Modular) for c in f.terms.values())
+    assert f.terms[(3, 0, 0)] == Modular(4, 7)       # 1/2 = 4 in GF(7)
+    assert f.partial("z1").terms[(2, 0, 0)] == Modular(5, 7)   # 3 * 4
+    assert f.constant_coefficient() == Modular(0, 7)
+    assert (f + 1).constant_coefficient() == Modular(1, 7)
+    assert 7 * f == Polynomial.zero(CTX7)
+    assert f.monic(GREVLEX).leading(GREVLEX)[1] == Modular(1, 7)
+    assert Polynomial.monomial(CTX7, (0, 1, 0), 8) == z2
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.constant(CTX7, Fraction(1, 7))
+
+
+def test_render_prints_reduced_residues():
+    z1, z2 = v("z1", CTX7), v("z2", CTX7)
+    assert render(3 * z1 ** 2 - z2 + Fraction(-1, 2)) == "3*z1^2 + 6*z2 + 3"
+    assert render(z1 + 1) == "z1 + 1"
+    assert render(Polynomial.zero(CTX7)) == "0"
+
+
+def test_modular_field_operations():
+    a, b = Modular(3, 7), Modular(5, 7)
+    assert a + b == Modular(1, 7) and a - b == Modular(5, 7)
+    assert a * b == Modular(1, 7) and -a == Modular(4, 7)
+    assert a / b == Modular(2, 7) and (a / b) * b == a
+    assert not Modular(14, 7) and Modular(15, 7)
+    assert Modular(10, 7) == Modular(3, 7)
+    assert hash(Modular(10, 7)) == hash(Modular(3, 7))
+    assert Modular(3, 7) != Modular(3, 11)
+    assert Modular.from_rational(Fraction(-1, 3), 7) == Modular(2, 7)
+    with pytest.raises(ZeroDivisionError):
+        a / Modular(0, 7)
+    with pytest.raises(ZeroDivisionError):
+        Modular.from_rational(Fraction(1, 14), 7)
+
+
+PRIME = 2147483629
+residues = st.integers(min_value=0, max_value=PRIME - 1).map(
+    lambda x: Modular(x, PRIME))
+
+
+@settings(max_examples=60, deadline=None)
+@given(residues, residues, residues)
+def test_modular_field_axioms(a, b, c):
+    zero, one = Modular(0, PRIME), Modular(1, PRIME)
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a + (-a) == zero
+    assert a - b == a + (-b)
+    if b:
+        assert (a / b) * b == a and b / b == one
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
+def test_specialize_parameter_mod_matches_rational_reduction():
+    t = Polynomial.parameter(CTXP, "t")
+    x, y = v("z1", CTXP), v("z2", CTXP)
+    f = Fraction(2, 3) * t ** 2 * x ** 2 + (t - 1) * y + x * y
+    for tau in (Fraction(5), Fraction(-3, 4)):
+        over_q = f.specialize_parameter("t", tau)
+        image = f.specialize_parameter_mod(
+            "t", Modular.from_rational(tau, 7).value, 7)
+        assert image.context == Context(("z1", "z2"), (), 7)
+        assert image.terms == {m: Modular.from_rational(c.as_fraction(), 7)
+                               for m, c in over_q.terms.items()
+                               if c.as_fraction().numerator % 7}
+    # t = 1 kills the (t - 1)*z2 term mod 7 as well
+    assert f.specialize_parameter_mod("t", 8, 7).terms.keys() \
+        == {(2, 0), (1, 1)}
+    with pytest.raises(ContextError):
+        x.specialize_parameter_mod("s", 1, 7)
+
+
+def test_specialize_parameter_mod_refuses_unlucky_values():
+    x = v("z1", CTXP)
+    # 1/(t - 3): the denominator vanishes at t = 3 mod 7, i.e. at t = 10
+    c = Coefficient({(0,): Fraction(1)},
+                    {(1,): Fraction(1), (0,): Fraction(-3)}, 1)
+    f = x * c + x ** 2
+    assert f.specialize_parameter_mod("t", 4, 7).terms[(1, 0)] == Modular(1, 7)
+    with pytest.raises(UnluckySpecializationError):
+        f.specialize_parameter_mod("t", 10, 7)
+    # 7 divides a rational denominator: no image in GF(7) at any t
+    g = Fraction(1, 14) * x + x ** 2
+    with pytest.raises(UnluckySpecializationError):
+        g.specialize_parameter_mod("t", 1, 7)
 
 
 def test_gcd_and_reducedness():
