@@ -248,8 +248,10 @@ def _is_prime(n):
 
 
 def test_ilm_primes_are_prime():
-    assert [_is_prime(n) for n in (2, 97, 561, 2 ** 31 - 3, 2 ** 61 - 1)] \
-        == [True, True, False, False, True]   # 561 is a Carmichael number
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to bases 2, 3, 5, 7
+    assert [_is_prime(n) for n in (2, 97, 3215031751, 2 ** 31 - 3,
+                                   2 ** 61 - 1)] \
+        == [True, True, False, False, True]
     assert len(set(PRIMES)) == 2
     assert all(_is_prime(p) and 2 ** 30 < p < 2 ** 31 for p in PRIMES)
 
