@@ -2,18 +2,25 @@
 
 Global orders run plain Buchberger with full reduction; the local order runs
 Mora's tangent-cone algorithm (weak normal forms with an ecart-guided reducer
-pool).  Every public operation is deterministic for a fixed input: generators
-are canonicalized (monic, deduplicated, sorted) before the pair loop, pairs
-are selected by smallest lcm degree with ties broken by the active order, and
-reducers are chosen by position (global) or minimal ecart then position
-(local).
+pool) until the leading exponents reach a highest corner: a pure power
+z_i^a_i for every variable.  Then m^D lies in the ideal locally, with
+D = 1 + sum(a_i - 1), and the rest of the loop reduces modulo m^D by leading
+terms instead (Greuel-Pfister, A Singular Introduction to Commutative
+Algebra, 1.7).  Every public operation is deterministic for a fixed input:
+generators are canonicalized (monic, deduplicated, sorted) before the pair
+loop, pairs are selected by smallest lcm degree with ties broken by the
+active order (a heap of pairs), and reducers are chosen by position (global
+and truncated) or minimal ecart then position (Mora).  Each reducer takes
+leading terms off a heap of the remainder's monomials (Monagan-Pearce,
+CASC 2007) instead of rescanning it.
 
 Reduced bases: for global orders the classical reduced Groebner basis is
 emitted.  For the local order a fully reduced basis only exists when the
 leading ideal is zero-dimensional (tails can then be reduced canonically
-modulo m^N, N the colength, because m^N lies in the ideal locally); in that
-case we emit that canonical basis.  Otherwise the basis is minimal, monic
-and deterministically sorted, with tails as computed.
+modulo m^N, N = 1 + the largest degree of a standard monomial, because every
+monomial of degree N is a leading monomial and so m^N lies in the ideal
+locally); in that case we emit that canonical basis.  Otherwise the basis is
+minimal, monic and deterministically sorted, with tails as computed.
 
 A reduction-step budget guards every basis computation; the default is 1e5
 single term-cancellation steps per basis.
@@ -22,7 +29,9 @@ single term-cancellation steps per basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations, product
+from heapq import heapify, heappop, heappush
+from itertools import combinations
+from operator import ge
 
 from . import sparse
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
@@ -76,6 +85,8 @@ class StandardBasis:
     elements: tuple[Polynomial, ...]
     leading_exponents: tuple[tuple[int, ...], ...]
     fully_reduced: bool
+    # N with m^N in the ideal (local zero-dimensional bases only): tails and
+    # normal forms are reduced modulo m^N
     truncation_bound: int | None = field(default=None)
 
 
@@ -98,13 +109,14 @@ def _lt(terms, order):
     return max(terms, key=order.key)
 
 
-def _sub_scaled(h, c, shift, g_terms):
-    """h -= c * x^shift * g, in place."""
+def _sub_scaled(h, c, shift, g_terms, queue, neg_key):
+    """h -= c * x^shift * g, in place; monomials new to h go on the queue."""
     for m, v in g_terms.items():
         k = sparse.mmul(m, shift)
         w = h.get(k)
         if w is None:
             h[k] = -(c * v)
+            heappush(queue, (neg_key(k), k))
         else:
             w = w - c * v
             if w:
@@ -113,35 +125,52 @@ def _sub_scaled(h, c, shift, g_terms):
                 del h[k]
 
 
-def _reduce_global(p_terms, rows, order, budget):
+# Leading terms come off a heap keyed on order.neg_key, with lazy deletion:
+# an entry whose monomial has since cancelled is skipped when popped.  The
+# orders are multiplicative, so a reduction step only adds terms below the
+# leading term it cancels, and the heap yields leading terms in order.
+
+def _queue(terms, neg_key):
+    queue = [(neg_key(m), m) for m in terms]
+    heapify(queue)
+    return queue
+
+
+def _reduce(p_terms, rows, order, budget, bound=None):
     """Full division remainder: no term of the result is divisible by any
-    row leading monomial.  Rows are (terms, lt) with monic terms."""
-    r = dict(p_terms)
+    row leading monomial.  Rows are (terms, lt) with monic terms.
+
+    With a bound, m^bound must lie in the (local) ideal: terms of total
+    degree >= bound are then discarded outright and the rest reduce by
+    leading terms.  Each rewrite strictly decreases the active order on the
+    finitely many monomials of degree < bound, so this terminates under the
+    local order too, and the result is the unique representative supported
+    on standard monomials."""
+    r = {m: c for m, c in p_terms.items() if bound is None or sum(m) < bound}
+    neg_key = order.neg_key
+    queue = _queue(r, neg_key)
     nf = {}
-    key = order.key
-    while r:
-        m = max(r, key=key)
-        c = r[m]
-        hit = None
+    while queue:
+        m = heappop(queue)[1]
+        c = r.pop(m, None)
+        if c is None:
+            continue
         for terms, lt in rows:
             shift = sparse.mdiv(m, lt)
             if shift is not None:
-                hit = (terms, shift)
                 break
-        if hit is None:
+        else:
             nf[m] = c
-            del r[m]
             continue
         budget.tick()
-        del r[m]
-        terms, shift = hit
         for gm, gv in terms.items():
             k = sparse.mmul(gm, shift)
-            if k == m:
+            if k == m or (bound is not None and sum(k) >= bound):
                 continue
             w = r.get(k)
             if w is None:
                 r[k] = -(c * gv)
+                heappush(queue, (neg_key(k), k))
             else:
                 w = w - c * gv
                 if w:
@@ -161,9 +190,13 @@ def _mora_nf(p_terms, rows, order, budget):
     ring localized at the order).  Zero result certifies local membership."""
     pool = [(terms, lt, _ecart(terms, lt)) for terms, lt in rows]
     h = dict(p_terms)
-    key = order.key
+    neg_key = order.neg_key
+    queue = _queue(h, neg_key)
     while h:
-        lm = max(h, key=key)
+        lm = queue[0][1]
+        if lm not in h:
+            heappop(queue)
+            continue
         best = None
         best_shift = None
         for terms, lt, ec in pool:
@@ -178,47 +211,8 @@ def _mora_nf(p_terms, rows, order, budget):
             pool.append(({k: v for k, v in h.items()}, lm, ec_h))
         budget.tick()
         c = h[lm] / best[0][best[1]]
-        _sub_scaled(h, c, best_shift, best[0])
+        _sub_scaled(h, c, best_shift, best[0], queue, neg_key)
     return h
-
-
-def _reduce_truncated(p_terms, rows, order, bound, budget):
-    """Canonical normal form modulo the local ideal when m^bound is known to
-    lie in it: terms of total degree >= bound are discarded outright, the
-    rest reduce by leading terms (each rewrite strictly decreases the active
-    order, so this terminates and the result is the unique representative
-    supported on standard monomials)."""
-    r = {m: c for m, c in p_terms.items() if sum(m) < bound}
-    nf = {}
-    key = order.key
-    while r:
-        m = max(r, key=key)
-        c = r.pop(m)
-        hit = None
-        for terms, lt in rows:
-            shift = sparse.mdiv(m, lt)
-            if shift is not None:
-                hit = (terms, shift)
-                break
-        if hit is None:
-            nf[m] = c
-            continue
-        budget.tick()
-        terms, shift = hit
-        for gm, gv in terms.items():
-            k = sparse.mmul(gm, shift)
-            if k == m or sum(k) >= bound:
-                continue
-            w = r.get(k)
-            if w is None:
-                r[k] = -(c * gv)
-            else:
-                w = w - c * gv
-                if w:
-                    r[k] = w
-                else:
-                    del r[k]
-    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -244,34 +238,54 @@ def _canonical_input(gens, order):
 
 
 def _pair_loop(input_rows, order, budget):
+    """Buchberger's loop, or Mora's under the local order, over monic rows.
+
+    Pairs wait on a heap keyed on (deg lcm, order key of lcm, i, j): the
+    smallest lcm degree first, ties broken by the active order.  Under the
+    local order the loop watches for the highest corner: once the leading
+    exponents show a pure power z_i^a_i for every i, every monomial of
+    degree D = 1 + sum(a_i - 1) is a leading monomial, so m^D lies in the
+    ideal locally (Nakayama).  From then on S-polynomials reduce modulo m^D
+    with _reduce instead of Mora's normal form, and the loop stops at the
+    first pair whose lcm has degree >= D (its S-polynomial lies in m^D, and
+    so does every later one)."""
     rows: list[tuple[dict, tuple[int, ...]]] = []
-    pairs: list[tuple[int, int, tuple[int, ...]]] = []
+    pairs: list[tuple[int, tuple, int, int, tuple[int, ...]]] = []
+    key = order.key
+    local = not order.is_global
+    corner: dict[int, int] = {}
+    bound = None
 
     def push(terms):
+        nonlocal bound
         lt = _lt(terms, order)
         idx = len(rows)
         for j, (_, lt_j) in enumerate(rows):
-            pairs.append((j, idx, sparse.mlcm(lt_j, lt)))
+            lcm = sparse.mlcm(lt_j, lt)
+            heappush(pairs, (sum(lcm), key(lcm), j, idx, lcm))
         rows.append((terms, lt))
+        if local:
+            for i, a in _pure_powers([lt]).items():
+                corner[i] = min(a, corner.get(i, a))
+            if len(corner) == len(lt):
+                bound = 1 + sum(a - 1 for a in corner.values())
 
     for t in input_rows:
         push(t)
 
-    reduce_ = _reduce_global if order.is_global else _mora_nf
     while pairs:
-        pairs.sort(key=lambda p: (sum(p[2]), order.key(p[2]), p[0], p[1]))
-        i, j, lcm = pairs.pop(0)
-        lt_i, lt_j = rows[i][1], rows[j][1]
-        if sparse.mmul(lt_i, lt_j) == lcm:
+        deg, _, i, j, lcm = heappop(pairs)
+        if bound is not None and deg >= bound:
+            break
+        if sparse.mmul(rows[i][1], rows[j][1]) == lcm:
             continue  # coprime leading terms: S-polynomial reduces to zero
-        si = sparse.mdiv(lcm, lt_i)
-        sj = sparse.mdiv(lcm, lt_j)
-        s = {}
-        _sub_scaled(s, _neg_one_like(rows[i][0]), si, rows[i][0])
-        _sub_scaled(s, _one_like_coeff(rows[j][0]), sj, rows[j][0])
+        s = _s_polynomial(rows[i], rows[j], lcm)
         if not s:
             continue
-        h = reduce_(s, rows, order, budget)
+        if local and bound is None:
+            h = _mora_nf(s, rows, order, budget)
+        else:
+            h = _reduce(s, rows, order, budget, bound)
         if h:
             lt_h = _lt(h, order)
             inv = h[lt_h]
@@ -280,14 +294,29 @@ def _pair_loop(input_rows, order, budget):
     return rows
 
 
+def _s_polynomial(row_i, row_j, lcm):
+    """(lcm / lt_i) * g_i - (lcm / lt_j) * g_j for monic rows (g, lt)."""
+    (g_i, lt_i), (g_j, lt_j) = row_i, row_j
+    shift = sparse.mdiv(lcm, lt_i)
+    s = {sparse.mmul(m, shift): v for m, v in g_i.items()}
+    shift = sparse.mdiv(lcm, lt_j)
+    for m, v in g_j.items():
+        k = sparse.mmul(m, shift)
+        w = s.get(k)
+        if w is None:
+            s[k] = -v
+        else:
+            w = w - v
+            if w:
+                s[k] = w
+            else:
+                del s[k]
+    return s
+
+
 def _one_like_coeff(terms):
     c = next(iter(terms.values()))
     return c / c
-
-
-def _neg_one_like(terms):
-    c = next(iter(terms.values()))
-    return -(c / c)
 
 
 def _minimalize(rows, order):
@@ -300,26 +329,40 @@ def _minimalize(rows, order):
     return kept
 
 
-def _staircase_bounds(exps, nvars):
-    bounds = []
-    for i in range(nvars):
-        pure = [e[i] for e in exps
-                if all(ej == 0 for j, ej in enumerate(e) if j != i)]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    return bounds
+def _pure_powers(exps):
+    """{i: smallest a such that z_i^a is among exps}.  The exponent 0 (a
+    unit) counts as a pure power of every variable."""
+    out = {}
+    for e in exps:
+        support = [i for i, a in enumerate(e) if a]
+        if len(support) > 1:
+            continue
+        for i in support or range(len(e)):
+            out[i] = min(e[i], out.get(i, e[i]))
+    return out
 
 
 def _staircase(exps, nvars):
-    bounds = _staircase_bounds(exps, nvars)
-    if bounds is None:
+    """Monomials outside the monomial ideal generated by exps, sorted by
+    degree and then grevlex; None when there are infinitely many.
+
+    The walk goes outward from 1: the children of a standard monomial m are
+    m * z_i for i at or after the last variable of m, so each monomial has
+    one parent and the walk tests O(nvars * colength) monomials."""
+    if len(_pure_powers(exps)) < nvars:
         return None
     out = []
-    for m in product(*(range(b) for b in bounds)):
-        if all(sparse.mdiv(m, e) is None for e in exps):
-            out.append(m)
-    out.sort(key=lambda m: (sum(m), GREVLEX.key(m)))
+    stack = [(0,) * nvars] if all(any(e) for e in exps) else []
+    while stack:
+        m = stack.pop()
+        out.append(m)
+        last = max((i for i, a in enumerate(m) if a), default=0)
+        for i in range(last, nvars):
+            c = m[:i] + (m[i] + 1,) + m[i + 1:]
+            # m is standard, so a generator dividing c matches it in z_i
+            if not any(e[i] == c[i] and all(map(ge, c, e)) for e in exps):
+                stack.append(c)
+    out.sort(key=GREVLEX.key)
     return out
 
 
@@ -336,7 +379,7 @@ def standard_basis(ideal: Ideal, order: MonomialOrder,
         final = []
         for idx, (terms, lt) in enumerate(kept):
             others = [kept[k] for k in range(len(kept)) if k != idx]
-            red = _reduce_global(terms, others, order, bud) if others else dict(terms)
+            red = _reduce(terms, others, order, bud) if others else dict(terms)
             inv = red[lt]
             final.append(({m: v / inv for m, v in red.items()}, lt))
         kept = final
@@ -346,11 +389,13 @@ def standard_basis(ideal: Ideal, order: MonomialOrder,
         nvars = ideal.context.nvars
         stairs = _staircase(exps, nvars)
         if stairs is not None:
-            trunc_bound = len(stairs)
+            # every monomial of higher degree is a leading monomial, so
+            # m^trunc_bound lies in the ideal; trunc_bound <= colength
+            trunc_bound = 1 + max(map(sum, stairs), default=-1)
             canon = []
             one = _one_like_coeff(kept[0][0])
             for terms, lt in kept:
-                rep = _reduce_truncated({lt: one}, kept, order, trunc_bound, bud)
+                rep = _reduce({lt: one}, kept, order, bud, trunc_bound)
                 g = {lt: one}
                 for m, c in rep.items():
                     if m != lt:
@@ -377,12 +422,9 @@ def _verify_basis(sb: StandardBasis, input_rows, budget_limit):
     bud = _Budget(budget_limit)
     order = sb.order
     rows = [(g.terms, lt) for g, lt in zip(sb.elements, sb.leading_exponents)]
-    reduce_ = _reduce_global if order.is_global else _mora_nf
-    for (t1, l1), (t2, l2) in combinations(rows, 2):
-        lcm = sparse.mlcm(l1, l2)
-        s = {}
-        _sub_scaled(s, _neg_one_like(t1), sparse.mdiv(lcm, l1), t1)
-        _sub_scaled(s, _one_like_coeff(t2), sparse.mdiv(lcm, l2), t2)
+    reduce_ = _reduce if order.is_global else _mora_nf
+    for r1, r2 in combinations(rows, 2):
+        s = _s_polynomial(r1, r2, sparse.mlcm(r1[1], r2[1]))
         if s and reduce_(s, rows, order, bud):
             raise InternalCheckError("S-polynomial does not reduce to zero")
     for t in input_rows:
@@ -407,11 +449,9 @@ def normal_form(p: Polynomial, basis: StandardBasis,
         raise ContextError("normal form across different contexts")
     bud = _Budget(budget)
     rows = list(zip((g.terms for g in basis.elements), basis.leading_exponents))
-    if basis.order.is_global:
-        out = _reduce_global(p.terms, rows, basis.order, bud)
-    elif basis.truncation_bound is not None:
-        out = _reduce_truncated(p.terms, rows, basis.order,
-                                basis.truncation_bound, bud)
+    if basis.order.is_global or basis.truncation_bound is not None:
+        out = _reduce(p.terms, rows, basis.order, bud,
+                      basis.truncation_bound)
     else:
         out = _mora_nf(p.terms, rows, basis.order, bud)
     return Polynomial(p.context, out)

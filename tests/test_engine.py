@@ -3,16 +3,18 @@ and independent oracles (iterated-quotient saturation, jet-space
 truncation)."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lecalc.engine import (Ideal, colength_at_origin, colength_by_truncation,
+from lecalc.engine import (DEFAULT_BUDGET, Ideal, _Budget, _reduce,
+                           colength_at_origin, colength_by_truncation,
                            colength_global, contains_local_unit,
                            dimension_at_origin, eliminate, ideals_equal,
-                           intersect, saturate, standard_basis)
+                           intersect, normal_form, saturate, standard_basis)
 from lecalc.errors import BudgetExceededError, DegenerateInputError
 from lecalc.orders import GREVLEX, LOCAL
 from lecalc.poly import Context, Polynomial, render
@@ -38,6 +40,8 @@ def test_local_basis_tangent_cone_example(checked_bases):
     ideal = Ideal(C2, (X ** 2 - Y ** 3, X * Y ** 2))
     basis = standard_basis(ideal, LOCAL)
     assert sorted(basis.leading_exponents) == [(0, 5), (1, 2), (2, 0)]
+    # standard monomials reach degree 4, so m^5 lies in the ideal
+    assert basis.truncation_bound == 5
     result = colength_at_origin(ideal)
     assert result.value == 7
     assert sorted(result.standard_monomials) == [
@@ -247,3 +251,69 @@ def test_colength_matches_truncation_on_random_zero_dim_ideals():
             pieces.append(extra)
         ideal = Ideal(C2, tuple(pieces))
         assert colength_at_origin(ideal).value == colength_by_truncation(ideal)
+
+
+C3 = Context(("z1", "z2", "z3"), ())
+
+
+def _small_polynomials(ctx, min_degree):
+    """Up to three terms of total degree at most 5 - nvars (so at most 2 in
+    three variables, which keeps the truncation oracle's m^N small)."""
+    coefficient = st.sampled_from((-3, -2, -1, 1, 2, 3)).map(Fraction)
+    top = 5 - ctx.nvars
+    exponent = st.sampled_from([e for e in product(range(top + 1),
+                                                   repeat=ctx.nvars)
+                                if min_degree <= sum(e) <= top])
+    term = st.builds(lambda e, c: Polynomial.monomial(ctx, e, c),
+                     exponent, coefficient)
+    return st.lists(term, min_size=1, max_size=3).map(sum).filter(
+        lambda p: not p.is_zero())
+
+
+@st.composite
+def _ideal_and_polynomial(draw):
+    """An ideal of the origin in n = 2 or 3 variables (n to n + 2
+    generators), and a polynomial to reduce modulo it."""
+    ctx = draw(st.sampled_from((C2, C3)))
+    gens = draw(st.lists(_small_polynomials(ctx, 1), min_size=ctx.nvars,
+                         max_size=ctx.nvars + 2))
+    return Ideal(ctx, tuple(gens)), draw(_small_polynomials(ctx, 0))
+
+
+def _cusp_and_polynomial():
+    # leading terms z1^2 and z1*z2^2: the pure power z2^5 (the corner)
+    # appears mid-loop, from the S-polynomial
+    return Ideal(C2, (X ** 2 - Y ** 3, X * Y ** 2)), X + 2 * Y ** 4 + 1
+
+
+def _corner_pair_and_polynomial():
+    # corner z1, z2^4, so D = 4; the pair (z1, z1^2*z2 - z2^3) has an lcm of
+    # degree D - 1 = 3 and gives z2^3, so the cutoff must not start at D - 1
+    return Ideal(C2, (X, X ** 2 * Y - Y ** 3, Y ** 4)), Y ** 3 + X * Y + 1
+
+
+def _space_germ_and_polynomial():
+    # leading terms z2, z1 and z1^2: no pure power of z3 in the input
+    x, y, z = (Polynomial.variable(C3, v) for v in C3.variables)
+    return Ideal(C3, (y - z ** 2, y * z + 2 * x, x ** 2)), y * z + z ** 3 + 1
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ideal_and_polynomial())
+@example(_cusp_and_polynomial())
+@example(_corner_pair_and_polynomial())
+@example(_space_germ_and_polynomial())
+def test_highest_corner_keeps_colength_and_normal_forms(checked_bases, case):
+    ideal, p = case
+    result = colength_at_origin(ideal)
+    assume(result.is_finite)
+    assert result.value == colength_by_truncation(ideal)
+    basis = standard_basis(ideal, LOCAL)
+    assert basis.truncation_bound <= result.value
+    # the old bound (the colength) gives the same canonical normal form
+    rows = list(zip((g.terms for g in basis.elements),
+                    basis.leading_exponents))
+    expected = _reduce(p.terms, rows, LOCAL, _Budget(DEFAULT_BUDGET),
+                       result.value)
+    assert normal_form(p, basis).terms == expected

@@ -55,6 +55,10 @@ COMMAND_CASES = {
     "ilm_suspension": ("ilm", ["-f", str(CORPUS / "suspension_family.lec")],
                        0),
     "ilm_constant": ("ilm", ["-f", str(CORPUS / "constant_family.lec")], 0),
+    # weights (8, 6, 7), rows from j = 87 and 62: colengths near 1000 that
+    # need the highest-corner cutoff of the local standard bases
+    "ilm_corner": ("ilm", ["-e", "z1^3*z2^3 + z2^7 + z3^6 + t*z1*z2^4",
+                           "--param", "t"], 0),
 }
 
 
