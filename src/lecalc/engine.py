@@ -28,7 +28,7 @@ single term-cancellation steps per basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import ge
@@ -85,9 +85,12 @@ class StandardBasis:
     elements: tuple[Polynomial, ...]
     leading_exponents: tuple[tuple[int, ...], ...]
     fully_reduced: bool
-    # N with m^N in the ideal (local zero-dimensional bases only): tails and
-    # normal forms are reduced modulo m^N
-    truncation_bound: int | None = field(default=None)
+    # local zero-dimensional bases only: the monomials outside the leading
+    # ideal, sorted by degree and then grevlex, and N = 1 + their largest
+    # degree, so that m^N lies in the ideal; tails and normal forms are
+    # reduced modulo m^N
+    truncation_bound: int | None = None
+    standard_monomials: tuple[tuple[int, ...], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -219,7 +222,7 @@ def _mora_nf(p_terms, rows, order, budget):
 # Buchberger / Mora pair loop
 
 def _terms_fingerprint(terms):
-    return tuple(sorted((m, c.sort_key()) for m, c in terms.items()))
+    return tuple(sorted(terms.items()))
 
 
 def _canonical_input(gens, order):
@@ -362,8 +365,7 @@ def _staircase(exps, nvars):
             # m is standard, so a generator dividing c matches it in z_i
             if not any(e[i] == c[i] and all(map(ge, c, e)) for e in exps):
                 stack.append(c)
-    out.sort(key=GREVLEX.key)
-    return out
+    return tuple(sorted(out, key=GREVLEX.key))
 
 
 def standard_basis(ideal: Ideal, order: MonomialOrder,
@@ -373,7 +375,7 @@ def standard_basis(ideal: Ideal, order: MonomialOrder,
     rows = _pair_loop(input_rows, order, bud)
     kept = _minimalize(rows, order)
 
-    trunc_bound = None
+    trunc_bound = stairs = None
     if order.is_global:
         # classical reduced basis: tails carry no reducible term
         final = []
@@ -385,9 +387,7 @@ def standard_basis(ideal: Ideal, order: MonomialOrder,
         kept = final
         fully = True
     else:
-        exps = [lt for _, lt in kept]
-        nvars = ideal.context.nvars
-        stairs = _staircase(exps, nvars)
+        stairs = _staircase([lt for _, lt in kept], ideal.context.nvars)
         if stairs is not None:
             # every monomial of higher degree is a leading monomial, so
             # m^trunc_bound lies in the ideal; trunc_bound <= colength
@@ -412,7 +412,8 @@ def standard_basis(ideal: Ideal, order: MonomialOrder,
     ctx = ideal.context
     elements = tuple(Polynomial(ctx, dict(t)) for t, _ in kept)
     lts = tuple(lt for _, lt in kept)
-    sb = StandardBasis(ideal, order, elements, lts, fully, trunc_bound)
+    sb = StandardBasis(ideal, order, elements, lts, fully, trunc_bound,
+                       stairs)
     if CHECK_BASES:
         _verify_basis(sb, input_rows, budget)
     return sb
@@ -503,20 +504,30 @@ def eliminate(ideal: Ideal, drop: tuple[str, ...],
     return Ideal(replace(ctx, variables=remaining), tuple(kept))
 
 
-def intersect(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
-    if a.context != b.context:
-        raise ContextError("intersection across different contexts")
-    ctx = a.context
+def _eliminate_fresh_variable(ctx: Context, generators, budget: int) -> Ideal:
+    """Prepend a fresh variable u to ctx, eliminate u from the nonzero ideal
+    of generators(u, embed), where embed maps a polynomial of ctx into the
+    extended ring, and return the result in ctx."""
     aux = ctx.fresh_name("u")
     ext = ctx.with_prepended_variable(aux)
-    u = Polynomial.variable(ext, aux)
-    one = Polynomial.one(ext)
-    gens = [u * _embed(g, ext) for g in a.generators]
-    gens += [(one - u) * _embed(g, ext) for g in b.generators]
+    gens = generators(Polynomial.variable(ext, aux), lambda p: _embed(p, ext))
     out = eliminate(Ideal(ext, tuple(gens)), (aux,), budget)
     if out is None:
-        raise InternalCheckError("intersection of nonzero ideals came out zero")
-    return Ideal(ctx, tuple(g.rename(ctx) for g in out.generators))
+        raise InternalCheckError("elimination of a nonzero ideal came out zero")
+    return Ideal(ctx, tuple(p.rename(ctx) for p in out.generators))
+
+
+def intersect(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
+    """I ∩ J = (u*I + (1 - u)*J) ∩ F[z], u a fresh variable."""
+    if a.context != b.context:
+        raise ContextError("intersection across different contexts")
+
+    def generators(u, embed):
+        one = Polynomial.one(u.context)
+        return ([u * embed(g) for g in a.generators]
+                + [(one - u) * embed(g) for g in b.generators])
+
+    return _eliminate_fresh_variable(a.context, generators, budget)
 
 
 def _normalized(ideal: Ideal, budget: int) -> Ideal:
@@ -527,16 +538,12 @@ def _normalized(ideal: Ideal, budget: int) -> Ideal:
 def _saturate_by_element(i: Ideal, g: Polynomial, budget: int) -> Ideal:
     """I : g^infinity = (I + (1 - u*g)) ∩ F[z], u a fresh variable
     (Rabinowitsch): one elimination."""
-    ctx = i.context
-    aux = ctx.fresh_name("u")
-    ext = ctx.with_prepended_variable(aux)
-    u = Polynomial.variable(ext, aux)
-    gens = [_embed(p, ext) for p in i.generators]
-    gens.append(Polynomial.one(ext) - u * _embed(g, ext))
-    out = eliminate(Ideal(ext, tuple(gens)), (aux,), budget)
-    if out is None:
-        raise InternalCheckError("saturation of a nonzero ideal came out zero")
-    return Ideal(ctx, tuple(p.rename(ctx) for p in out.generators))
+
+    def generators(u, embed):
+        return ([embed(p) for p in i.generators]
+                + [Polynomial.one(u.context) - u * embed(g)])
+
+    return _eliminate_fresh_variable(i.context, generators, budget)
 
 
 def saturate(i: Ideal, k: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
@@ -561,11 +568,10 @@ def colength_at_origin(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ColengthRe
     Finite exactly when every variable shows a pure power among the local
     leading terms; then the standard monomials under the staircase are
     returned too."""
-    sb = standard_basis(ideal, LOCAL, budget)
-    stairs = _staircase(sb.leading_exponents, ideal.context.nvars)
+    stairs = standard_basis(ideal, LOCAL, budget).standard_monomials
     if stairs is None:
         return ColengthResult(None, None)
-    return ColengthResult(len(stairs), tuple(stairs))
+    return ColengthResult(len(stairs), stairs)
 
 
 def dimension_at_origin(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int | None:

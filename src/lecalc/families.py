@@ -26,10 +26,11 @@ from .engine import DEFAULT_BUDGET, Ideal
 from .errors import (ContextError, DegenerateInputError, InternalCheckError,
                      MathRefusal, NonIsolatedError, NonReducedError,
                      UnluckySpecializationError, UsageError)
-from .invariants import (InvariantRecord, WeightSystem, detect_weights,
-                         draw_distinct_rationals, draw_rational, germ_record,
-                         milnor_number, order_at_origin)
-from .poly import (Coefficient, Modular, Polynomial, multivariate_gcd,
+from .invariants import (InvariantRecord, WeightSystem,
+                         cross_checked_witnesses, detect_weights,
+                         draw_distinct_rationals, germ_record, milnor_number,
+                         order_at_origin)
+from .poly import (Modular, Polynomial, multivariate_gcd,
                    render, require_reduced)
 
 ZERO = "ZERO"
@@ -94,9 +95,7 @@ def decompose_family(f: Polynomial, rng: Random,
         for (j,), q in c.num.items():
             layers.setdefault(j, {})[m] = q
     members: dict[int, Polynomial] = {
-        j: Polynomial.from_dict(
-            plain, {m: Coefficient.from_fraction(q, 0) for m, q in terms.items()})
-        for j, terms in sorted(layers.items())}
+        j: Polynomial(plain, terms) for j, terms in sorted(layers.items())}
 
     base = members.get(0, Polynomial.zero(plain))
     if base.is_zero():
@@ -107,7 +106,7 @@ def decompose_family(f: Polynomial, rng: Random,
 
     rebuilt = Polynomial.zero(ctx)
     for j, g in [(0, base), *deformation]:
-        embedded = Polynomial(ctx, {m: c.embed(1, ()).mul_param_monomial((j,))
+        embedded = Polynomial(ctx, {m: ctx.coefficient(c).mul_param_monomial((j,))
                                     for m, c in g.terms.items()})
         rebuilt = rebuilt + embedded
     if rebuilt != f:
@@ -187,19 +186,11 @@ def invariants_at(fam: Family, where: str, rng: Random,
             return False
         return _comparable(spec) == expected
 
-    witnesses = draw_distinct_rationals(rng, 2)
-    for k in range(2):
-        if agrees(witnesses[k]):
-            continue
-        retry = draw_rational(rng)
-        while retry in witnesses:
-            retry = draw_rational(rng)
-        witnesses[k] = retry
-        if not agrees(retry):
-            raise UnluckySpecializationError(
-                f"invariants at {fam.parameter} = {retry} disagree with "
-                f"the generic values")
-    return SliceRecord(GENERIC, rec, tuple(witnesses))
+    witnesses = cross_checked_witnesses(
+        rng, agrees,
+        lambda tau: f"invariants at {fam.parameter} = {tau} disagree with "
+                    f"the generic values")
+    return SliceRecord(GENERIC, rec, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +448,11 @@ def _rational_roots(g: Polynomial, v: str) -> set[Fraction]:
     zkey = (0,) * ctx.nparams
     coeffs: dict[int, Fraction] = {}
     for m, c in g.terms.items():
-        if not c.den_is_one or any(k != zkey for k in c.num):
-            return set()
-        coeffs[m[i]] = c.num[zkey]
+        if not isinstance(c, Fraction):
+            if not c.den_is_one or any(k != zkey for k in c.num):
+                return set()
+            c = c.num[zkey]
+        coeffs[m[i]] = c
     if min(coeffs) > 0:
         return set()  # coordinate content is removed by the caller
     scale = lcm(*(c.denominator for c in coeffs.values()))

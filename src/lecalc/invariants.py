@@ -45,6 +45,24 @@ def draw_distinct_rationals(rng: Random, count: int) -> list[Fraction]:
     return out
 
 
+def cross_checked_witnesses(rng: Random, agrees,
+                            refusal) -> tuple[Fraction, Fraction]:
+    """Two distinct random rationals at which agrees(value) holds.  A draw
+    that disagrees is redrawn once, distinct from both; a second
+    disagreement raises UnluckySpecializationError(refusal(value))."""
+    witnesses = draw_distinct_rationals(rng, 2)
+    for k in range(2):
+        if agrees(witnesses[k]):
+            continue
+        retry = draw_rational(rng)
+        while retry in witnesses:
+            retry = draw_rational(rng)
+        witnesses[k] = retry
+        if not agrees(retry):
+            raise UnluckySpecializationError(refusal(retry))
+    return witnesses[0], witnesses[1]
+
+
 # ---------------------------------------------------------------------------
 # order and weights
 
@@ -403,30 +421,21 @@ def lambda1(f: Polynomial, rng: Random,
             "transverse Jacobian colength is infinite on a verified line "
             "singularity")
 
-    def specialized_value(point: Fraction) -> int | None:
+    def agrees(point: Fraction) -> bool:
         try:
             spec = [p.specialize_parameter(axis, point) for p in promoted]
             spec = [p for p in spec if not p.is_zero()]
             if not spec:
-                return None
+                return False
             res = colength_at_origin(Ideal(spec[0].context, tuple(spec)), budget)
-            return res.value
+            return res.value == generic.value
         except UnluckySpecializationError:
-            return None
+            return False
 
-    witnesses = draw_distinct_rationals(rng, 2)
-    for k in range(2):
-        if specialized_value(witnesses[k]) == generic.value:
-            continue
-        retry = draw_rational(rng)
-        while retry in witnesses:
-            retry = draw_rational(rng)
-        witnesses[k] = retry
-        if specialized_value(witnesses[k]) != generic.value:
-            raise UnluckySpecializationError(
-                f"transverse Milnor number at z1 = {witnesses[k]} disagrees "
-                f"with the generic value {generic.value}")
-    return generic.value, (witnesses[0], witnesses[1])
+    return generic.value, cross_checked_witnesses(
+        rng, agrees,
+        lambda point: f"transverse Milnor number at z1 = {point} disagrees "
+                      f"with the generic value {generic.value}")
 
 
 def lambda_k_vanishing(f: Polynomial, k: int, rng: Random,

@@ -3,13 +3,15 @@ and over prime fields GF(p).
 
 A `Context` fixes the ring: an ordered tuple of ring variables, an ordered
 tuple of parameters and a modulus.  Ring arithmetic happens on sparse
-exponent dicts whose values are field elements.  With modulus 0 they are
-`Coefficient`s, elements of the fraction field of the parameter polynomial
-ring; with no parameters a Coefficient degenerates to a plain rational, so
-one implementation serves QQ, QQ(t), QQ(z1) and QQ(t)(z1) alike.  With a
-prime modulus p they are `Modular` residues in GF(p), and the context has no
-parameters.  Only the constructors (through `Context.coefficient`) and
-`render` look at the modulus; the arithmetic never does.
+exponent dicts whose values are field elements of a class that
+`Context.coefficient` alone picks: plain `fractions.Fraction`s over QQ (no
+parameters, modulus 0); `Coefficient`s, elements of the fraction field of
+the parameter polynomial ring, over QQ(parameters) (at least one, so one
+implementation serves QQ(t), QQ(z1) and QQ(t)(z1) alike); and `Modular`
+residues over GF(p) (a prime modulus, no parameters).  All three share one
+protocol: + - * /, negation, truthiness as a zero test, ==, hash and a
+total order < for canonical sorting.  Only the constructors, the moves
+between fields and `render` look at the field; the arithmetic never does.
 
 Everything here is immutable by convention: operations return fresh objects
 and never mutate term dicts that have been handed out.
@@ -90,22 +92,24 @@ class Context:
     def with_prepended_variable(self, name: str) -> "Context":
         return replace(self, variables=(name,) + self.variables)
 
-    def coefficient(self, q) -> "Coefficient | Modular":
+    def coefficient(self, q) -> "Fraction | Coefficient | Modular":
         """The rational q (an int or Fraction) as an element of this
         context's coefficient field."""
         if self.modulus:
             return Modular.from_rational(q, self.modulus)
-        return Coefficient.from_fraction(q, self.nparams)
+        if self.parameters:
+            return Coefficient.from_fraction(q, self.nparams)
+        return Fraction(q)
 
     @cached_property
-    def unit(self) -> "Coefficient | Modular":
+    def unit(self) -> "Fraction | Coefficient | Modular":
         """1 in this context's coefficient field, built once per context
         (field elements are never mutated, so it can be shared)."""
         return self.coefficient(1)
 
 
 # ---------------------------------------------------------------------------
-# the coefficient field QQ(parameters)
+# the coefficient field QQ(parameters), at least one parameter
 
 _ZERO_KEY_CACHE: dict[int, tuple[int, ...]] = {}
 
@@ -122,7 +126,8 @@ _FR_ONE = Fraction(1)
 
 
 class Coefficient:
-    """An element num/den of QQ(p1, ..., pk), stored reduced with monic den.
+    """An element num/den of QQ(p1, ..., pk), k >= 1, stored reduced with
+    monic den.
 
     num and den are sparse dicts over the parameter exponents with Fraction
     values; den is never zero and its grevlex-leading value is one."""
@@ -158,11 +163,6 @@ class Coefficient:
         return Coefficient({}, {_zkey(arity): _FR_ONE}, arity, _reduced=True)
 
     @staticmethod
-    def one(arity: int) -> "Coefficient":
-        z = _zkey(arity)
-        return Coefficient({z: _FR_ONE}, {z: _FR_ONE}, arity, _reduced=True)
-
-    @staticmethod
     def from_fraction(q, arity: int) -> "Coefficient":
         q = Fraction(q)
         z = _zkey(arity)
@@ -183,36 +183,19 @@ class Coefficient:
     def den_is_one(self) -> bool:
         return _is_den_one(self.den, self.arity)
 
-    def is_constant(self) -> bool:
-        return (not self.num or (len(self.num) == 1 and not any(next(iter(self.num))))) \
-            and self.den_is_one
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ContextError(f"coefficient {self!r} is not a rational constant")
-        if not self.num:
-            return Fraction(0)
-        return next(iter(self.num.values()))
-
     # -- field arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        a = self.arity
-        if self.den_is_one and other.den_is_one:
-            return Coefficient(sparse.padd(self.num, other.num), self.den, a, _reduced=True)
         num = sparse.padd(sparse.pmul(self.num, other.den), sparse.pmul(other.num, self.den))
-        return Coefficient(num, sparse.pmul(self.den, other.den), a)
+        return Coefficient(num, sparse.pmul(self.den, other.den), self.arity)
 
     def __sub__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        a = self.arity
-        if self.den_is_one and other.den_is_one:
-            return Coefficient(sparse.psub(self.num, other.num), self.den, a, _reduced=True)
         num = sparse.psub(sparse.pmul(self.num, other.den), sparse.pmul(other.num, self.den))
-        return Coefficient(num, sparse.pmul(self.den, other.den), a)
+        return Coefficient(num, sparse.pmul(self.den, other.den), self.arity)
 
     def __neg__(self):
         return Coefficient(sparse.pneg(self.num), self.den, self.arity, _reduced=True)
@@ -220,11 +203,8 @@ class Coefficient:
     def __mul__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        a = self.arity
-        if self.den_is_one and other.den_is_one:
-            return Coefficient(sparse.pmul(self.num, other.num), self.den, a, _reduced=True)
         return Coefficient(sparse.pmul(self.num, other.num),
-                           sparse.pmul(self.den, other.den), a)
+                           sparse.pmul(self.den, other.den), self.arity)
 
     def __truediv__(self, other):
         if not isinstance(other, Coefficient):
@@ -234,33 +214,26 @@ class Coefficient:
         return Coefficient(sparse.pmul(self.num, other.den),
                            sparse.pmul(self.den, other.num), self.arity)
 
-    def __pow__(self, n: int):
-        if n == 0:
-            return Coefficient.one(self.arity)
-        if n < 0:
-            inv = Coefficient(self.den, self.num, self.arity)
-            return inv ** (-n)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
         return (self.arity == other.arity and self.num == other.num
                 and self.den == other.den)
 
+    def _sorted_items(self):
+        return tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))
+
     def __hash__(self):
-        return hash((self.arity, tuple(sorted(self.num.items())),
-                     tuple(sorted(self.den.items()))))
+        return hash((self.arity, *self._sorted_items()))
+
+    def __lt__(self, other):
+        """A total order on coefficients of one arity, for canonical sorting."""
+        if not isinstance(other, Coefficient):
+            return NotImplemented
+        return self._sorted_items() < other._sorted_items()
 
     def __repr__(self):
         return f"Coefficient({self.num!r}/{self.den!r})"
-
-    def sort_key(self):
-        """A total order on coefficients of one arity, for canonical sorting."""
-        return (tuple(sorted(self.num.items())), tuple(sorted(self.den.items())))
 
     # -- context plumbing ---------------------------------------------------
 
@@ -278,8 +251,9 @@ class Coefficient:
 
         return Coefficient(remap(self.num), remap(self.den), new_arity, _reduced=True)
 
-    def subs_param(self, index: int, value: Fraction) -> "Coefficient":
-        """Evaluate one parameter at a rational; arity drops by one."""
+    def subs_param(self, index: int, value: Fraction) -> "Coefficient | Fraction":
+        """Evaluate one parameter at a rational; arity drops by one, and at
+        arity one the result is a plain Fraction."""
 
         def ev(d):
             out = {}
@@ -298,6 +272,8 @@ class Coefficient:
         if not den:
             raise UnluckySpecializationError(
                 "specialization hit a coefficient denominator zero")
+        if self.arity == 1:
+            return ev(self.num).get((), 0) / den[()]
         return Coefficient(ev(self.num), den, self.arity - 1)
 
     def mul_param_monomial(self, expo: tuple[int, ...]) -> "Coefficient":
@@ -387,8 +363,10 @@ class Modular:
     def __repr__(self):
         return f"Modular({self.value} mod {self.modulus})"
 
-    def sort_key(self):
-        return self.value
+    def __lt__(self, other):
+        if not isinstance(other, Modular):
+            return NotImplemented
+        return self.value < other.value
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +380,6 @@ class Polynomial:
         self.terms = terms
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, context: Context, terms: dict) -> "Polynomial":
-        return cls(context, {m: c for m, c in terms.items() if c})
 
     @classmethod
     def zero(cls, context: Context) -> "Polynomial":
@@ -467,12 +441,12 @@ class Polynomial:
             raise DegenerateInputError("order of the zero polynomial")
         return sparse.min_total_degree(self.terms)
 
-    def constant_coefficient(self) -> "Coefficient | Modular":
+    def constant_coefficient(self) -> "Fraction | Coefficient | Modular":
         z = (0,) * self.context.nvars
         c = self.terms.get(z)
         return self.context.coefficient(0) if c is None else c
 
-    def leading(self, order) -> tuple[tuple[int, ...], "Coefficient | Modular"]:
+    def leading(self, order) -> tuple[tuple[int, ...], "Fraction | Coefficient | Modular"]:
         if not self.terms:
             raise DegenerateInputError("leading term of the zero polynomial")
         m = max(self.terms, key=order.key)
@@ -591,7 +565,9 @@ class Polynomial:
             for i, e in enumerate(m):
                 if e:
                     piece = piece * imgs[i] ** e
-            acc = acc + piece * c.embed(target.nparams, index_map)
+            c = target.coefficient(c) if isinstance(c, Fraction) \
+                else c.embed(target.nparams, index_map)
+            acc = acc + piece * c
         return acc
 
     def specialize_parameter(self, name: str, value) -> "Polynomial":
@@ -638,7 +614,8 @@ class Polynomial:
         for m, c in self.terms.items():
             e = m[i]
             nm = m[:i] + m[i + 1:]
-            nc = c.embed(np, index_map)
+            nc = target.coefficient(c) if isinstance(c, Fraction) \
+                else c.embed(np, index_map)
             if e:
                 nc = nc.mul_param_monomial((0,) * (np - 1) + (e,))
             w = out.get(nm)
@@ -734,9 +711,10 @@ def render(p: Polynomial) -> str:
             if mono:
                 factors.append(mono)
             chunks.append(("+", "*".join(factors)))
-        elif c.den_is_one and len(c.num) <= 1:
-            (pm, q), = c.num.items()
-            pmono = _mono_str(pm, pnames) if any(pm) else ""
+        elif isinstance(c, Fraction) or (c.den_is_one and len(c.num) == 1):
+            # a rational times a parameter monomial
+            pm, q = ((), c) if isinstance(c, Fraction) else next(iter(c.num.items()))
+            pmono = _mono_str(pm, pnames)
             sign = "+" if q > 0 else "-"
             factors = []
             if abs(q) != 1 or (not pmono and not mono):

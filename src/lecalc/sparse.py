@@ -2,10 +2,12 @@
 
 A polynomial is a dict mapping exponent tuples (fixed arity) to nonzero
 coefficients.  Coefficients only need exact field arithmetic through the
-usual operators plus truthiness as a zero test; ``fractions.Fraction`` and
-the parametric ``Coefficient`` field both qualify, so this module serves
-two layers at once: parameter polynomials inside coefficients, and ring
-polynomials inside the basis engine.
+usual operators plus truthiness as a zero test, so every coefficient class
+of `lecalc.poly` qualifies: ``fractions.Fraction`` (QQ), ``Coefficient``
+(QQ(parameters)) and ``Modular`` (GF(p)).  This module serves two layers at
+once: parameter polynomials inside a ``Coefficient``, always over
+``Fraction``, and ring polynomials inside the basis engine, over any of the
+three.
 
 The gcd here is the classical primitive pseudo-remainder sequence, recursing
 one variable at a time down to field constants.  It is quadratic-ish and

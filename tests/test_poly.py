@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lecalc.engine import Ideal, eliminate
 from lecalc.errors import ContextError, UnluckySpecializationError
 from lecalc.orders import GREVLEX, LOCAL
+from lecalc.parse import parse_polynomial
 from lecalc.poly import (Coefficient, Context, Modular, Polynomial,
                          is_reduced, multivariate_gcd, reduced_witness, render)
 
@@ -136,11 +138,39 @@ def test_promote_variable_to_parameter_round_trips_evaluation():
 
 
 def test_coefficient_division():
-    a = Coefficient.from_fraction(Fraction(3, 7), 0)
-    b = Coefficient.from_fraction(Fraction(-2), 0)
-    assert (a / b).as_fraction() == Fraction(-3, 14)
-    assert b.as_fraction() == Fraction(-2)
-    assert (a / a) == Coefficient.one(0)
+    # in QQ(t): (t^2 - 1) / (2t + 2) = (t - 1)/2 and 2/(t - 1), reduced
+    t = Coefficient.from_param_poly({(1,): Fraction(1)}, 1)
+    one, two = CTXP.unit, CTXP.coefficient(2)
+    a, b = t * t - one, two * t + two
+    assert a / b == (t - one) / two
+    assert (a / b).num == {(1,): Fraction(1, 2), (0,): Fraction(-1, 2)}
+    assert (a / b).den == {(0,): Fraction(1)}
+    assert (b / a).num == {(0,): Fraction(2)}
+    assert (b / a).den == {(1,): Fraction(1), (0,): Fraction(-1)}
+    assert (a / b) * b == a and a / a == one
+    with pytest.raises(ZeroDivisionError):
+        a / CTXP.coefficient(0)
+
+
+def test_rational_coefficients_are_fractions():
+    """Over QQ every coefficient is a plain Fraction, whichever operation
+    produced it; only a context with parameters builds Coefficients."""
+    ctx = Context(("z1", "z2"))
+
+    def rational(p):
+        return p.terms and all(type(c) is Fraction for c in p.terms.values())
+
+    f = parse_polynomial("z1^3 - 2/3*z1*z2 + z2^2", ctx)
+    assert rational(f)
+    assert rational(f * f - 3 * f + Fraction(1, 2)) and rational(f.partial("z1"))
+    assert rational(f.monic(GREVLEX))
+    g = parse_polynomial("t*z1^2 + (t^2 - 1)*z2 + 5", Context(("z1", "z2"), ("t",)))
+    assert all(isinstance(c, Coefficient) for c in g.terms.values())
+    assert rational(g.specialize_parameter("t", Fraction(2, 3)))
+    assert rational((v("z2") ** 2 + v("z3")).restrict_to(("z2", "z3")))
+    kept = eliminate(Ideal(ctx, (f, v("z1", ctx) - 2 * v("z2", ctx))), ("z1",))
+    assert kept.context.variables == ("z2",)
+    assert all(rational(p) for p in kept.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +267,30 @@ def test_modular_field_axioms(a, b, c):
             a / b
 
 
+def _small_param_polys(min_size):
+    """Small parameter polynomials, so that equal coefficients turn up often
+    and from different num/den representations."""
+    return st.dictionaries(st.integers(0, 2).map(lambda e: (e,)),
+                           st.sampled_from((-2, -1, 1, 2)).map(Fraction),
+                           min_size=min_size, max_size=2)
+
+
+coefficients_qq_t = st.builds(lambda num, den: Coefficient(num, den, 1),
+                              _small_param_polys(0), _small_param_polys(1))
+residues_mod_5 = st.integers(0, 9).map(lambda x: Modular(x, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(coefficients_qq_t, min_size=3, max_size=3),
+                 st.lists(residues_mod_5, min_size=3, max_size=3)))
+def test_coefficient_order_is_total_and_agrees_with_equality(elements):
+    a, b, c = elements
+    assert [a < b, b < a, a == b].count(True) == 1
+    if a < b and b < c:
+        assert a < c
+    assert sorted(elements) == sorted(elements[::-1])
+
+
 def test_specialize_parameter_mod_matches_rational_reduction():
     t = Polynomial.parameter(CTXP, "t")
     x, y = v("z1", CTXP), v("z2", CTXP)
@@ -246,9 +300,9 @@ def test_specialize_parameter_mod_matches_rational_reduction():
         image = f.specialize_parameter_mod(
             "t", Modular.from_rational(tau, 7).value, 7)
         assert image.context == Context(("z1", "z2"), (), 7)
-        assert image.terms == {m: Modular.from_rational(c.as_fraction(), 7)
+        assert image.terms == {m: Modular.from_rational(c, 7)
                                for m, c in over_q.terms.items()
-                               if c.as_fraction().numerator % 7}
+                               if c.numerator % 7}
     # t = 1 kills the (t - 1)*z2 term mod 7 as well
     assert f.specialize_parameter_mod("t", 8, 7).terms.keys() \
         == {(2, 0), (1, 1)}
