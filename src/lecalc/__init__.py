@@ -9,11 +9,10 @@ battery of sufficient conditions for equimultiplicity and reports a
 conservative verdict per rule.
 """
 
-from .engine import (DEFAULT_BUDGET, ColengthResult, Ideal, StandardBasis,
-                     colength_at_origin, colength_by_truncation,
-                     colength_global, contains_local_unit,
-                     dimension_at_origin, eliminate, ideals_equal,
-                     intersect, saturate, standard_basis)
+from .engine import (DEFAULT_BUDGET, Ideal, StandardBasis, colength_at_origin,
+                     colength_by_truncation, colength_global,
+                     contains_local_unit, dimension_at_origin, eliminate,
+                     ideals_equal, intersect, saturate, standard_basis)
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
                      LecalcError, MathRefusal, NonIntegerResultError,
@@ -35,7 +34,7 @@ from .poly import Coefficient, Context, Modular, Polynomial, render
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError", "Coefficient", "ColengthResult", "Context",
+    "BudgetExceededError", "Coefficient", "Context",
     "ContextError", "DEFAULT_BUDGET", "DegenerateInputError", "Family",
     "FamilyAnalysis", "GREVLEX", "Ideal", "IlmTable",
     "ImproperIntersectionError", "InternalCheckError", "InvariantRecord",

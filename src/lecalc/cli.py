@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest",
                         help="run the bundled corpus and acceptance checks")
     common(sp, with_input=False)
-    sp.add_argument("--corpus-dir", dest="corpus_dir", default=None,
-                    help="override the bundled corpus directory")
     return parser
 
 
@@ -291,7 +289,7 @@ def entrypoint(argv=None) -> int:
         if args.command == "selftest":
             from .selftest import run_selftest
             return run_selftest(seed=args.seed, budget=args.budget,
-                                fmt=args.fmt, corpus_dir=args.corpus_dir)
+                                fmt=args.fmt)
         cfg = _config_from_args(args)
         if args.command == "invariants":
             return cmd_invariants(cfg)

@@ -14,13 +14,15 @@ and truncated) or minimal ecart then position (Mora).  Each reducer takes
 leading terms off a heap of the remainder's monomials (Monagan-Pearce,
 CASC 2007) instead of rescanning it.
 
-Reduced bases: for global orders the classical reduced Groebner basis is
-emitted.  For the local order a fully reduced basis only exists when the
-leading ideal is zero-dimensional (tails can then be reduced canonically
-modulo m^N, N = 1 + the largest degree of a standard monomial, because every
-monomial of degree N is a leading monomial and so m^N lies in the ideal
-locally); in that case we emit that canonical basis.  Otherwise the basis is
-minimal, monic and deterministically sorted, with tails as computed.
+Reduced bases: one rule builds every reduced element, lt - NF(lt) =
+lt + NF(tail) for each leading term lt of a minimal basis (Greuel-Pfister,
+1.7).  Under a global order this is the classical reduced Groebner basis.
+Under the local order a fully reduced basis only exists when the leading
+ideal is zero-dimensional: the normal form is then taken modulo m^N,
+N = 1 + the largest degree of a standard monomial, because every monomial of
+degree N is a leading monomial and so m^N lies in the ideal locally.
+Otherwise the basis is minimal, monic and deterministically sorted, with
+tails as computed.  A colength is an int, or None when it is infinite.
 
 A reduction-step budget guards every basis computation; the default is 1e5
 single term-cancellation steps per basis.
@@ -84,25 +86,16 @@ class StandardBasis:
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
     leading_exponents: tuple[tuple[int, ...], ...]
-    fully_reduced: bool
     # local zero-dimensional bases only: the monomials outside the leading
-    # ideal, sorted by degree and then grevlex, and N = 1 + their largest
-    # degree, so that m^N lies in the ideal; tails and normal forms are
-    # reduced modulo m^N
-    truncation_bound: int | None = None
+    # ideal, sorted by degree and then grevlex
     standard_monomials: tuple[tuple[int, ...], ...] | None = None
 
-
-@dataclass(frozen=True)
-class ColengthResult:
-    """Vector-space dimension of the local quotient; value None means INFINITE."""
-
-    value: int | None
-    standard_monomials: tuple[tuple[int, ...], ...] | None
-
     @property
-    def is_finite(self) -> bool:
-        return self.value is not None
+    def truncation_bound(self) -> int | None:
+        """N = 1 + the largest degree of a standard monomial, so that m^N
+        lies in the ideal; tails and normal forms are reduced modulo m^N.
+        None unless the basis is local and zero-dimensional."""
+        return _truncation_bound(self.standard_monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +310,6 @@ def _s_polynomial(row_i, row_j, lcm):
     return s
 
 
-def _one_like_coeff(terms):
-    c = next(iter(terms.values()))
-    return c / c
-
-
 def _minimalize(rows, order):
     ordered = sorted(rows, key=lambda r: (sum(r[1]), order.key(r[1])))
     kept = []
@@ -368,52 +356,35 @@ def _staircase(exps, nvars):
     return tuple(sorted(out, key=GREVLEX.key))
 
 
+def _truncation_bound(stairs):
+    # every monomial of higher degree than the staircase is a leading
+    # monomial, so m^bound lies in the ideal; bound <= colength
+    return None if stairs is None else 1 + max(map(sum, stairs), default=-1)
+
+
 def standard_basis(ideal: Ideal, order: MonomialOrder,
                    budget: int = DEFAULT_BUDGET) -> StandardBasis:
     bud = _Budget(budget)
+    ctx = ideal.context
     input_rows = _canonical_input(ideal.generators, order)
-    rows = _pair_loop(input_rows, order, bud)
-    kept = _minimalize(rows, order)
+    kept = _minimalize(_pair_loop(input_rows, order, bud), order)
 
-    trunc_bound = stairs = None
-    if order.is_global:
-        # classical reduced basis: tails carry no reducible term
-        final = []
-        for idx, (terms, lt) in enumerate(kept):
-            others = [kept[k] for k in range(len(kept)) if k != idx]
-            red = _reduce(terms, others, order, bud) if others else dict(terms)
-            inv = red[lt]
-            final.append(({m: v / inv for m, v in red.items()}, lt))
-        kept = final
-        fully = True
-    else:
-        stairs = _staircase([lt for _, lt in kept], ideal.context.nvars)
-        if stairs is not None:
-            # every monomial of higher degree is a leading monomial, so
-            # m^trunc_bound lies in the ideal; trunc_bound <= colength
-            trunc_bound = 1 + max(map(sum, stairs), default=-1)
-            canon = []
-            one = _one_like_coeff(kept[0][0])
-            for terms, lt in kept:
-                rep = _reduce({lt: one}, kept, order, bud, trunc_bound)
-                g = {lt: one}
-                for m, c in rep.items():
-                    if m != lt:
-                        g[m] = -c
-                    else:
-                        g[m] = one - c  # cannot happen: lt is not standard
-                canon.append((g, lt))
-            kept = canon
-            fully = True
-        else:
-            fully = False
+    stairs = (None if order.is_global
+              else _staircase([lt for _, lt in kept], ctx.nvars))
+    if order.is_global or stairs is not None:
+        # reduced element lt - NF(lt) = lt + NF(tail), modulo m^bound under
+        # the local order; under a global order an element's own leading
+        # term never divides its tail, so this is the reduced Groebner basis
+        bound = _truncation_bound(stairs)
+        kept = [({lt: ctx.unit}
+                 | _reduce({m: c for m, c in terms.items() if m != lt},
+                           kept, order, bud, bound), lt)
+                for terms, lt in kept]
 
     kept.sort(key=lambda r: order.key(r[1]))
-    ctx = ideal.context
     elements = tuple(Polynomial(ctx, dict(t)) for t, _ in kept)
     lts = tuple(lt for _, lt in kept)
-    sb = StandardBasis(ideal, order, elements, lts, fully, trunc_bound,
-                       stairs)
+    sb = StandardBasis(ideal, order, elements, lts, stairs)
     if CHECK_BASES:
         _verify_basis(sb, input_rows, budget)
     return sb
@@ -469,20 +440,6 @@ def ideals_equal(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
 # ---------------------------------------------------------------------------
 # elimination, intersection, saturation
 
-def _embed(p: Polynomial, target: Context) -> Polynomial:
-    src = p.context
-    if src.parameters != target.parameters:
-        raise ContextError("embedding across different parameter tuples")
-    vmap = [target.var_index(v) for v in src.variables]
-    terms = {}
-    for m, c in p.terms.items():
-        nm = [0] * target.nvars
-        for i, e in enumerate(m):
-            nm[vmap[i]] = e
-        terms[tuple(nm)] = c
-    return Polynomial(target, terms)
-
-
 def eliminate(ideal: Ideal, drop: tuple[str, ...],
               budget: int = DEFAULT_BUDGET) -> Ideal | None:
     """Generators of ideal ∩ k[remaining variables], or None for the zero
@@ -510,11 +467,15 @@ def _eliminate_fresh_variable(ctx: Context, generators, budget: int) -> Ideal:
     extended ring, and return the result in ctx."""
     aux = ctx.fresh_name("u")
     ext = ctx.with_prepended_variable(aux)
-    gens = generators(Polynomial.variable(ext, aux), lambda p: _embed(p, ext))
+
+    def embed(p):
+        return Polynomial(ext, {(0,) + m: c for m, c in p.terms.items()})
+
+    gens = generators(Polynomial.variable(ext, aux), embed)
     out = eliminate(Ideal(ext, tuple(gens)), (aux,), budget)
     if out is None:
         raise InternalCheckError("elimination of a nonzero ideal came out zero")
-    return Ideal(ctx, tuple(p.rename(ctx) for p in out.generators))
+    return out  # dropping u leaves ctx's variables, so out lives in ctx
 
 
 def intersect(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
@@ -562,25 +523,20 @@ def saturate(i: Ideal, k: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
 # ---------------------------------------------------------------------------
 # numerical invariants of ideals
 
-def colength_at_origin(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ColengthResult:
-    """dim_F of (local ring at the origin) / ideal, F the coefficient field.
-
-    Finite exactly when every variable shows a pure power among the local
-    leading terms; then the standard monomials under the staircase are
-    returned too."""
+def colength_at_origin(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int | None:
+    """dim_F of (local ring at the origin) / ideal, F the coefficient field;
+    None when it is infinite.  Finite exactly when every variable shows a
+    pure power among the local leading terms."""
     stairs = standard_basis(ideal, LOCAL, budget).standard_monomials
-    if stairs is None:
-        return ColengthResult(None, None)
-    return ColengthResult(len(stairs), stairs)
+    return None if stairs is None else len(stairs)
 
 
 def dimension_at_origin(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int | None:
     """Krull dimension of the leading-term quotient under the local order;
     None means the germ is empty (the ideal contains a local unit)."""
-    sb = standard_basis(ideal, LOCAL, budget)
-    exps = sb.leading_exponents
-    if any(not any(e) for e in exps):
+    if contains_local_unit(ideal):
         return None
+    exps = standard_basis(ideal, LOCAL, budget).leading_exponents
     n = ideal.context.nvars
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
@@ -590,9 +546,11 @@ def dimension_at_origin(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int | Non
     raise InternalCheckError("dimension search fell through")
 
 
-def contains_local_unit(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
-    sb = standard_basis(ideal, LOCAL, budget)
-    return any(not any(e) for e in sb.leading_exponents)
+def contains_local_unit(ideal: Ideal) -> bool:
+    """Whether the ideal is the whole local ring at the origin: exactly when
+    some generator has a nonzero constant term, for otherwise every
+    generator, and with them the ideal, lies in the maximal ideal."""
+    return any(g.constant_coefficient() for g in ideal.generators)
 
 
 def colength_global(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int | None:
@@ -622,11 +580,10 @@ def _monomials_of_degree(ctx: Context, n: int):
 def _truncated_colength(ideal: Ideal, n: int, budget: int) -> int:
     ctx = ideal.context
     ms = [Polynomial.monomial(ctx, m) for m in _monomials_of_degree(ctx, n)]
-    sb = standard_basis(Ideal(ctx, ideal.generators + tuple(ms)), GREVLEX, budget)
-    stairs = _staircase(sb.leading_exponents, ctx.nvars)
-    if stairs is None:
+    colength = colength_global(Ideal(ctx, ideal.generators + tuple(ms)), budget)
+    if colength is None:
         raise InternalCheckError("truncated ideal must have finite colength")
-    return len(stairs)
+    return colength
 
 
 def colength_by_truncation(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:

@@ -515,9 +515,9 @@ class TheoremVerdict:
 class FamilyAnalysis:
     family: Family
     zero: SliceRecord | None
-    zero_failure: str | None
+    zero_failure: MathRefusal | None
     generic: SliceRecord | None
-    generic_failure: str | None
+    generic_failure: MathRefusal | None
     equimultiplicity: EquimultiplicityResult
     weights: WeightSystem | None
     upper: UpperReport | None
@@ -530,16 +530,21 @@ def analyze_family(f: Polynomial, rng: Random,
     try:
         zero = invariants_at(fam, ZERO, rng, budget)
     except MathRefusal as exc:
-        zero_failure = f"{type(exc).__name__}: {exc}"
+        zero_failure = exc
     generic = generic_failure = None
     try:
         generic = invariants_at(fam, GENERIC, rng, budget)
     except MathRefusal as exc:
-        generic_failure = f"{type(exc).__name__}: {exc}"
+        generic_failure = exc
     weights = detect_weights(fam.base)
     upper = is_upper(fam, weights) if weights is not None else None
     return FamilyAnalysis(fam, zero, zero_failure, generic, generic_failure,
                           is_equimultiple(fam), weights, upper)
+
+
+def failure_text(exc: MathRefusal | None) -> str | None:
+    """A slice failure as reports print it: "ClassName: message"."""
+    return None if exc is None else f"{type(exc).__name__}: {exc}"
 
 
 _LINE = "line_singularities_at_both_slices"
@@ -557,7 +562,7 @@ def _hypotheses(an: FamilyAnalysis, equisingular_asserted: bool,
     t = an.family.parameter
     zero = an.zero.record if an.zero is not None else None
     generic = an.generic.record if an.generic is not None else None
-    failures = [f"{where}: {failure}" for where, rec, failure in (
+    failures = [f"{where}: {failure_text(exc)}" for where, rec, exc in (
         (f"{t} = 0", zero, an.zero_failure),
         (f"generic {t}", generic, an.generic_failure)) if rec is None]
     if failures:

@@ -250,11 +250,11 @@ def milnor_number(f: Polynomial, variables: tuple[str, ...] | None = None,
     parts = _jacobian(g, g.context.variables)
     if not parts:
         raise DegenerateInputError("constant germ has no Milnor number")
-    res = colength_at_origin(Ideal(g.context, tuple(parts)), budget)
-    if not res.is_finite:
+    mu = colength_at_origin(Ideal(g.context, tuple(parts)), budget)
+    if mu is None:
         raise NonIsolatedError(
             "Jacobian ideal has infinite colength (non-isolated critical point)")
-    return res.value
+    return mu
 
 
 def milnor_orlik(w: WeightSystem, indices: tuple[int, ...]) -> int:
@@ -338,8 +338,7 @@ def is_line_singularity(f: Polynomial,
     jac = Ideal(ctx, tuple(p for p in parts if not p.is_zero()))
     extra = not all(
         contains_local_unit(
-            saturate(jac, Ideal(ctx, (Polynomial.variable(ctx, v),)), budget),
-            budget)
+            saturate(jac, Ideal(ctx, (Polynomial.variable(ctx, v),)), budget))
         for v in others)
     return LineSingularityCheck(vanishes, slice_isolated, slice_mu, extra)
 
@@ -383,22 +382,22 @@ def gamma1(gamma: Ideal, budget: int = DEFAULT_BUDGET) -> int:
     and its colength is 0)."""
     ctx = gamma.context
     z1 = Polynomial.variable(ctx, ctx.variables[0])
-    res = colength_at_origin(gamma.with_extra(z1), budget)
-    if not res.is_finite:
+    g1 = colength_at_origin(gamma.with_extra(z1), budget)
+    if g1 is None:
         raise ImproperIntersectionError(
             "polar curve meets V(z1) improperly (infinite colength)")
-    return res.value
+    return g1
 
 
 def lambda0(f: Polynomial, gamma: Ideal, budget: int = DEFAULT_BUDGET) -> int:
     """Intersection number of the polar curve with V(df/dz1) at the origin."""
     d1 = f.partial(f.context.variables[0])
     ideal = gamma if d1.is_zero() else gamma.with_extra(d1)
-    res = colength_at_origin(ideal, budget)
-    if not res.is_finite:
+    l0 = colength_at_origin(ideal, budget)
+    if l0 is None:
         raise ImproperIntersectionError(
             "polar curve meets V(df/dz1) improperly (infinite colength)")
-    return res.value
+    return l0
 
 
 def lambda1(f: Polynomial, rng: Random,
@@ -416,7 +415,7 @@ def lambda1(f: Polynomial, rng: Random,
     promoted = [p.promote_variable_to_parameter(axis) for p in parts]
     pctx = promoted[0].context
     generic = colength_at_origin(Ideal(pctx, tuple(promoted)), budget)
-    if not generic.is_finite:
+    if generic is None:
         raise InternalCheckError(
             "transverse Jacobian colength is infinite on a verified line "
             "singularity")
@@ -427,15 +426,15 @@ def lambda1(f: Polynomial, rng: Random,
             spec = [p for p in spec if not p.is_zero()]
             if not spec:
                 return False
-            res = colength_at_origin(Ideal(spec[0].context, tuple(spec)), budget)
-            return res.value == generic.value
+            return colength_at_origin(Ideal(spec[0].context, tuple(spec)),
+                                      budget) == generic
         except UnluckySpecializationError:
             return False
 
-    return generic.value, cross_checked_witnesses(
+    return generic, cross_checked_witnesses(
         rng, agrees,
         lambda point: f"transverse Milnor number at z1 = {point} disagrees "
-                      f"with the generic value {generic.value}")
+                      f"with the generic value {generic}")
 
 
 def lambda_k_vanishing(f: Polynomial, k: int, rng: Random,
@@ -564,11 +563,10 @@ def germ_record(f: Polynomial, rng: Random,
     l0 = lambda0(f, gamma, budget)
     l1, witnesses = lambda1(f, rng, budget)
 
-    res = colength_at_origin(gamma.with_extra(f), budget)
-    if not res.is_finite:
+    inter = colength_at_origin(gamma.with_extra(f), budget)
+    if inter is None:
         raise ImproperIntersectionError(
             "polar curve meets V(f) improperly (infinite colength)")
-    inter = res.value
     if inter != g1 + l0:
         raise InternalCheckError(
             f"intersection number {inter} != gamma1 + lambda0 = {g1 + l0}")

@@ -546,8 +546,12 @@ class Polynomial:
         """Map every ring variable to its image polynomial in the target context.
 
         Parameters of the source context must all exist in the target context;
-        they pass through unchanged."""
+        they pass through unchanged.  Residues mod p pass through into a
+        target over the same GF(p)."""
         ctx = self.context
+        if ctx.modulus and target.modulus != ctx.modulus:
+            raise ContextError(
+                f"target context is not over GF({ctx.modulus})")
         for v in ctx.variables:
             if v not in images:
                 raise ContextError(f"no image supplied for variable {v!r}")
@@ -565,8 +569,10 @@ class Polynomial:
             for i, e in enumerate(m):
                 if e:
                     piece = piece * imgs[i] ** e
-            c = target.coefficient(c) if isinstance(c, Fraction) \
-                else c.embed(target.nparams, index_map)
+            if isinstance(c, Fraction):
+                c = target.coefficient(c)
+            elif isinstance(c, Coefficient):
+                c = c.embed(target.nparams, index_map)
             acc = acc + piece * c
         return acc
 
@@ -645,12 +651,6 @@ class Polynomial:
         target = replace(ctx, variables=tuple(variables))
         out = {tuple(m[i] for i in keep): c for m, c in self.terms.items()}
         return Polynomial(target, out)
-
-    def rename(self, target: Context) -> "Polynomial":
-        """Reinterpret in a same-shape context (identical arities)."""
-        if (target.nvars, target.nparams) != (self.context.nvars, self.context.nparams):
-            raise ContextError("rename requires identical context shape")
-        return Polynomial(target, dict(self.terms))
 
     # -- normal forms under scaling ------------------------------------------
 

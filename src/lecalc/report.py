@@ -18,7 +18,7 @@ from .engine import DEFAULT_BUDGET
 from .errors import BudgetExceededError
 from .families import (EQUIMULTIPLE, IRREDUCIBLE_POLAR_CURVE,
                        NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED, ZERO,
-                       FamilyAnalysis, IlmTable, TheoremVerdict)
+                       FamilyAnalysis, IlmTable, TheoremVerdict, failure_text)
 from .invariants import InvariantRecord, WeightSystem
 from .poly import render as render_poly
 
@@ -153,8 +153,8 @@ def family_json(an: FamilyAnalysis) -> dict:
         "order_zero": an.equimultiplicity.order_zero,
         "order_generic": an.equimultiplicity.order_generic,
         "equimultiplicity": an.equimultiplicity.verdict,
-        "slice_errors": {"zero": an.zero_failure,
-                         "generic": an.generic_failure},
+        "slice_errors": {"zero": failure_text(an.zero_failure),
+                         "generic": failure_text(an.generic_failure)},
     }
 
 

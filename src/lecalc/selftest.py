@@ -22,7 +22,8 @@ from .engine import (DEFAULT_BUDGET, Ideal, colength_at_origin,
 from .errors import BudgetExceededError, MathRefusal, UsageError
 from .families import (EQUIMULTIPLE, GENERIC, HOLDS,
                        NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED, ZERO,
-                       analyze_family, evaluate_rules, verify_ilm)
+                       analyze_family, evaluate_rules, failure_text,
+                       verify_ilm)
 from .invariants import check_polar_ratio_lemma, detect_weights, milnor_number
 from .orders import GREVLEX, LOCAL
 from .parse import parse_polynomial
@@ -45,11 +46,9 @@ def expect(condition: bool, message: str) -> None:
 class SelfTestEnv:
     """Shared corpus cache so criteria reuse the expensive analyses."""
 
-    def __init__(self, seed: int = 0, budget: int = DEFAULT_BUDGET,
-                 corpus_dir: str | None = None):
+    def __init__(self, seed: int = 0, budget: int = DEFAULT_BUDGET):
         self.seed = seed
         self.budget = budget
-        self.corpus_dir = corpus_dir
         self._sources = None
         self._polys: dict = {}
         self._analyses: dict = {}
@@ -57,16 +56,9 @@ class SelfTestEnv:
     def corpus_sources(self):
         if self._sources is None:
             from .cli import read_input_file
-            if self.corpus_dir is not None:
-                root = Path(self.corpus_dir)
-                paths = sorted(root.glob("*.lec"))
-                if not paths:
-                    raise UsageError(f"no .lec files in {root}")
-            else:
-                root = Path(__file__).resolve().parent / "corpus"
-                paths = [root / name for name in CORPUS_FILES]
+            root = Path(__file__).resolve().parent / "corpus"
             out = {}
-            for path in paths:
+            for path in (root / name for name in CORPUS_FILES):
                 variables, parameter, expression = read_input_file(str(path))
                 out[path.stem] = (path, variables, parameter, expression)
             self._sources = out
@@ -103,12 +95,11 @@ class SelfTestEnv:
         sl = an.zero if where == ZERO else an.generic
         if sl is not None:
             return sl
-        failure = (an.zero_failure if where == ZERO
-                   else an.generic_failure) or "unavailable"
-        kind, _, message = failure.partition(": ")
-        if kind == "BudgetExceededError":
-            raise BudgetExceededError(message or kind, self.budget)
-        raise CheckFailure(f"{name} {where} slice unavailable: {failure}")
+        failure = an.zero_failure if where == ZERO else an.generic_failure
+        if isinstance(failure, BudgetExceededError):
+            raise failure
+        raise CheckFailure(
+            f"{name} {where} slice unavailable: {failure_text(failure)}")
 
     def records(self):
         """Every slice record of every corpus family."""
@@ -365,8 +356,8 @@ def suite_colength_oracle(env: SelfTestEnv, cases: int = 20) -> str:
         ideal = Ideal(ctx, tuple(gens))
         local = colength_at_origin(ideal, env.budget)
         truncated = colength_by_truncation(ideal, env.budget)
-        expect(local.value == truncated,
-               f"staircase count {local.value} != truncation count "
+        expect(local == truncated,
+               f"staircase count {local} != truncation count "
                f"{truncated} on {[render(g) for g in gens]}")
     return f"{cases} zero-dimensional ideals agree with the truncation oracle"
 
@@ -457,8 +448,8 @@ CRITERIA: tuple[tuple[str, object], ...] = (
 
 
 def run_selftest(seed: int = 0, budget: int = DEFAULT_BUDGET,
-                 fmt: str = "text", corpus_dir: str | None = None) -> int:
-    env = SelfTestEnv(seed, budget, corpus_dir)
+                 fmt: str = "text") -> int:
+    env = SelfTestEnv(seed, budget)
     count = env.load_corpus()
     results = []
     for index, (description, criterion) in enumerate(CRITERIA, start=1):

@@ -16,6 +16,8 @@ entirely adequate for desk-scale inputs.
 
 from __future__ import annotations
 
+from .orders import GREVLEX
+
 
 # ---------------------------------------------------------------------------
 # monomial helpers
@@ -36,10 +38,6 @@ def mdiv(a, b):
 
 def mlcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def grevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,7 @@ def pmul(a, b):
     return c
 
 
-def lead(a, key=grevlex_key):
+def lead(a, key=GREVLEX.key):
     """(monomial, coefficient) of the largest term under the key."""
     m = max(a, key=key)
     return m, a[m]

@@ -165,6 +165,17 @@ def test_selftest_out_of_budget_reports_json(capsys):
     assert "result:" not in text
 
 
+def test_selftest_budget_failure_in_a_slice_is_reraised(capsys):
+    # criterion 1 reads only the weights, which need no basis; criterion 2
+    # reads the generic slice, whose budget failure analyze_family stored
+    code, out, _ = run(capsys, "selftest", "--budget", "1",
+                       "--format", "json")
+    assert code == 2
+    results = json.loads(out)["results"]
+    assert [r["status"] for r in results] == ["PASS", "BUDGET_EXCEEDED"]
+    assert results[1]["detail"] == "reduction budget of 1 steps exhausted"
+
+
 def test_family_command_verdicts(capsys):
     code, out, _ = run(capsys, "family", "-e", SUSPENSION, "--param", "t")
     assert code == 0

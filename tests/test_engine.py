@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from lecalc import engine
 from lecalc.engine import (DEFAULT_BUDGET, Ideal, _Budget, _reduce,
                            colength_at_origin, colength_by_truncation,
                            colength_global, contains_local_unit,
@@ -42,9 +43,8 @@ def test_local_basis_tangent_cone_example(checked_bases):
     assert sorted(basis.leading_exponents) == [(0, 5), (1, 2), (2, 0)]
     # standard monomials reach degree 4, so m^5 lies in the ideal
     assert basis.truncation_bound == 5
-    result = colength_at_origin(ideal)
-    assert result.value == 7
-    assert sorted(result.standard_monomials) == [
+    assert colength_at_origin(ideal) == 7
+    assert sorted(basis.standard_monomials) == [
         (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)]
     assert colength_by_truncation(ideal) == 7
 
@@ -138,7 +138,7 @@ def test_bases_over_a_prime_field(checked_bases):
     c7 = Context(("z1", "z2"), (), 7)
     x, y = Polynomial.variable(c7, "z1"), Polynomial.variable(c7, "z2")
     cusp = Ideal(c7, (x ** 2 - y ** 3, x * y ** 2))
-    assert colength_at_origin(cusp).value == 7
+    assert colength_at_origin(cusp) == 7
     # the reduced basis over QQ is z2^2 + 2*z1, z1*z2 - 1, z1^2 + 1/2*z2;
     # 7 is a lucky prime for it, so its image mod 7 is the basis over GF(7)
     basis = standard_basis(Ideal(c7, (2 * x ** 2 + y, x * y - 1)), GREVLEX)
@@ -208,9 +208,14 @@ def test_saturation_matches_quotient_fixpoint_over_rational_functions():
         assert ideals_equal(saturate(sat, k), sat)
 
 
-def test_local_unit_detection():
+def test_local_unit_detection(monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("the local-unit test computed a basis")
+
+    monkeypatch.setattr(engine, "standard_basis", no_basis)
     assert contains_local_unit(Ideal(C2, (X + 1,)))
     assert not contains_local_unit(Ideal(C2, (X,)))
+    assert not contains_local_unit(Ideal(C2, (X ** 2 + X * Y, Y ** 3)))
 
 
 def test_dimension_at_origin():
@@ -223,7 +228,7 @@ def test_dimension_at_origin():
 def test_global_colength_counts_all_points():
     ideal = Ideal(C2, ((X - 1) * X, Y))
     assert colength_global(ideal) == 2
-    assert colength_at_origin(ideal).value == 1
+    assert colength_at_origin(ideal) == 1
 
 
 def test_budget_exhaustion_raises():
@@ -250,7 +255,7 @@ def test_colength_matches_truncation_on_random_zero_dim_ideals():
         if not extra.is_zero():
             pieces.append(extra)
         ideal = Ideal(C2, tuple(pieces))
-        assert colength_at_origin(ideal).value == colength_by_truncation(ideal)
+        assert colength_at_origin(ideal) == colength_by_truncation(ideal)
 
 
 C3 = Context(("z1", "z2", "z3"), ())
@@ -306,14 +311,44 @@ def _space_germ_and_polynomial():
 @example(_space_germ_and_polynomial())
 def test_highest_corner_keeps_colength_and_normal_forms(checked_bases, case):
     ideal, p = case
-    result = colength_at_origin(ideal)
-    assume(result.is_finite)
-    assert result.value == colength_by_truncation(ideal)
+    colength = colength_at_origin(ideal)
+    assume(colength is not None)
+    assert colength == colength_by_truncation(ideal)
     basis = standard_basis(ideal, LOCAL)
-    assert basis.truncation_bound <= result.value
+    assert basis.truncation_bound <= colength
     # the old bound (the colength) gives the same canonical normal form
     rows = list(zip((g.terms for g in basis.elements),
                     basis.leading_exponents))
     expected = _reduce(p.terms, rows, LOCAL, _Budget(DEFAULT_BUDGET),
-                       result.value)
+                       colength)
     assert normal_form(p, basis).terms == expected
+
+
+def _collapsing_saturation():
+    # V(2*z1^2*z2 + 5*z2^4, z1*z2^2) lies in {z2 = 0}, so the saturation by
+    # z2 is (1), presented by generators that need not be 1 themselves
+    ideal = Ideal(C2, (2 * X ** 2 * Y + 5 * Y ** 4, X * Y ** 2))
+    return saturate(ideal, Ideal(C2, (Y,)))
+
+
+@st.composite
+def _ideals_and_saturations(draw):
+    """An ideal in 2 or 3 variables whose generators may have a constant
+    term, or its saturation by z2, which often comes out as (1)."""
+    ctx = draw(st.sampled_from((C2, C3)))
+    ideal = Ideal(ctx, tuple(draw(st.lists(_small_polynomials(ctx, 0),
+                                           min_size=1, max_size=3))))
+    if draw(st.booleans()):
+        ideal = saturate(ideal, Ideal(ctx, (Polynomial.variable(ctx, "z2"),)))
+    return ideal
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ideals_and_saturations())
+@example(_collapsing_saturation())
+@example(Ideal(C2, (Y * (X + 1),)))
+def test_local_unit_agrees_with_a_local_basis(ideal):
+    # the oracle: the local standard basis shows a zero leading exponent
+    oracle = any(not any(e)
+                 for e in standard_basis(ideal, LOCAL).leading_exponents)
+    assert contains_local_unit(ideal) == oracle

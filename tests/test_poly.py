@@ -108,6 +108,18 @@ def test_substitute_is_a_ring_map():
     assert g == z2 ** 2 + z2 * (z1 + z2)
 
 
+def test_substitute_over_a_prime_field():
+    c7 = Context(("z1", "z2"), (), 7)
+    z1, z2 = v("z1", c7), v("z2", c7)
+    swapped = (3 * z1 + z2).substitute({"z1": z2, "z2": z1}, c7)
+    assert swapped.terms == {(1, 0): Modular(1, 7), (0, 1): Modular(3, 7)}
+    # residues mod 7 have no image in GF(11) or in QQ
+    for target in (Context(("z1", "z2"), (), 11), Context(("z1", "z2"), ())):
+        images = {"z1": v("z2", target), "z2": v("z1", target)}
+        with pytest.raises(ContextError):
+            (3 * z1 + z2).substitute(images, target)
+
+
 def test_eval_variable_zero():
     z1, z2, z3 = v("z1"), v("z2"), v("z3")
     f = z1 * z2 + z3 ** 2 + z1
