@@ -32,7 +32,6 @@ FAMILY = "z1^2*z2^2 + z2^5 + z3^4 + t*z1*z2^2 + t^2*z1^2*z2^2"
 class ExampleConfig:
     seed: int = 0
     budget: int = DEFAULT_BUDGET
-    skip_ilm: bool = False
 
 
 def main(cfg: ExampleConfig) -> int:
@@ -80,14 +79,13 @@ def main(cfg: ExampleConfig) -> int:
             print(line)
         print()
 
-    if not cfg.skip_ilm:
-        print("--- augmentation tables ---")
-        for where, sl in ((ZERO, an.zero), (GENERIC, an.generic)):
-            table = verify_ilm(fam, where, sl, Random(cfg.seed),
-                               budget=cfg.budget)
-            for line in ilm_text(ilm_json(table), fam.parameter):
-                print(line)
-            print()
+    print("--- augmentation tables ---")
+    for where, sl in ((ZERO, an.zero), (GENERIC, an.generic)):
+        table = verify_ilm(fam, where, sl, Random(cfg.seed),
+                           budget=cfg.budget)
+        for line in ilm_text(ilm_json(table), fam.parameter):
+            print(line)
+        print()
 
     eq = an.equimultiplicity
     print(f"orders: {eq.order_zero} (t = 0) vs {eq.order_generic} (generic)")
@@ -101,7 +99,5 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument("--skip-ilm", action="store_true",
-                        help="skip the (slower) augmentation tables")
     args = parser.parse_args()
-    sys.exit(main(ExampleConfig(args.seed, args.budget, args.skip_ilm)))
+    sys.exit(main(ExampleConfig(args.seed, args.budget)))

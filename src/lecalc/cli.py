@@ -19,6 +19,7 @@ from .errors import (ContextError, MathRefusal, NotLineSingularityError,
 from .families import (GENERIC, ZERO, analyze_family, decompose_family,
                        evaluate_rules, invariants_at, verify_ilm)
 from .invariants import germ_record, milnor_number
+from .orders import clear_key_tables
 from .parse import parse_polynomial
 from .poly import Context
 
@@ -283,6 +284,9 @@ def cmd_ilm(cfg: rp.RunConfig) -> int:
 # entry
 
 def entrypoint(argv=None) -> int:
+    # each command starts with empty key tables, so a process that runs many
+    # commands holds the monomials of one command at a time
+    clear_key_tables()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

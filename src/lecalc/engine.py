@@ -12,7 +12,8 @@ loop, pairs are selected by smallest lcm degree with ties broken by the
 active order (a heap of pairs), and reducers are chosen by position (global
 and truncated) or minimal ecart then position (Mora).  Each reducer takes
 leading terms off a heap of the remainder's monomials (Monagan-Pearce,
-CASC 2007) instead of rescanning it.
+CASC 2007) instead of rescanning it.  Monomial orders memoize their keys
+in one table per key and order (see `lecalc.orders`).
 
 Reduced bases: one rule builds every reduced element, lt - NF(lt) =
 lt + NF(tail) for each leading term lt of a minimal basis (Greuel-Pfister,
@@ -23,6 +24,12 @@ N = 1 + the largest degree of a standard monomial, because every monomial of
 degree N is a leading monomial and so m^N lies in the ideal locally.
 Otherwise the basis is minimal, monic and deterministically sorted, with
 tails as computed.  A colength is an int, or None when it is infinite.
+
+Saturation: I : K^infinity is the intersection of the Rabinowitsch
+eliminations I : g^infinity over the generators g of K, and `saturate`
+returns the reduced GREVLEX basis that the last elimination built.  A
+principal ideal is saturated by gcds and intersected by lcms, with no
+basis.
 
 A reduction-step budget guards every basis computation; the default is 1e5
 single term-cancellation steps per basis.
@@ -39,7 +46,7 @@ from . import sparse
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      InternalCheckError)
 from .orders import GREVLEX, LOCAL, MonomialOrder, elimination
-from .poly import Context, Polynomial
+from .poly import Context, Polynomial, multivariate_gcd
 
 DEFAULT_BUDGET = 100_000
 
@@ -219,18 +226,16 @@ def _terms_fingerprint(terms):
 
 
 def _canonical_input(gens, order):
-    seen = []
-    rows = []
+    """Monic, deduplicated rows sorted by (deg lt, order key of lt, length,
+    terms)."""
+    keyed = {}
     for g in gens:
         t = g.monic(order).terms
         fp = _terms_fingerprint(t)
-        if fp in seen:
-            continue
-        seen.append(fp)
-        rows.append(t)
-    rows.sort(key=lambda t: (sum(_lt(t, order)), order.key(_lt(t, order)),
-                             len(t), _terms_fingerprint(t)))
-    return rows
+        if fp not in keyed:
+            lt = _lt(t, order)
+            keyed[fp] = ((sum(lt), order.key(lt), len(t), fp), t)
+    return [t for _, t in sorted(keyed.values(), key=lambda kt: kt[0])]
 
 
 def _pair_loop(input_rows, order, budget):
@@ -491,11 +496,6 @@ def intersect(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
     return _eliminate_fresh_variable(a.context, generators, budget)
 
 
-def _normalized(ideal: Ideal, budget: int) -> Ideal:
-    sb = standard_basis(ideal, GREVLEX, budget)
-    return Ideal(ideal.context, sb.elements)
-
-
 def _saturate_by_element(i: Ideal, g: Polynomial, budget: int) -> Ideal:
     """I : g^infinity = (I + (1 - u*g)) ∩ F[z], u a fresh variable
     (Rabinowitsch): one elimination."""
@@ -507,17 +507,41 @@ def _saturate_by_element(i: Ideal, g: Polynomial, budget: int) -> Ideal:
     return _eliminate_fresh_variable(i.context, generators, budget)
 
 
+def _strip_common_factors(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / d, where d collects every factor of f that divides g, so that
+    (f) : g^infinity = (f / d): divide by gcd(h, g) until it is constant."""
+    h = f
+    while True:
+        d = multivariate_gcd(h, g)
+        if not d.total_degree():
+            return h
+        h = h.divide_exact(d)
+
+
 def saturate(i: Ideal, k: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
     """I : K^infinity as the intersection of I : g^infinity over the
     generators g of K, returned as the (unique) reduced GREVLEX basis.
-    Idempotent; the result contains I."""
+    Idempotent; the result contains I.
+
+    A principal I = (f) is saturated by gcds and intersected by lcms, and
+    builds no basis.  Otherwise the last elimination already yields the
+    reduced GREVLEX basis, in GREVLEX order: the block order's second block
+    is grevlex, and u-free tails are reduced against u-free leading terms
+    only."""
     if i.context != k.context:
         raise ContextError("saturation across different contexts")
+    if len(i.generators) == 1:
+        acc = None
+        for g in k.generators:
+            part = _strip_common_factors(i.generators[0], g)
+            acc = part if acc is None else (
+                acc * part).divide_exact(multivariate_gcd(acc, part))
+        return Ideal(i.context, (acc.monic(GREVLEX),))
     acc = None
     for g in k.generators:
         part = _saturate_by_element(i, g, budget)
         acc = part if acc is None else intersect(acc, part, budget)
-    return _normalized(acc, budget)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ Orders are exposed as key functions: ``order.key(m)`` returns a tuple and
 monomials compare by comparing keys, largest key = leading.
 ``order.neg_key(m)`` is the same key with every entry negated, so the
 leading monomial has the *smallest* ``neg_key`` (the order a ``heapq``
-min-heap pops in).  Both are plain functions bound once per order.  Three
-kinds:
+min-heap pops in).  Both are memoized: each order keeps one table per key,
+filled on first use, and ``elimination(drop)`` returns one interned order
+per drop block, so every elimination basis shares its tables.  A key never
+changes, so the tables only save recomputation, and ``clear_key_tables()``
+empties them without changing any result.  Three kinds:
 
 * ``grevlex``   -- global degree reverse lexicographic.
 * ``local``     -- negative degree reverse lexicographic; lower total degree
@@ -58,6 +61,19 @@ def _block_keys(drop):
     return key, neg_key
 
 
+class _KeyTable(dict):
+    """monomial -> key, computed by fn on first lookup."""
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, m):
+        k = self[m] = self.fn(m)
+        return k
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     kind: str
@@ -76,8 +92,8 @@ class MonomialOrder:
             keys = _block_keys(self.drop)
         else:
             raise ValueError(f"unknown order kind {self.kind!r}")
-        object.__setattr__(self, "key", keys[0])
-        object.__setattr__(self, "neg_key", keys[1])
+        object.__setattr__(self, "key", _KeyTable(keys[0]).__getitem__)
+        object.__setattr__(self, "neg_key", _KeyTable(keys[1]).__getitem__)
 
     @property
     def is_global(self) -> bool:
@@ -88,5 +104,20 @@ GREVLEX = MonomialOrder("grevlex")
 LOCAL = MonomialOrder("local")
 
 
+_ELIMINATION: dict[tuple[int, ...], MonomialOrder] = {}
+
+
 def elimination(drop_indices) -> MonomialOrder:
-    return MonomialOrder("elimination", tuple(sorted(drop_indices)))
+    drop = tuple(sorted(drop_indices))
+    order = _ELIMINATION.get(drop)
+    if order is None:
+        order = _ELIMINATION[drop] = MonomialOrder("elimination", drop)
+    return order
+
+
+def clear_key_tables():
+    """Empty the key tables of every order (``key`` and ``neg_key`` are the
+    bound ``__getitem__`` of their tables)."""
+    for order in (GREVLEX, LOCAL, *_ELIMINATION.values()):
+        order.key.__self__.clear()
+        order.neg_key.__self__.clear()

@@ -547,7 +547,8 @@ class Polynomial:
 
         Parameters of the source context must all exist in the target context;
         they pass through unchanged.  Residues mod p pass through into a
-        target over the same GF(p)."""
+        target over the same GF(p).  A rational whose denominator p divides
+        has no image in GF(p): UnluckySpecializationError."""
         ctx = self.context
         if ctx.modulus and target.modulus != ctx.modulus:
             raise ContextError(
@@ -570,7 +571,10 @@ class Polynomial:
                 if e:
                     piece = piece * imgs[i] ** e
             if isinstance(c, Fraction):
-                c = target.coefficient(c)
+                try:
+                    c = target.coefficient(c)
+                except ZeroDivisionError as exc:
+                    raise UnluckySpecializationError(str(exc)) from exc
             elif isinstance(c, Coefficient):
                 c = c.embed(target.nparams, index_map)
             acc = acc + piece * c

@@ -23,6 +23,7 @@ from lecalc.poly import Context, Polynomial, render
 C2 = Context(("z1", "z2"), ())
 X = Polynomial.variable(C2, "z1")
 Y = Polynomial.variable(C2, "z2")
+C3 = Context(("z1", "z2", "z3"), ())
 
 
 def gens(basis):
@@ -188,10 +189,23 @@ def _two_variable_ideals():
         lambda gs: Ideal(C2, tuple(gs)))
 
 
+def _space_hypersurface():
+    # a principal ideal in three variables: the factors z2^2 and z3 vanish
+    # on the z1-axis, and saturating by z2 strips z2^2 alone
+    x, y, z = (Polynomial.variable(C3, v) for v in C3.variables)
+    return Ideal(C3, (3 * y ** 2 * z * (x + z) * (x ** 2 - y * z),))
+
+
+SATURATE_BY = {C2: (("z2",), ("z1", "z2")), C3: (("z2",), ("z2", "z3"))}
+
+
 @settings(max_examples=40, deadline=None)
 @given(_two_variable_ideals())
+@example(_space_hypersurface())
 def test_saturation_matches_quotient_fixpoint(ideal):
-    for k in (Ideal(C2, (Y,)), Ideal(C2, (X, Y))):
+    ctx = ideal.context
+    for names in SATURATE_BY[ctx]:
+        k = Ideal(ctx, tuple(Polynomial.variable(ctx, v) for v in names))
         assert ideals_equal(saturate(ideal, k),
                             quotient_fixpoint_saturation(ideal, k))
 
@@ -201,11 +215,31 @@ def test_saturation_matches_quotient_fixpoint_over_rational_functions():
     x = Polynomial.variable(ctx, "z1")
     y = Polynomial.variable(ctx, "z2")
     t = Polynomial.parameter(ctx, "t")
-    ideal = Ideal(ctx, (t * x * y ** 2 + y ** 3, (x - t) * x ** 2 * y))
-    for k in (Ideal(ctx, (y,)), Ideal(ctx, (x, y))):
-        sat = saturate(ideal, k)
-        assert ideals_equal(sat, quotient_fixpoint_saturation(ideal, k))
-        assert ideals_equal(saturate(sat, k), sat)
+    for ideal in (Ideal(ctx, (t * x * y ** 2 + y ** 3, (x - t) * x ** 2 * y)),
+                  Ideal(ctx, ((x - t) * y ** 2 * (t * x + y ** 3),))):
+        for k in (Ideal(ctx, (y,)), Ideal(ctx, (x, y))):
+            sat = saturate(ideal, k)
+            assert ideals_equal(sat, quotient_fixpoint_saturation(ideal, k))
+            assert ideals_equal(saturate(sat, k), sat)
+
+
+def test_principal_saturation_builds_no_basis(monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a principal saturation computed a basis")
+
+    ideal = _space_hypersurface()
+    x, y, z = (Polynomial.variable(C3, v) for v in C3.variables)
+    monkeypatch.setattr(engine, "standard_basis", no_basis)
+    # a hypersurface has no component inside the z1-axis
+    by_axis = saturate(ideal, Ideal(C3, (y, z)))
+    assert by_axis.generators == (ideal.generators[0].monic(GREVLEX),)
+    by_z2 = saturate(ideal, Ideal(C3, (y,)))
+    stripped = z * (x + z) * (x ** 2 - y * z)
+    assert by_z2.generators == (stripped.monic(GREVLEX),)
+    assert saturate(Ideal(C2, (X * Y,)), Ideal(C2, (X, Y))).generators == (
+        X * Y,)
+    assert saturate(Ideal(C2, (2 * Y ** 3,)), Ideal(C2, (Y,))).generators == (
+        Polynomial.one(C2),)
 
 
 def test_local_unit_detection(monkeypatch):
@@ -256,9 +290,6 @@ def test_colength_matches_truncation_on_random_zero_dim_ideals():
             pieces.append(extra)
         ideal = Ideal(C2, tuple(pieces))
         assert colength_at_origin(ideal) == colength_by_truncation(ideal)
-
-
-C3 = Context(("z1", "z2", "z3"), ())
 
 
 def _small_polynomials(ctx, min_degree):
@@ -352,3 +383,15 @@ def test_local_unit_agrees_with_a_local_basis(ideal):
     oracle = any(not any(e)
                  for e in standard_basis(ideal, LOCAL).leading_exponents)
     assert contains_local_unit(ideal) == oracle
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((C2, C3)).flatmap(
+    lambda ctx: st.lists(_small_polynomials(ctx, 0), min_size=1, max_size=3)))
+def test_saturation_is_its_own_reduced_basis(generators):
+    ctx = generators[0].context
+    ideal = Ideal(ctx, tuple(generators))
+    for names in SATURATE_BY[ctx]:
+        k = Ideal(ctx, tuple(Polynomial.variable(ctx, v) for v in names))
+        sat = saturate(ideal, k)
+        assert sat.generators == standard_basis(sat, GREVLEX).elements

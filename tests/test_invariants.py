@@ -1,11 +1,13 @@
 """Germ invariants: weights, Milnor numbers, the polar curve of the axis,
 Le numbers, and the tabulated record for the worked examples."""
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from lecalc import engine
 from lecalc.engine import Ideal, ideals_equal
 from lecalc.errors import (DegenerateInputError, NonIsolatedError,
                            NonReducedError, NotLineSingularityError)
@@ -156,6 +158,24 @@ def test_germ_record_of_base():
     assert rec.intersection_with_hypersurface == rec.gamma1 + rec.lambda0
     assert rec.lambda_k_zero == (True,)
     assert not rec.polar_empty
+
+
+def test_germ_record_bases_by_order_kind(monkeypatch):
+    # local: slice Milnor number, polar dimension, gamma1, lambda0, lambda1
+    # and its two axis witnesses, the intersection cross-check; elimination:
+    # the line check's two saturations and the polar curve's two plus their
+    # intersection; grevlex: the two colengths of the lambda^2 test, whose
+    # principal polar ideal is saturated without a basis
+    kinds = []
+    standard_basis = engine.standard_basis
+
+    def spy(ideal, order, *args, **kwargs):
+        kinds.append(order.kind)
+        return standard_basis(ideal, order, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "standard_basis", spy)
+    germ_record(BASE, Random(0))
+    assert Counter(kinds) == {"local": 8, "elimination": 5, "grevlex": 2}
 
 
 def test_germ_record_of_suspension():

@@ -118,6 +118,12 @@ def test_substitute_over_a_prime_field():
         images = {"z1": v("z2", target), "z2": v("z1", target)}
         with pytest.raises(ContextError):
             (3 * z1 + z2).substitute(images, target)
+    # 1/7 has no image in GF(7): an unlucky specialization, not a crash
+    c2 = Context(("z1", "z2"), ())
+    f = Fraction(1, 7) * v("z1", c2) + v("z2", c2)
+    with pytest.raises(UnluckySpecializationError):
+        f.substitute({"z1": z2, "z2": z1}, c7)
+    assert (2 * v("z1", c2)).substitute({"z1": z2, "z2": z1}, c7) == 2 * z2
 
 
 def test_eval_variable_zero():

@@ -15,7 +15,10 @@ def _load(name):
 
 def test_worked_example_prints_the_contrapositive(capsys):
     example = _load("run_worked_example")
-    assert example.main(example.ExampleConfig(skip_ilm=True)) == 0
+    assert example.main(example.ExampleConfig()) == 0
     out = capsys.readouterr().out
     assert "lambda0: 21" in out
     assert "rule cmt3: NOT_TOPOLOGICALLY_V_EQUISINGULAR" in out
+    # both augmentation tables, at t = 0 and at generic t, pass
+    tables = out.split("--- augmentation tables ---")[1]
+    assert tables.count("result: PASS") == 2
