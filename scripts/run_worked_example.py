@@ -18,7 +18,7 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lecalc import (DEFAULT_BUDGET, Context, analyze_family, evaluate_rules,
+from lecalc import (Context, analyze_family, evaluate_rules,
                     parse_polynomial, render, verify_ilm)
 from lecalc.families import GENERIC, ZERO
 from lecalc.report import (ilm_json, ilm_text, record_json,
@@ -31,7 +31,6 @@ FAMILY = "z1^2*z2^2 + z2^5 + z3^4 + t*z1*z2^2 + t^2*z1^2*z2^2"
 @dataclass(frozen=True)
 class ExampleConfig:
     seed: int = 0
-    budget: int = DEFAULT_BUDGET
 
 
 def main(cfg: ExampleConfig) -> int:
@@ -42,7 +41,7 @@ def main(cfg: ExampleConfig) -> int:
     print(f"seed: {cfg.seed}")
     print()
 
-    an = analyze_family(f, rng, cfg.budget)
+    an = analyze_family(f, rng)
     fam = an.family
     print(f"base (t = 0): {render(fam.base)}")
     for j, g in fam.deformation:
@@ -69,7 +68,7 @@ def main(cfg: ExampleConfig) -> int:
 
     # assert irreducibility (the evidence supports it but cannot certify it)
     # so the contrapositive rule may fire
-    verdicts, evidence = evaluate_rules(an, False, True, cfg.budget)
+    verdicts, evidence = evaluate_rules(an, False, True)
     print(f"irreducibility evidence for the generic polar curve: "
           f"{evidence.verdict} ({evidence.certificate})")
     print()
@@ -81,8 +80,7 @@ def main(cfg: ExampleConfig) -> int:
 
     print("--- augmentation tables ---")
     for where, sl in ((ZERO, an.zero), (GENERIC, an.generic)):
-        table = verify_ilm(fam, where, sl, Random(cfg.seed),
-                           budget=cfg.budget)
+        table = verify_ilm(fam, where, sl, Random(cfg.seed))
         for line in ilm_text(ilm_json(table), fam.parameter):
             print(line)
         print()
@@ -98,6 +96,5 @@ def main(cfg: ExampleConfig) -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
-    sys.exit(main(ExampleConfig(args.seed, args.budget)))
+    sys.exit(main(ExampleConfig(args.seed)))

@@ -17,7 +17,7 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lecalc import (DEFAULT_BUDGET, Context, analyze_family, evaluate_rules,
+from lecalc import (Context, analyze_family, evaluate_rules,
                     parse_polynomial)
 from lecalc.families import EQUIMULTIPLE
 
@@ -26,7 +26,6 @@ from lecalc.families import EQUIMULTIPLE
 class SweepConfig:
     max_exponent: int = 4
     seed: int = 0
-    budget: int = DEFAULT_BUDGET
 
 
 def main(cfg: SweepConfig) -> int:
@@ -44,10 +43,10 @@ def main(cfg: SweepConfig) -> int:
         for b in range(a, cfg.max_exponent + 1):
             text = f"z2^{a} + z3^{b} + t*z2^{a + 1}"
             f = parse_polynomial(text, ctx)
-            an = analyze_family(f, Random(cfg.seed), cfg.budget)
+            an = analyze_family(f, Random(cfg.seed))
             rec = an.zero.record
             expected = (a - 1) * (b - 1)
-            verdicts, _ = evaluate_rules(an, False, False, cfg.budget)
+            verdicts, _ = evaluate_rules(an, False, False)
             verdict = {v.theorem: v for v in verdicts}["mt2"]
             orders = f"{an.equimultiplicity.order_zero}={an.equimultiplicity.order_generic}" \
                 if an.equimultiplicity.equimultiple else \
@@ -75,6 +74,5 @@ if __name__ == "__main__":
     parser.add_argument("--max-exponent", type=int, default=4,
                         help="largest exponent in the grid (default 4)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
-    sys.exit(main(SweepConfig(args.max_exponent, args.seed, args.budget)))
+    sys.exit(main(SweepConfig(args.max_exponent, args.seed)))

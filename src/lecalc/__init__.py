@@ -12,7 +12,8 @@ conservative verdict per rule.
 from .engine import (DEFAULT_BUDGET, Ideal, StandardBasis, colength_at_origin,
                      colength_by_truncation, colength_global,
                      contains_local_unit, dimension_at_origin, eliminate,
-                     ideals_equal, intersect, saturate, standard_basis)
+                     ideals_equal, intersect, saturate, standard_basis,
+                     step_budget)
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
                      LecalcError, MathRefusal, NonIntegerResultError,
@@ -50,5 +51,5 @@ __all__ = [
     "intersect", "irreducibility_evidence", "is_equimultiple",
     "is_line_singularity", "is_upper", "milnor_number", "order_at_origin",
     "parse_polynomial", "polar_variety_1", "render", "saturate",
-    "standard_basis", "verify_ilm",
+    "standard_basis", "step_budget", "verify_ilm",
 ]

@@ -13,9 +13,9 @@ import sys
 from random import Random
 
 from . import report as rp
-from .engine import DEFAULT_BUDGET
-from .errors import (ContextError, MathRefusal, NotLineSingularityError,
-                     UsageError)
+from .engine import DEFAULT_BUDGET, step_budget
+from .errors import (ContextError, MathRefusal, NonIsolatedError,
+                     NotLineSingularityError, UsageError)
 from .families import (GENERIC, ZERO, analyze_family, decompose_family,
                        evaluate_rules, invariants_at, verify_ilm)
 from .invariants import germ_record, milnor_number
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0; printed in the header)")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="reduction-step budget per basis computation")
+                        help="reduction-step budget for the whole command")
 
     sp = sub.add_parser("invariants",
                         help="invariant record of a single germ")
@@ -198,11 +198,11 @@ def cmd_invariants(cfg: rp.RunConfig) -> int:
             f"QQ({cfg.parameter}) with no specialization cross-check "
             "('lecalc family' performs one)")
     try:
-        rec = germ_record(f, rng, cfg.budget)
+        rec = germ_record(f, rng)
     except NotLineSingularityError as exc:
         try:
-            mu = milnor_number(f, budget=cfg.budget)
-        except MathRefusal:
+            mu = milnor_number(f)
+        except NonIsolatedError:
             mu = None
         doc["refusal"] = {"token": exc.token,
                           "message": str(exc),
@@ -227,9 +227,9 @@ def cmd_family(cfg: rp.RunConfig) -> int:
             "family analysis needs a parameter (--param or a param: line)")
     f = _parse_expression(cfg)
     rng = Random(cfg.seed)
-    an = analyze_family(f, rng, cfg.budget)
+    an = analyze_family(f, rng)
     verdicts, evidence = evaluate_rules(an, cfg.assert_equisingular,
-                                        cfg.assert_irreducible, cfg.budget)
+                                        cfg.assert_irreducible)
 
     doc = rp.base_json("family", cfg)
     doc["family"] = rp.family_json(an)
@@ -266,11 +266,11 @@ def cmd_ilm(cfg: rp.RunConfig) -> int:
             "ilm needs a parameter (--param or a param: line)")
     f = _parse_expression(cfg)
     rng = Random(cfg.seed)
-    fam = decompose_family(f, rng, cfg.budget)
-    slice0 = invariants_at(fam, ZERO, rng, cfg.budget)
-    sliceg = invariants_at(fam, GENERIC, rng, cfg.budget)
-    table0 = verify_ilm(fam, ZERO, slice0, rng, cfg.j_values, cfg.budget)
-    tableg = verify_ilm(fam, GENERIC, sliceg, rng, cfg.j_values, cfg.budget)
+    fam = decompose_family(f, rng)
+    slice0 = invariants_at(fam, ZERO, rng)
+    sliceg = invariants_at(fam, GENERIC, rng)
+    table0 = verify_ilm(fam, ZERO, slice0, rng, cfg.j_values)
+    tableg = verify_ilm(fam, GENERIC, sliceg, rng, cfg.j_values)
     passed = table0.passed and tableg.passed
     doc = rp.base_json("ilm", cfg)
     doc["ilm"] = {"zero": rp.ilm_json(table0),
@@ -295,13 +295,10 @@ def entrypoint(argv=None) -> int:
             return run_selftest(seed=args.seed, budget=args.budget,
                                 fmt=args.fmt)
         cfg = _config_from_args(args)
-        if args.command == "invariants":
-            return cmd_invariants(cfg)
-        if args.command == "family":
-            return cmd_family(cfg)
-        if args.command == "ilm":
-            return cmd_ilm(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        command = {"invariants": cmd_invariants, "family": cmd_family,
+                   "ilm": cmd_ilm}[args.command]
+        with step_budget(cfg.budget):
+            return command(cfg)
     except (UsageError, ContextError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

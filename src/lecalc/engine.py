@@ -31,12 +31,13 @@ returns the reduced GREVLEX basis that the last elimination built.  A
 principal ideal is saturated by gcds and intersected by lcms, with no
 basis.
 
-A reduction-step budget guards every basis computation; the default is 1e5
-single term-cancellation steps per basis.
+Each term-cancellation step draws on the budget `step_budget` made active,
+or outside any block on a fresh DEFAULT_BUDGET per basis and normal form.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -62,11 +63,31 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def tick(self, n: int = 1):
-        self.used += n
+    def tick(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(
-                f"reduction budget of {self.limit} steps exhausted", self.limit)
+                f"reduction budget of {self.limit} steps exhausted")
+
+
+_active_budget: _Budget | None = None
+
+
+@contextmanager
+def step_budget(limit: int):
+    """One budget of `limit` steps for every basis and normal form computed
+    in the block; yields it, and restores the outer budget on exit."""
+    global _active_budget
+    outer, _active_budget = _active_budget, _Budget(limit)
+    try:
+        yield _active_budget
+    finally:
+        _active_budget = outer
+
+
+def _current_budget() -> _Budget:
+    """The active budget, or a fresh DEFAULT_BUDGET outside any block."""
+    return _active_budget or _Budget(DEFAULT_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -367,9 +388,8 @@ def _truncation_bound(stairs):
     return None if stairs is None else 1 + max(map(sum, stairs), default=-1)
 
 
-def standard_basis(ideal: Ideal, order: MonomialOrder,
-                   budget: int = DEFAULT_BUDGET) -> StandardBasis:
-    bud = _Budget(budget)
+def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:
+    bud = _current_budget()
     ctx = ideal.context
     input_rows = _canonical_input(ideal.generators, order)
     kept = _minimalize(_pair_loop(input_rows, order, bud), order)
@@ -391,12 +411,11 @@ def standard_basis(ideal: Ideal, order: MonomialOrder,
     lts = tuple(lt for _, lt in kept)
     sb = StandardBasis(ideal, order, elements, lts, stairs)
     if CHECK_BASES:
-        _verify_basis(sb, input_rows, budget)
+        _verify_basis(sb, input_rows, bud)
     return sb
 
 
-def _verify_basis(sb: StandardBasis, input_rows, budget_limit):
-    bud = _Budget(budget_limit)
+def _verify_basis(sb: StandardBasis, input_rows, bud):
     order = sb.order
     rows = [(g.terms, lt) for g, lt in zip(sb.elements, sb.leading_exponents)]
     reduce_ = _reduce if order.is_global else _mora_nf
@@ -412,8 +431,7 @@ def _verify_basis(sb: StandardBasis, input_rows, budget_limit):
 # ---------------------------------------------------------------------------
 # membership and normal forms
 
-def normal_form(p: Polynomial, basis: StandardBasis,
-                budget: int = DEFAULT_BUDGET) -> Polynomial:
+def normal_form(p: Polynomial, basis: StandardBasis) -> Polynomial:
     """Remainder of p modulo the basis.
 
     Global orders and zero-dimensional local bases return the canonical
@@ -424,7 +442,7 @@ def normal_form(p: Polynomial, basis: StandardBasis,
     tails need not exist as polynomials in the local case)."""
     if p.context != basis.ideal.context:
         raise ContextError("normal form across different contexts")
-    bud = _Budget(budget)
+    bud = _current_budget()
     rows = list(zip((g.terms for g in basis.elements), basis.leading_exponents))
     if basis.order.is_global or basis.truncation_bound is not None:
         out = _reduce(p.terms, rows, basis.order, bud,
@@ -434,19 +452,18 @@ def normal_form(p: Polynomial, basis: StandardBasis,
     return Polynomial(p.context, out)
 
 
-def ideals_equal(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
+def ideals_equal(a: Ideal, b: Ideal) -> bool:
     """Two-sided membership (generator presentations are not canonical)."""
-    sa = standard_basis(a, GREVLEX, budget)
-    sb = standard_basis(b, GREVLEX, budget)
-    return (all(normal_form(g, sb, budget).is_zero() for g in a.generators)
-            and all(normal_form(g, sa, budget).is_zero() for g in b.generators))
+    sa = standard_basis(a, GREVLEX)
+    sb = standard_basis(b, GREVLEX)
+    return (all(normal_form(g, sb).is_zero() for g in a.generators)
+            and all(normal_form(g, sa).is_zero() for g in b.generators))
 
 
 # ---------------------------------------------------------------------------
 # elimination, intersection, saturation
 
-def eliminate(ideal: Ideal, drop: tuple[str, ...],
-              budget: int = DEFAULT_BUDGET) -> Ideal | None:
+def eliminate(ideal: Ideal, drop: tuple[str, ...]) -> Ideal | None:
     """Generators of ideal ∩ k[remaining variables], or None for the zero
     ideal (the empty-intersection marker)."""
     ctx = ideal.context
@@ -455,7 +472,7 @@ def eliminate(ideal: Ideal, drop: tuple[str, ...],
     if not remaining:
         raise ContextError("cannot eliminate every variable")
     order = elimination(drop_idx)
-    sb = standard_basis(ideal, order, budget)
+    sb = standard_basis(ideal, order)
     kept = []
     for g, lt in zip(sb.elements, sb.leading_exponents):
         if any(lt[i] for i in drop_idx):
@@ -466,7 +483,7 @@ def eliminate(ideal: Ideal, drop: tuple[str, ...],
     return Ideal(replace(ctx, variables=remaining), tuple(kept))
 
 
-def _eliminate_fresh_variable(ctx: Context, generators, budget: int) -> Ideal:
+def _eliminate_fresh_variable(ctx: Context, generators) -> Ideal:
     """Prepend a fresh variable u to ctx, eliminate u from the nonzero ideal
     of generators(u, embed), where embed maps a polynomial of ctx into the
     extended ring, and return the result in ctx."""
@@ -477,13 +494,13 @@ def _eliminate_fresh_variable(ctx: Context, generators, budget: int) -> Ideal:
         return Polynomial(ext, {(0,) + m: c for m, c in p.terms.items()})
 
     gens = generators(Polynomial.variable(ext, aux), embed)
-    out = eliminate(Ideal(ext, tuple(gens)), (aux,), budget)
+    out = eliminate(Ideal(ext, tuple(gens)), (aux,))
     if out is None:
         raise InternalCheckError("elimination of a nonzero ideal came out zero")
     return out  # dropping u leaves ctx's variables, so out lives in ctx
 
 
-def intersect(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
+def intersect(a: Ideal, b: Ideal) -> Ideal:
     """I ∩ J = (u*I + (1 - u)*J) ∩ F[z], u a fresh variable."""
     if a.context != b.context:
         raise ContextError("intersection across different contexts")
@@ -493,10 +510,10 @@ def intersect(a: Ideal, b: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
         return ([u * embed(g) for g in a.generators]
                 + [(one - u) * embed(g) for g in b.generators])
 
-    return _eliminate_fresh_variable(a.context, generators, budget)
+    return _eliminate_fresh_variable(a.context, generators)
 
 
-def _saturate_by_element(i: Ideal, g: Polynomial, budget: int) -> Ideal:
+def _saturate_by_element(i: Ideal, g: Polynomial) -> Ideal:
     """I : g^infinity = (I + (1 - u*g)) ∩ F[z], u a fresh variable
     (Rabinowitsch): one elimination."""
 
@@ -504,7 +521,7 @@ def _saturate_by_element(i: Ideal, g: Polynomial, budget: int) -> Ideal:
         return ([embed(p) for p in i.generators]
                 + [Polynomial.one(u.context) - u * embed(g)])
 
-    return _eliminate_fresh_variable(i.context, generators, budget)
+    return _eliminate_fresh_variable(i.context, generators)
 
 
 def _strip_common_factors(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -518,7 +535,7 @@ def _strip_common_factors(f: Polynomial, g: Polynomial) -> Polynomial:
         h = h.divide_exact(d)
 
 
-def saturate(i: Ideal, k: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
+def saturate(i: Ideal, k: Ideal) -> Ideal:
     """I : K^infinity as the intersection of I : g^infinity over the
     generators g of K, returned as the (unique) reduced GREVLEX basis.
     Idempotent; the result contains I.
@@ -539,28 +556,28 @@ def saturate(i: Ideal, k: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
         return Ideal(i.context, (acc.monic(GREVLEX),))
     acc = None
     for g in k.generators:
-        part = _saturate_by_element(i, g, budget)
-        acc = part if acc is None else intersect(acc, part, budget)
+        part = _saturate_by_element(i, g)
+        acc = part if acc is None else intersect(acc, part)
     return acc
 
 
 # ---------------------------------------------------------------------------
 # numerical invariants of ideals
 
-def colength_at_origin(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int | None:
+def colength_at_origin(ideal: Ideal) -> int | None:
     """dim_F of (local ring at the origin) / ideal, F the coefficient field;
     None when it is infinite.  Finite exactly when every variable shows a
     pure power among the local leading terms."""
-    stairs = standard_basis(ideal, LOCAL, budget).standard_monomials
+    stairs = standard_basis(ideal, LOCAL).standard_monomials
     return None if stairs is None else len(stairs)
 
 
-def dimension_at_origin(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int | None:
+def dimension_at_origin(ideal: Ideal) -> int | None:
     """Krull dimension of the leading-term quotient under the local order;
     None means the germ is empty (the ideal contains a local unit)."""
     if contains_local_unit(ideal):
         return None
-    exps = standard_basis(ideal, LOCAL, budget).leading_exponents
+    exps = standard_basis(ideal, LOCAL).leading_exponents
     n = ideal.context.nvars
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
@@ -577,9 +594,9 @@ def contains_local_unit(ideal: Ideal) -> bool:
     return any(g.constant_coefficient() for g in ideal.generators)
 
 
-def colength_global(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int | None:
+def colength_global(ideal: Ideal) -> int | None:
     """Affine quotient dimension dim_F F[z]/I (all points, with multiplicity)."""
-    sb = standard_basis(ideal, GREVLEX, budget)
+    sb = standard_basis(ideal, GREVLEX)
     stairs = _staircase(sb.leading_exponents, ideal.context.nvars)
     return None if stairs is None else len(stairs)
 
@@ -601,27 +618,27 @@ def _monomials_of_degree(ctx: Context, n: int):
     return out
 
 
-def _truncated_colength(ideal: Ideal, n: int, budget: int) -> int:
+def _truncated_colength(ideal: Ideal, n: int) -> int:
     ctx = ideal.context
     ms = [Polynomial.monomial(ctx, m) for m in _monomials_of_degree(ctx, n)]
-    colength = colength_global(Ideal(ctx, ideal.generators + tuple(ms)), budget)
+    colength = colength_global(Ideal(ctx, ideal.generators + tuple(ms)))
     if colength is None:
         raise InternalCheckError("truncated ideal must have finite colength")
     return colength
 
 
-def colength_by_truncation(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
+def colength_by_truncation(ideal: Ideal) -> int:
     """Colength via global bases of I + m^N with N doubling until two
     consecutive values agree.  Independent of the local (Mora) machinery."""
     maxdeg = max(g.total_degree() for g in ideal.generators)
     n = 2 * maxdeg + 2
-    prev = _truncated_colength(ideal, n, budget)
+    prev = _truncated_colength(ideal, n)
     while True:
         n *= 2
         if n > 4096:
             raise DegenerateInputError(
                 "truncation oracle did not stabilize (colength likely infinite)")
-        cur = _truncated_colength(ideal, n, budget)
+        cur = _truncated_colength(ideal, n)
         if cur == prev:
             return cur
         prev = cur

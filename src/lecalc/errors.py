@@ -92,10 +92,6 @@ class BudgetExceededError(MathRefusal):
     """Reduction-step budget exhausted during a basis computation."""
     token = "BUDGET_EXCEEDED"
 
-    def __init__(self, message: str, limit: int):
-        super().__init__(message)
-        self.limit = limit
-
 
 class InternalCheckError(LecalcError):
     """A cross-check that must hold by theorem failed: indicates a bug."""

@@ -22,10 +22,10 @@ from fractions import Fraction
 from math import isqrt, lcm
 from random import Random
 
-from .engine import DEFAULT_BUDGET, Ideal
-from .errors import (ContextError, DegenerateInputError, InternalCheckError,
-                     MathRefusal, NonIsolatedError, NonReducedError,
-                     UnluckySpecializationError, UsageError)
+from .engine import Ideal
+from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
+                     InternalCheckError, MathRefusal, NonIsolatedError,
+                     NonReducedError, UnluckySpecializationError, UsageError)
 from .invariants import (InvariantRecord, WeightSystem,
                          cross_checked_witnesses, detect_weights,
                          draw_distinct_rationals, germ_record, milnor_number,
@@ -72,8 +72,7 @@ class Family:
         return self.full.specialize_parameter_mod(self.parameter, value, prime)
 
 
-def decompose_family(f: Polynomial, rng: Random,
-                     budget: int = DEFAULT_BUDGET) -> Family:
+def decompose_family(f: Polynomial, rng: Random) -> Family:
     """Split F = f0 + sum t^j g_j, checking that the origin stays on every
     member and that f0 and two random members are reduced."""
     ctx = f.context
@@ -167,21 +166,22 @@ def _comparable(rec: InvariantRecord):
             rec.lambda_k_zero)
 
 
-def invariants_at(fam: Family, where: str, rng: Random,
-                  budget: int = DEFAULT_BUDGET) -> SliceRecord:
+def invariants_at(fam: Family, where: str, rng: Random) -> SliceRecord:
     """The full invariant record of one slice.  GENERIC works over the
     fraction field and re-derives every invariant at two random rational
     parameter values; a disagreeing draw is redrawn once and then refused."""
     if where == ZERO:
-        return SliceRecord(ZERO, germ_record(fam.base, rng, budget), ())
+        return SliceRecord(ZERO, germ_record(fam.base, rng), ())
     if where != GENERIC:
         raise UsageError(f"unknown slice {where!r}")
-    rec = germ_record(fam.full, rng, budget)
+    rec = germ_record(fam.full, rng)
     expected = _comparable(rec)
 
     def agrees(tau: Fraction) -> bool:
         try:
-            spec = germ_record(fam.member(tau), rng, budget)
+            spec = germ_record(fam.member(tau), rng)
+        except BudgetExceededError:
+            raise
         except MathRefusal:
             return False
         return _comparable(spec) == expected
@@ -252,21 +252,21 @@ def default_j_values(lambda0_value: int) -> tuple[int, ...]:
     return tuple(range(start, start + 4))
 
 
-def _augmented_milnor(g: Polynomial, j: int, budget: int) -> int | None:
+def _augmented_milnor(g: Polynomial, j: int) -> int | None:
     """mu(g + z1^j), or None when the augmented germ stays non-isolated."""
     ctx = g.context
     z1 = Polynomial.variable(ctx, ctx.variables[0])
     try:
-        return milnor_number(g + z1 ** j, budget=budget)
+        return milnor_number(g + z1 ** j)
     except NonIsolatedError:
         return None
 
 
 def _generic_augmented_milnor(fam: Family, j: int,
-                              points: tuple[tuple[int, int], ...],
-                              budget: int) -> list[int | None]:
+                              points: tuple[tuple[int, int], ...]
+                              ) -> list[int | None]:
     """mu(f_t + z1^j) over GF(p) at t = tau, for each (p, tau) in points."""
-    return [_augmented_milnor(fam.member_mod(tau, p), j, budget)
+    return [_augmented_milnor(fam.member_mod(tau, p), j)
             for p, tau in points]
 
 
@@ -275,9 +275,26 @@ def _draw_mod_points(rng: Random) -> tuple[tuple[int, int], ...]:
     return tuple((p, rng.randint(1, p - 1)) for p in PRIMES)
 
 
+def _generic_ilm_values(
+        fam: Family, js: list[int], rng: Random
+) -> tuple[list[int | None], tuple[tuple[int, int], ...]]:
+    """mu(f_t + z1^j) over GF(p) for every j in js, all at one pair of
+    points from _draw_mod_points, and that pair.  If the two primes disagree
+    on any row, every row is recomputed at a redrawn pair; then refuse."""
+    for _ in range(2):
+        points = _draw_mod_points(rng)
+        pairs = [_generic_augmented_milnor(fam, j, points) for j in js]
+        split = [j for j, (a, b) in zip(js, pairs) if a != b]
+        if not split:
+            return [a for a, _ in pairs], points
+    axis = fam.base.context.variables[0]
+    raise UnluckySpecializationError(
+        f"mu(f + {axis}^{split[0]}) disagrees at " + " and ".join(
+            f"{fam.parameter} = {tau} mod {p}" for p, tau in points))
+
+
 def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
-               j_values: tuple[int, ...] | None = None,
-               budget: int = DEFAULT_BUDGET) -> IlmTable:
+               j_values: tuple[int, ...] | None = None) -> IlmTable:
     """mu(f_t + z1^j) for each j against the two augmentation identities
     mu = lambda0 + (j-1) lambda1 and mu + mu_slice = (gamma1+lambda0) +
     j lambda1; also re-derives (lambda0, lambda1, gamma1+lambda0) from the
@@ -302,33 +319,16 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
 
     mu_slice = rec.slice_milnor
     expected = (rec.lambda0, rec.lambda1, rec.gamma1 + rec.lambda0)
-    witnesses: tuple[tuple[int, int], ...] = ()
-
+    js = sorted(j_values)
     if where == ZERO:
-        def mu_of(j: int) -> int | None:
-            return _augmented_milnor(fam.base, j, budget)
+        mus, witnesses = [_augmented_milnor(fam.base, j) for j in js], ()
     else:
-        witnesses = _draw_mod_points(rng)
-
-        def mu_of(j: int) -> int | None:
-            nonlocal witnesses
-            pair = _generic_augmented_milnor(fam, j, witnesses, budget)
-            if pair[0] != pair[1]:
-                witnesses = _draw_mod_points(rng)
-                pair = _generic_augmented_milnor(fam, j, witnesses, budget)
-                if pair[0] != pair[1]:
-                    axis = fam.base.context.variables[0]
-                    raise UnluckySpecializationError(
-                        f"mu(f + {axis}^{j}) disagrees at " + " and ".join(
-                            f"{fam.parameter} = {tau} mod {p}"
-                            for p, tau in witnesses))
-            return pair[0]
+        mus, witnesses = _generic_ilm_values(fam, js, rng)
 
     rows = []
     values: dict[int, int] = {}
-    for j in sorted(j_values):
+    for j, mu in zip(js, mus):
         predicted = rec.lambda0 + (j - 1) * rec.lambda1
-        mu = mu_of(j)
         if mu is None:
             rows.append(IlmRow(j, None, predicted, None, None,
                                "augmented germ is not an isolated singularity"))
@@ -339,16 +339,16 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
                            None))
 
     inferred = None
-    js = sorted(values)
-    if len(js) >= 2:
+    found = sorted(values)
+    if len(found) >= 2:
         slopes = set()
-        for a, b in zip(js, js[1:]):
+        for a, b in zip(found, found[1:]):
             delta, rem = divmod(values[b] - values[a], b - a)
             slopes.add(None if rem else delta)
         if len(slopes) == 1 and None not in slopes:
             lam1 = slopes.pop()
-            lam0 = values[js[0]] - (js[0] - 1) * lam1
-            total = values[js[0]] + mu_slice - js[0] * lam1
+            lam0 = values[found[0]] - (found[0] - 1) * lam1
+            total = values[found[0]] + mu_slice - found[0] * lam1
             inferred = (lam0, lam1, total)
     return IlmTable(where, tuple(rows), mu_slice, inferred, expected, witnesses)
 
@@ -523,17 +523,16 @@ class FamilyAnalysis:
     upper: UpperReport | None
 
 
-def analyze_family(f: Polynomial, rng: Random,
-                   budget: int = DEFAULT_BUDGET) -> FamilyAnalysis:
-    fam = decompose_family(f, rng, budget)
+def analyze_family(f: Polynomial, rng: Random) -> FamilyAnalysis:
+    fam = decompose_family(f, rng)
     zero = zero_failure = None
     try:
-        zero = invariants_at(fam, ZERO, rng, budget)
+        zero = invariants_at(fam, ZERO, rng)
     except MathRefusal as exc:
         zero_failure = exc
     generic = generic_failure = None
     try:
-        generic = invariants_at(fam, GENERIC, rng, budget)
+        generic = invariants_at(fam, GENERIC, rng)
     except MathRefusal as exc:
         generic_failure = exc
     weights = detect_weights(fam.base)
@@ -639,12 +638,12 @@ def _hypotheses(an: FamilyAnalysis, equisingular_asserted: bool,
     return checks
 
 
-def _mt2_notes(an: FamilyAnalysis, checks: dict[str, HypothesisCheck],
-               budget: int) -> list[str]:
+def _mt2_notes(an: FamilyAnalysis,
+               checks: dict[str, HypothesisCheck]) -> list[str]:
     notes = []
     if checks["smallest_weight_divides_degree"].status == HOLDS \
             and an.weights.smallest_index == 0:
-        notes.append(_axis_weight_note(an, budget))
+        notes.append(_axis_weight_note(an))
     if checks["le_numbers_constant"].status == HOLDS and \
             checks["degree_ratio_meets_augmentation_threshold"].status == HOLDS:
         t = an.family.parameter
@@ -654,7 +653,7 @@ def _mt2_notes(an: FamilyAnalysis, checks: dict[str, HypothesisCheck],
     return notes
 
 
-def _axis_weight_note(an: FamilyAnalysis, budget: int) -> str:
+def _axis_weight_note(an: FamilyAnalysis) -> str:
     """When the smallest weight sits on the axis variable, the weighted
     augmentation z_min^{d/w_min} coincides with the axis form z_axis^j;
     report the Milnor numbers of both slices' augmented germs rather than
@@ -672,9 +671,9 @@ def _axis_weight_note(an: FamilyAnalysis, budget: int) -> str:
                    for p, tau in zip(PRIMES, fam.reduced_witnesses))
     try:
         for where, mus_of in (
-                (f"{t} = 0", lambda: [_augmented_milnor(fam.base, e, budget)]),
+                (f"{t} = 0", lambda: [_augmented_milnor(fam.base, e)]),
                 (f"generic {t}",
-                 lambda: _generic_augmented_milnor(fam, e, points, budget))):
+                 lambda: _generic_augmented_milnor(fam, e, points))):
             mus = set(mus_of())
             note += f"; mu at {where} with {axis}^{e} added"
             if len(mus) > 1:
@@ -700,7 +699,7 @@ class Rule:
     triggers: tuple[str, ...]
     contradiction: str | None
     contradiction_note: str   # formatted with the two orders {zero}, {generic}
-    extra_notes: Callable[..., list[str]] | None = None   # (an, checks, budget)
+    extra_notes: Callable[..., list[str]] | None = None   # (an, checks)
 
 
 _EQUISINGULAR = ("topologically_V_equisingular",)
@@ -740,7 +739,7 @@ RULES = (
 
 
 def evaluate_rules(an: FamilyAnalysis, equisingular_asserted: bool,
-                   irreducible_asserted: bool, budget: int = DEFAULT_BUDGET
+                   irreducible_asserted: bool
                    ) -> tuple[tuple[TheoremVerdict, ...], EvidenceReport | None]:
     """The verdicts of every rule in RULES, in order, and the heuristic
     irreducibility evidence for the generic polar curve they cite (None
@@ -756,7 +755,7 @@ def evaluate_rules(an: FamilyAnalysis, equisingular_asserted: bool,
     eq = an.equimultiplicity
     verdicts = []
     for rule in RULES:
-        notes = rule.extra_notes(an, checks, budget) if rule.extra_notes else []
+        notes = rule.extra_notes(an, checks) if rule.extra_notes else []
         conclusion = INCONCLUSIVE
         if held.issuperset(rule.premises):
             if not eq.equimultiple:

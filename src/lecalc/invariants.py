@@ -18,9 +18,8 @@ from itertools import product as iter_product
 from math import gcd, lcm
 from random import Random
 
-from .engine import (DEFAULT_BUDGET, Ideal, colength_at_origin,
-                     colength_global, contains_local_unit, dimension_at_origin,
-                     saturate)
+from .engine import (Ideal, colength_at_origin, colength_global,
+                     contains_local_unit, dimension_at_origin, saturate)
 from .errors import (ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
                      NonIntegerResultError, NonIsolatedError,
@@ -238,8 +237,8 @@ def _jacobian(f: Polynomial, variables: tuple[str, ...]) -> list[Polynomial]:
     return [p for p in parts if not p.is_zero()]
 
 
-def milnor_number(f: Polynomial, variables: tuple[str, ...] | None = None,
-                  budget: int = DEFAULT_BUDGET) -> int:
+def milnor_number(f: Polynomial,
+                  variables: tuple[str, ...] | None = None) -> int:
     """Colength of the Jacobian ideal in the ring of the given variables;
     refuses non-isolated critical points."""
     if variables is None:
@@ -250,7 +249,7 @@ def milnor_number(f: Polynomial, variables: tuple[str, ...] | None = None,
     parts = _jacobian(g, g.context.variables)
     if not parts:
         raise DegenerateInputError("constant germ has no Milnor number")
-    mu = colength_at_origin(Ideal(g.context, tuple(parts)), budget)
+    mu = colength_at_origin(Ideal(g.context, tuple(parts)))
     if mu is None:
         raise NonIsolatedError(
             "Jacobian ideal has infinite colength (non-isolated critical point)")
@@ -304,8 +303,7 @@ def _restrict_to_axis(p: Polynomial) -> Polynomial:
     return out
 
 
-def is_line_singularity(f: Polynomial,
-                        budget: int = DEFAULT_BUDGET) -> LineSingularityCheck:
+def is_line_singularity(f: Polynomial) -> LineSingularityCheck:
     """Three checks: every partial vanishes identically on the z1-axis, the
     slice f|V(z1) has an isolated singularity, and the Jacobian ideal
     saturated by (z2, ..., zn) stays away from the origin (the critical locus
@@ -330,7 +328,7 @@ def is_line_singularity(f: Polynomial,
         slice_isolated = False
     else:
         try:
-            slice_mu = milnor_number(slice_poly, others, budget)
+            slice_mu = milnor_number(slice_poly, others)
             slice_isolated = True
         except NonIsolatedError:
             slice_isolated = False
@@ -338,14 +336,13 @@ def is_line_singularity(f: Polynomial,
     jac = Ideal(ctx, tuple(p for p in parts if not p.is_zero()))
     extra = not all(
         contains_local_unit(
-            saturate(jac, Ideal(ctx, (Polynomial.variable(ctx, v),)), budget))
+            saturate(jac, Ideal(ctx, (Polynomial.variable(ctx, v),))))
         for v in others)
     return LineSingularityCheck(vanishes, slice_isolated, slice_mu, extra)
 
 
-def require_line_singularity(f: Polynomial,
-                             budget: int = DEFAULT_BUDGET) -> LineSingularityCheck:
-    check = is_line_singularity(f, budget)
+def require_line_singularity(f: Polynomial) -> LineSingularityCheck:
+    check = is_line_singularity(f)
     if not check.is_line_singularity:
         raise NotLineSingularityError(
             f"germ is not a line singularity (failing check: "
@@ -356,7 +353,7 @@ def require_line_singularity(f: Polynomial,
 # ---------------------------------------------------------------------------
 # polar curve and its numbers
 
-def polar_variety_1(f: Polynomial, budget: int = DEFAULT_BUDGET) -> Ideal:
+def polar_variety_1(f: Polynomial) -> Ideal:
     """The relative polar curve: components of V(partials transverse to the
     axis) not contained in the singular line, as the saturation by
     (z2, ..., zn).  Its germ must be a curve or empty."""
@@ -365,10 +362,9 @@ def polar_variety_1(f: Polynomial, budget: int = DEFAULT_BUDGET) -> Ideal:
     gens = _jacobian(f, others)
     if not gens:
         raise DegenerateInputError("germ depends only on the axis variable")
-    gamma = saturate(Ideal(ctx, tuple(gens)),
-                     Ideal(ctx, tuple(Polynomial.variable(ctx, v) for v in others)),
-                     budget)
-    dim = dimension_at_origin(gamma, budget)
+    axis_ideal = Ideal(ctx, tuple(Polynomial.variable(ctx, v) for v in others))
+    gamma = saturate(Ideal(ctx, tuple(gens)), axis_ideal)
+    dim = dimension_at_origin(gamma)
     if dim is not None and dim != 1:
         raise PolarDimensionError(
             f"polar variety has dimension {dim} at the origin (expected a "
@@ -376,32 +372,31 @@ def polar_variety_1(f: Polynomial, budget: int = DEFAULT_BUDGET) -> Ideal:
     return gamma
 
 
-def gamma1(gamma: Ideal, budget: int = DEFAULT_BUDGET) -> int:
+def gamma1(gamma: Ideal) -> int:
     """Intersection number of the polar curve with V(z1) at the origin; 0
     when the curve misses the origin (the ideal then contains a local unit
     and its colength is 0)."""
     ctx = gamma.context
     z1 = Polynomial.variable(ctx, ctx.variables[0])
-    g1 = colength_at_origin(gamma.with_extra(z1), budget)
+    g1 = colength_at_origin(gamma.with_extra(z1))
     if g1 is None:
         raise ImproperIntersectionError(
             "polar curve meets V(z1) improperly (infinite colength)")
     return g1
 
 
-def lambda0(f: Polynomial, gamma: Ideal, budget: int = DEFAULT_BUDGET) -> int:
+def lambda0(f: Polynomial, gamma: Ideal) -> int:
     """Intersection number of the polar curve with V(df/dz1) at the origin."""
     d1 = f.partial(f.context.variables[0])
     ideal = gamma if d1.is_zero() else gamma.with_extra(d1)
-    l0 = colength_at_origin(ideal, budget)
+    l0 = colength_at_origin(ideal)
     if l0 is None:
         raise ImproperIntersectionError(
             "polar curve meets V(df/dz1) improperly (infinite colength)")
     return l0
 
 
-def lambda1(f: Polynomial, rng: Random,
-            budget: int = DEFAULT_BUDGET) -> tuple[int, tuple[Fraction, Fraction]]:
+def lambda1(f: Polynomial, rng: Random) -> tuple[int, tuple[Fraction, Fraction]]:
     """Transverse Milnor number at the generic point of the axis: colength of
     the transverse Jacobian ideal with z1 promoted to a transcendental
     parameter; cross-checked at two random rational axis points (each
@@ -414,7 +409,7 @@ def lambda1(f: Polynomial, rng: Random,
         raise DegenerateInputError("germ depends only on the axis variable")
     promoted = [p.promote_variable_to_parameter(axis) for p in parts]
     pctx = promoted[0].context
-    generic = colength_at_origin(Ideal(pctx, tuple(promoted)), budget)
+    generic = colength_at_origin(Ideal(pctx, tuple(promoted)))
     if generic is None:
         raise InternalCheckError(
             "transverse Jacobian colength is infinite on a verified line "
@@ -426,8 +421,8 @@ def lambda1(f: Polynomial, rng: Random,
             spec = [p for p in spec if not p.is_zero()]
             if not spec:
                 return False
-            return colength_at_origin(Ideal(spec[0].context, tuple(spec)),
-                                      budget) == generic
+            return colength_at_origin(
+                Ideal(spec[0].context, tuple(spec))) == generic
         except UnluckySpecializationError:
             return False
 
@@ -437,8 +432,7 @@ def lambda1(f: Polynomial, rng: Random,
                       f"with the generic value {generic}")
 
 
-def lambda_k_vanishing(f: Polynomial, k: int, rng: Random,
-                       budget: int = DEFAULT_BUDGET) -> bool:
+def lambda_k_vanishing(f: Polynomial, k: int, rng: Random) -> bool:
     """Whether the k-th Le number vanishes (2 <= k <= n-1): the cycles
     [Gamma^(k+1) meet V(df/dz_(k+1))] and [Gamma^k] are cut by k generic
     affine hyperplanes z_i = p_i and their total intersection counts
@@ -454,7 +448,7 @@ def lambda_k_vanishing(f: Polynomial, k: int, rng: Random,
         gens = _jacobian(f, ctx.variables[level:])
         if not gens:
             return []  # the zero ideal: the whole space
-        return list(saturate(Ideal(ctx, tuple(gens)), sat_by, budget).generators)
+        return list(saturate(Ideal(ctx, tuple(gens)), sat_by).generators)
 
     cuts = []
     for i in range(k):
@@ -465,8 +459,8 @@ def lambda_k_vanishing(f: Polynomial, k: int, rng: Random,
     d_next = f.partial(ctx.variables[k])
     side1 = polar_gens(k + 1) + ([] if d_next.is_zero() else [d_next]) + cuts
     side2 = polar_gens(k) + cuts
-    c1 = colength_global(Ideal(ctx, tuple(side1)), budget)
-    c2 = colength_global(Ideal(ctx, tuple(side2)), budget)
+    c1 = colength_global(Ideal(ctx, tuple(side1)))
+    c2 = colength_global(Ideal(ctx, tuple(side2)))
     if c1 is None or c2 is None:
         raise ImproperIntersectionError(
             "hyperplane cuts of the polar cycles are not zero-dimensional")
@@ -552,18 +546,17 @@ class InvariantRecord:
     axis_witnesses: tuple[Fraction, Fraction]
 
 
-def germ_record(f: Polynomial, rng: Random,
-                budget: int = DEFAULT_BUDGET) -> InvariantRecord:
+def germ_record(f: Polynomial, rng: Random) -> InvariantRecord:
     """Compute every invariant of a verified line singularity, with the
     built-in consistency check gamma1 + lambda0 = ([polar curve].[V(f)])_0."""
-    check = require_line_singularity(f, budget)
+    check = require_line_singularity(f)
     order = order_at_origin(f)
-    gamma = polar_variety_1(f, budget)
-    g1 = gamma1(gamma, budget)
-    l0 = lambda0(f, gamma, budget)
-    l1, witnesses = lambda1(f, rng, budget)
+    gamma = polar_variety_1(f)
+    g1 = gamma1(gamma)
+    l0 = lambda0(f, gamma)
+    l1, witnesses = lambda1(f, rng)
 
-    inter = colength_at_origin(gamma.with_extra(f), budget)
+    inter = colength_at_origin(gamma.with_extra(f))
     if inter is None:
         raise ImproperIntersectionError(
             "polar curve meets V(f) improperly (infinite colength)")
@@ -572,7 +565,7 @@ def germ_record(f: Polynomial, rng: Random,
             f"intersection number {inter} != gamma1 + lambda0 = {g1 + l0}")
 
     n = f.context.nvars
-    lamk = tuple(lambda_k_vanishing(f, k, rng, budget) for k in range(2, n))
+    lamk = tuple(lambda_k_vanishing(f, k, rng) for k in range(2, n))
     weights = None if f.context.parameters else detect_weights(f)
     return InvariantRecord(
         order=order,

@@ -18,7 +18,7 @@ from random import Random
 from . import engine
 from .engine import (DEFAULT_BUDGET, Ideal, colength_at_origin,
                      colength_by_truncation, ideals_equal, saturate,
-                     standard_basis)
+                     standard_basis, step_budget)
 from .errors import BudgetExceededError, MathRefusal, UsageError
 from .families import (EQUIMULTIPLE, GENERIC, HOLDS,
                        NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED, ZERO,
@@ -46,9 +46,8 @@ def expect(condition: bool, message: str) -> None:
 class SelfTestEnv:
     """Shared corpus cache so criteria reuse the expensive analyses."""
 
-    def __init__(self, seed: int = 0, budget: int = DEFAULT_BUDGET):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.budget = budget
         self._sources = None
         self._polys: dict = {}
         self._analyses: dict = {}
@@ -85,7 +84,7 @@ class SelfTestEnv:
     def analysis(self, name: str):
         if name not in self._analyses:
             self._analyses[name] = analyze_family(
-                self.poly(name), Random(self.seed), self.budget)
+                self.poly(name), Random(self.seed))
         return self._analyses[name]
 
     def slice_record(self, name: str, where: str):
@@ -132,7 +131,7 @@ def criterion_polar_ideal(env: SelfTestEnv) -> str:
     target = Ideal(ctx, (
         parse_polynomial("2*z1^2 + 5*z2^3 + 2*t*z1 + 2*t^2*z1^2", ctx),
         parse_polynomial("z3^3", ctx)))
-    expect(ideals_equal(got, target, env.budget),
+    expect(ideals_equal(got, target),
            "polar ideal differs from the expected pair of generators")
     return "generic polar ideal matches by mutual membership"
 
@@ -150,7 +149,7 @@ def criterion_verdict(env: SelfTestEnv) -> str:
     expect((eq.order_zero, eq.order_generic) == (4, 3),
            f"orders ({eq.order_zero}, {eq.order_generic}), expected (4, 3)")
     env.slice_record("nonupper_family", GENERIC)  # re-raises a budget failure
-    verdicts, evidence = evaluate_rules(an, False, True, env.budget)
+    verdicts, evidence = evaluate_rules(an, False, True)
     expect(evidence.verdict == "SUPPORTING",
            f"evidence verdict {evidence.verdict}")
     c3 = {v.theorem: v for v in verdicts}["cmt3"]
@@ -199,7 +198,7 @@ def criterion_ilm(env: SelfTestEnv) -> str:
     an = env.analysis("nonupper_family")
     t0 = verify_ilm(an.family, ZERO,
                     env.slice_record("nonupper_family", ZERO),
-                    Random(env.seed), budget=env.budget)
+                    Random(env.seed))
     expect([r.j for r in t0.rows] == [23, 24, 25, 26],
            f"t = 0 exponents {[r.j for r in t0.rows]}")
     expect(t0.slice_milnor == 12, f"mu_slice {t0.slice_milnor}")
@@ -207,7 +206,7 @@ def criterion_ilm(env: SelfTestEnv) -> str:
            f"t = 0 table inferred {t0.inferred}, passed = {t0.passed}")
     tg = verify_ilm(an.family, GENERIC,
                     env.slice_record("nonupper_family", GENERIC),
-                    Random(env.seed), budget=env.budget)
+                    Random(env.seed))
     expect([r.j for r in tg.rows] == [8, 9, 10, 11],
            f"generic exponents {[r.j for r in tg.rows]}")
     expect(tg.slice_milnor == 12, f"generic mu_slice {tg.slice_milnor}")
@@ -226,8 +225,8 @@ def criterion_suspension(env: SelfTestEnv) -> str:
                f"{sl.where}: (lambda0, gamma1, lambda1) = "
                f"({rec.lambda0}, {rec.gamma1}, {rec.lambda1})")
     expect(an.equimultiplicity.equimultiple, "family must be equimultiple")
-    verdict = {v.theorem: v for v in evaluate_rules(
-        an, False, False, env.budget)[0]}["mt2"]
+    verdict = {v.theorem: v
+               for v in evaluate_rules(an, False, False)[0]}["mt2"]
     expect(verdict.conclusion == EQUIMULTIPLE,
            f"mt2 concluded {verdict.conclusion}")
     detail = {h.name: h.detail for h in verdict.hypotheses}
@@ -243,7 +242,7 @@ def criterion_brieskorn(env: SelfTestEnv) -> str:
     z3 = Polynomial.variable(ctx, "z3")
     pairs = [(a, b) for a in range(2, 7) for b in range(a, 7)][:10]
     for a, b in pairs:
-        mu = milnor_number(z2 ** a + z3 ** b, budget=env.budget)
+        mu = milnor_number(z2 ** a + z3 ** b)
         expect(mu == (a - 1) * (b - 1),
                f"mu(z2^{a} + z3^{b}) = {mu}, expected {(a - 1) * (b - 1)}")
     return f"{len(pairs)} cases match mu = (a-1)(b-1)"
@@ -312,7 +311,7 @@ def suite_buchberger(env: SelfTestEnv, cases: int = 100) -> str:
             if not gens:
                 continue
             order = GREVLEX if done % 2 == 0 else LOCAL
-            standard_basis(Ideal(ctx, gens), order, budget=env.budget)
+            standard_basis(Ideal(ctx, gens), order)
             done += 1
     finally:
         engine.CHECK_BASES = previous
@@ -333,9 +332,9 @@ def suite_saturation_idempotent(env: SelfTestEnv, cases: int = 100) -> str:
         if not gens:
             continue
         ideal = Ideal(ctx, gens + (z1 ** rng.randrange(1, 4),))
-        once = saturate(ideal, axis, env.budget)
-        twice = saturate(once, axis, env.budget)
-        expect(ideals_equal(once, twice, env.budget),
+        once = saturate(ideal, axis)
+        twice = saturate(once, axis)
+        expect(ideals_equal(once, twice),
                f"saturation not idempotent on {[render(g) for g in gens]}")
         done += 1
     return f"{cases} saturations are fixpoints"
@@ -354,8 +353,8 @@ def suite_colength_oracle(env: SelfTestEnv, cases: int = 20) -> str:
         if not extra.is_zero() and not extra.constant_coefficient():
             gens.append(extra)
         ideal = Ideal(ctx, tuple(gens))
-        local = colength_at_origin(ideal, env.budget)
-        truncated = colength_by_truncation(ideal, env.budget)
+        local = colength_at_origin(ideal)
+        truncated = colength_by_truncation(ideal)
         expect(local == truncated,
                f"staircase count {local} != truncation count "
                f"{truncated} on {[render(g) for g in gens]}")
@@ -406,7 +405,7 @@ def suite_order_bound(env: SelfTestEnv, cases: int = 20) -> str:
 def suite_determinism(env: SelfTestEnv) -> str:
     from .cli import entrypoint
     base = ["invariants", "-e", "z1^2*z2^2 + z2^5 + z3^4",
-            "--seed", str(env.seed), "--budget", str(env.budget)]
+            "--seed", str(env.seed)]
     for argv in (base, base + ["--format", "json"]):
         outputs = []
         for _ in range(2):
@@ -449,22 +448,23 @@ CRITERIA: tuple[tuple[str, object], ...] = (
 
 def run_selftest(seed: int = 0, budget: int = DEFAULT_BUDGET,
                  fmt: str = "text") -> int:
-    env = SelfTestEnv(seed, budget)
+    env = SelfTestEnv(seed)
     count = env.load_corpus()
     results = []
-    for index, (description, criterion) in enumerate(CRITERIA, start=1):
-        try:
-            status, detail = "PASS", criterion(env)
-        except CheckFailure as exc:
-            status, detail = "FAIL", str(exc)
-        except BudgetExceededError as exc:
-            status, detail = exc.token, str(exc)
-        except MathRefusal as exc:
-            status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
-        results.append({"index": index, "description": description,
-                        "status": status, "detail": detail})
-        if status == BudgetExceededError.token:
-            break
+    with step_budget(budget):
+        for index, (description, criterion) in enumerate(CRITERIA, start=1):
+            try:
+                status, detail = "PASS", criterion(env)
+            except CheckFailure as exc:
+                status, detail = "FAIL", str(exc)
+            except BudgetExceededError as exc:
+                status, detail = exc.token, str(exc)
+            except MathRefusal as exc:
+                status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
+            results.append({"index": index, "description": description,
+                            "status": status, "detail": detail})
+            if status == BudgetExceededError.token:
+                break
     passed = all(r["status"] == "PASS" for r in results)
     doc = {"schema": 1, "command": "selftest", "seed": seed,
            "budget": budget, "corpus_files": count,

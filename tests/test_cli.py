@@ -2,9 +2,11 @@
 determinism, and input-file handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import lecalc
 from lecalc import errors, report
 from lecalc.cli import entrypoint, read_input_file
 
@@ -174,6 +176,39 @@ def test_selftest_budget_failure_in_a_slice_is_reraised(capsys):
     results = json.loads(out)["results"]
     assert [r["status"] for r in results] == ["PASS", "BUDGET_EXCEEDED"]
     assert results[1]["detail"] == "reduction budget of 1 steps exhausted"
+
+
+@pytest.mark.parametrize("argv", [
+    # the largest basis takes 7 steps, the whole record 15
+    ("invariants", "-e", WORKED_BASE, "--budget", "10"),
+    # the largest basis takes 9 steps, the whole command 116
+    ("ilm", "-f", str(Path(lecalc.__file__).parent / "corpus"
+                      / "homogeneous_family.lec"), "--budget", "50"),
+])
+def test_budget_bounds_the_whole_command(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("refused: BUDGET_EXCEEDED: ")
+
+
+def test_fallback_milnor_number_does_not_hide_budget_exhaustion(capsys):
+    # not a line singularity (mu = 8); the budget runs out in the fallback
+    code, out, err = run(capsys, "invariants", "-e",
+                         "z1^3 + z2^3 + z3^3 + z1*z2*z3", "--budget", "48")
+    assert code == 2 and out == ""
+    assert err == ("refused: BUDGET_EXCEEDED: reduction budget of 48 steps "
+                   "exhausted\n")
+
+
+def test_slice_cross_check_does_not_hide_budget_exhaustion(capsys):
+    # the budget runs out while the generic slice is re-derived at a
+    # rational t, which must not read as a disagreeing specialization
+    code, out, _ = run(capsys, "family", "-e",
+                       "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2", "--param", "t",
+                       "--budget", "150", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["family"]["slice_errors"]["generic"] == (
+        "BudgetExceededError: reduction budget of 150 steps exhausted")
 
 
 def test_family_command_verdicts(capsys):

@@ -15,7 +15,8 @@ from lecalc.engine import (DEFAULT_BUDGET, Ideal, _Budget, _reduce,
                            colength_at_origin, colength_by_truncation,
                            colength_global, contains_local_unit,
                            dimension_at_origin, eliminate, ideals_equal,
-                           intersect, normal_form, saturate, standard_basis)
+                           intersect, normal_form, saturate, standard_basis,
+                           step_budget)
 from lecalc.errors import BudgetExceededError, DegenerateInputError
 from lecalc.orders import GREVLEX, LOCAL
 from lecalc.poly import Context, Polynomial, render
@@ -265,12 +266,39 @@ def test_global_colength_counts_all_points():
     assert colength_at_origin(ideal) == 1
 
 
+# leading terms share a factor, so S-pairs genuinely reduce (nine steps)
+NINE_STEPS = Ideal(C2, (X ** 3 * Y + Y ** 4 + X, X * Y ** 3 + X ** 3))
+
+
 def test_budget_exhaustion_raises():
-    # leading terms share a factor, so S-pairs genuinely reduce (nine steps)
-    ideal = Ideal(C2, (X ** 3 * Y + Y ** 4 + X, X * Y ** 3 + X ** 3))
-    standard_basis(ideal, GREVLEX, budget=9)
-    with pytest.raises(BudgetExceededError):
-        standard_basis(ideal, GREVLEX, budget=5)
+    with step_budget(9):
+        standard_basis(NINE_STEPS, GREVLEX)
+    with step_budget(5), pytest.raises(BudgetExceededError):
+        standard_basis(NINE_STEPS, GREVLEX)
+
+
+def test_step_budget_bounds_the_whole_block():
+    # each basis fits in 17 steps, the two together do not
+    with step_budget(17) as budget:
+        standard_basis(NINE_STEPS, GREVLEX)
+        assert budget.used == 9
+        with pytest.raises(BudgetExceededError):
+            standard_basis(NINE_STEPS, GREVLEX)
+    # outside any block every basis gets a fresh default budget
+    standard_basis(NINE_STEPS, GREVLEX)
+    standard_basis(NINE_STEPS, GREVLEX)
+
+
+def test_nested_step_budget_restores_the_outer_one():
+    with step_budget(100) as outer:
+        standard_basis(NINE_STEPS, GREVLEX)
+        with step_budget(5) as inner, pytest.raises(BudgetExceededError):
+            standard_basis(NINE_STEPS, GREVLEX)
+        assert inner.used > inner.limit
+        assert engine._active_budget is outer and outer.used == 9
+        standard_basis(NINE_STEPS, GREVLEX)
+        assert outer.used == 18
+    assert engine._active_budget is None
 
 
 def test_colength_matches_truncation_on_random_zero_dim_ideals():

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from lecalc import families
 from lecalc.engine import Ideal
 from lecalc.errors import (DegenerateInputError, InternalCheckError,
                            NonReducedError, UnluckySpecializationError,
@@ -286,6 +287,41 @@ def test_ilm_refuses_a_prime_dividing_a_denominator():
                       Random(0)).passed
     with pytest.raises(UnluckySpecializationError):
         verify_ilm(fam, GENERIC, generic, Random(0))
+
+
+def _disagreeing_on_calls(monkeypatch, bad_calls):
+    """Spy on the generic ILM rows: record (j, points) per call, and make
+    the two primes disagree on the given call numbers (1-based)."""
+    real = families._generic_augmented_milnor
+    calls = []
+
+    def spy(fam, j, points):
+        calls.append((j, points))
+        mus = real(fam, j, points)
+        return [mus[0], mus[0] + 1] if len(calls) in bad_calls else mus
+
+    monkeypatch.setattr(families, "_generic_augmented_milnor", spy)
+    return calls
+
+
+def test_ilm_redraw_recomputes_every_row(worked, monkeypatch):
+    # the third row disagrees once: every row is then recomputed at the
+    # redrawn points, and the table reports the points its rows used
+    calls = _disagreeing_on_calls(monkeypatch, {3})
+    table = verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
+    first, redrawn = calls[0][1], table.t_witnesses
+    assert first != redrawn
+    assert calls == [(j, first) for j in (8, 9, 10, 11)] \
+        + [(j, redrawn) for j in (8, 9, 10, 11)]
+    assert table.passed and [r.mu for r in table.rows] == [27, 30, 33, 36]
+
+
+def test_ilm_refuses_a_second_disagreement(worked, monkeypatch):
+    calls = _disagreeing_on_calls(monkeypatch, {2, 6})
+    with pytest.raises(UnluckySpecializationError,
+                       match=r"z1\^9\) disagrees"):
+        verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
+    assert [j for j, _ in calls] == [8, 9, 10, 11] * 2
 
 
 def test_ilm_custom_exponents_on_suspension(suspension):
