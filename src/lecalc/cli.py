@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from random import Random
 
 from . import report as rp
@@ -81,6 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the bundled corpus and acceptance checks")
     common(sp, with_input=False)
     return parser
+
+
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on the first command, not at import; parse_args leaves the
+    # parser unchanged, so one serves every later command of the process
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +295,13 @@ def entrypoint(argv=None) -> int:
     # each command starts with empty key tables, so a process that runs many
     # commands holds the monomials of one command at a time
     clear_key_tables()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
+        cfg = _config_from_args(args)
         if args.command == "selftest":
             from .selftest import run_selftest
-            return run_selftest(seed=args.seed, budget=args.budget,
-                                fmt=args.fmt)
-        cfg = _config_from_args(args)
+            return run_selftest(seed=cfg.seed, budget=cfg.budget,
+                                fmt=cfg.fmt)
         command = {"invariants": cmd_invariants, "family": cmd_family,
                    "ilm": cmd_ilm}[args.command]
         with step_budget(cfg.budget):

@@ -524,15 +524,22 @@ class FamilyAnalysis:
 
 
 def analyze_family(f: Polynomial, rng: Random) -> FamilyAnalysis:
+    """Both slices and the family-wide checks.  A slice's refusal is kept as
+    its failure; an exhausted step budget is not a property of the slice and
+    propagates."""
     fam = decompose_family(f, rng)
     zero = zero_failure = None
     try:
         zero = invariants_at(fam, ZERO, rng)
+    except BudgetExceededError:
+        raise
     except MathRefusal as exc:
         zero_failure = exc
     generic = generic_failure = None
     try:
         generic = invariants_at(fam, GENERIC, rng)
+    except BudgetExceededError:
+        raise
     except MathRefusal as exc:
         generic_failure = exc
     weights = detect_weights(fam.base)
@@ -681,6 +688,8 @@ def _axis_weight_note(an: FamilyAnalysis) -> str:
             else:
                 mu = mus.pop()
                 note += " = " + ("not isolated" if mu is None else str(mu))
+    except BudgetExceededError:
+        raise
     except MathRefusal as exc:
         note += f"; augmented Milnor numbers unavailable ({exc})"
     return note

@@ -185,17 +185,28 @@ class Coefficient:
 
     # -- field arithmetic ---------------------------------------------------
 
+    # The fast paths below skip a normalizing gcd only where the result is
+    # already reduced; the reduced form with monic den is unique, so they
+    # build exactly what the generic constructor would.
+
+    def _combine(self, other, op):
+        """self op other for op padd or psub.  Over one shared denominator
+        d the only common factors are those of the new numerator and d,
+        and there are none when d is one."""
+        if self.den == other.den:
+            return Coefficient(op(self.num, other.num), self.den, self.arity)
+        num = op(sparse.pmul(self.num, other.den), sparse.pmul(other.num, self.den))
+        return Coefficient(num, sparse.pmul(self.den, other.den), self.arity)
+
     def __add__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        num = sparse.padd(sparse.pmul(self.num, other.den), sparse.pmul(other.num, self.den))
-        return Coefficient(num, sparse.pmul(self.den, other.den), self.arity)
+        return self._combine(other, sparse.padd)
 
     def __sub__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        num = sparse.psub(sparse.pmul(self.num, other.den), sparse.pmul(other.num, self.den))
-        return Coefficient(num, sparse.pmul(self.den, other.den), self.arity)
+        return self._combine(other, sparse.psub)
 
     def __neg__(self):
         return Coefficient(sparse.pneg(self.num), self.den, self.arity, _reduced=True)
@@ -203,6 +214,9 @@ class Coefficient:
     def __mul__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
+        if self.den_is_one and other.den_is_one:  # a polynomial product
+            return Coefficient(sparse.pmul(self.num, other.num), self.den,
+                               self.arity, _reduced=True)
         return Coefficient(sparse.pmul(self.num, other.num),
                            sparse.pmul(self.den, other.den), self.arity)
 
@@ -211,6 +225,11 @@ class Coefficient:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero coefficient")
+        q = other.num.get(_zkey(self.arity))
+        if q is not None and len(other.num) == 1 and other.den_is_one:
+            # by a rational constant: scale the numerator
+            return Coefficient({m: c / q for m, c in self.num.items()},
+                               self.den, self.arity, _reduced=True)
         return Coefficient(sparse.pmul(self.num, other.den),
                            sparse.pmul(self.den, other.num), self.arity)
 
@@ -750,10 +769,6 @@ def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ContextError("gcd across different contexts")
     if f.is_zero() and g.is_zero():
         raise DegenerateInputError("gcd(0, 0) is undefined")
-    if f.is_zero():
-        return g.monic(GREVLEX)
-    if g.is_zero():
-        return f.monic(GREVLEX)
     return Polynomial(f.context, sparse.pgcd(f.terms, g.terms))
 
 

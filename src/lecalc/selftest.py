@@ -88,15 +88,12 @@ class SelfTestEnv:
         return self._analyses[name]
 
     def slice_record(self, name: str, where: str):
-        """A family slice, re-raising a budget failure that analyze_family
-        recorded instead of propagating."""
+        """A family slice; a slice that failed fails the check."""
         an = self.analysis(name)
         sl = an.zero if where == ZERO else an.generic
         if sl is not None:
             return sl
         failure = an.zero_failure if where == ZERO else an.generic_failure
-        if isinstance(failure, BudgetExceededError):
-            raise failure
         raise CheckFailure(
             f"{name} {where} slice unavailable: {failure_text(failure)}")
 
@@ -115,7 +112,10 @@ class SelfTestEnv:
 # criteria 1-9: the worked families
 
 def criterion_weights(env: SelfTestEnv) -> str:
-    w = env.analysis("nonupper_family").weights
+    # the weights need no basis, so they come from the base alone rather
+    # than from the family analysis, which spends budget
+    f = env.poly("nonupper_family")
+    w = detect_weights(f.specialize_parameter(f.context.parameters[0], 0))
     expect(w is not None, "no weight system detected on the base")
     expect((w.weights, w.degree) == ((6, 4, 5), 20),
            f"got weights {w.weights} of degree {w.degree}")
@@ -148,7 +148,7 @@ def criterion_verdict(env: SelfTestEnv) -> str:
     eq = an.equimultiplicity
     expect((eq.order_zero, eq.order_generic) == (4, 3),
            f"orders ({eq.order_zero}, {eq.order_generic}), expected (4, 3)")
-    env.slice_record("nonupper_family", GENERIC)  # re-raises a budget failure
+    env.slice_record("nonupper_family", GENERIC)
     verdicts, evidence = evaluate_rules(an, False, True)
     expect(evidence.verdict == "SUPPORTING",
            f"evidence verdict {evidence.verdict}")

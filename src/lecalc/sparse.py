@@ -11,7 +11,10 @@ three.
 
 The gcd here is the classical primitive pseudo-remainder sequence, recursing
 one variable at a time down to field constants.  It is quadratic-ish and
-entirely adequate for desk-scale inputs.
+entirely adequate for desk-scale inputs.  When either argument is a single
+term the gcd is a monomial, x^e with e the componentwise minimum of every
+exponent of both arguments, and `pgcd` returns it in closed form without
+entering the recursion; a QQ(t) coefficient spends most of its gcds there.
 """
 
 from __future__ import annotations
@@ -277,6 +280,12 @@ def pgcd(a, b):
     """Monic gcd (leading grevlex coefficient one). gcd(0, 0) is an error."""
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
+    if len(a) == 1 or len(b) == 1:
+        # a divisor of a monomial is a monomial, and a monomial divides a
+        # polynomial exactly when it divides every term
+        e = tuple(map(min, zip(*a, *b)))
+        c = next(iter(a.values() or b.values()))
+        return {e: c / c}
     g = _gcd_rec(a, b)
     _, lc = lead(g)
     return {m: c / lc for m, c in g.items()}

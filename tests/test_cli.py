@@ -169,7 +169,7 @@ def test_selftest_out_of_budget_reports_json(capsys):
 
 def test_selftest_budget_failure_in_a_slice_is_reraised(capsys):
     # criterion 1 reads only the weights, which need no basis; criterion 2
-    # reads the generic slice, whose budget failure analyze_family stored
+    # reads the generic slice, which runs out of budget
     code, out, _ = run(capsys, "selftest", "--budget", "1",
                        "--format", "json")
     assert code == 2
@@ -200,15 +200,51 @@ def test_fallback_milnor_number_does_not_hide_budget_exhaustion(capsys):
                    "exhausted\n")
 
 
+def _family_refuses_for_budget(capsys, expr, budget):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "family", "-e", expr, "--param", "t",
+                             "--budget", str(budget), "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == (f"refused: BUDGET_EXCEEDED: reduction budget of "
+                       f"{budget} steps exhausted\n")
+
+
 def test_slice_cross_check_does_not_hide_budget_exhaustion(capsys):
     # the budget runs out while the generic slice is re-derived at a
-    # rational t, which must not read as a disagreeing specialization
-    code, out, _ = run(capsys, "family", "-e",
-                       "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2", "--param", "t",
-                       "--budget", "150", "--format", "json")
+    # rational t, which must read neither as a disagreeing specialization
+    # nor as a slice failure
+    _family_refuses_for_budget(capsys, "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2",
+                               150)
+
+
+def test_axis_weight_note_does_not_hide_budget_exhaustion(capsys):
+    # the budget runs out in the augmented Milnor numbers of mt2's note
+    _family_refuses_for_budget(capsys, "z1*z2^2 + z2^3 + z3^3 + t*z1*z2^2",
+                               40)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--seed", "-4"), "--seed must be an unsigned 64-bit integer"),
+    (("--seed", str(2 ** 64)), "--seed must be an unsigned 64-bit integer"),
+    (("--budget", "0"), "--budget must be positive"),
+])
+def test_selftest_validates_seed_and_budget(capsys, flags, message):
+    code, out, err = run(capsys, "selftest", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_usage_errors_after_a_successful_command(capsys):
+    # the parser is built once per process; a command that parsed cleanly
+    # must leave nothing behind for the next one
+    code, _, _ = run(capsys, "invariants", "-e", "z2^3 + z3^3")
     assert code == 0
-    assert json.loads(out)["family"]["slice_errors"]["generic"] == (
-        "BudgetExceededError: reduction budget of 150 steps exhausted")
+    for argv in (("invariants", "--budget", "x", "-e", "z2^3"),
+                 ("family", "--no-such-flag"), ("invariants",), ()):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: ")
+    code, out, _ = run(capsys, "invariants", "-e", "z2^3 + z3^3",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["budget"] == 100000
 
 
 def test_family_command_verdicts(capsys):

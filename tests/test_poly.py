@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lecalc import sparse
 from lecalc.engine import Ideal, eliminate
 from lecalc.errors import ContextError, UnluckySpecializationError
 from lecalc.orders import GREVLEX, LOCAL
@@ -309,6 +310,58 @@ def test_coefficient_order_is_total_and_agrees_with_equality(elements):
     assert sorted(elements) == sorted(elements[::-1])
 
 
+@st.composite
+def coefficient_pairs(draw):
+    """Two coefficients of one arity (1 or 2) with denominators from a pool
+    of three, one of them 1, so shared and unit denominators are common."""
+    arity = draw(st.integers(1, 2))
+    z = (0,) * arity
+    t, s = ((1,), (2,)) if arity == 1 else ((1, 0), (0, 1))
+    dens = ({z: Fraction(1)}, {t: Fraction(1), z: Fraction(1)},
+            {s: Fraction(2), t: Fraction(-1)})
+    expos = st.sampled_from((z, t, s))
+    nums = st.dictionaries(expos, st.sampled_from((-2, -1, 1, 3)).map(Fraction),
+                           max_size=3)
+    a, b = (Coefficient(draw(nums), draw(st.sampled_from(dens)), arity)
+            for _ in range(2))
+    return a, b
+
+
+def _generic(op, x, y):
+    """x op y the generic way: one numerator over one denominator, both
+    built by cross-multiplying, normalized by the constructor's gcd."""
+    pm = sparse.pmul
+    num, den = {
+        "+": (sparse.padd(pm(x.num, y.den), pm(y.num, x.den)), pm(x.den, y.den)),
+        "-": (sparse.psub(pm(x.num, y.den), pm(y.num, x.den)), pm(x.den, y.den)),
+        "*": (pm(x.num, y.num), pm(x.den, y.den)),
+        "/": (pm(x.num, y.den), pm(x.den, y.num)),
+    }[op]
+    return Coefficient(num, den, x.arity)
+
+
+def _same(x, y):
+    assert (x.num, x.den, hash(x)) == (y.num, y.den, hash(y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_pairs(),
+       st.fractions(max_denominator=6).filter(bool))
+def test_coefficient_fast_paths_match_generic_normalization(pair, q):
+    a, b = pair
+    # (a, a) shares its denominator and cancels to zero under -
+    for x, y in ((a, b), (b, a), (a, a)):
+        _same(x + y, _generic("+", x, y))
+        _same(x - y, _generic("-", x, y))
+        _same(x * y, _generic("*", x, y))
+        if y:
+            _same(x / y, _generic("/", x, y))
+    rational = Coefficient.from_fraction(q, a.arity)
+    _same(a / rational, _generic("/", a, rational))
+    _same(a * rational, _generic("*", a, rational))
+    assert not (a - a)
+
+
 def test_specialize_parameter_mod_matches_rational_reduction():
     t = Polynomial.parameter(CTXP, "t")
     x, y = v("z1", CTXP), v("z2", CTXP)
@@ -355,10 +408,29 @@ def test_gcd_and_reducedness():
     assert render(reduced_witness(sq)) == "z1 + z2"
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gcd_matches_sympy_up_to_a_unit(data):
+    sympy = pytest.importorskip("sympy")
+    f, g, h = (data.draw(_polys(CTX, max_terms=3)) for _ in range(3))
+    if (f * h).is_zero() and (g * h).is_zero():
+        return
+    ours = multivariate_gcd(f * h, g * h)
+    symbols = sympy.symbols(CTX.variables)
+
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod(x ** e for x, e in zip(symbols, m))
+                    for m, c in p.terms.items()), sympy.Integer(0))
+
+    theirs = sympy.gcd(expr(f * h), expr(g * h))
+    assert not sympy.cancel(expr(ours) / theirs).free_symbols
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
-def _polys(ctx):
+def _polys(ctx, max_terms=5):
     def build(coeffs):
         p = Polynomial.zero(ctx)
         for expo, c in coeffs:
@@ -366,7 +438,7 @@ def _polys(ctx):
         return p
     expos = st.tuples(*(st.integers(0, 3) for _ in ctx.variables))
     fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-    return st.lists(st.tuples(expos, fractions), max_size=5).map(build)
+    return st.lists(st.tuples(expos, fractions), max_size=max_terms).map(build)
 
 
 @settings(max_examples=100, deadline=None)
