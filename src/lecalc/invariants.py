@@ -305,12 +305,43 @@ def _restrict_to_axis(p: Polynomial) -> Polynomial:
 
 def is_line_singularity(f: Polynomial) -> LineSingularityCheck:
     """Three checks: every partial vanishes identically on the z1-axis, the
-    slice f|V(z1) has an isolated singularity, and the Jacobian ideal
-    saturated by (z2, ..., zn) stays away from the origin (the critical locus
-    has no extra component through 0).  That saturation is the intersection
-    of the saturations by each z_i, and an intersection is the whole local
-    ring only when every factor is, so the factors are tested one at a time
-    and never intersected."""
+    slice f|V(z1) has an isolated singularity, and the critical locus V(Jac)
+    has no extra component through 0 (one not contained in the axis).
+
+    When the first two pass, the third is read off the polar curve.  Let
+    P = (df/dz2, ..., df/dzn), Gamma = P : (z2, ..., zn)^infinity (the
+    ideal of polar_variety_1) and d1 = df/dz1.  Then V(P) = V(Gamma) union
+    (V(P) meet the axis), so V(Jac) = V(P) meet V(d1) agrees with
+    V(Gamma + (d1)) off the axis, and an extra component passes through 0
+    exactly when 0 lies in the closure of V(Gamma + (d1)) minus the axis.
+
+    - When dim_0 Gamma <= 1, Gamma is a curve germ or empty, and none of its
+      branches lies in the axis, so each branch meets the axis only at 0.
+      An extra component then exists exactly when a branch lies in V(d1),
+      that is, when Gamma + (d1) (Gamma alone when d1 = 0) has infinite
+      colength at 0.  That colength is lambda0 (Massey, Le Cycles and
+      Hypersurface Singularities, LNM 1615).
+    - An isolated slice meets V(P) only at 0, so every component of V(P)
+      through 0 has dimension <= 1, and so has Gamma.  dim_0 Gamma >= 2
+      would mean coordinates that are not prepolar; germ_record refuses
+      those anyway.
+
+    Otherwise (an earlier test failed, or dim_0 Gamma >= 2) Jac is
+    saturated by each z_i, i >= 2: Jac : (z2, ..., zn)^infinity is the
+    intersection of these saturations, and an intersection is the whole
+    local ring only when every factor is, so each factor is tested for a
+    local unit.  That skips Gamma where no record needs it: for a germ whose
+    slice is not isolated it can have dimension >= 2, and its local basis
+    can cost far more than these saturations."""
+    return _line_check(f)[0]
+
+
+def _line_check(f: Polynomial) -> tuple[LineSingularityCheck, Ideal | None,
+                                        int | None, int | None]:
+    """is_line_singularity(f), with what it computed on the way: Gamma and
+    dim_0 Gamma when the first two tests pass (None otherwise), and
+    lambda0's colength when the third test read it (None when infinite or
+    not computed)."""
     require_reduced(f)
     ctx = f.context
     if ctx.nvars < 2:
@@ -333,42 +364,64 @@ def is_line_singularity(f: Polynomial) -> LineSingularityCheck:
         except NonIsolatedError:
             slice_isolated = False
 
-    jac = Ideal(ctx, tuple(p for p in parts if not p.is_zero()))
-    extra = not all(
-        contains_local_unit(
-            saturate(jac, Ideal(ctx, (Polynomial.variable(ctx, v),))))
-        for v in others)
-    return LineSingularityCheck(vanishes, slice_isolated, slice_mu, extra)
+    gamma = dim = l0 = None
+    if vanishes and slice_isolated:
+        gamma = _polar_ideal(f)
+        dim = dimension_at_origin(gamma)
+    if gamma is not None and dim in (None, 1):
+        l0 = colength_at_origin(_lambda0_ideal(f, gamma))
+        extra = l0 is None
+    else:
+        jac = Ideal(ctx, tuple(p for p in parts if not p.is_zero()))
+        extra = not all(
+            contains_local_unit(
+                saturate(jac, Ideal(ctx, (Polynomial.variable(ctx, v),))))
+            for v in others)
+    check = LineSingularityCheck(vanishes, slice_isolated, slice_mu, extra)
+    return check, gamma, dim, l0
 
 
-def require_line_singularity(f: Polynomial) -> LineSingularityCheck:
-    check = is_line_singularity(f)
+def _refuse_unless_line(check: LineSingularityCheck):
     if not check.is_line_singularity:
         raise NotLineSingularityError(
             f"germ is not a line singularity (failing check: "
             f"{check.failing_check})", check.failing_check, check)
+
+
+def require_line_singularity(f: Polynomial) -> LineSingularityCheck:
+    check = is_line_singularity(f)
+    _refuse_unless_line(check)
     return check
 
 
 # ---------------------------------------------------------------------------
 # polar curve and its numbers
 
-def polar_variety_1(f: Polynomial) -> Ideal:
-    """The relative polar curve: components of V(partials transverse to the
-    axis) not contained in the singular line, as the saturation by
-    (z2, ..., zn).  Its germ must be a curve or empty."""
+def _polar_ideal(f: Polynomial) -> Ideal:
+    """(df/dz2, ..., df/dzn) : (z2, ..., zn)^infinity."""
     ctx = f.context
     others = ctx.variables[1:]
     gens = _jacobian(f, others)
     if not gens:
         raise DegenerateInputError("germ depends only on the axis variable")
     axis_ideal = Ideal(ctx, tuple(Polynomial.variable(ctx, v) for v in others))
-    gamma = saturate(Ideal(ctx, tuple(gens)), axis_ideal)
-    dim = dimension_at_origin(gamma)
-    if dim is not None and dim != 1:
+    return saturate(Ideal(ctx, tuple(gens)), axis_ideal)
+
+
+def _require_polar_curve(dim: int | None):
+    """Refuse a polar germ that is neither a curve nor empty."""
+    if dim not in (None, 1):
         raise PolarDimensionError(
             f"polar variety has dimension {dim} at the origin (expected a "
             "curve or empty); the coordinates are not prepolar")
+
+
+def polar_variety_1(f: Polynomial) -> Ideal:
+    """The relative polar curve: components of V(partials transverse to the
+    axis) not contained in the singular line, as the saturation by
+    (z2, ..., zn).  Its germ must be a curve or empty."""
+    gamma = _polar_ideal(f)
+    _require_polar_curve(dimension_at_origin(gamma))
     return gamma
 
 
@@ -385,11 +438,14 @@ def gamma1(gamma: Ideal) -> int:
     return g1
 
 
+def _lambda0_ideal(f: Polynomial, gamma: Ideal) -> Ideal:
+    d1 = f.partial(f.context.variables[0])
+    return gamma if d1.is_zero() else gamma.with_extra(d1)
+
+
 def lambda0(f: Polynomial, gamma: Ideal) -> int:
     """Intersection number of the polar curve with V(df/dz1) at the origin."""
-    d1 = f.partial(f.context.variables[0])
-    ideal = gamma if d1.is_zero() else gamma.with_extra(d1)
-    l0 = colength_at_origin(ideal)
+    l0 = colength_at_origin(_lambda0_ideal(f, gamma))
     if l0 is None:
         raise ImproperIntersectionError(
             "polar curve meets V(df/dz1) improperly (infinite colength)")
@@ -549,11 +605,13 @@ class InvariantRecord:
 def germ_record(f: Polynomial, rng: Random) -> InvariantRecord:
     """Compute every invariant of a verified line singularity, with the
     built-in consistency check gamma1 + lambda0 = ([polar curve].[V(f)])_0."""
-    check = require_line_singularity(f)
+    check, gamma, dim, l0 = _line_check(f)
+    _refuse_unless_line(check)
     order = order_at_origin(f)
-    gamma = polar_variety_1(f)
+    _require_polar_curve(dim)
+    # the check found no extra critical component, so lambda0's colength,
+    # which it computed, is finite
     g1 = gamma1(gamma)
-    l0 = lambda0(f, gamma)
     l1, witnesses = lambda1(f, rng)
 
     inter = colength_at_origin(gamma.with_extra(f))

@@ -678,9 +678,14 @@ class Polynomial:
     # -- normal forms under scaling ------------------------------------------
 
     def monic(self, order) -> "Polynomial":
-        _, lc = self.leading(order)
-        inv = self.context.unit / lc
-        return Polynomial(self.context, sparse.pscale(self.terms, inv))
+        """self / lc, or self when lc is already one (polynomials are never
+        mutated, so the result may be shared)."""
+        lt, lc = self.leading(order)
+        unit = self.context.unit
+        if lc == unit:
+            return self
+        return Polynomial(self.context, {m: unit if m == lt else c / lc
+                                         for m, c in self.terms.items()})
 
     # -- printing --------------------------------------------------------------
 
@@ -775,29 +780,22 @@ def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 def is_reduced(f: Polynomial) -> bool:
     """True when f is squarefree (char 0: gcd with all first partials is
     constant), i.e. the equation defines a reduced hypersurface germ."""
+    return reduced_witness(f) is None
+
+
+def reduced_witness(f: Polynomial) -> Polynomial | None:
+    """The nonconstant gcd of f with its partials, when one exists; one gcd
+    per nonzero partial, stopping once the gcd is constant."""
     if f.is_zero():
         raise DegenerateInputError("reducedness of the zero polynomial")
     g = f
     for v in f.context.variables:
         d = f.partial(v)
-        if d.is_zero():
-            continue
-        g = multivariate_gcd(g, d)
-        if len(g.terms) == 1 and not any(next(iter(g.terms))):
-            return True
-    return len(g.terms) == 1 and not any(next(iter(g.terms)))
-
-
-def reduced_witness(f: Polynomial) -> Polynomial | None:
-    """The nonconstant gcd of f with its partials, when one exists."""
-    if is_reduced(f):
-        return None
-    g = f
-    for v in f.context.variables:
-        d = f.partial(v)
         if not d.is_zero():
             g = multivariate_gcd(g, d)
-    return g
+            if not g.total_degree():
+                return None
+    return g if g.total_degree() else None
 
 
 def require_reduced(f: Polynomial):

@@ -269,7 +269,12 @@ def _gcd_rec(a, b):
         if not r:
             break
         _, r = _primitive(r, v)
-        f, g = g, r
+        # the content is only found up to a scalar, so scale the remainder
+        # too: pseudo-division multiplies the coefficients by powers of a
+        # leading coefficient, and without this their size grows
+        # exponentially along the sequence
+        c = next(iter(r.values()))
+        f, g = g, {m: x / c for m, x in r.items()}
     _, g = _primitive(g, v)
     if _is_constant(g):
         g = _one_like(g)

@@ -179,9 +179,10 @@ def test_selftest_budget_failure_in_a_slice_is_reraised(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # the largest basis takes 7 steps, the whole record 15
-    ("invariants", "-e", WORKED_BASE, "--budget", "10"),
-    # the largest basis takes 9 steps, the whole command 116
+    # the largest basis takes 5 steps, the whole record 14
+    ("invariants", "-e", "z1^2*z2^2 + z2^5 + z3^4 + z4^3",
+     "--vars", "z1,z2,z3,z4", "--budget", "10"),
+    # the largest basis takes 4 steps, the whole command 76
     ("ilm", "-f", str(Path(lecalc.__file__).parent / "corpus"
                       / "homogeneous_family.lec"), "--budget", "50"),
 ])
@@ -212,15 +213,17 @@ def _family_refuses_for_budget(capsys, expr, budget):
 def test_slice_cross_check_does_not_hide_budget_exhaustion(capsys):
     # the budget runs out while the generic slice is re-derived at a
     # rational t, which must read neither as a disagreeing specialization
-    # nor as a slice failure
+    # nor as a slice failure; the cross-check runs from step 34 to step 85
+    # of 133
     _family_refuses_for_budget(capsys, "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2",
-                               150)
+                               60)
 
 
 def test_axis_weight_note_does_not_hide_budget_exhaustion(capsys):
-    # the budget runs out in the augmented Milnor numbers of mt2's note
+    # the budget runs out in the augmented Milnor numbers of mt2's note,
+    # which take steps 21 to 26 of 26
     _family_refuses_for_budget(capsys, "z1*z2^2 + z2^3 + z3^3 + t*z1*z2^2",
-                               40)
+                               22)
 
 
 @pytest.mark.parametrize("flags, message", [

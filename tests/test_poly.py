@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecalc import sparse
+from lecalc import poly, sparse
 from lecalc.engine import Ideal, eliminate
 from lecalc.errors import ContextError, UnluckySpecializationError
 from lecalc.orders import GREVLEX, LOCAL
@@ -406,6 +406,41 @@ def test_gcd_and_reducedness():
     sq = (z1 + z2) ** 2 * z3
     assert not is_reduced(sq)
     assert render(reduced_witness(sq)) == "z1 + z2"
+
+
+def test_reduced_witness_makes_one_gcd_per_nonzero_partial(monkeypatch):
+    calls = []
+    gcd = poly.multivariate_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(poly, "multivariate_gcd", spy)
+    f = parse_polynomial("z2^2*z3^2", CTX)
+    assert render(reduced_witness(f)) == "z2*z3"
+    assert [b for _, b in calls] == [f.partial("z2"), f.partial("z3")]
+    calls.clear()
+    assert not is_reduced(f)
+    assert len(calls) == 2
+    calls.clear()
+    # the gcd with the z1 partial is already constant: the walk stops
+    assert is_reduced(parse_polynomial("z1 + z2^2 + z3^2", CTX))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ctx, text", [
+    (CTX, "3*z1^2*z2 - 1/2*z2^3 + z3"),
+    (CTXP, "(t^2 + 1)*z1*z2 - t*z2^2 + (t - 1)*z1"),
+    (CTX7, "3*z1^2 + 5*z1*z2 + z2"),
+])
+def test_monic_divides_by_the_leading_coefficient(ctx, text):
+    f = parse_polynomial(text, ctx)
+    _, lc = f.leading(GREVLEX)
+    g = f.monic(GREVLEX)
+    assert g.leading(GREVLEX)[1] == ctx.unit
+    assert g.terms == sparse.pscale(f.terms, ctx.unit / lc)
+    assert g.monic(GREVLEX) is g
 
 
 @settings(max_examples=40, deadline=None)

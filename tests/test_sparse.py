@@ -1,5 +1,6 @@
 """The sparse dict layer: the gcd's monomial closed form against the
-pseudo-remainder recursion."""
+pseudo-remainder recursion, and the size of that recursion's
+coefficients."""
 
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lecalc import sparse
-from lecalc.poly import Modular
+from lecalc.parse import parse_polynomial
+from lecalc.poly import Context, Modular
 
 FIELDS = (Fraction, lambda n: Modular(n, 7), lambda n: Modular(n, 2147483629))
 
@@ -48,3 +50,21 @@ def test_one_term_gcd_is_the_componentwise_minimum():
     assert sparse.pgcd({}, {(2, 1): q(-4)}) == {(2, 1): q(1)}
     assert sparse.pgcd({(0, 0): Modular(3, 7)}, {(1, 1): Modular(2, 7)}) \
         == {(0, 0): Modular(1, 7)}
+
+
+def test_remainder_sequence_keeps_coefficients_small(monkeypatch):
+    # without rescaling each remainder, the coefficients of this sequence
+    # passed a million bits within seconds, and the gcd ran past 10 s
+    ctx = Context(("z1", "z2", "z3"), ())
+    f = parse_polynomial("4*z1^3*z2^2*z3^2 + 4*z1^2*z2^2*z3^3 + "
+                         "z1*z2^2*z3^4 + z1*z2*z3^2 + z2^2 + z3^2", ctx)
+    prem = sparse._prem
+
+    def spy(a, b, v):
+        r = prem(a, b, v)
+        assert all(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   < 1000 for c in r.values())
+        return r
+
+    monkeypatch.setattr(sparse, "_prem", spy)
+    assert sparse.pgcd(f.terms, f.partial("z1").terms) == {(0, 0, 0): 1}
