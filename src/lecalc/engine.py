@@ -25,11 +25,15 @@ degree N is a leading monomial and so m^N lies in the ideal locally.
 Otherwise the basis is minimal, monic and deterministically sorted, with
 tails as computed.  A colength is an int, or None when it is infinite.
 
-Saturation: I : K^infinity is the intersection of the Rabinowitsch
-eliminations I : g^infinity over the generators g of K, and `saturate`
-returns the reduced GREVLEX basis that the last elimination built.  A
-principal ideal is saturated by gcds and intersected by lcms, with no
-basis.
+Saturation: I : K^infinity is the intersection of the factors
+I : g^infinity over the generators g of K, and `saturate` returns its
+reduced GREVLEX basis.  Each factor splits I's generators into blocks linked
+by shared variables.  Only the blocks that share a variable with g are
+saturated, the rest are added back unchanged: one generator by gcds, with
+no basis, several by a Rabinowitsch elimination.  Factors equal to (1) drop
+out of the intersection; principal factors are intersected by lcms, the
+others by an elimination.  So the polar curve of z1^a*z2^b + z2^c + z3^d
+needs no basis at all.
 
 Each term-cancellation step draws on the budget `step_budget` made active,
 or outside any block on a fresh DEFAULT_BUDGET per basis and normal form.
@@ -513,7 +517,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     return _eliminate_fresh_variable(a.context, generators)
 
 
-def _saturate_by_element(i: Ideal, g: Polynomial) -> Ideal:
+def _rabinowitsch(i: Ideal, g: Polynomial) -> Ideal:
     """I : g^infinity = (I + (1 - u*g)) ∩ F[z], u a fresh variable
     (Rabinowitsch): one elimination."""
 
@@ -535,30 +539,98 @@ def _strip_common_factors(f: Polynomial, g: Polynomial) -> Polynomial:
         h = h.divide_exact(d)
 
 
+def _variables(p: Polynomial) -> set[int]:
+    return {i for m in p.terms for i, a in enumerate(m) if a}
+
+
+def _blocks(gens) -> list[tuple[set[int], list[Polynomial]]]:
+    """The generators grouped into blocks linked by shared variables, each
+    with the variables its generators involve.  Different blocks share no
+    variable, and a constant is a block of its own, with none."""
+    blocks = []
+    for p in gens:
+        block = (_variables(p), [p])
+        apart = []
+        for other in blocks:
+            if other[0].isdisjoint(block[0]):
+                apart.append(other)
+            else:
+                block = (block[0] | other[0], other[1] + block[1])
+        blocks = apart + [block]
+    return blocks
+
+
+def _reduced_basis(gens) -> tuple[Polynomial, ...]:
+    """The reduced GREVLEX basis of (gens); one generator is made monic."""
+    if len(gens) == 1:
+        return (gens[0].monic(GREVLEX),)
+    return standard_basis(Ideal(gens[0].context, tuple(gens)),
+                          GREVLEX).elements
+
+
+def _is_unit_basis(basis) -> bool:
+    return len(basis) == 1 and not basis[0].total_degree()
+
+
+def _saturate_by_element(blocks, g: Polynomial) -> tuple[Polynomial, ...]:
+    """The reduced GREVLEX basis of I : g^infinity, I the ideal of the
+    blocks.  With A the blocks that share a variable with g and R the rest,
+    F[z]/I is the tensor product of F[z]/A and F[z]/R over F, and g acts on
+    the first factor only, so I : g^infinity = (A : g^infinity) + R.  The
+    reduced bases of ideals in disjoint variables have coprime leading
+    monomials and tails free of each other's leading monomials, so together
+    they form the reduced basis of the sum, unless one of them is (1)."""
+    touched = _variables(g)
+    near = [p for vs, ps in blocks if not vs.isdisjoint(touched) for p in ps]
+    if len(near) == 1:
+        basis = (_strip_common_factors(near[0], g).monic(GREVLEX),)
+    elif near:
+        basis = _rabinowitsch(Ideal(g.context, tuple(near)), g).generators
+    else:
+        basis = ()
+    if _is_unit_basis(basis):
+        return basis
+    for vs, ps in blocks:
+        if vs.isdisjoint(touched):
+            far = _reduced_basis(ps)
+            if _is_unit_basis(far):
+                return far
+            basis += far
+    return tuple(sorted(basis,
+                        key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0])))
+
+
 def saturate(i: Ideal, k: Ideal) -> Ideal:
     """I : K^infinity as the intersection of I : g^infinity over the
     generators g of K, returned as the (unique) reduced GREVLEX basis.
     Idempotent; the result contains I.
 
-    A principal I = (f) is saturated by gcds and intersected by lcms, and
-    builds no basis.  Otherwise the last elimination already yields the
-    reduced GREVLEX basis, in GREVLEX order: the block order's second block
-    is grevlex, and u-free tails are reduced against u-free leading terms
-    only."""
+    Each I : g^infinity splits I's generators into blocks linked by shared
+    variables and saturates only the blocks that share a variable with g:
+    one generator by gcds, with no basis, several by a Rabinowitsch
+    elimination, whose basis is already reduced under GREVLEX (the block
+    order's second block is grevlex, and u-free tails are reduced against
+    u-free leading terms only).  Factors equal to (1) drop out of the
+    intersection, principal factors are intersected by lcms, and the
+    others by one elimination each."""
     if i.context != k.context:
         raise ContextError("saturation across different contexts")
-    if len(i.generators) == 1:
-        acc = None
-        for g in k.generators:
-            part = _strip_common_factors(i.generators[0], g)
-            acc = part if acc is None else (
-                acc * part).divide_exact(multivariate_gcd(acc, part))
-        return Ideal(i.context, (acc.monic(GREVLEX),))
+    ctx = i.context
+    blocks = _blocks(i.generators)
     acc = None
     for g in k.generators:
-        part = _saturate_by_element(i, g)
-        acc = part if acc is None else intersect(acc, part)
-    return acc
+        part = _saturate_by_element(blocks, g)
+        if _is_unit_basis(part):
+            continue
+        if acc is None:
+            acc = Ideal(ctx, part)
+        elif len(acc.generators) == len(part) == 1:
+            a, b = acc.generators[0], part[0]
+            lcm = (a * b).divide_exact(multivariate_gcd(a, b))
+            acc = Ideal(ctx, (lcm.monic(GREVLEX),))
+        else:
+            acc = intersect(acc, Ideal(ctx, part))
+    return Ideal(ctx, (Polynomial.one(ctx),)) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from lecalc.engine import (DEFAULT_BUDGET, Ideal, _Budget, _reduce,
                            step_budget)
 from lecalc.errors import BudgetExceededError, DegenerateInputError
 from lecalc.orders import GREVLEX, LOCAL
+from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, render
 
 C2 = Context(("z1", "z2"), ())
@@ -381,6 +382,84 @@ def test_highest_corner_keeps_colength_and_normal_forms(checked_bases, case):
     expected = _reduce(p.terms, rows, LOCAL, _Budget(DEFAULT_BUDGET),
                        colength)
     assert normal_form(p, basis).terms == expected
+
+
+def _rabinowitsch(i: Ideal, g: Polynomial) -> Ideal:
+    """I : g^infinity = (I + (1 - u*g)) ∩ F[z], u a fresh variable."""
+    ctx = i.context
+    u_name = ctx.fresh_name("u")
+    ext = ctx.with_prepended_variable(u_name)
+    u = Polynomial.variable(ext, u_name)
+
+    def embed(p):
+        return Polynomial(ext, {(0,) + m: c for m, c in p.terms.items()})
+
+    return eliminate(Ideal(ext, tuple(map(embed, i.generators))
+                           + (Polynomial.one(ext) - u * embed(g),)),
+                     (u_name,))
+
+
+def elimination_saturation(i: Ideal, k: Ideal) -> Ideal:
+    """I : K^infinity by eliminations alone, with no blocks and no gcds: one
+    Rabinowitsch elimination per generator of K, intersected by
+    `intersect`.  The last elimination leaves the reduced GREVLEX basis."""
+    acc = None
+    for g in k.generators:
+        part = _rabinowitsch(i, g)
+        acc = part if acc is None else intersect(acc, part)
+    return acc
+
+
+# supports of the generators: (z1, z2) | z3 splits, z2 or z3 alone may be a
+# pure power of a variable of K, z1 or z2 may be absent, and (z1, z2, z3)
+# or (z1, z3) link the blocks
+_SUPPORTS = ((0, 1), (2,), (1,), (0, 2), (0, 1, 2))
+
+
+@st.composite
+def _block_ideals(draw):
+    """One to three generators in three variables, each supported on one of
+    _SUPPORTS (up to three terms of degree 1 to 3), and sometimes times a
+    power of z2 or z3 for the saturation to strip."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.sampled_from(_SUPPORTS))
+        exponent = st.sampled_from([
+            e for e in product(range(4), repeat=3)
+            if 1 <= sum(e) <= 3 and all(i in support or not a
+                                        for i, a in enumerate(e))])
+        p = Polynomial.zero(C3)
+        for e in draw(st.lists(exponent, min_size=1, max_size=3,
+                               unique=True)):
+            p = p + Polynomial.monomial(
+                C3, e, Fraction(draw(st.sampled_from((-2, -1, 1, 3)))))
+        shift = draw(st.sampled_from(((0, 0, 0), (0, 1, 0), (0, 0, 1))))
+        gens.append(p * Polynomial.monomial(C3, shift))
+    return Ideal(C3, tuple(gens))
+
+
+def _c3(*exprs):
+    return Ideal(C3, tuple(parse_polynomial(e, C3) for e in exprs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_ideals())
+# the paper's polar ideal, (z1, z2) | z3
+@example(_c3("2*z1^2*z2 + 4*z2^3", "3*z3^2"))
+# a block of two generators beside a pure power of z3
+@example(_c3("z1^2 - z2^3", "z1*z2^2", "z3^4"))
+# z3 absent, z1 absent, a connected ideal
+@example(_c3("z1^2*z2 + z2^4", "z1*z2^3"))
+@example(_c3("z2^2*z3 + z3^3"))
+@example(_c3("z1*z2 + z3^2", "z2*z3 - z1^2"))
+# a constant generator is a block of its own, and makes every factor (1)
+@example(_c3("z1*z2", "3"))
+def test_block_saturation_matches_elimination(ideal):
+    for names in (("z2",), ("z3",), ("z2", "z3"), ("z1", "z2", "z3")):
+        k = Ideal(C3, tuple(Polynomial.variable(C3, v) for v in names))
+        sat = saturate(ideal, k)
+        assert sat.generators == elimination_saturation(ideal, k).generators
+        assert ideals_equal(sat, quotient_fixpoint_saturation(ideal, k))
 
 
 def _collapsing_saturation():

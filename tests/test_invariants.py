@@ -252,13 +252,7 @@ def test_germ_record_of_base():
     assert not rec.polar_empty
 
 
-def test_germ_record_bases_by_order_kind(monkeypatch):
-    # local: slice Milnor number, polar dimension, lambda0 (read by the line
-    # check and reused), gamma1, lambda1 and its two axis witnesses, the
-    # intersection cross-check; elimination: the polar curve's two
-    # saturations plus their intersection, which the line check computes
-    # and the record reuses; grevlex: the two colengths of the lambda^2
-    # test, whose principal polar ideal is saturated without a basis
+def _bases_by_order_kind(monkeypatch, f: Polynomial) -> Counter:
     kinds = []
     standard_basis = engine.standard_basis
 
@@ -267,8 +261,59 @@ def test_germ_record_bases_by_order_kind(monkeypatch):
         return standard_basis(ideal, order, *args, **kwargs)
 
     monkeypatch.setattr(engine, "standard_basis", spy)
-    germ_record(BASE, Random(0))
-    assert Counter(kinds) == {"local": 8, "elimination": 3, "grevlex": 2}
+    germ_record(f, Random(0))
+    return Counter(kinds)
+
+
+def test_germ_record_bases_by_order_kind(monkeypatch):
+    # local: slice Milnor number, polar dimension, lambda0 (read by the line
+    # check and reused), gamma1, lambda1 and its two axis witnesses, the
+    # intersection cross-check; grevlex: the two colengths of the lambda^2
+    # test.  The polar curve (dz2, dz3) : (z2, z3)^infinity needs no basis:
+    # dz3 = 4*z3^3 shares no variable with dz2 and with z2, so the
+    # saturation by z2 strips dz2 by gcds and keeps z3^3, and the one by z3
+    # is (1)
+    assert _bases_by_order_kind(monkeypatch, BASE) == {"local": 8,
+                                                       "grevlex": 2}
+
+
+def test_separated_four_variable_germ_builds_no_elimination_basis(
+        monkeypatch):
+    # dz2, dz3 and dz4 lie in disjoint variables; grevlex: the colengths of
+    # the lambda^2 and lambda^3 tests
+    ctx = Context(("z1", "z2", "z3", "z4"), ())
+    f = parse_polynomial("z1^2*z2^2 + z2^4 + z3^3 + z4^3", ctx)
+    assert _bases_by_order_kind(monkeypatch, f) == {"local": 8,
+                                                    "grevlex": 4}
+
+
+def test_coupled_germ_keeps_the_elimination_path(monkeypatch):
+    # dz3 = 3*z3^2 + 2*z2*z3 shares z2 with dz2, so each saturation of the
+    # polar curve is a Rabinowitsch elimination, and their intersection a
+    # third one
+    f = parse_polynomial("z1^2*z2^2 + z2^4 + z3^3 + z2*z3^2", C3)
+    assert _bases_by_order_kind(monkeypatch, f) == {
+        "local": 8, "elimination": 3, "grevlex": 2}
+
+
+@pytest.mark.parametrize("a, b, g, m", [
+    *((a, b, f"z3^{d}", d - 1)
+      for a in (1, 2, 3) for b in (3, 4, 5) for d in (2, 3, 4)),
+    *((a, b, f"z3^{c} + z4^{d}", (c - 1) * (d - 1))
+      for a, b in ((1, 3), (2, 4)) for c, d in ((2, 2), (2, 3), (3, 3))),
+])
+def test_germ_record_closed_forms(a, b, g, m):
+    # z1^a*z2^2 + z2^b + g, mu(g) = m: the polar curve is m copies of
+    # 2*z1^a + b*z2^(b-2) = 0, which meets z1 = 0 with multiplicity b - 2
+    # and a*z1^(a-1)*z2^2 = 0 with (a-1)(b-2) + 2a
+    n = 4 if "z4" in g else 3
+    ctx = Context(tuple(f"z{i}" for i in range(1, n + 1)), ())
+    f = parse_polynomial(f"z1^{a}*z2^2 + z2^{b} + {g}", ctx)
+    rec = germ_record(f, Random(0))
+    assert rec.lambda0 == m * ((a - 1) * (b - 2) + 2 * a)
+    assert rec.lambda1 == m
+    assert rec.gamma1 == m * (b - 2)
+    assert rec.slice_milnor == m * (b - 1)
 
 
 def test_germ_record_of_suspension():
