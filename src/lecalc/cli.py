@@ -176,8 +176,6 @@ def _config_from_args(args) -> rp.RunConfig:
             j_values = tuple(int(x) for x in args.j_values.split(","))
         except ValueError:
             raise UsageError(f"malformed --j {args.j_values!r}") from None
-        if not j_values:
-            raise UsageError("--j needs at least one exponent")
     return rp.RunConfig(
         expression=expression, variables=variables, parameter=parameter,
         seed=seed, budget=args.budget, fmt=args.fmt,

@@ -64,12 +64,10 @@ class Family:
     deformation: tuple[tuple[int, Polynomial], ...]   # (j, g_j), j >= 1
     reduced_witnesses: tuple[Fraction, Fraction]
 
-    def member(self, value: Fraction) -> Polynomial:
+    def member(self, value: Fraction | Modular) -> Polynomial:
+        """The member at a rational value, over QQ, or at a residue mod p,
+        over GF(p)."""
         return self.full.specialize_parameter(self.parameter, value)
-
-    def member_mod(self, value: int, prime: int) -> Polynomial:
-        """The member at parameter value `value` in GF(prime), over GF(prime)."""
-        return self.full.specialize_parameter_mod(self.parameter, value, prime)
 
 
 def decompose_family(f: Polynomial, rng: Random) -> Family:
@@ -254,20 +252,11 @@ def default_j_values(lambda0_value: int) -> tuple[int, ...]:
 
 def _augmented_milnor(g: Polynomial, j: int) -> int | None:
     """mu(g + z1^j), or None when the augmented germ stays non-isolated."""
-    ctx = g.context
-    z1 = Polynomial.variable(ctx, ctx.variables[0])
+    z1_j = Polynomial.monomial(g.context, (j,) + (0,) * (g.context.nvars - 1))
     try:
-        return milnor_number(g + z1 ** j)
+        return milnor_number(g + z1_j)
     except NonIsolatedError:
         return None
-
-
-def _generic_augmented_milnor(fam: Family, j: int,
-                              points: tuple[tuple[int, int], ...]
-                              ) -> list[int | None]:
-    """mu(f_t + z1^j) over GF(p) at t = tau, for each (p, tau) in points."""
-    return [_augmented_milnor(fam.member_mod(tau, p), j)
-            for p, tau in points]
 
 
 def _draw_mod_points(rng: Random) -> tuple[tuple[int, int], ...]:
@@ -279,11 +268,13 @@ def _generic_ilm_values(
         fam: Family, js: list[int], rng: Random
 ) -> tuple[list[int | None], tuple[tuple[int, int], ...]]:
     """mu(f_t + z1^j) over GF(p) for every j in js, all at one pair of
-    points from _draw_mod_points, and that pair.  If the two primes disagree
-    on any row, every row is recomputed at a redrawn pair; then refuse."""
+    points from _draw_mod_points, and that pair.  The family is specialized
+    once per point.  If the two primes disagree on any row, every row is
+    recomputed at a redrawn pair; then refuse."""
     for _ in range(2):
         points = _draw_mod_points(rng)
-        pairs = [_generic_augmented_milnor(fam, j, points) for j in js]
+        members = [fam.member(Modular(tau, p)) for p, tau in points]
+        pairs = [[_augmented_milnor(g, j) for g in members] for j in js]
         split = [j for j, (a, b) in zip(js, pairs) if a != b]
         if not split:
             return [a for a, _ in pairs], points
@@ -308,6 +299,10 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
     rec = slice_rec.record
     if j_values is None:
         j_values = default_j_values(rec.lambda0)
+    if len(set(j_values)) < 2:
+        raise UsageError(
+            f"j values {list(j_values)}: the table infers the Le numbers "
+            "from slopes, so it needs at least two distinct exponents")
     threshold = 2 + rec.lambda0
     bad = [j for j in j_values if j < threshold]
     if bad:
@@ -674,14 +669,13 @@ def _axis_weight_note(an: FamilyAnalysis) -> str:
             f"augmentation forms coincide at exponent {e}")
     if e < 2:
         return note + " (exponent below 2: no Milnor number to report)"
-    points = tuple((p, Modular.from_rational(tau, p).value)
-                   for p, tau in zip(PRIMES, fam.reduced_witnesses))
     try:
-        for where, mus_of in (
-                (f"{t} = 0", lambda: [_augmented_milnor(fam.base, e)]),
+        for where, members in (
+                (f"{t} = 0", lambda: [fam.base]),
                 (f"generic {t}",
-                 lambda: _generic_augmented_milnor(fam, e, points))):
-            mus = set(mus_of())
+                 lambda: [fam.member(Modular.from_rational(tau, p))
+                          for p, tau in zip(PRIMES, fam.reduced_witnesses)])):
+            mus = {_augmented_milnor(g, e) for g in members()}
             note += f"; mu at {where} with {axis}^{e} added"
             if len(mus) > 1:
                 note += ": specializations disagree"

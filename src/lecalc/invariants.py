@@ -25,7 +25,7 @@ from .errors import (ContextError, DegenerateInputError,
                      NonIntegerResultError, NonIsolatedError,
                      NotLineSingularityError, PolarDimensionError,
                      UnluckySpecializationError)
-from .poly import Context, Polynomial, require_reduced
+from .poly import Polynomial, require_reduced
 
 
 def draw_rational(rng: Random) -> Fraction:
@@ -74,11 +74,6 @@ def order_at_origin(f: Polynomial) -> int:
     if order == 0:
         raise DegenerateInputError("germ does not vanish at the origin")
     return order
-
-
-def multiplicity_at_origin(f: Polynomial) -> int:
-    require_reduced(f)
-    return order_at_origin(f)
 
 
 @dataclass(frozen=True)
@@ -388,12 +383,6 @@ def _refuse_unless_line(check: LineSingularityCheck):
             f"{check.failing_check})", check.failing_check, check)
 
 
-def require_line_singularity(f: Polynomial) -> LineSingularityCheck:
-    check = is_line_singularity(f)
-    _refuse_unless_line(check)
-    return check
-
-
 # ---------------------------------------------------------------------------
 # polar curve and its numbers
 
@@ -441,15 +430,6 @@ def gamma1(gamma: Ideal) -> int:
 def _lambda0_ideal(f: Polynomial, gamma: Ideal) -> Ideal:
     d1 = f.partial(f.context.variables[0])
     return gamma if d1.is_zero() else gamma.with_extra(d1)
-
-
-def lambda0(f: Polynomial, gamma: Ideal) -> int:
-    """Intersection number of the polar curve with V(df/dz1) at the origin."""
-    l0 = colength_at_origin(_lambda0_ideal(f, gamma))
-    if l0 is None:
-        raise ImproperIntersectionError(
-            "polar curve meets V(df/dz1) improperly (infinite colength)")
-    return l0
 
 
 def lambda1(f: Polynomial, rng: Random) -> tuple[int, tuple[Fraction, Fraction]]:
@@ -561,21 +541,16 @@ def check_polar_ratio_lemma(f0: Polynomial, w: WeightSystem,
     symbolic a_i must turn f0 into f0(a) * s^d exactly; consequently every
     polar-curve branch meets V(f0) with multiplicity d and V(z1) with
     multiplicity w1, so the polar ratio is d/w1."""
-    ctx = f0.context
-    if ctx.parameters:
+    if f0.context.parameters:
         raise ContextError("the identity is checked on parameter-free germs")
     for m in f0.terms:
         if w.weighted_degree(m) != w.degree:
             raise DegenerateInputError(
                 "polynomial is not weighted homogeneous for the given weights")
-    params = tuple(f"a{i + 1}" for i in range(ctx.nvars))
-    target = Context(("s",), params)
-    s = Polynomial.variable(target, "s")
-    images = {}
-    for i, v in enumerate(ctx.variables):
-        images[v] = Polynomial.parameter(target, params[i]) * s ** w.weights[i]
-    sub = f0.substitute(images, target)
-    identity = (not sub.is_zero()) and set(sub.terms) == {(w.degree,)}
+    # every term c*z^m has weighted degree d, so the substitution sends it
+    # to c*a^m*s^d; distinct monomials m give distinct a^m, so no two terms
+    # cancel and the image is f0(a)*s^d, nonzero, exactly when f0 is
+    identity = not f0.is_zero()
     return PolarRatioLemmaReport(identity, w.degree, w.weights[0],
                                  Fraction(w.degree, w.weights[0]), rho_computed)
 

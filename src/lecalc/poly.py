@@ -12,6 +12,9 @@ residues over GF(p) (a prime modulus, no parameters).  All three share one
 protocol: + - * /, negation, truthiness as a zero test, ==, hash and a
 total order < for canonical sorting.  Only the constructors, the moves
 between fields and `render` look at the field; the arithmetic never does.
+`Polynomial.specialize_parameter` is the one evaluator of a parameter: at a
+rational it maps QQ(params) to QQ(the other params), and at a `Modular`
+residue it maps QQ(t) to GF(p).
 
 Everything here is immutable by convention: operations return fresh objects
 and never mutate term dicts that have been handed out.
@@ -256,28 +259,36 @@ class Coefficient:
 
     # -- context plumbing ---------------------------------------------------
 
-    def embed(self, new_arity: int, index_map: tuple[int, ...]) -> "Coefficient":
-        """Re-index parameters into a wider tuple; index_map[old] = new slot."""
+    def with_trailing_parameter(self) -> "Coefficient":
+        """The same element with one more parameter, in the last slot."""
 
-        def remap(d):
-            out = {}
-            for m, c in d.items():
-                nm = [0] * new_arity
-                for old, e in enumerate(m):
-                    nm[index_map[old]] = e
-                out[tuple(nm)] = c
-            return out
+        def widen(d):
+            return {m + (0,): c for m, c in d.items()}
 
-        return Coefficient(remap(self.num), remap(self.den), new_arity, _reduced=True)
+        return Coefficient(widen(self.num), widen(self.den), self.arity + 1,
+                           _reduced=True)
 
-    def subs_param(self, index: int, value: Fraction) -> "Coefficient | Fraction":
-        """Evaluate one parameter at a rational; arity drops by one, and at
-        arity one the result is a plain Fraction."""
+    def subs_param(self, index: int, value: "Fraction | Modular"
+                   ) -> "Coefficient | Fraction | Modular":
+        """Evaluate one parameter at value, in value's field.  At a rational
+        the arity drops by one, and at arity one the result is a plain
+        Fraction.  At a residue mod p the arity must be one: the rational
+        coefficients are lifted into GF(p) and the result is a Modular.
+        Raises UnluckySpecializationError when p divides a rational
+        denominator or the denominator vanishes at value."""
+        if isinstance(value, Modular):
+            modulus = value.modulus
+
+            def lift(q):
+                return Modular.from_rational(q, modulus)
+        else:
+            def lift(q):
+                return q
 
         def ev(d):
             out = {}
             for m, c in d.items():
-                scaled = c * value ** m[index]
+                scaled = lift(c) * value ** m[index]
                 key = m[:index] + m[index + 1:]
                 w = out.get(key)
                 w = scaled if w is None else w + scaled
@@ -287,40 +298,20 @@ class Coefficient:
                     del out[key]
             return out
 
-        den = ev(self.den)
-        if not den:
-            raise UnluckySpecializationError(
-                "specialization hit a coefficient denominator zero")
-        if self.arity == 1:
-            return ev(self.num).get((), 0) / den[()]
-        return Coefficient(ev(self.num), den, self.arity - 1)
-
-    def mul_param_monomial(self, expo: tuple[int, ...]) -> "Coefficient":
-        one = _FR_ONE
-        return Coefficient(sparse.pshift(self.num, expo, one), self.den, self.arity)
-
-    def residue(self, point: tuple[int, ...], prime: int) -> "Modular":
-        """The image in GF(prime) of this coefficient with its parameters set
-        to the residues in point; unlucky when prime divides a rational
-        denominator or the denominator vanishes at point."""
-
-        def ev(d):
-            acc = 0
-            for m, q in d.items():
-                term = Modular.from_rational(q, prime).value
-                for x, e in zip(point, m):
-                    term = term * pow(x, e, prime) % prime
-                acc += term
-            return acc % prime
-
         try:
             num, den = ev(self.num), ev(self.den)
         except ZeroDivisionError as exc:
             raise UnluckySpecializationError(str(exc)) from exc
         if not den:
             raise UnluckySpecializationError(
-                f"specialization mod {prime} hit a coefficient denominator zero")
-        return Modular(num * pow(den, -1, prime), prime)
+                "specialization hit a coefficient denominator zero")
+        if self.arity == 1:
+            return num.get((), lift(0)) / den[()]
+        return Coefficient(num, den, self.arity - 1)
+
+    def mul_param_monomial(self, expo: tuple[int, ...]) -> "Coefficient":
+        one = _FR_ONE
+        return Coefficient(sparse.pshift(self.num, expo, one), self.den, self.arity)
 
 
 def _is_den_one(den, arity) -> bool:
@@ -332,8 +323,9 @@ def _is_den_one(den, arity) -> bool:
 
 class Modular:
     """An element of the prime field GF(modulus), stored as its residue in
-    [0, modulus).  It offers exactly what `sparse.py` and the basis engine
-    use: + - * /, negation, truthiness as a zero test, == and hash.  Both
+    [0, modulus).  It offers what `sparse.py` and the basis engine use
+    (+ - * /, negation, truthiness as a zero test, == and hash) and the
+    integer powers of parameter specialization.  Both
     operands of an operation come from one context, so the moduli agree and
     are not compared."""
 
@@ -370,6 +362,9 @@ class Modular:
             raise ZeroDivisionError(f"division by zero in GF({self.modulus})")
         return Modular(self.value * pow(other.value, -1, self.modulus),
                        self.modulus)
+
+    def __pow__(self, n: int):
+        return Modular(pow(self.value, n, self.modulus), self.modulus)
 
     def __eq__(self, other):
         if not isinstance(other, Modular):
@@ -559,74 +554,30 @@ class Polynomial:
                 del out[nm]
         return Polynomial(self.context, out)
 
-    # -- substitution and context moves --------------------------------------
-
-    def substitute(self, images: dict[str, "Polynomial"], target: Context) -> "Polynomial":
-        """Map every ring variable to its image polynomial in the target context.
-
-        Parameters of the source context must all exist in the target context;
-        they pass through unchanged.  Residues mod p pass through into a
-        target over the same GF(p).  A rational whose denominator p divides
-        has no image in GF(p): UnluckySpecializationError."""
-        ctx = self.context
-        if ctx.modulus and target.modulus != ctx.modulus:
-            raise ContextError(
-                f"target context is not over GF({ctx.modulus})")
-        for v in ctx.variables:
-            if v not in images:
-                raise ContextError(f"no image supplied for variable {v!r}")
-        for im in images.values():
-            if im.context != target:
-                raise ContextError("image polynomial lives in the wrong context")
-        try:
-            index_map = tuple(target.parameters.index(p) for p in ctx.parameters)
-        except ValueError as exc:
-            raise ContextError(f"target context lacks a source parameter: {exc}") from None
-        imgs = [images[v] for v in ctx.variables]
-        acc = Polynomial.zero(target)
-        for m, c in self.terms.items():
-            piece = Polynomial.one(target)
-            for i, e in enumerate(m):
-                if e:
-                    piece = piece * imgs[i] ** e
-            if isinstance(c, Fraction):
-                try:
-                    c = target.coefficient(c)
-                except ZeroDivisionError as exc:
-                    raise UnluckySpecializationError(str(exc)) from exc
-            elif isinstance(c, Coefficient):
-                c = c.embed(target.nparams, index_map)
-            acc = acc + piece * c
-        return acc
+    # -- specialization and context moves ------------------------------------
 
     def specialize_parameter(self, name: str, value) -> "Polynomial":
-        """Evaluate one parameter at an exact rational."""
-        if name not in self.context.parameters:
-            raise ContextError(f"{name!r} is not a parameter of {self.context}")
-        idx = self.context.parameters.index(name)
-        value = Fraction(value)
-        target = self.context.without_parameter(name)
+        """Evaluate one parameter at an exact value.  A rational (an int or
+        Fraction) maps into QQ(the other parameters).  A `Modular` residue
+        maps into GF(its modulus) on the same variables, and then the
+        parameter must be the only one.  Raises UnluckySpecializationError
+        when a coefficient has no image: its denominator vanishes at value,
+        or the modulus divides a rational denominator."""
+        ctx = self.context
+        if name not in ctx.parameters:
+            raise ContextError(f"{name!r} is not a parameter of {ctx}")
+        if isinstance(value, Modular):
+            if ctx.parameters != (name,):
+                raise ContextError(
+                    f"{name!r} is not the only parameter of {ctx}")
+            target = replace(ctx, parameters=(), modulus=value.modulus)
+        else:
+            value = Fraction(value)
+            target = ctx.without_parameter(name)
+        idx = ctx.parameters.index(name)
         out = {}
         for m, c in self.terms.items():
             nc = c.subs_param(idx, value)
-            if nc:
-                out[m] = nc
-        return Polynomial(target, out)
-
-    def specialize_parameter_mod(self, name: str, value: int,
-                                 prime: int) -> "Polynomial":
-        """Evaluate the only parameter at value in GF(prime); the image lives
-        in the GF(prime) context on the same variables.  Raises
-        UnluckySpecializationError when prime divides a rational denominator
-        or a coefficient's denominator vanishes at value."""
-        if self.context.parameters != (name,):
-            raise ContextError(
-                f"{name!r} is not the only parameter of {self.context}")
-        target = replace(self.context, parameters=(), modulus=prime)
-        point = (value % prime,)
-        out = {}
-        for m, c in self.terms.items():
-            nc = c.residue(point, prime)
             if nc:
                 out[m] = nc
         return Polynomial(target, out)
@@ -638,13 +589,12 @@ class Polynomial:
         i = ctx.var_index(name)
         target = ctx.variable_as_parameter(name)
         np = target.nparams
-        index_map = tuple(range(ctx.nparams))
         out = {}
         for m, c in self.terms.items():
             e = m[i]
             nm = m[:i] + m[i + 1:]
             nc = target.coefficient(c) if isinstance(c, Fraction) \
-                else c.embed(np, index_map)
+                else c.with_trailing_parameter()
             if e:
                 nc = nc.mul_param_monomial((0,) * (np - 1) + (e,))
             w = out.get(nm)

@@ -315,6 +315,14 @@ def test_ilm_rejects_small_exponents(capsys):
     assert "threshold" in err
 
 
+def test_ilm_rejects_a_single_distinct_exponent(capsys):
+    # one exponent gives no slope to infer the Le numbers from
+    code, out, err = run(capsys, "ilm", "-e", SUSPENSION, "--param", "t",
+                         "--j", "4,4")
+    assert code == 1 and out == ""
+    assert "at least two distinct exponents" in err
+
+
 def test_input_file_round_trip(tmp_path, capsys):
     path = tmp_path / "family.lec"
     path.write_text("# demo family\nvars: z1,z2,z3\nparam: t\n"

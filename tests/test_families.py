@@ -274,7 +274,7 @@ def test_augmented_milnor_mod_p_matches_rational(text, j_values):
         for j in j_values:
             over_q = _augmented_mu(fam.member(tau), j)
             for p in PRIMES:
-                image = fam.member_mod(Modular.from_rational(tau, p).value, p)
+                image = fam.member(Modular.from_rational(tau, p))
                 assert image.context.modulus == p
                 assert _augmented_mu(image, j) == over_q
 
@@ -289,39 +289,62 @@ def test_ilm_refuses_a_prime_dividing_a_denominator():
         verify_ilm(fam, GENERIC, generic, Random(0))
 
 
-def _disagreeing_on_calls(monkeypatch, bad_calls):
-    """Spy on the generic ILM rows: record (j, points) per call, and make
-    the two primes disagree on the given call numbers (1-based)."""
-    real = families._generic_augmented_milnor
-    calls = []
+def _disagreeing_on_rows(monkeypatch, bad_rows):
+    """Spy on the generic ILM rows: record each drawn pair of points, each
+    specialized member's value of t, and (j, prime) per augmented Milnor
+    number; make the two primes disagree on the given row numbers
+    (1-based, counted over both draws)."""
+    real_draw = families._draw_mod_points
+    real_member = families.Family.member
+    real_mu = families._augmented_milnor
+    draws, members, calls = [], [], []
 
-    def spy(fam, j, points):
-        calls.append((j, points))
-        mus = real(fam, j, points)
-        return [mus[0], mus[0] + 1] if len(calls) in bad_calls else mus
+    def draw(rng):
+        draws.append(real_draw(rng))
+        return draws[-1]
 
-    monkeypatch.setattr(families, "_generic_augmented_milnor", spy)
-    return calls
+    def member(fam, value):
+        members.append(value)
+        return real_member(fam, value)
+
+    def mu(g, j):
+        calls.append((j, g.context.modulus))
+        value = real_mu(g, j)
+        second = g.context.modulus == PRIMES[1]
+        return value + 1 if second and (len(calls) + 1) // 2 in bad_rows \
+            else value
+
+    monkeypatch.setattr(families, "_draw_mod_points", draw)
+    monkeypatch.setattr(families.Family, "member", member)
+    monkeypatch.setattr(families, "_augmented_milnor", mu)
+    return draws, members, calls
+
+
+def _at(points):
+    return [Modular(tau, p) for p, tau in points]
 
 
 def test_ilm_redraw_recomputes_every_row(worked, monkeypatch):
     # the third row disagrees once: every row is then recomputed at the
     # redrawn points, and the table reports the points its rows used
-    calls = _disagreeing_on_calls(monkeypatch, {3})
+    draws, members, calls = _disagreeing_on_rows(monkeypatch, {3})
     table = verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
-    first, redrawn = calls[0][1], table.t_witnesses
-    assert first != redrawn
-    assert calls == [(j, first) for j in (8, 9, 10, 11)] \
-        + [(j, redrawn) for j in (8, 9, 10, 11)]
+    first, redrawn = draws
+    assert first != redrawn and table.t_witnesses == redrawn
+    # the family is specialized once per point, not once per row
+    assert members == _at(first) + _at(redrawn)
+    assert calls == [(j, p) for j in (8, 9, 10, 11) for p in PRIMES] * 2
     assert table.passed and [r.mu for r in table.rows] == [27, 30, 33, 36]
 
 
 def test_ilm_refuses_a_second_disagreement(worked, monkeypatch):
-    calls = _disagreeing_on_calls(monkeypatch, {2, 6})
+    draws, members, calls = _disagreeing_on_rows(monkeypatch, {2, 6})
     with pytest.raises(UnluckySpecializationError,
                        match=r"z1\^9\) disagrees"):
         verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
-    assert [j for j, _ in calls] == [8, 9, 10, 11] * 2
+    assert members == _at(draws[0]) + _at(draws[1])
+    assert [j for j, _ in calls] == [j for j in (8, 9, 10, 11)
+                                     for _ in PRIMES] * 2
 
 
 def test_ilm_custom_exponents_on_suspension(suspension):

@@ -17,11 +17,10 @@ from lecalc.errors import (BudgetExceededError, DegenerateInputError,
                            NotLineSingularityError, PolarDimensionError)
 from lecalc.invariants import (_line_check, check_polar_ratio_lemma,
                                detect_weights, euler_reduced, gamma1,
-                               germ_record, is_line_singularity, lambda0,
+                               germ_record, is_line_singularity,
                                lambda_k_vanishing, milnor_number,
-                               milnor_orlik, multiplicity_at_origin,
-                               order_at_origin, polar_ratio, polar_variety_1,
-                               require_line_singularity)
+                               milnor_orlik, order_at_origin, polar_ratio,
+                               polar_variety_1)
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, is_reduced
 
@@ -31,8 +30,8 @@ SUSPENSION = parse_polynomial("z2^3 + z3^3", C3)
 
 
 def test_order_and_multiplicity():
+    # the multiplicity of the reduced BASE is in test_germ_record_of_base
     assert order_at_origin(BASE) == 4
-    assert multiplicity_at_origin(BASE) == 4
     assert order_at_origin(SUSPENSION) == 3
 
 
@@ -91,7 +90,7 @@ def test_line_singularity_check_fails_on_isolated_point():
     assert not check.is_line_singularity
     assert check.failing_check == "vanishes_on_axis"
     with pytest.raises(NotLineSingularityError) as err:
-        require_line_singularity(parse_polynomial("z1^2 + z2^2 + z3^2", C3))
+        germ_record(parse_polynomial("z1^2 + z2^2 + z3^2", C3), Random(0))
     assert err.value.failing_check == "vanishes_on_axis"
     assert "failing check: vanishes_on_axis" in str(err.value)
 
@@ -219,7 +218,7 @@ def test_polar_variety_of_base():
 def test_le_and_polar_numbers_of_base():
     gamma = polar_variety_1(BASE)
     assert gamma1(gamma) == 9
-    assert lambda0(BASE, gamma) == 21
+    assert _line_check(BASE)[3] == 21      # lambda0
     assert polar_ratio(9, 21) == Fraction(10, 3)
     assert polar_ratio(0, 0) is None
     assert euler_reduced(21, 3, 3) == 18

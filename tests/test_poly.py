@@ -101,32 +101,6 @@ def test_divide_exact_returns_none_when_inexact():
         z1.divide_exact(Polynomial.zero(CTX))
 
 
-def test_substitute_is_a_ring_map():
-    z1, z2 = v("z1"), v("z2")
-    f = z1 ** 2 + z1 * z2
-    images = {"z1": z2, "z2": z1 + z2, "z3": Polynomial.zero(CTX)}
-    g = f.substitute(images, CTX)
-    assert g == z2 ** 2 + z2 * (z1 + z2)
-
-
-def test_substitute_over_a_prime_field():
-    c7 = Context(("z1", "z2"), (), 7)
-    z1, z2 = v("z1", c7), v("z2", c7)
-    swapped = (3 * z1 + z2).substitute({"z1": z2, "z2": z1}, c7)
-    assert swapped.terms == {(1, 0): Modular(1, 7), (0, 1): Modular(3, 7)}
-    # residues mod 7 have no image in GF(11) or in QQ
-    for target in (Context(("z1", "z2"), (), 11), Context(("z1", "z2"), ())):
-        images = {"z1": v("z2", target), "z2": v("z1", target)}
-        with pytest.raises(ContextError):
-            (3 * z1 + z2).substitute(images, target)
-    # 1/7 has no image in GF(7): an unlucky specialization, not a crash
-    c2 = Context(("z1", "z2"), ())
-    f = Fraction(1, 7) * v("z1", c2) + v("z2", c2)
-    with pytest.raises(UnluckySpecializationError):
-        f.substitute({"z1": z2, "z2": z1}, c7)
-    assert (2 * v("z1", c2)).substitute({"z1": z2, "z2": z1}, c7) == 2 * z2
-
-
 def test_eval_variable_zero():
     z1, z2, z3 = v("z1"), v("z2"), v("z3")
     f = z1 * z2 + z3 ** 2 + z1
@@ -151,8 +125,7 @@ def test_promote_variable_to_parameter_round_trips_evaluation():
     g = f.promote_variable_to_parameter("z1")
     assert "z1" in g.context.parameters and "z1" not in g.context.variables
     h = g.specialize_parameter("z1", Fraction(2))
-    direct = f.substitute({"z1": Polynomial.constant(CTX, Fraction(2)),
-                           "z2": z2, "z3": v("z3")}, CTX)
+    direct = 2 ** 2 * z2 + z2 ** 3       # f at z1 = 2
     assert render(h) == render(direct.restrict_to(("z2", "z3")))
 
 
@@ -362,38 +335,82 @@ def test_coefficient_fast_paths_match_generic_normalization(pair, q):
     assert not (a - a)
 
 
-def test_specialize_parameter_mod_matches_rational_reduction():
+def test_specialize_parameter_at_a_residue_matches_rational_reduction():
     t = Polynomial.parameter(CTXP, "t")
     x, y = v("z1", CTXP), v("z2", CTXP)
     f = Fraction(2, 3) * t ** 2 * x ** 2 + (t - 1) * y + x * y
     for tau in (Fraction(5), Fraction(-3, 4)):
         over_q = f.specialize_parameter("t", tau)
-        image = f.specialize_parameter_mod(
-            "t", Modular.from_rational(tau, 7).value, 7)
+        image = f.specialize_parameter("t", Modular.from_rational(tau, 7))
         assert image.context == Context(("z1", "z2"), (), 7)
         assert image.terms == {m: Modular.from_rational(c, 7)
                                for m, c in over_q.terms.items()
                                if c.numerator % 7}
     # t = 1 kills the (t - 1)*z2 term mod 7 as well
-    assert f.specialize_parameter_mod("t", 8, 7).terms.keys() \
+    assert f.specialize_parameter("t", Modular(8, 7)).terms.keys() \
         == {(2, 0), (1, 1)}
     with pytest.raises(ContextError):
-        x.specialize_parameter_mod("s", 1, 7)
+        x.specialize_parameter("s", Modular(1, 7))
+    # a residue sends QQ(t) to GF(p): no other parameter may remain
+    two = Polynomial.parameter(Context(("z1",), ("s", "t")), "t")
+    with pytest.raises(ContextError):
+        two.specialize_parameter("t", Modular(1, 7))
 
 
-def test_specialize_parameter_mod_refuses_unlucky_values():
+def test_specialize_parameter_at_a_residue_refuses_unlucky_values():
     x = v("z1", CTXP)
     # 1/(t - 3): the denominator vanishes at t = 3 mod 7, i.e. at t = 10
     c = Coefficient({(0,): Fraction(1)},
                     {(1,): Fraction(1), (0,): Fraction(-3)}, 1)
     f = x * c + x ** 2
-    assert f.specialize_parameter_mod("t", 4, 7).terms[(1, 0)] == Modular(1, 7)
+    assert f.specialize_parameter("t", Modular(4, 7)).terms[(1, 0)] \
+        == Modular(1, 7)
     with pytest.raises(UnluckySpecializationError):
-        f.specialize_parameter_mod("t", 10, 7)
+        f.specialize_parameter("t", Modular(10, 7))
     # 7 divides a rational denominator: no image in GF(7) at any t
     g = Fraction(1, 14) * x + x ** 2
     with pytest.raises(UnluckySpecializationError):
-        g.specialize_parameter_mod("t", 1, 7)
+        g.specialize_parameter("t", Modular(1, 7))
+    # ... even where the rational member has one: t/7 is 1 at t = 7
+    h = Fraction(1, 7) * Polynomial.parameter(CTXP, "t") * x
+    assert h.specialize_parameter("t", 7) == v("z1", Context(("z1", "z2")))
+    with pytest.raises(UnluckySpecializationError):
+        h.specialize_parameter("t", Modular(7, 7))
+
+
+P5 = 5
+_q_mod_5 = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 5)))
+_t_polys = st.dictionaries(st.integers(0, 2).map(lambda e: (e,)),
+                           _q_mod_5.filter(bool), max_size=3)
+_qq_t_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.builds(lambda num, den: Coefficient(num, den, 1),
+              _t_polys, _t_polys.filter(bool)).filter(bool),
+    max_size=4).map(lambda terms: Polynomial(CTXP, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_qq_t_polys,
+       st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3))))
+def test_specialize_parameter_at_a_residue_is_the_image_of_the_rational_member(
+        f, tau):
+    """The image of f at tau mod p, when it exists, is the coefficientwise
+    GF(p) image of the rational member f(tau).  Reduction mod p can be
+    unlucky where QQ is not (t/5 at t = 5), but never the other way."""
+
+    def member(value):
+        try:
+            return f.specialize_parameter("t", value)
+        except UnluckySpecializationError:
+            return None
+
+    over_q, image = member(tau), member(Modular.from_rational(tau, P5))
+    if image is None:
+        return
+    assert over_q is not None
+    assert image.context == Context(("z1", "z2"), (), P5)
+    assert image.terms == {m: r for m, c in over_q.terms.items()
+                           if (r := Modular.from_rational(c, P5))}
 
 
 def test_gcd_and_reducedness():
