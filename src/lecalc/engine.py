@@ -35,6 +35,18 @@ out of the intersection; principal factors are intersected by lcms, the
 others by an elimination.  So the polar curve of z1^a*z2^b + z2^c + z3^d
 needs no basis at all.
 
+Colengths and dimensions at the origin go block by block too: the local
+algebra of an ideal is the tensor product of the algebras of its blocks,
+so colengths multiply and dimensions add (Sebastiani-Thom, Invent. Math.
+13, 1971: mu(g(x) + h(y)) = mu(g) * mu(h), here for ideals).  A variable
+in no generator makes the colength infinite and adds 1 to the dimension; a
+block in one variable has the least order of its generators as colength
+(the local ring is a discrete valuation ring) and dimension 0; a single
+generator in k variables has dimension k - 1, and infinite colength when
+k >= 2.  Any other block takes one local basis in its own variables, so a
+coupled ideal, one block in every variable, takes the one basis it always
+did.
+
 Each term-cancellation step draws on the budget `step_budget` made active,
 or outside any block on a fresh DEFAULT_BUDGET per basis and normal form.
 """
@@ -636,27 +648,78 @@ def saturate(i: Ideal, k: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 # numerical invariants of ideals
 
+def _block_basis(variables: set[int], gens) -> StandardBasis:
+    """The local basis of a block's generators in the ring of the block's
+    own variables."""
+    ctx = gens[0].context
+    names = tuple(ctx.variables[i] for i in sorted(variables))
+    restricted = tuple(p.restrict_to(names) for p in gens)
+    return standard_basis(Ideal(restricted[0].context, restricted), LOCAL)
+
+
+def _monomial_dimension(exps, nvars: int) -> int:
+    """Krull dimension of the monomial ideal generated by exps (none of them
+    zero): the largest set of variables that carries none of them."""
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            s = set(subset)
+            if not any(all(i in s for i, ei in enumerate(e) if ei)
+                       for e in exps):
+                return size
+    raise InternalCheckError("dimension search fell through")
+
+
 def colength_at_origin(ideal: Ideal) -> int | None:
     """dim_F of (local ring at the origin) / ideal, F the coefficient field;
-    None when it is infinite.  Finite exactly when every variable shows a
-    pure power among the local leading terms."""
-    stairs = standard_basis(ideal, LOCAL).standard_monomials
-    return None if stairs is None else len(stairs)
+    None when it is infinite.
+
+    Block by block: the local algebra is the tensor product of the
+    algebras of the blocks of generators linked by shared variables, so the
+    colengths multiply.  A variable in no generator makes it infinite, and
+    so does a block of one generator in two or more variables.  A block in
+    one variable contributes the least order of its generators (the local
+    ring is a discrete valuation ring), and any other block the number of
+    standard monomials of its local basis in its own variables."""
+    if contains_local_unit(ideal):
+        return 0
+    blocks = _blocks(ideal.generators)
+    if sum(len(vs) for vs, _ in blocks) < ideal.context.nvars:
+        return None
+    colength = 1
+    for vs, ps in blocks:
+        if len(vs) == 1:
+            colength *= min(p.min_total_degree() for p in ps)
+            continue
+        if len(ps) == 1:
+            return None  # a hypersurface germ in two or more variables
+        stairs = _block_basis(vs, ps).standard_monomials
+        if stairs is None:
+            return None
+        colength *= len(stairs)
+    return colength
 
 
 def dimension_at_origin(ideal: Ideal) -> int | None:
-    """Krull dimension of the leading-term quotient under the local order;
-    None means the germ is empty (the ideal contains a local unit)."""
+    """Krull dimension of the germ at the origin, read off the leading terms
+    under the local order; None means the germ is empty (the ideal contains
+    a local unit).
+
+    Block by block, as for the colength: the dimensions add.  A variable in
+    no generator adds 1.  A block in k variables adds k - 1 when it has one
+    generator (a hypersurface) or one variable (then k = 1), and otherwise
+    the dimension of the leading ideal of its local basis in its own
+    variables."""
     if contains_local_unit(ideal):
         return None
-    exps = standard_basis(ideal, LOCAL).leading_exponents
-    n = ideal.context.nvars
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            s = set(subset)
-            if not any(all(i in s for i, ei in enumerate(e) if ei) for e in exps):
-                return size
-    raise InternalCheckError("dimension search fell through")
+    blocks = _blocks(ideal.generators)
+    dim = ideal.context.nvars - sum(len(vs) for vs, _ in blocks)
+    for vs, ps in blocks:
+        if len(ps) == 1 or len(vs) == 1:
+            dim += len(vs) - 1
+        else:
+            exps = _block_basis(vs, ps).leading_exponents
+            dim += _monomial_dimension(exps, len(vs))
+    return dim
 
 
 def contains_local_unit(ideal: Ideal) -> bool:
@@ -700,17 +763,33 @@ def _truncated_colength(ideal: Ideal, n: int) -> int:
 
 
 def colength_by_truncation(ideal: Ideal) -> int:
-    """Colength via global bases of I + m^N with N doubling until two
-    consecutive values agree.  Independent of the local (Mora) machinery."""
-    maxdeg = max(g.total_degree() for g in ideal.generators)
-    n = 2 * maxdeg + 2
-    prev = _truncated_colength(ideal, n)
-    while True:
-        n *= 2
-        if n > 4096:
-            raise DegenerateInputError(
-                "truncation oracle did not stabilize (colength likely infinite)")
+    """Colength via global bases of I + m^N.  Independent of the local
+    (Mora) machinery.
+
+    When the generators include a pure power z_i^a_i of every variable,
+    every monomial of degree N = 1 + sum(a_i - 1) is divisible by one of
+    them, so m^N lies in I and one truncation is exact.  Otherwise N
+    doubles from 1.  c_N = dim F[z]/(I + m^N), the colength of I + m^N,
+    grows strictly with N until m^N lies in I locally (Nakayama) and stays
+    put from there, so c_N >= N until then: c_N < N, or two consecutive
+    values that agree, make c_N the colength."""
+    powers: dict[int, int] = {}
+    for g in ideal.generators:
+        if len(g.terms) != 1:
+            continue
+        (m,) = g.terms
+        support = [i for i, a in enumerate(m) if a]
+        if len(support) == 1:
+            i = support[0]
+            powers[i] = min(m[i], powers.get(i, m[i]))
+    if len(powers) == ideal.context.nvars:
+        return _truncated_colength(
+            ideal, 1 + sum(a - 1 for a in powers.values()))
+    n, prev = 1, None
+    while n <= 4096:
         cur = _truncated_colength(ideal, n)
-        if cur == prev:
+        if cur < n or cur == prev:
             return cur
-        prev = cur
+        n, prev = 2 * n, cur
+    raise DegenerateInputError(
+        "truncation oracle did not stabilize (colength likely infinite)")

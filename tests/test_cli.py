@@ -179,12 +179,12 @@ def test_selftest_budget_failure_in_a_slice_is_reraised(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # the largest basis takes 6 steps, the whole record 25
+    # the largest basis takes 6 steps, the whole record 22
     ("invariants", "-e", "z1^2*z2^2 + z2^5 + z3^4 + z3*z4^3",
      "--vars", "z1,z2,z3,z4", "--budget", "10"),
-    # the largest basis takes 4 steps, the whole command 60
+    # the largest basis takes 3 steps, the whole command 48
     ("ilm", "-f", str(Path(lecalc.__file__).parent / "corpus"
-                      / "homogeneous_family.lec"), "--budget", "50"),
+                      / "homogeneous_family.lec"), "--budget", "30"),
 ])
 def test_budget_bounds_the_whole_command(capsys, argv):
     code, out, err = run(capsys, *argv)

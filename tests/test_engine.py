@@ -3,7 +3,7 @@ and independent oracles (iterated-quotient saturation, jet-space
 truncation)."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -261,6 +261,106 @@ def test_dimension_at_origin():
     assert dimension_at_origin(Ideal(C2, (X + 1,))) is None
 
 
+def _whole_ideal_colength_and_dimension(ideal: Ideal):
+    """The reference: one local basis in all variables, its staircase and
+    the largest set of variables that carries no leading monomial."""
+    basis = standard_basis(ideal, LOCAL)
+    exps = basis.leading_exponents
+    stairs = basis.standard_monomials
+    colength = None if stairs is None else len(stairs)
+    if not all(map(any, exps)):
+        return colength, None
+    n = ideal.context.nvars
+    dimension = max(len(s) for k in range(n + 1)
+                    for s in combinations(range(n), k)
+                    if not any(all(i in s for i, a in enumerate(e) if a)
+                               for e in exps))
+    return colength, dimension
+
+
+C4 = Context(("z1", "z2", "z3", "z4"), ())
+C4_T = Context(C4.variables, ("t",))
+C4_P = Context(C4.variables, (), 2147483647)
+
+
+def _coefficients(ctx):
+    """Small rationals, and over QQ(t) a few polynomials in t."""
+    out = [ctx.coefficient(q) for q in (1, -1, 2, -3, Fraction(1, 2))]
+    if ctx.parameters:
+        t = Polynomial.parameter(ctx, "t").constant_coefficient()
+        out += [t, t + ctx.unit]
+    return out
+
+
+@st.composite
+def _separable_ideals(draw):
+    """An ideal in four variables over QQ, QQ(t) or GF(2147483647) whose
+    generators fall into blocks in disjoint variables.  A block of several
+    generators has at most 2 variables, one generator may have 3, and every
+    generator has 1 to 3 terms of degree 1 to 3.  Sometimes a block's
+    variables are left out, and sometimes a generator has a constant term."""
+    ctx = draw(st.sampled_from((C4, C4_T, C4_P)))
+    coefficient = st.sampled_from(_coefficients(ctx))
+    order = draw(st.permutations(range(4)))
+    rarely = st.integers(0, 9).map(lambda k: k == 5)
+    gens = []
+    start = 0
+    while start < 4:
+        size = min(draw(st.sampled_from((1, 1, 2, 2, 3))), 4 - start)
+        block = order[start:start + size]
+        start += size
+        if draw(rarely):
+            continue  # the block's variables appear in no generator
+        count = 1 if size == 3 else draw(st.sampled_from((1, 2, 2, 3)))
+        exponent = st.sampled_from([
+            e for e in product(range(4), repeat=4)
+            if 1 <= sum(e) <= 3 and all(i in block or not a
+                                        for i, a in enumerate(e))])
+        for _ in range(count):
+            p = Polynomial.zero(ctx)
+            for e in draw(st.lists(exponent, min_size=1, max_size=3,
+                                   unique=True)):
+                p = p + Polynomial.monomial(ctx, e, draw(coefficient))
+            if not p.is_zero():
+                gens.append(p)
+    assume(gens)
+    if draw(rarely):
+        gens[0] = gens[0] + Polynomial.one(ctx)
+    return Ideal(ctx, tuple(gens))
+
+
+def _c4(*exprs):
+    return Ideal(C4, tuple(parse_polynomial(e, C4) for e in exprs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_separable_ideals())
+def test_block_colength_and_dimension_match_the_whole_ideal(ideal):
+    colength, dimension = _whole_ideal_colength_and_dimension(ideal)
+    assert colength_at_origin(ideal) == colength
+    assert dimension_at_origin(ideal) == dimension
+
+
+@pytest.mark.parametrize("exprs, colength, dimension", [
+    # z4 absent: infinite colength, and a free direction
+    (("z1^2 - z2^3", "z1*z2^2", "z3^4"), None, 1),
+    # a unit generator, a constant generator: the empty germ
+    (("z1 + 1", "z2^2", "z3", "z4"), 0, None),
+    (("3", "z1*z2"), 0, None),
+    # principal blocks in 2 and in 3 variables
+    (("z1^2 - z2^3", "z3^2", "z4^3"), None, 1),
+    (("z1*z2 + z3^2", "z4^3"), None, 2),
+    # (z2^3, z2^2 + z2^5) = (z2^2) in one variable: 2, times the cusp's 7
+    (("z2^3", "z2^2 + z2^5", "z1^2 - z3^3", "z1*z3^2", "z4"), 14, 0),
+    (("z2^3", "z2^2 + z2^5", "z1", "z3", "z4"), 2, 0),
+])
+def test_block_colengths_and_dimensions(exprs, colength, dimension):
+    ideal = _c4(*exprs)
+    assert _whole_ideal_colength_and_dimension(ideal) == (colength, dimension)
+    assert colength_at_origin(ideal) == colength
+    assert dimension_at_origin(ideal) == dimension
+
+
 def test_global_colength_counts_all_points():
     ideal = Ideal(C2, ((X - 1) * X, Y))
     assert colength_global(ideal) == 2
@@ -363,10 +463,20 @@ def _space_germ_and_polynomial():
     return Ideal(C3, (y - z ** 2, y * z + 2 * x, x ** 2)), y * z + z ** 3 + 1
 
 
+def _no_pure_power_and_polynomial():
+    # colength 4 and no generator a pure power: the truncation oracle stops
+    # at N = 8, where c_N = 4 < N; doubling from N = 6 ran out of budget
+    gens = ("-3*z2*z3 - 3*z3^2 + z2", "-3*z1^2 - 3*z1*z2",
+            "-z1^2 - 2*z1*z3 + 3*z2")
+    ideal = Ideal(C3, tuple(parse_polynomial(g, C3) for g in gens))
+    return ideal, Polynomial.variable(C3, "z1") + 1
+
+
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_ideal_and_polynomial())
 @example(_cusp_and_polynomial())
+@example(_no_pure_power_and_polynomial())
 @example(_corner_pair_and_polynomial())
 @example(_space_germ_and_polynomial())
 def test_highest_corner_keeps_colength_and_normal_forms(checked_bases, case):

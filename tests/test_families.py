@@ -1,13 +1,14 @@
 """Deformation families: decomposition, upper-family detection, slice
 invariants, the verdict rules, and the augmentation identity tables."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from lecalc import families
+from lecalc import engine, families
 from lecalc.engine import Ideal
 from lecalc.errors import (DegenerateInputError, InternalCheckError,
                            NonReducedError, UnluckySpecializationError,
@@ -222,6 +223,23 @@ def test_ilm_tables_for_worked_family(worked):
     assert tg.passed and tg.inferred == (6, 3, 15)
     assert [p for p, _ in tg.t_witnesses] == list(PRIMES)
     assert all(1 <= tau < p for p, tau in tg.t_witnesses)
+
+
+def test_ilm_rows_of_a_separable_germ_build_two_variable_bases(
+        worked, monkeypatch):
+    # every row's Jacobian, at t = 0 and at both generic points, splits
+    # into a (z1, z2) block and 4*z3^3, whose colength is its order
+    shapes = []
+    standard_basis = engine.standard_basis
+
+    def spy(ideal, order):
+        shapes.append((order.kind, ideal.context.nvars))
+        return standard_basis(ideal, order)
+
+    monkeypatch.setattr(engine, "standard_basis", spy)
+    verify_ilm(worked.family, ZERO, worked.zero, Random(0))
+    verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
+    assert Counter(shapes) == {("local", 2): 4 + 4 * len(PRIMES)}
 
 
 def _is_prime(n):

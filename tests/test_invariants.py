@@ -18,7 +18,7 @@ from lecalc.errors import (BudgetExceededError, DegenerateInputError,
 from lecalc.invariants import (_line_check, check_polar_ratio_lemma,
                                detect_weights, euler_reduced, gamma1,
                                germ_record, is_line_singularity,
-                               lambda_k_vanishing, milnor_number,
+                               lambda1, lambda_k_vanishing, milnor_number,
                                milnor_orlik, order_at_origin, polar_ratio,
                                polar_variety_1)
 from lecalc.parse import parse_polynomial
@@ -265,25 +265,38 @@ def _bases_by_order_kind(monkeypatch, f: Polynomial) -> Counter:
 
 
 def test_germ_record_bases_by_order_kind(monkeypatch):
-    # local: slice Milnor number, polar dimension, lambda0 (read by the line
-    # check and reused), gamma1, lambda1 and its two axis witnesses, the
-    # intersection cross-check; grevlex: the two colengths of the lambda^2
-    # test.  The polar curve (dz2, dz3) : (z2, z3)^infinity needs no basis:
-    # dz3 = 4*z3^3 shares no variable with dz2 and with z2, so the
-    # saturation by z2 strips dz2 by gcds and keeps z3^3, and the one by z3
-    # is (1)
-    assert _bases_by_order_kind(monkeypatch, BASE) == {"local": 8,
+    # local: lambda0 (read by the line check and reused) and gamma1 in
+    # (z1, z2), and the intersection cross-check Gamma + (f) in all three
+    # variables; grevlex: the two colengths of the lambda^2 test.  The polar
+    # curve (dz2, dz3) : (z2, z3)^infinity needs no basis: dz3 = 4*z3^3
+    # shares no variable with dz2 and with z2, so the saturation by z2
+    # strips dz2 by gcds and keeps z3^3, and the one by z3 is (1).  The
+    # other colengths and dimensions split into blocks that need no basis:
+    # each in one variable, or of one generator
+    assert _bases_by_order_kind(monkeypatch, BASE) == {"local": 3,
                                                        "grevlex": 2}
 
 
 def test_separated_four_variable_germ_builds_no_elimination_basis(
         monkeypatch):
-    # dz2, dz3 and dz4 lie in disjoint variables; grevlex: the colengths of
+    # dz2, dz3 and dz4 lie in disjoint variables; local: lambda0, gamma1 and
+    # the intersection cross-check, as for BASE; grevlex: the colengths of
     # the lambda^2 and lambda^3 tests
     ctx = Context(("z1", "z2", "z3", "z4"), ())
     f = parse_polynomial("z1^2*z2^2 + z2^4 + z3^3 + z4^3", ctx)
-    assert _bases_by_order_kind(monkeypatch, f) == {"local": 8,
+    assert _bases_by_order_kind(monkeypatch, f) == {"local": 3,
                                                     "grevlex": 4}
+
+
+def test_separable_milnor_number_and_lambda1_build_no_basis(monkeypatch):
+    # the Jacobian (3*z2^2, 3*z3^2) is two blocks in one variable each, so
+    # the colength is the product of their orders, over QQ and over QQ(z1)
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a separable colength computed a basis")
+
+    monkeypatch.setattr(engine, "standard_basis", no_basis)
+    assert milnor_number(SUSPENSION, ("z2", "z3")) == 4
+    assert lambda1(SUSPENSION, Random(0))[0] == 4
 
 
 def test_coupled_germ_keeps_the_elimination_path(monkeypatch):
