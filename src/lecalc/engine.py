@@ -280,18 +280,21 @@ def _pair_loop(input_rows, order, budget):
 
     Pairs wait on a heap keyed on (deg lcm, order key of lcm, i, j): the
     smallest lcm degree first, ties broken by the active order.  Under the
-    local order the loop watches for the highest corner: once the leading
-    exponents show a pure power z_i^a_i for every i, every monomial of
-    degree D = 1 + sum(a_i - 1) is a leading monomial, so m^D lies in the
-    ideal locally (Nakayama).  From then on S-polynomials reduce modulo m^D
+    local order the loop watches for the highest corner: rows and
+    S-polynomials never leave the variables that the input rows involve, and
+    once the leading exponents show a pure power z_i^a_i for each of these,
+    every monomial in them of degree D = 1 + sum(a_i - 1) is a leading
+    monomial, so m'^D lies in the ideal locally (Nakayama), m' the maximal
+    ideal of those variables.  From then on S-polynomials reduce modulo m'^D
     with _reduce instead of Mora's normal form, and the loop stops at the
-    first pair whose lcm has degree >= D (its S-polynomial lies in m^D, and
+    first pair whose lcm has degree >= D (its S-polynomial lies in m'^D, and
     so does every later one)."""
     rows: list[tuple[dict, tuple[int, ...]]] = []
     pairs: list[tuple[int, tuple, int, int, tuple[int, ...]]] = []
     key = order.key
     local = not order.is_global
     corner: dict[int, int] = {}
+    used = {i for t in input_rows for m in t for i, a in enumerate(m) if a}
     bound = None
 
     def push(terms):
@@ -305,8 +308,8 @@ def _pair_loop(input_rows, order, budget):
         if local:
             for i, a in _pure_powers([lt]).items():
                 corner[i] = min(a, corner.get(i, a))
-            if len(corner) == len(lt):
-                bound = 1 + sum(a - 1 for a in corner.values())
+            if used <= corner.keys():
+                bound = 1 + sum(corner[i] - 1 for i in used)
 
     for t in input_rows:
         push(t)

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from random import Random
 
 from .engine import (Ideal, colength_at_origin, colength_global,
-                     contains_local_unit, dimension_at_origin, saturate)
+                     dimension_at_origin, saturate)
 from .errors import (ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
                      NonIntegerResultError, NonIsolatedError,
@@ -270,10 +270,14 @@ def milnor_orlik(w: WeightSystem, indices: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class LineSingularityCheck:
+    """The three tests of is_line_singularity.  The third runs only when
+    the first two pass, and extra_critical_component_at_origin is None (not
+    tested) otherwise."""
+
     vanishes_on_axis: bool
     slice_isolated: bool
     slice_milnor: int | None
-    extra_critical_component_at_origin: bool
+    extra_critical_component_at_origin: bool | None
 
     @property
     def is_line_singularity(self) -> bool:
@@ -303,40 +307,27 @@ def is_line_singularity(f: Polynomial) -> LineSingularityCheck:
     slice f|V(z1) has an isolated singularity, and the critical locus V(Jac)
     has no extra component through 0 (one not contained in the axis).
 
-    When the first two pass, the third is read off the polar curve.  Let
-    P = (df/dz2, ..., df/dzn), Gamma = P : (z2, ..., zn)^infinity (the
-    ideal of polar_variety_1) and d1 = df/dz1.  Then V(P) = V(Gamma) union
+    The third runs only when the first two pass, and is read off the polar
+    curve.  Let P = (df/dz2, ..., df/dzn), Gamma = P : (z2, ..., zn)^infinity
+    (the ideal of polar_variety_1) and d1 = df/dz1.  Then V(P) = V(Gamma) union
     (V(P) meet the axis), so V(Jac) = V(P) meet V(d1) agrees with
     V(Gamma + (d1)) off the axis, and an extra component passes through 0
     exactly when 0 lies in the closure of V(Gamma + (d1)) minus the axis.
-
-    - When dim_0 Gamma <= 1, Gamma is a curve germ or empty, and none of its
-      branches lies in the axis, so each branch meets the axis only at 0.
-      An extra component then exists exactly when a branch lies in V(d1),
-      that is, when Gamma + (d1) (Gamma alone when d1 = 0) has infinite
-      colength at 0.  That colength is lambda0 (Massey, Le Cycles and
-      Hypersurface Singularities, LNM 1615).
-    - An isolated slice meets V(P) only at 0, so every component of V(P)
-      through 0 has dimension <= 1, and so has Gamma.  dim_0 Gamma >= 2
-      would mean coordinates that are not prepolar; germ_record refuses
-      those anyway.
-
-    Otherwise (an earlier test failed, or dim_0 Gamma >= 2) Jac is
-    saturated by each z_i, i >= 2: Jac : (z2, ..., zn)^infinity is the
-    intersection of these saturations, and an intersection is the whole
-    local ring only when every factor is, so each factor is tested for a
-    local unit.  That skips Gamma where no record needs it: for a germ whose
-    slice is not isolated it can have dimension >= 2, and its local basis
-    can cost far more than these saturations."""
+    An isolated slice gives P + (z1) finite colength, so dim_0 V(P) <= 1
+    (Krull), and Gamma, which contains P and has no m-primary component,
+    is a curve germ or empty.  None of its branches lies in the axis, so
+    each meets the axis only at 0, and an extra component exists exactly
+    when a branch lies in V(d1), that is, when Gamma + (d1) (Gamma alone
+    when d1 = 0) has infinite colength at 0.  That colength is lambda0
+    (Massey, Le Cycles and Hypersurface Singularities, LNM 1615)."""
     return _line_check(f)[0]
 
 
 def _line_check(f: Polynomial) -> tuple[LineSingularityCheck, Ideal | None,
-                                        int | None, int | None]:
-    """is_line_singularity(f), with what it computed on the way: Gamma and
-    dim_0 Gamma when the first two tests pass (None otherwise), and
-    lambda0's colength when the third test read it (None when infinite or
-    not computed)."""
+                                        int | None]:
+    """is_line_singularity(f), with what it computed on the way: Gamma when
+    the first two tests pass (None otherwise), and lambda0's colength when
+    the third test read it (None when infinite or not computed)."""
     require_reduced(f)
     ctx = f.context
     if ctx.nvars < 2:
@@ -359,21 +350,13 @@ def _line_check(f: Polynomial) -> tuple[LineSingularityCheck, Ideal | None,
         except NonIsolatedError:
             slice_isolated = False
 
-    gamma = dim = l0 = None
+    gamma = l0 = extra = None
     if vanishes and slice_isolated:
         gamma = _polar_ideal(f)
-        dim = dimension_at_origin(gamma)
-    if gamma is not None and dim in (None, 1):
         l0 = colength_at_origin(_lambda0_ideal(f, gamma))
         extra = l0 is None
-    else:
-        jac = Ideal(ctx, tuple(p for p in parts if not p.is_zero()))
-        extra = not all(
-            contains_local_unit(
-                saturate(jac, Ideal(ctx, (Polynomial.variable(ctx, v),))))
-            for v in others)
     check = LineSingularityCheck(vanishes, slice_isolated, slice_mu, extra)
-    return check, gamma, dim, l0
+    return check, gamma, l0
 
 
 def _refuse_unless_line(check: LineSingularityCheck):
@@ -397,20 +380,16 @@ def _polar_ideal(f: Polynomial) -> Ideal:
     return saturate(Ideal(ctx, tuple(gens)), axis_ideal)
 
 
-def _require_polar_curve(dim: int | None):
-    """Refuse a polar germ that is neither a curve nor empty."""
-    if dim not in (None, 1):
-        raise PolarDimensionError(
-            f"polar variety has dimension {dim} at the origin (expected a "
-            "curve or empty); the coordinates are not prepolar")
-
-
 def polar_variety_1(f: Polynomial) -> Ideal:
     """The relative polar curve: components of V(partials transverse to the
     axis) not contained in the singular line, as the saturation by
     (z2, ..., zn).  Its germ must be a curve or empty."""
     gamma = _polar_ideal(f)
-    _require_polar_curve(dimension_at_origin(gamma))
+    dim = dimension_at_origin(gamma)
+    if dim not in (None, 1):
+        raise PolarDimensionError(
+            f"polar variety has dimension {dim} at the origin (expected a "
+            "curve or empty); the coordinates are not prepolar")
     return gamma
 
 
@@ -580,10 +559,9 @@ class InvariantRecord:
 def germ_record(f: Polynomial, rng: Random) -> InvariantRecord:
     """Compute every invariant of a verified line singularity, with the
     built-in consistency check gamma1 + lambda0 = ([polar curve].[V(f)])_0."""
-    check, gamma, dim, l0 = _line_check(f)
+    check, gamma, l0 = _line_check(f)
     _refuse_unless_line(check)
     order = order_at_origin(f)
-    _require_polar_curve(dim)
     # the check found no extra critical component, so lambda0's colength,
     # which it computed, is finite
     g1 = gamma1(gamma)

@@ -28,7 +28,7 @@ from .invariants import check_polar_ratio_lemma, detect_weights, milnor_number
 from .orders import GREVLEX, LOCAL
 from .parse import parse_polynomial
 from .poly import Context, Polynomial, render
-from .report import render as render_report
+from .report import SCHEMA_VERSION, render as render_report
 
 CORPUS_FILES = ("nonupper_family.lec", "suspension_family.lec",
                 "homogeneous_family.lec", "constant_family.lec")
@@ -466,7 +466,7 @@ def run_selftest(seed: int = 0, budget: int = DEFAULT_BUDGET,
             if status == BudgetExceededError.token:
                 break
     passed = all(r["status"] == "PASS" for r in results)
-    doc = {"schema": 1, "command": "selftest", "seed": seed,
+    doc = {"schema": SCHEMA_VERSION, "command": "selftest", "seed": seed,
            "budget": budget, "corpus_files": count,
            "criteria": len(CRITERIA), "results": results, "passed": passed}
     sys.stdout.write(render_report(doc, fmt))

@@ -193,11 +193,12 @@ def test_budget_bounds_the_whole_command(capsys, argv):
 
 
 def test_fallback_milnor_number_does_not_hide_budget_exhaustion(capsys):
-    # not a line singularity (mu = 8); the budget runs out in the fallback
+    # not a line singularity (mu = 8); the line check fails its first test
+    # and takes no step, so all 5 steps of the command are the fallback's
     code, out, err = run(capsys, "invariants", "-e",
-                         "z1^3 + z2^3 + z3^3 + z1*z2*z3", "--budget", "48")
+                         "z1^3 + z2^3 + z3^3 + z1*z2*z3", "--budget", "4")
     assert code == 2 and out == ""
-    assert err == ("refused: BUDGET_EXCEEDED: reduction budget of 48 steps "
+    assert err == ("refused: BUDGET_EXCEEDED: reduction budget of 4 steps "
                    "exhausted\n")
 
 

@@ -5,6 +5,7 @@ truncation)."""
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -299,8 +300,10 @@ def _separable_ideals(draw):
     generators has at most 2 variables, one generator may have 3, and every
     generator has 1 to 3 terms of degree 1 to 3, except that over QQ(t) a
     block of several generators keeps to degree 2: with degree 3, when the
-    whole ideal has no highest corner (a free or unused variable), the
-    reference's coefficients in t swell and one ideal can take seconds.
+    whole ideal has no highest corner (a variable of some generator that
+    no pure power of the basis covers, as in a principal block in two
+    variables), the reference's coefficients in t swell and one ideal can
+    take seconds.
     Sometimes a block's variables are left out, and sometimes a generator
     has a constant term."""
     ctx = draw(st.sampled_from((C4, C4_T, C4_P)))
@@ -364,6 +367,28 @@ def test_block_colengths_and_dimensions(exprs, colength, dimension):
     assert _whole_ideal_colength_and_dimension(ideal) == (colength, dimension)
     assert colength_at_origin(ideal) == colength
     assert dimension_at_origin(ideal) == dimension
+
+
+def test_highest_corner_waits_only_for_the_variables_in_use(checked_bases):
+    # z4 is in no generator, so the corner z1^2, z2, z3^3 shows in the other
+    # three variables; waiting for a pure power of z4 as well ran the whole
+    # Mora loop without the cutoff, about 10 s as the coefficients in t swell
+    exprs = ("t*z1^3", "z1^2", "(t^2 - 2)*z2^3 - z3^3 + (t^2 - 2)*z2*z3",
+             "(t^2 - 2)*z2^3 + t*z3^3 + 2*z2",
+             "(t + 1)*z2*z3^2 + (t + 1)*z2^2")
+    c3_t = Context(C3.variables, ("t",))
+    bases = []
+    for ctx in (c3_t, C4_T):
+        ideal = Ideal(ctx, tuple(parse_polynomial(e, ctx) for e in exprs))
+        start = perf_counter()
+        bases.append(standard_basis(ideal, LOCAL))
+        assert perf_counter() - start < 0.5
+    three, four = bases
+    assert sorted(three.leading_exponents) == [(0, 0, 3), (0, 1, 0),
+                                               (2, 0, 0)]
+    assert sorted(four.leading_exponents) == [
+        e + (0,) for e in sorted(three.leading_exponents)]
+    assert four.standard_monomials is None  # z4 is a free direction
 
 
 def test_global_colength_counts_all_points():

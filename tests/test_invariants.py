@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from lecalc import engine
-from lecalc.engine import (Ideal, contains_local_unit, ideals_equal,
-                           saturate, step_budget)
+from lecalc import engine, invariants
+from lecalc.engine import (Ideal, contains_local_unit, dimension_at_origin,
+                           ideals_equal, saturate, step_budget)
 from lecalc.errors import (BudgetExceededError, DegenerateInputError,
                            NonIsolatedError, NonReducedError,
                            NotLineSingularityError, PolarDimensionError)
@@ -111,10 +111,10 @@ def test_line_singularity_check_fails_on_extra_critical_line():
     # the extra critical line {z2 = 0, z3 = z1} is a branch of the polar
     # curve along which df/dz1 vanishes, so lambda0's colength is infinite
     f = parse_polynomial("z2^2 + z3^2*(z3 - z1)^2", C3)
-    check, gamma, dim, l0 = _line_check(f)
+    check, gamma, l0 = _line_check(f)
     assert check.vanishes_on_axis and check.slice_isolated
     assert check.slice_milnor == 3
-    assert (dim, l0) == (1, None)
+    assert l0 is None and dimension_at_origin(gamma) == 1
     assert check.extra_critical_component_at_origin
     assert extra_component_oracle(f)
     assert check.failing_check == "no_extra_critical_component"
@@ -124,15 +124,16 @@ def test_line_singularity_check_fails_on_extra_critical_line():
 
 
 def test_extra_critical_component_off_a_surface_polar_variety():
-    # Gamma = (z1) is a surface; the slice is zero, so the check saturates
-    # Jac by z2 and by z3 and reports the z2- and z3-axes through 0
+    # Gamma = (z1) is a surface, which polar_variety_1 refuses; the slice is
+    # zero, so the check stops at its second test and leaves the third
+    # untested, though the z2- and z3-axes are extra components through 0
     f = parse_polynomial("z1*z2*z3", C3)
     with pytest.raises(PolarDimensionError):
         polar_variety_1(f)
-    check, gamma, dim, l0 = _line_check(f)
+    check, gamma, l0 = _line_check(f)
     assert gamma is None and l0 is None
     assert check.vanishes_on_axis and not check.slice_isolated
-    assert check.extra_critical_component_at_origin
+    assert check.extra_critical_component_at_origin is None
     assert extra_component_oracle(f)
     with pytest.raises(NotLineSingularityError) as err:
         germ_record(f, Random(0))
@@ -185,16 +186,42 @@ def test_extra_component_flag_matches_the_per_variable_test(f):
         reject()
     try:
         with step_budget(1500):
-            check, gamma, dim, l0 = _line_check(f)
-            expected = extra_component_oracle(f)
+            check, gamma, l0 = _line_check(f)
+            if check.slice_isolated:
+                expected = extra_component_oracle(f)
+                dim = dimension_at_origin(gamma)
     except BudgetExceededError:
         reject()
     assert check.vanishes_on_axis
+    if not check.slice_isolated:
+        assert check.extra_critical_component_at_origin is None
+        return
+    # read off the polar curve, which an isolated slice keeps a curve or
+    # empty (Krull), so the check needs no dimension of its own
+    assert dim in (None, 1)
     assert check.extra_critical_component_at_origin == expected
-    if check.slice_isolated:
-        # read off the polar curve, which an isolated slice keeps a curve
-        assert dim in (None, 1)
-        assert (l0 is None) == expected
+    assert (l0 is None) == expected
+
+
+@pytest.mark.parametrize("expr", ["z1^2 + z2^2 + z3^2",
+                                  "z1^3 + z2^3 + z3^3 + z1*z2*z3"])
+def test_failed_first_test_builds_no_basis_and_no_saturation(monkeypatch,
+                                                            expr):
+    # df/dz1 restricts to a nonzero multiple of z1^(d-1) on the axis; the
+    # slice's Milnor number splits into blocks in one variable each, and
+    # the third test is not run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the line check built a basis or a saturation")
+
+    monkeypatch.setattr(engine, "standard_basis", refuse)
+    monkeypatch.setattr(engine, "saturate", refuse)
+    monkeypatch.setattr(invariants, "saturate", refuse)
+    f = parse_polynomial(expr, C3)
+    check = is_line_singularity(f)
+    assert check.failing_check == "vanishes_on_axis"
+    assert check.extra_critical_component_at_origin is None
+    with pytest.raises(NotLineSingularityError):
+        germ_record(f, Random(0))
 
 
 def test_line_singularity_requires_reduced_input():
@@ -218,7 +245,7 @@ def test_polar_variety_of_base():
 def test_le_and_polar_numbers_of_base():
     gamma = polar_variety_1(BASE)
     assert gamma1(gamma) == 9
-    assert _line_check(BASE)[3] == 21      # lambda0
+    assert _line_check(BASE)[2] == 21      # lambda0
     assert polar_ratio(9, 21) == Fraction(10, 3)
     assert polar_ratio(0, 0) is None
     assert euler_reduced(21, 3, 3) == 18
@@ -302,10 +329,11 @@ def test_separable_milnor_number_and_lambda1_build_no_basis(monkeypatch):
 def test_coupled_germ_keeps_the_elimination_path(monkeypatch):
     # dz3 = 3*z3^2 + 2*z2*z3 shares z2 with dz2, so each saturation of the
     # polar curve is a Rabinowitsch elimination, and their intersection a
-    # third one
+    # third one; 7 local bases, as the line check takes no dimension of
+    # the polar curve
     f = parse_polynomial("z1^2*z2^2 + z2^4 + z3^3 + z2*z3^2", C3)
     assert _bases_by_order_kind(monkeypatch, f) == {
-        "local": 8, "elimination": 3, "grevlex": 2}
+        "local": 7, "elimination": 3, "grevlex": 2}
 
 
 @pytest.mark.parametrize("a, b, g, m", [
