@@ -19,10 +19,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
 from random import Random
 
-from .engine import Ideal
+from .engine import Ideal, _strip_common_factors
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      InternalCheckError, MathRefusal, NonIsolatedError,
                      NonReducedError, UnluckySpecializationError, UsageError)
@@ -303,6 +302,8 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
         raise UsageError(
             f"j values {list(j_values)}: the table infers the Le numbers "
             "from slopes, so it needs at least two distinct exponents")
+    if len(set(j_values)) < len(j_values):
+        raise UsageError(f"j values {list(j_values)}: an exponent repeats")
     threshold = 2 + rec.lambda0
     bad = [j for j in j_values if j < threshold]
     if bad:
@@ -359,9 +360,10 @@ class EvidenceReport:
 
 
 def _distinct_prime_summary(g: Polynomial) -> tuple[int, list[str]]:
-    """(number of distinct prime factors found, human notes); counts are a
-    lower bound obtained by monomial-content splitting, square-free
-    reduction, and a rational-root scan on univariate factors."""
+    """(number of distinct prime factors through the origin found, human
+    notes); counts are a lower bound obtained by monomial-content splitting
+    and a factor shared with a partial.  A factor with a nonzero constant
+    term is a unit in the local ring: it counts no prime."""
     ctx = g.context
     notes: list[str] = []
     primes = 0
@@ -379,95 +381,39 @@ def _distinct_prime_summary(g: Polynomial) -> tuple[int, list[str]]:
             hits += 1
         if hits:
             primes += 1
-            notes.append(f"coordinate factor {v}^{hits}")
+            notes.append(f"coordinate factor {render(var ** hits)}")
 
-    if rest.total_degree() == 0:
+    def through_origin(p: Polynomial) -> bool:
+        """Whether p vanishes at 0; a nonconstant unit is noted."""
+        unit = bool(p.constant_coefficient())
+        if unit and p.total_degree():
+            notes.append(f"unit at the origin {render(p)}")
+        return not unit
+
+    # no variable divides rest, so one in a single variable is a unit
+    if not through_origin(rest):
         return primes, notes
 
-    involved = [v for v in ctx.variables if rest.involves(v)]
-    if len(involved) == 1:
-        v = involved[0]
-        roots = _rational_roots(rest, v)
-        if roots:
-            primes += len(roots)
-            notes.append("rational roots " + ", ".join(str(r) for r in sorted(roots)))
-            for r in sorted(roots):
-                lin = Polynomial.variable(ctx, v) - Polynomial.constant(ctx, r)
-                while True:
-                    q = rest.divide_exact(lin)
-                    if q is None:
-                        break
-                    rest = q
-            if rest.total_degree() > 0:
-                primes += 1
-                notes.append(f"rootless cofactor {render(rest)}")
-        else:
-            primes += 1
-            notes.append(f"no rational root in factor {render(rest)}")
-        return primes, notes
-
-    # multivariate: look for a repeated factor shared with a partial
-    for v in involved:
+    # look for a repeated factor shared with a partial
+    for v in ctx.variables:
         d = rest.partial(v)
         if d.is_zero():
             continue
         common = multivariate_gcd(rest, d)
         if common.total_degree() > 0:
-            probe = rest
-            while True:
-                q = probe.divide_exact(common)
-                if q is None:
-                    break
-                probe = q
-            if probe.total_degree() == 0:
-                primes += 1
-                notes.append(f"prime power of {render(common)}")
-            else:
-                primes += 2
+            probe = _strip_common_factors(rest, common)
+            found = [p for p in (common, probe) if through_origin(p)]
+            if len(found) == 2:
                 notes.append(
                     f"splits as {render(common)} times {render(probe)} "
                     "(up to multiplicity)")
-            return primes, notes
-    primes += 1
+            elif found[0] is common:
+                notes.append(f"prime power of {render(common)}")
+            else:
+                notes.append(f"no factorization found for {render(probe)}")
+            return primes + len(found), notes
     notes.append(f"no factorization found for {render(rest)}")
-    return primes, notes
-
-
-def _rational_roots(g: Polynomial, v: str) -> set[Fraction]:
-    """Rational roots of a univariate polynomial with rational coefficients,
-    by the rational root theorem on the coefficients scaled to integers
-    (candidates p/q with p | constant term, q | leading term); empty when
-    coefficients involve parameters."""
-    ctx = g.context
-    i = ctx.var_index(v)
-    zkey = (0,) * ctx.nparams
-    coeffs: dict[int, Fraction] = {}
-    for m, c in g.terms.items():
-        if not isinstance(c, Fraction):
-            if not c.den_is_one or any(k != zkey for k in c.num):
-                return set()
-            c = c.num[zkey]
-        coeffs[m[i]] = c
-    if min(coeffs) > 0:
-        return set()  # coordinate content is removed by the caller
-    scale = lcm(*(c.denominator for c in coeffs.values()))
-    lead = coeffs[max(coeffs)] * scale
-    const = coeffs[0] * scale
-    roots: set[Fraction] = set()
-    for p in _divisors(const.numerator):
-        for q in _divisors(lead.numerator):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and \
-                        sum(c * cand ** k for k, c in coeffs.items()) == 0:
-                    roots.add(cand)
-    return roots
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n != 0, found in pairs (d, n // d) up to sqrt."""
-    n = abs(n)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+    return primes + 1, notes
 
 
 def irreducibility_evidence(ideal: Ideal) -> EvidenceReport:

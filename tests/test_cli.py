@@ -324,6 +324,14 @@ def test_ilm_rejects_a_single_distinct_exponent(capsys):
     assert "at least two distinct exponents" in err
 
 
+def test_ilm_rejects_a_repeated_exponent(capsys):
+    # a repeated exponent would compute and print the same row twice
+    code, out, err = run(capsys, "ilm", "-e", SUSPENSION, "--param", "t",
+                         "--j", "2,3,3,5")
+    assert code == 1 and out == ""
+    assert "an exponent repeats" in err
+
+
 def test_input_file_round_trip(tmp_path, capsys):
     path = tmp_path / "family.lec"
     path.write_text("# demo family\nvars: z1,z2,z3\nparam: t\n"

@@ -5,8 +5,11 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lecalc import engine, families
 from lecalc.engine import Ideal
@@ -197,18 +200,80 @@ def test_irreducibility_evidence_counter_case():
     assert single.verdict == "SUPPORTING"
 
 
-@pytest.mark.parametrize("text, roots", [
-    ("z2^2 - 1/4", "-1/2, 1/2"),
-    ("z2^2 - 9/4*z2 + 1/2", "1/4, 2"),
-    # a 13-digit constant: divisors are found up to its square root
-    ("z2^2 - 1000000000000", "-1000000, 1000000"),
+@pytest.mark.parametrize("text, notes", [
+    # no variable divides what is left, so a cofactor in one variable has a
+    # nonzero constant term: it misses the origin and counts no prime
+    ("z2^2*(1 - z2)", "coordinate factor z2^2; unit at the origin -z2 + 1"),
+    ("z2*(1 + z1 + z3)", "coordinate factor z2; unit at the origin z1 + z3 + 1"),
+    ("(1 + z1)*(z1 + z2)^2", "unit at the origin z1 + 1; prime power of z1 + z2"),
 ])
-def test_irreducibility_evidence_finds_rational_roots(text, roots):
+def test_irreducibility_evidence_counts_no_unit_at_the_origin(text, notes):
     ctx = Context(("z1", "z2", "z3"), ())
     g = parse_polynomial(text, ctx)
     report = irreducibility_evidence(Ideal(ctx, (g,)))
-    assert report.verdict == "COUNTER"
-    assert report.details == (f"{render(g)}: rational roots {roots}",)
+    assert report.verdict == "SUPPORTING"
+    assert report.details == (f"{render(g)}: {notes}",)
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("(z1 + z2)^3", "SUPPORTING"),
+    ("(z1 + z2^2)^5", "SUPPORTING"),
+    ("(z2 + z3^2)*(z1 + z2)", "COUNTER"),
+])
+def test_irreducibility_evidence_reads_a_prime_power_as_one_prime(text, verdict):
+    ctx = Context(("z1", "z2", "z3"), ())
+    g = parse_polynomial(text, ctx)
+    assert irreducibility_evidence(Ideal(ctx, (g,))).verdict == verdict
+
+
+@pytest.mark.parametrize("text", [
+    f"z2^2*(z2^2 - {10**24})",
+    f"z2^2 - {10**16}",
+])
+def test_irreducibility_evidence_is_fast_on_large_constants(text):
+    ctx = Context(("z1", "z2", "z3"), ())
+    g = parse_polynomial(text, ctx)
+    start = perf_counter()
+    report = irreducibility_evidence(Ideal(ctx, (g,)))
+    assert perf_counter() - start < 1.0
+    assert report.verdict == "SUPPORTING"
+
+
+def _small_factors(ctx):
+    """At most two monomials of degree 1 or 2, plus a constant term that may
+    be 0, raised to a power 1..3.  Larger factors are left out: the
+    multivariate gcd can take more than 30 s on products of them."""
+    expos = st.tuples(*(st.integers(0, 2) for _ in ctx.variables)).filter(
+        lambda m: 0 < sum(m) <= 2)
+    terms = st.lists(st.tuples(expos, st.integers(-3, 3).filter(bool)),
+                     min_size=1, max_size=2, unique_by=lambda t: t[0])
+
+    def build(args):
+        coeffs, const, power = args
+        p = Polynomial.constant(ctx, const)
+        for expo, c in coeffs:
+            p = p + Polynomial.monomial(ctx, expo, c)
+        return p ** power
+    return st.tuples(terms, st.integers(-2, 2), st.integers(1, 3)).map(build)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prime_count_is_at_most_the_factors_through_the_origin(data):
+    sympy = pytest.importorskip("sympy")
+    ctx = Context(("z1", "z2", "z3")[:data.draw(st.integers(1, 3))], ())
+    factors = data.draw(st.lists(_small_factors(ctx), min_size=1, max_size=3))
+    g = Polynomial.one(ctx)
+    for p in factors:
+        g = g * p
+    count, _ = families._distinct_prime_summary(g)
+    symbols = [sympy.Symbol(v) for v in ctx.variables]
+    expr = sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod(x ** e for x, e in zip(symbols, m))
+                for m, c in g.terms.items()), sympy.Integer(0))
+    _, irreducible = sympy.factor_list(expr, *symbols)
+    origin = dict.fromkeys(symbols, 0)
+    assert count <= sum(1 for p, _ in irreducible if p.subs(origin) == 0)
 
 
 def test_ilm_tables_for_worked_family(worked):
