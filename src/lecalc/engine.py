@@ -49,6 +49,7 @@ did.
 
 Each term-cancellation step draws on the budget `step_budget` made active,
 or outside any block on a fresh DEFAULT_BUDGET per basis and normal form.
+Loops outside the engine draw on `current_budget()` the same way.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def step_budget(limit: int):
         _active_budget = outer
 
 
-def _current_budget() -> _Budget:
+def current_budget() -> _Budget:
     """The active budget, or a fresh DEFAULT_BUDGET outside any block."""
     return _active_budget or _Budget(DEFAULT_BUDGET)
 
@@ -408,7 +409,7 @@ def _truncation_bound(stairs):
 
 
 def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:
-    bud = _current_budget()
+    bud = current_budget()
     ctx = ideal.context
     input_rows = _canonical_input(ideal.generators, order)
     kept = _minimalize(_pair_loop(input_rows, order, bud), order)
@@ -461,7 +462,7 @@ def normal_form(p: Polynomial, basis: StandardBasis) -> Polynomial:
     tails need not exist as polynomials in the local case)."""
     if p.context != basis.ideal.context:
         raise ContextError("normal form across different contexts")
-    bud = _current_budget()
+    bud = current_budget()
     rows = list(zip((g.terms for g in basis.elements), basis.leading_exponents))
     if basis.order.is_global or basis.truncation_bound is not None:
         out = _reduce(p.terms, rows, basis.order, bud,

@@ -159,8 +159,7 @@ class SliceRecord:
 def _comparable(rec: InvariantRecord):
     return (rec.order, rec.lambda0, rec.lambda1, rec.gamma1, rec.polar_ratio,
             rec.euler_reduced, rec.slice_milnor,
-            rec.intersection_with_hypersurface, rec.polar_empty,
-            rec.lambda_k_zero)
+            rec.intersection_with_hypersurface, rec.polar_empty)
 
 
 def invariants_at(fam: Family, where: str, rng: Random) -> SliceRecord:

@@ -8,6 +8,10 @@ specializations drawn from an explicitly seeded generator.
 The coordinate system is taken as given: the singular line must be the
 first declared variable's axis and the slice V(z1) is used as the transverse
 hyperplane.  Inputs singular along another axis should be permuted first.
+
+Only lambda0 and lambda1 are computed.  The higher Le numbers lambda^k,
+k >= 2, are zero by theorem, not by computation: the k-th Le cycle is a
+k-cycle supported on the critical locus, which is a curve.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from itertools import product as iter_product
 from math import gcd, lcm
 from random import Random
 
-from .engine import (Ideal, colength_at_origin, colength_global,
+from .engine import (Ideal, colength_at_origin, current_budget,
                      dimension_at_origin, saturate)
 from .errors import (ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
@@ -162,7 +166,9 @@ def detect_weights(f: Polynomial) -> WeightSystem | None:
 
     When the solution cone has dimension greater than one, a deterministic
     search over small integer combinations of a nullspace basis picks a
-    representative (flagged non-unique)."""
+    representative (flagged non-unique).  Each combination it evaluates
+    costs one step of the current budget: a cone of dimension 5, as for a
+    product of 5 variables, evaluates about 1.6e5 before its first hit."""
     if f.is_zero():
         raise DegenerateInputError("cannot weight the zero polynomial")
     if f.context.parameters:
@@ -188,11 +194,13 @@ def detect_weights(f: Polynomial) -> WeightSystem | None:
     else:
         # bounded deterministic search of the positive cone
         dim = len(basis)
+        budget = current_budget()
         for bound in range(1, 9):
             hit = None
             for combo in iter_product(range(-bound, bound + 1), repeat=dim):
                 if max(abs(c) for c in combo) != bound:
                     continue  # covered by a smaller bound
+                budget.tick()
                 v = [sum(Fraction(c) * b[k] for c, b in zip(combo, basis))
                      for k in range(ncols)]
                 cand = _integerize(v)
@@ -447,41 +455,6 @@ def lambda1(f: Polynomial, rng: Random) -> tuple[int, tuple[Fraction, Fraction]]
                       f"with the generic value {generic}")
 
 
-def lambda_k_vanishing(f: Polynomial, k: int, rng: Random) -> bool:
-    """Whether the k-th Le number vanishes (2 <= k <= n-1): the cycles
-    [Gamma^(k+1) meet V(df/dz_(k+1))] and [Gamma^k] are cut by k generic
-    affine hyperplanes z_i = p_i and their total intersection counts
-    compared; equality means the correction cycle is zero."""
-    ctx = f.context
-    n = ctx.nvars
-    if not 2 <= k <= n - 1:
-        raise DegenerateInputError(f"k must lie in [2, {n - 1}]")
-    others = ctx.variables[1:]
-    sat_by = Ideal(ctx, tuple(Polynomial.variable(ctx, v) for v in others))
-
-    def polar_gens(level: int) -> list[Polynomial]:
-        gens = _jacobian(f, ctx.variables[level:])
-        if not gens:
-            return []  # the zero ideal: the whole space
-        return list(saturate(Ideal(ctx, tuple(gens)), sat_by).generators)
-
-    cuts = []
-    for i in range(k):
-        p_i = draw_rational(rng)
-        cuts.append(Polynomial.variable(ctx, ctx.variables[i])
-                    - Polynomial.constant(ctx, p_i))
-
-    d_next = f.partial(ctx.variables[k])
-    side1 = polar_gens(k + 1) + ([] if d_next.is_zero() else [d_next]) + cuts
-    side2 = polar_gens(k) + cuts
-    c1 = colength_global(Ideal(ctx, tuple(side1)))
-    c2 = colength_global(Ideal(ctx, tuple(side2)))
-    if c1 is None or c2 is None:
-        raise ImproperIntersectionError(
-            "hyperplane cuts of the polar cycles are not zero-dimensional")
-    return c1 == c2
-
-
 def polar_ratio(gamma1_value: int, lambda0_value: int) -> Fraction | None:
     """(intersection with V(f)) / (intersection with V(z1)) for the polar
     curve; undefined when the curve misses the origin."""
@@ -576,7 +549,10 @@ def germ_record(f: Polynomial, rng: Random) -> InvariantRecord:
             f"intersection number {inter} != gamma1 + lambda0 = {g1 + l0}")
 
     n = f.context.nvars
-    lamk = tuple(lambda_k_vanishing(f, k, rng) for k in range(2, n))
+    # the critical locus of a line singularity is a curve, and the k-th Le
+    # cycle is a k-cycle supported on it, so lambda^k = 0 for every k >= 2
+    # (Massey, Le Cycles and Hypersurface Singularities, LNM 1615)
+    lamk = (True,) * (n - 2)
     weights = None if f.context.parameters else detect_weights(f)
     return InvariantRecord(
         order=order,

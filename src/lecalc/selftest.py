@@ -97,16 +97,6 @@ class SelfTestEnv:
         raise CheckFailure(
             f"{name} {where} slice unavailable: {failure_text(failure)}")
 
-    def records(self):
-        """Every slice record of every corpus family."""
-        out = []
-        for name in self.corpus_sources():
-            an = self.analysis(name)
-            for sl in (an.zero, an.generic):
-                if sl is not None:
-                    out.append((name, sl.where, sl.record))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # criteria 1-9: the worked families
@@ -361,15 +351,6 @@ def suite_colength_oracle(env: SelfTestEnv, cases: int = 20) -> str:
     return f"{cases} zero-dimensional ideals agree with the truncation oracle"
 
 
-def suite_higher_le_vanishing(env: SelfTestEnv) -> str:
-    records = env.records()
-    expect(bool(records), "no corpus records")
-    for name, where, rec in records:
-        expect(all(rec.lambda_k_zero),
-               f"{name} at {where}: some lambda_k (k >= 2) is nonzero")
-    return f"lambda_k = 0 for k >= 2 on all {len(records)} corpus records"
-
-
 def suite_order_bound(env: SelfTestEnv, cases: int = 20) -> str:
     rng = Random(env.seed + 106)
     ctx = Context(("z1", "z2", "z3"), ())
@@ -425,7 +406,6 @@ def criterion_properties(env: SelfTestEnv) -> str:
         suite_buchberger(env),
         suite_saturation_idempotent(env),
         suite_colength_oracle(env),
-        suite_higher_le_vanishing(env),
         suite_order_bound(env),
         suite_determinism(env),
     ]

@@ -2,6 +2,7 @@
 determinism, and input-file handling."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -179,7 +180,7 @@ def test_selftest_budget_failure_in_a_slice_is_reraised(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # the largest basis takes 6 steps, the whole record 22
+    # the largest basis takes 6 steps, the whole record 14
     ("invariants", "-e", "z1^2*z2^2 + z2^5 + z3^4 + z3*z4^3",
      "--vars", "z1,z2,z3,z4", "--budget", "10"),
     # the largest basis takes 3 steps, the whole command 48
@@ -214,17 +215,41 @@ def _family_refuses_for_budget(capsys, expr, budget):
 def test_slice_cross_check_does_not_hide_budget_exhaustion(capsys):
     # the budget runs out while the generic slice is re-derived at a
     # rational t, which must read neither as a disagreeing specialization
-    # nor as a slice failure; the cross-check runs from step 22 to step 57
-    # of 105
+    # nor as a slice failure; the cross-check runs from step 17 to step 42
+    # of 49
     _family_refuses_for_budget(capsys, "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2",
                                40)
 
 
 def test_axis_weight_note_does_not_hide_budget_exhaustion(capsys):
     # the budget runs out in the augmented Milnor numbers of mt2's note,
-    # which take steps 5 to 10 of 10
+    # which take steps 5 to 7 of 7
     _family_refuses_for_budget(capsys, "z1*z2^2 + z2^3 + z3^3 + t*z1*z2^2",
                                6)
+
+
+def test_weight_search_draws_on_the_budget(capsys):
+    # the base's weight cone has dimension 5, and the search evaluates
+    # about 1.6e5 candidates before its first hit, far past the default
+    # budget; the first 2000 take a fraction of a second
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family", "-e",
+                         "z1*z2*z3*z4*z5 + t*z1^2*z2", "--param", "t",
+                         "--vars", "z1,z2,z3,z4,z5", "--budget", "2000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("refused: BUDGET_EXCEEDED: reduction budget of 2000 "
+                   "steps exhausted\n")
+
+
+def test_higher_le_numbers_need_no_hyperplane_cut(capsys):
+    # a line singularity whose transverse type changes at z1 = 1; lambda^2
+    # is 0 by theorem, so no hyperplane cut is drawn, and none can land on
+    # z1 = 1 (a cut there is not zero-dimensional)
+    code, out, err = run(capsys, "invariants", "-e",
+                         "z2^2 + z1*z3^3 - z3^3", "--seed", "75")
+    assert code == 0 and err == ""
+    assert "higher le numbers: lambda2 = 0\n" in out
 
 
 @pytest.mark.parametrize("flags, message", [

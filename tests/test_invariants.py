@@ -15,12 +15,12 @@ from lecalc.engine import (Ideal, contains_local_unit, dimension_at_origin,
 from lecalc.errors import (BudgetExceededError, DegenerateInputError,
                            NonIsolatedError, NonReducedError,
                            NotLineSingularityError, PolarDimensionError)
-from lecalc.invariants import (_line_check, check_polar_ratio_lemma,
-                               detect_weights, euler_reduced, gamma1,
-                               germ_record, is_line_singularity,
-                               lambda1, lambda_k_vanishing, milnor_number,
-                               milnor_orlik, order_at_origin, polar_ratio,
-                               polar_variety_1)
+from lecalc.invariants import (_jacobian, _line_check,
+                               check_polar_ratio_lemma, detect_weights,
+                               draw_rational, euler_reduced, gamma1,
+                               germ_record, is_line_singularity, lambda1,
+                               milnor_number, milnor_orlik, order_at_origin,
+                               polar_ratio, polar_variety_1)
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, is_reduced
 
@@ -252,8 +252,73 @@ def test_le_and_polar_numbers_of_base():
     assert euler_reduced(0, 4, 3) == -4
 
 
-def test_lambda_k_vanishing_for_surface_case():
-    assert lambda_k_vanishing(BASE, 2, Random(0))
+def _hyperplane_cut_sides(f: Polynomial, k: int,
+                          rng: Random) -> tuple[Ideal, Ideal]:
+    """The hyperplane-cut form of the k-th Le number (2 <= k <= n-1): the
+    polar ideals (df/dz_(k+2), ...) : J^infinity + (df/dz_(k+1)) and
+    (df/dz_(k+1), ...) : J^infinity, J = (z2, ..., zn), each cut by the
+    affine hyperplanes z_i = p_i, i <= k, at random rationals p_i.  Their
+    colengths are the intersection numbers [Gamma^(k+1) . V(df/dz_(k+1))]
+    and [Gamma^k] at the cut, which differ by lambda^k."""
+    ctx = f.context
+    axis_ideal = Ideal(ctx, tuple(Polynomial.variable(ctx, v)
+                                  for v in ctx.variables[1:]))
+
+    def polar_gens(level: int) -> list[Polynomial]:
+        gens = _jacobian(f, ctx.variables[level:])
+        if not gens:
+            return []  # the zero ideal: the whole space
+        return list(saturate(Ideal(ctx, tuple(gens)), axis_ideal).generators)
+
+    cuts = [Polynomial.variable(ctx, v)
+            - Polynomial.constant(ctx, draw_rational(rng))
+            for v in ctx.variables[:k]]
+    d_next = f.partial(ctx.variables[k])
+    side1 = polar_gens(k + 1) + ([] if d_next.is_zero() else [d_next])
+    return (Ideal(ctx, tuple(side1 + cuts)),
+            Ideal(ctx, tuple(polar_gens(k) + cuts)))
+
+
+@st.composite
+def _line_singularities(draw):
+    """A germ in 3 or 4 variables, over QQ or QQ(t), singular along the
+    z1-axis: transverse pure powers, most of the time, plus one to three
+    terms of transverse degree 2 or 3 times a power of z1."""
+    n = draw(st.sampled_from((3, 4)))
+    params = draw(st.sampled_from(((), ("t",))))
+    ctx = Context(tuple(f"z{i}" for i in range(1, n + 1)), params)
+    text = " + ".join(["0"] + [f"z{i}^{draw(st.integers(2, 4))}"
+                               for i in range(2, n + 1)
+                               if draw(st.integers(0, 4))])
+    for _ in range(draw(st.integers(1, 3))):
+        e = [draw(st.integers(0, 2))] + [0] * (n - 1)
+        for j in draw(st.lists(st.integers(1, n - 1), min_size=2,
+                               max_size=3)):
+            e[j] += 1
+        coefficient = draw(st.sampled_from(("1", "2", "3") + params))
+        text += draw(st.sampled_from((" + ", " - "))) + "*".join(
+            [coefficient] + [f"z{i + 1}^{a}" for i, a in enumerate(e) if a])
+    return parse_polynomial(text, ctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_line_singularities(), st.integers(0, 2 ** 32))
+def test_hyperplane_cuts_of_the_polar_cycles_agree(f, seed):
+    # germ_record sets lambda^k = 0 for k >= 2 by theorem; in its
+    # hyperplane-cut form the two cut ideals are equal, since z2 is a unit
+    # modulo either one (p2 != 0), so saturating by J changes nothing
+    if not is_reduced(f):
+        reject()
+    rng = Random(seed)
+    try:
+        with step_budget(3000):
+            if not is_line_singularity(f).is_line_singularity:
+                reject()
+            equal = [ideals_equal(*_hyperplane_cut_sides(f, k, rng))
+                     for k in range(2, f.context.nvars)]
+    except BudgetExceededError:
+        reject()
+    assert all(equal)
 
 
 def test_polar_ratio_lemma_report():
@@ -294,25 +359,22 @@ def _bases_by_order_kind(monkeypatch, f: Polynomial) -> Counter:
 def test_germ_record_bases_by_order_kind(monkeypatch):
     # local: lambda0 (read by the line check and reused) and gamma1 in
     # (z1, z2), and the intersection cross-check Gamma + (f) in all three
-    # variables; grevlex: the two colengths of the lambda^2 test.  The polar
+    # variables; lambda^2 = 0 by theorem needs no basis.  The polar
     # curve (dz2, dz3) : (z2, z3)^infinity needs no basis: dz3 = 4*z3^3
     # shares no variable with dz2 and with z2, so the saturation by z2
     # strips dz2 by gcds and keeps z3^3, and the one by z3 is (1).  The
     # other colengths and dimensions split into blocks that need no basis:
     # each in one variable, or of one generator
-    assert _bases_by_order_kind(monkeypatch, BASE) == {"local": 3,
-                                                       "grevlex": 2}
+    assert _bases_by_order_kind(monkeypatch, BASE) == {"local": 3}
 
 
 def test_separated_four_variable_germ_builds_no_elimination_basis(
         monkeypatch):
     # dz2, dz3 and dz4 lie in disjoint variables; local: lambda0, gamma1 and
-    # the intersection cross-check, as for BASE; grevlex: the colengths of
-    # the lambda^2 and lambda^3 tests
+    # the intersection cross-check, as for BASE
     ctx = Context(("z1", "z2", "z3", "z4"), ())
     f = parse_polynomial("z1^2*z2^2 + z2^4 + z3^3 + z4^3", ctx)
-    assert _bases_by_order_kind(monkeypatch, f) == {"local": 3,
-                                                    "grevlex": 4}
+    assert _bases_by_order_kind(monkeypatch, f) == {"local": 3}
 
 
 def test_separable_milnor_number_and_lambda1_build_no_basis(monkeypatch):
@@ -332,8 +394,8 @@ def test_coupled_germ_keeps_the_elimination_path(monkeypatch):
     # third one; 7 local bases, as the line check takes no dimension of
     # the polar curve
     f = parse_polynomial("z1^2*z2^2 + z2^4 + z3^3 + z2*z3^2", C3)
-    assert _bases_by_order_kind(monkeypatch, f) == {
-        "local": 7, "elimination": 3, "grevlex": 2}
+    assert _bases_by_order_kind(monkeypatch, f) == {"local": 7,
+                                                    "elimination": 3}
 
 
 @pytest.mark.parametrize("a, b, g, m", [
