@@ -1,9 +1,9 @@
 """Invariants of a polynomial germ with a line singularity along the z1-axis.
 
-Everything is exact: orders and colengths are integers, ratios are
-fractions.Fraction, and "generic" values are computed over the fraction
-field (a transcendental parameter) and then cross-checked at random rational
-specializations drawn from an explicitly seeded generator.
+Everything is exact: orders and colengths are integers and ratios are
+fractions.Fraction.  The one generic value, lambda1 at a general point of
+the axis, is cross-checked at random rational axis points drawn from an
+explicitly seeded generator.
 
 The coordinate system is taken as given: the singular line must be the
 first declared variable's axis and the slice V(z1) is used as the transverse
@@ -306,8 +306,21 @@ class LineSingularityCheck:
 def _restrict_to_axis(p: Polynomial) -> Polynomial:
     out = p
     for v in p.context.variables[1:]:
-        out = out.eval_variable_zero(v)
+        out = out.eval_variable(v, 0)
     return out
+
+
+def _slice_milnor(f: Polynomial, point) -> int | None:
+    """Milnor number of the transverse slice f(point, z2, ..., zn) at its
+    origin; None when the slice is zero or not an isolated singularity."""
+    ctx = f.context
+    slice_poly = f.eval_variable(ctx.variables[0], point)
+    if slice_poly.is_zero():
+        return None
+    try:
+        return milnor_number(slice_poly, ctx.variables[1:])
+    except NonIsolatedError:
+        return None
 
 
 def is_line_singularity(f: Polynomial) -> LineSingularityCheck:
@@ -342,21 +355,11 @@ def _line_check(f: Polynomial) -> tuple[LineSingularityCheck, Ideal | None,
         raise DegenerateInputError("line singularities need at least 2 variables")
     if f.constant_coefficient():
         raise DegenerateInputError("germ does not vanish at the origin")
-    others = ctx.variables[1:]
 
     parts = [f.partial(v) for v in ctx.variables]
     vanishes = all(_restrict_to_axis(p).is_zero() for p in parts)
-
-    slice_poly = f.eval_variable_zero(ctx.variables[0])
-    slice_mu: int | None = None
-    if slice_poly.is_zero():
-        slice_isolated = False
-    else:
-        try:
-            slice_mu = milnor_number(slice_poly, others)
-            slice_isolated = True
-        except NonIsolatedError:
-            slice_isolated = False
+    slice_mu = _slice_milnor(f, 0)
+    slice_isolated = slice_mu is not None
 
     gamma = l0 = extra = None
     if vanishes and slice_isolated:
@@ -419,38 +422,25 @@ def _lambda0_ideal(f: Polynomial, gamma: Ideal) -> Ideal:
     return gamma if d1.is_zero() else gamma.with_extra(d1)
 
 
-def lambda1(f: Polynomial, rng: Random) -> tuple[int, tuple[Fraction, Fraction]]:
-    """Transverse Milnor number at the generic point of the axis: colength of
-    the transverse Jacobian ideal with z1 promoted to a transcendental
-    parameter; cross-checked at two random rational axis points (each
-    redrawn once on disagreement, then refused as unlucky)."""
-    ctx = f.context
-    axis = ctx.variables[0]
-    others = ctx.variables[1:]
-    parts = _jacobian(f, others)
-    if not parts:
-        raise DegenerateInputError("germ depends only on the axis variable")
-    promoted = [p.promote_variable_to_parameter(axis) for p in parts]
-    pctx = promoted[0].context
-    generic = colength_at_origin(Ideal(pctx, tuple(promoted)))
-    if generic is None:
-        raise InternalCheckError(
-            "transverse Jacobian colength is infinite on a verified line "
-            "singularity")
+def lambda1(f: Polynomial, slice_milnor: int, gamma1_value: int,
+            rng: Random) -> tuple[int, tuple[Fraction, Fraction]]:
+    """Transverse Milnor number at a generic point of the axis, read off
+    the slice at the origin: lambda1 = mu(f|V(z1)) - gamma1.  The ideal
+    P = (df/dz2, ..., df/dzn) of a line singularity is a complete
+    intersection of dimension 1 at 0, hence Cohen-Macaulay, and its cycle
+    is [Gamma] + lambda1 [axis], the polar curve plus the axis counted with
+    the generic transverse Milnor number.  V(z1) meets [Gamma] in gamma1,
+    the axis in 1, and V(P) in the colength of P + (z1), which is
+    mu(f|V(z1)) (Massey, Le Cycles and Hypersurface Singularities,
+    LNM 1615).
 
-    def agrees(point: Fraction) -> bool:
-        try:
-            spec = [p.specialize_parameter(axis, point) for p in promoted]
-            spec = [p for p in spec if not p.is_zero()]
-            if not spec:
-                return False
-            return colength_at_origin(
-                Ideal(spec[0].context, tuple(spec))) == generic
-        except UnluckySpecializationError:
-            return False
-
+    Cross-checked at two random rational axis points p, where the slice
+    f(p, z2, ..., zn) must have Milnor number lambda1; a zero or
+    non-isolated slice disagrees.  A disagreeing point is redrawn once,
+    then refused as unlucky."""
+    generic = slice_milnor - gamma1_value
     return generic, cross_checked_witnesses(
-        rng, agrees,
+        rng, lambda point: _slice_milnor(f, point) == generic,
         lambda point: f"transverse Milnor number at z1 = {point} disagrees "
                       f"with the generic value {generic}")
 
@@ -538,7 +528,7 @@ def germ_record(f: Polynomial, rng: Random) -> InvariantRecord:
     # the check found no extra critical component, so lambda0's colength,
     # which it computed, is finite
     g1 = gamma1(gamma)
-    l1, witnesses = lambda1(f, rng)
+    l1, witnesses = lambda1(f, check.slice_milnor, g1, rng)
 
     inter = colength_at_origin(gamma.with_extra(f))
     if inter is None:

@@ -6,15 +6,15 @@ tuple of parameters and a modulus.  Ring arithmetic happens on sparse
 exponent dicts whose values are field elements of a class that
 `Context.coefficient` alone picks: plain `fractions.Fraction`s over QQ (no
 parameters, modulus 0); `Coefficient`s, elements of the fraction field of
-the parameter polynomial ring, over QQ(parameters) (at least one, so one
-implementation serves QQ(t), QQ(z1) and QQ(t)(z1) alike); and `Modular`
-residues over GF(p) (a prime modulus, no parameters).  All three share one
-protocol: + - * /, negation, truthiness as a zero test, ==, hash and a
-total order < for canonical sorting.  Only the constructors, the moves
+the parameter polynomial ring, over QQ(parameters) (at least one); and
+`Modular` residues over GF(p) (a prime modulus, no parameters).  All three
+share one protocol: + - * /, negation, truthiness as a zero test, ==, hash
+and a total order < for canonical sorting.  Only the constructors, the moves
 between fields and `render` look at the field; the arithmetic never does.
 `Polynomial.specialize_parameter` is the one evaluator of a parameter: at a
 rational it maps QQ(params) to QQ(the other params), and at a `Modular`
-residue it maps QQ(t) to GF(p).
+residue it maps QQ(t) to GF(p).  `Polynomial.eval_variable` is the one
+evaluator of a ring variable, at a rational, in the same context.
 
 Everything here is immutable by convention: operations return fresh objects
 and never mutate term dicts that have been handed out.
@@ -79,12 +79,6 @@ class Context:
         while f"{stem}{k}" in taken:
             k += 1
         return f"{stem}{k}"
-
-    def variable_as_parameter(self, name: str) -> "Context":
-        i = self.var_index(name)
-        return replace(self,
-                       variables=self.variables[:i] + self.variables[i + 1:],
-                       parameters=self.parameters + (name,))
 
     def without_parameter(self, name: str) -> "Context":
         if name not in self.parameters:
@@ -258,15 +252,6 @@ class Coefficient:
         return f"Coefficient({self.num!r}/{self.den!r})"
 
     # -- context plumbing ---------------------------------------------------
-
-    def with_trailing_parameter(self) -> "Coefficient":
-        """The same element with one more parameter, in the last slot."""
-
-        def widen(d):
-            return {m + (0,): c for m, c in d.items()}
-
-        return Coefficient(widen(self.num), widen(self.den), self.arity + 1,
-                           _reduced=True)
 
     def subs_param(self, index: int, value: "Fraction | Modular"
                    ) -> "Coefficient | Fraction | Modular":
@@ -582,33 +567,28 @@ class Polynomial:
                 out[m] = nc
         return Polynomial(target, out)
 
-    def promote_variable_to_parameter(self, name: str) -> "Polynomial":
-        """Move a ring variable into the coefficient field (it becomes the
-        last parameter), i.e. regard it as transcendental over the base."""
+    def eval_variable(self, name: str, value) -> "Polynomial":
+        """Evaluate one ring variable at a rational (an int or Fraction).
+        The result stays in this context and no longer involves the
+        variable."""
         ctx = self.context
         i = ctx.var_index(name)
-        target = ctx.variable_as_parameter(name)
-        np = target.nparams
+        if not value:
+            return Polynomial(ctx, {m: c for m, c in self.terms.items()
+                                    if not m[i]})
         out = {}
         for m, c in self.terms.items():
             e = m[i]
-            nm = m[:i] + m[i + 1:]
-            nc = target.coefficient(c) if isinstance(c, Fraction) \
-                else c.with_trailing_parameter()
             if e:
-                nc = nc.mul_param_monomial((0,) * (np - 1) + (e,))
-            w = out.get(nm)
-            w = nc if w is None else w + nc
+                m = m[:i] + (0,) + m[i + 1:]
+                c = c * ctx.coefficient(value ** e)
+            w = out.get(m)
+            w = c if w is None else w + c
             if w:
-                out[nm] = w
-            elif nm in out:
-                del out[nm]
-        return Polynomial(target, out)
-
-    def eval_variable_zero(self, name: str) -> "Polynomial":
-        i = self.context.var_index(name)
-        return Polynomial(self.context,
-                          {m: c for m, c in self.terms.items() if not m[i]})
+                out[m] = w
+            elif m in out:
+                del out[m]
+        return Polynomial(ctx, out)
 
     def restrict_to(self, variables: tuple[str, ...]) -> "Polynomial":
         """Transplant into the subring on the given variables; the polynomial

@@ -252,6 +252,15 @@ def test_higher_le_numbers_need_no_hyperplane_cut(capsys):
     assert "higher le numbers: lambda2 = 0\n" in out
 
 
+def test_lambda1_redraws_a_witness_on_a_non_isolated_slice(capsys):
+    # the first axis draws at this seed are z1 = 1 and -57/59; the slice at
+    # z1 = 1 is z2^2, which is not isolated, so that witness is redrawn
+    code, out, err = run(capsys, "invariants", "-e",
+                         "z2^2 + z1*z3^3 - z3^3", "--seed", "65")
+    assert code == 0 and err == ""
+    assert "lambda1: 2  (axis witnesses z1 = 71/44, -57/59)\n" in out
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--seed", "-4"), "--seed must be an unsigned 64-bit integer"),
     (("--seed", str(2 ** 64)), "--seed must be an unsigned 64-bit integer"),

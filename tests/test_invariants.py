@@ -10,8 +10,9 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from lecalc import engine, invariants
-from lecalc.engine import (Ideal, contains_local_unit, dimension_at_origin,
-                           ideals_equal, saturate, step_budget)
+from lecalc.engine import (Ideal, colength_at_origin, contains_local_unit,
+                           dimension_at_origin, ideals_equal, saturate,
+                           step_budget)
 from lecalc.errors import (BudgetExceededError, DegenerateInputError,
                            NonIsolatedError, NonReducedError,
                            NotLineSingularityError, PolarDimensionError)
@@ -74,7 +75,7 @@ def test_milnor_orlik_matches_jacobian_colength():
     w = detect_weights(BASE)
     slice_mu = milnor_orlik(w, (1, 2))
     assert slice_mu == 12
-    direct = milnor_number(BASE.eval_variable_zero("z1"), ("z2", "z3"))
+    direct = milnor_number(BASE.eval_variable("z1", 0), ("z2", "z3"))
     assert direct == slice_mu
 
 
@@ -321,6 +322,37 @@ def test_hyperplane_cuts_of_the_polar_cycles_agree(f, seed):
     assert all(equal)
 
 
+def _transverse_jacobian_over_qq_z1(f: Polynomial) -> Ideal:
+    """df/dz2, ..., df/dzn with z1 moved into the coefficient field as its
+    last parameter, by parsing their rendering there: QQ(z1), or QQ(t, z1)
+    for a germ over QQ(t).  The colength is the transverse Milnor number at
+    the generic point of the axis."""
+    ctx = f.context
+    pctx = Context(ctx.variables[1:], ctx.parameters + (ctx.variables[0],))
+    return Ideal(pctx, tuple(parse_polynomial(str(p), pctx)
+                             for p in _jacobian(f, ctx.variables[1:])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_line_singularities(), _order_two_along_the_axis()),
+       st.integers(0, 2 ** 32))
+def test_lambda1_is_the_generic_transverse_milnor_number(f, seed):
+    # germ_record reads lambda1 off the slice at z1 = 0 as mu_slice -
+    # gamma1; the reference computes it at the generic axis point instead.
+    # The filter is the extra-component property's: the unbounded gcds of
+    # the reducedness test stall on some larger and some z1-free germs
+    if (f.is_zero() or len(f.terms) > 6
+            or not any(m[0] for m in f.terms) or not is_reduced(f)):
+        reject()
+    try:
+        with step_budget(3000):
+            rec = germ_record(f, Random(seed))
+            generic = colength_at_origin(_transverse_jacobian_over_qq_z1(f))
+    except (BudgetExceededError, NotLineSingularityError):
+        reject()
+    assert rec.lambda1 == generic
+
+
 def test_polar_ratio_lemma_report():
     w = detect_weights(BASE)
     report = check_polar_ratio_lemma(BASE, w, Fraction(10, 3))
@@ -379,22 +411,23 @@ def test_separated_four_variable_germ_builds_no_elimination_basis(
 
 def test_separable_milnor_number_and_lambda1_build_no_basis(monkeypatch):
     # the Jacobian (3*z2^2, 3*z3^2) is two blocks in one variable each, so
-    # the colength is the product of their orders, over QQ and over QQ(z1)
+    # the colength is the product of their orders, at z1 = 0 and at both
+    # axis witnesses of lambda1 = mu_slice - gamma1
     def no_basis(*args, **kwargs):
         raise AssertionError("a separable colength computed a basis")
 
     monkeypatch.setattr(engine, "standard_basis", no_basis)
     assert milnor_number(SUSPENSION, ("z2", "z3")) == 4
-    assert lambda1(SUSPENSION, Random(0))[0] == 4
+    assert lambda1(SUSPENSION, 4, 0, Random(0))[0] == 4
 
 
 def test_coupled_germ_keeps_the_elimination_path(monkeypatch):
     # dz3 = 3*z3^2 + 2*z2*z3 shares z2 with dz2, so each saturation of the
     # polar curve is a Rabinowitsch elimination, and their intersection a
-    # third one; 7 local bases, as the line check takes no dimension of
-    # the polar curve
+    # third one; 6 local bases, as the line check takes no dimension of
+    # the polar curve and lambda1 is read off the slice at z1 = 0
     f = parse_polynomial("z1^2*z2^2 + z2^4 + z3^3 + z2*z3^2", C3)
-    assert _bases_by_order_kind(monkeypatch, f) == {"local": 7,
+    assert _bases_by_order_kind(monkeypatch, f) == {"local": 6,
                                                     "elimination": 3}
 
 

@@ -104,9 +104,18 @@ def test_divide_exact_returns_none_when_inexact():
 def test_eval_variable_zero():
     z1, z2, z3 = v("z1"), v("z2"), v("z3")
     f = z1 * z2 + z3 ** 2 + z1
-    g = f.eval_variable_zero("z1")
+    g = f.eval_variable("z1", 0)
     assert not g.involves("z1")
     assert g == z3 ** 2
+
+
+def test_eval_variable_at_a_rational_over_qq_t():
+    # f(-2/3, z2) in the same context; the z2^2 terms cancel
+    f = parse_polynomial("t*z1^2*z2 + 9/4*z1*z2^2 + 3/2*z2^2 + z1 - t",
+                         CTXP)
+    g = f.eval_variable("z1", Fraction(-2, 3))
+    assert g.context == CTXP and not g.involves("z1")
+    assert g == parse_polynomial("4/9*t*z2 - 2/3 - t", CTXP)
 
 
 def test_specialize_parameter_drops_it_from_context():
@@ -117,16 +126,6 @@ def test_specialize_parameter_drops_it_from_context():
     assert g.context.parameters == ()
     xx = Polynomial.variable(g.context, "z1")
     assert g == Fraction(1, 3) * xx ** 2 + xx
-
-
-def test_promote_variable_to_parameter_round_trips_evaluation():
-    z1, z2 = v("z1"), v("z2")
-    f = z1 ** 2 * z2 + z2 ** 3
-    g = f.promote_variable_to_parameter("z1")
-    assert "z1" in g.context.parameters and "z1" not in g.context.variables
-    h = g.specialize_parameter("z1", Fraction(2))
-    direct = 2 ** 2 * z2 + z2 ** 3       # f at z1 = 2
-    assert render(h) == render(direct.restrict_to(("z2", "z3")))
 
 
 def test_coefficient_division():
@@ -183,14 +182,11 @@ def test_context_modulus_excludes_parameters():
 
 def test_context_moves_keep_the_modulus():
     assert CTX7.with_prepended_variable("u0").modulus == 7
-    # a GF(p) context has no parameters: moving a variable into the
-    # coefficient field, or dropping a parameter, cannot lose the modulus
-    with pytest.raises(ContextError):
-        CTX7.variable_as_parameter("z1")
+    # a GF(p) context has no parameters: dropping a parameter cannot lose
+    # the modulus
     with pytest.raises(ContextError):
         CTX7.without_parameter("z1")
     assert CTXP.without_parameter("t").modulus == 0
-    assert CTX.variable_as_parameter("z1").modulus == 0
 
 
 def test_restrict_to_keeps_the_modulus():
