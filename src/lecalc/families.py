@@ -223,7 +223,9 @@ class IlmRow:
     mu: int | None
     predicted: int            # lambda0 + (j-1) * lambda1
     residual: int | None      # mu - predicted
-    residual_sum: int | None  # (mu + mu_slice) - ((gamma1+lambda0) + j*lambda1)
+    # (mu + mu_slice) - ((gamma1+lambda0) + j*lambda1), which equals
+    # residual now that lambda1 is mu_slice - gamma1
+    residual_sum: int | None
     error: str | None
 
 
@@ -287,7 +289,10 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
     """mu(f_t + z1^j) for each j against the two augmentation identities
     mu = lambda0 + (j-1) lambda1 and mu + mu_slice = (gamma1+lambda0) +
     j lambda1; also re-derives (lambda0, lambda1, gamma1+lambda0) from the
-    table alone and compares with the direct record.
+    table alone and compares with the direct record.  Since lambda1 is read
+    off the slice as mu_slice - gamma1, residual_sum equals residual: the
+    second identity restates the first, and its column stays only because
+    it is part of the schema-1 report.
 
     At GENERIC each mu is evaluated modulo each prime of PRIMES, at a
     parameter value drawn uniformly from [1, p - 1] (over QQ(t), or at

@@ -573,9 +573,6 @@ class Polynomial:
         variable."""
         ctx = self.context
         i = ctx.var_index(name)
-        if not value:
-            return Polynomial(ctx, {m: c for m, c in self.terms.items()
-                                    if not m[i]})
         out = {}
         for m, c in self.terms.items():
             e = m[i]
