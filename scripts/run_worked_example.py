@@ -59,7 +59,7 @@ def main(cfg: ExampleConfig) -> int:
         title = "t = 0" if sl.where == ZERO else "generic t"
         print(f"--- invariants at {title} ---")
         rec = sl.record
-        weights = weights_text(weights_json(rec.weights),
+        weights = weights_text(weights_json(an.weights),
                                fam.parameter if sl.where == GENERIC else None)
         for line in record_text(record_json(rec), record_json_extra(rec),
                                 "z1", weights):

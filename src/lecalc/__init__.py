@@ -25,9 +25,9 @@ from .families import (Family, FamilyAnalysis, IlmTable, TheoremVerdict,
                        analyze_family, decompose_family, evaluate_rules,
                        irreducibility_evidence,
                        is_equimultiple, is_upper, verify_ilm)
-from .invariants import (InvariantRecord, WeightSystem, check_polar_ratio_lemma,
-                         detect_weights, germ_record, is_line_singularity,
-                         milnor_number, order_at_origin, polar_variety_1)
+from .invariants import (InvariantRecord, WeightSystem, detect_weights,
+                         germ_record, is_line_singularity, milnor_number,
+                         order_at_origin, polar_variety_1)
 from .orders import GREVLEX, LOCAL, MonomialOrder
 from .parse import parse_polynomial
 from .poly import Coefficient, Context, Modular, Polynomial, render
@@ -44,7 +44,7 @@ __all__ = [
     "NotLineSingularityError", "ParseError", "PolarDimensionError",
     "Polynomial", "StandardBasis", "TheoremVerdict",
     "UnluckySpecializationError", "UsageError", "WeightSystem",
-    "analyze_family", "check_polar_ratio_lemma", "colength_at_origin",
+    "analyze_family", "colength_at_origin",
     "colength_by_truncation", "colength_global", "contains_local_unit",
     "decompose_family", "detect_weights", "dimension_at_origin",
     "eliminate", "evaluate_rules", "germ_record", "ideals_equal",

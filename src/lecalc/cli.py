@@ -19,7 +19,7 @@ from .errors import (ContextError, MathRefusal, NonIsolatedError,
                      NotLineSingularityError, UsageError)
 from .families import (GENERIC, ZERO, analyze_family, decompose_family,
                        evaluate_rules, invariants_at, verify_ilm)
-from .invariants import germ_record, milnor_number
+from .invariants import detect_weights, germ_record, milnor_number
 from .orders import clear_key_tables
 from .parse import parse_polynomial
 from .poly import Context
@@ -217,7 +217,8 @@ def cmd_invariants(cfg: rp.RunConfig) -> int:
                           "order": f.min_total_degree()}
         sys.stdout.write(rp.render(doc, cfg.fmt))
         return 2
-    doc["weights"] = rp.weights_json(rec.weights)
+    if not cfg.parameter:
+        doc["weights"] = rp.weights_json(detect_weights(f))
     doc["invariants"] = rp.record_json(rec)
     doc["invariants_extra"] = rp.record_json_extra(rec)
     sys.stdout.write(rp.render(doc, cfg.fmt))

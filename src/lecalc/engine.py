@@ -546,7 +546,16 @@ def _rabinowitsch(i: Ideal, g: Polynomial) -> Ideal:
 
 def _strip_common_factors(f: Polynomial, g: Polynomial) -> Polynomial:
     """f / d, where d collects every factor of f that divides g, so that
-    (f) : g^infinity = (f / d): divide by gcd(h, g) until it is constant."""
+    (f) : g^infinity = (f / d): divide by gcd(h, g) until it is constant.
+    A monomial g has only its variables as prime factors, so d is the
+    monomial of their least exponents over f's terms, found in one step."""
+    if len(g.terms) == 1:
+        (a,) = g.terms
+        low = [min(m[i] for m in f.terms) if a[i] else 0
+               for i in range(len(a))]
+        return Polynomial(f.context, {
+            tuple(e - d for e, d in zip(m, low)): c
+            for m, c in f.terms.items()})
     h = f
     while True:
         d = multivariate_gcd(h, g)

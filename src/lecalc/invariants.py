@@ -289,8 +289,7 @@ class LineSingularityCheck:
 
     @property
     def is_line_singularity(self) -> bool:
-        return (self.vanishes_on_axis and self.slice_isolated
-                and not self.extra_critical_component_at_origin)
+        return self.failing_check is None
 
     @property
     def failing_check(self) -> str | None:
@@ -303,11 +302,12 @@ class LineSingularityCheck:
         return None
 
 
-def _restrict_to_axis(p: Polynomial) -> Polynomial:
-    out = p
-    for v in p.context.variables[1:]:
-        out = out.eval_variable(v, 0)
-    return out
+def _vanishes_on_axis(f: Polynomial) -> bool:
+    """Whether every partial of f vanishes identically on the z1-axis.  Over
+    a field of characteristic 0 that holds exactly when every term has
+    degree >= 2 in z2, ..., zn: a term of lower degree leaves a nonzero term
+    of some partial on the axis, and distinct terms leave distinct ones."""
+    return all(sum(m[1:]) >= 2 for m in f.terms)
 
 
 def _slice_milnor(f: Polynomial, point) -> int | None:
@@ -356,8 +356,7 @@ def _line_check(f: Polynomial) -> tuple[LineSingularityCheck, Ideal | None,
     if f.constant_coefficient():
         raise DegenerateInputError("germ does not vanish at the origin")
 
-    parts = [f.partial(v) for v in ctx.variables]
-    vanishes = all(_restrict_to_axis(p).is_zero() for p in parts)
+    vanishes = _vanishes_on_axis(f)
     slice_mu = _slice_milnor(f, 0)
     slice_isolated = slice_mu is not None
 
@@ -460,51 +459,12 @@ def euler_reduced(lambda0_value: int, lambda1_value: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the weighted-homogeneous polar-ratio identity
-
-@dataclass(frozen=True)
-class PolarRatioLemmaReport:
-    substitution_identity: bool
-    degree: int
-    axis_weight: int
-    rho_from_weights: Fraction
-    rho_computed: Fraction | None
-
-    @property
-    def consistent(self) -> bool:
-        return (self.substitution_identity
-                and (self.rho_computed is None
-                     or self.rho_computed == self.rho_from_weights))
-
-
-def check_polar_ratio_lemma(f0: Polynomial, w: WeightSystem,
-                            rho_computed: Fraction | None) -> PolarRatioLemmaReport:
-    """Monomial-curve identity: substituting z_i -> a_i * s^(w_i) with
-    symbolic a_i must turn f0 into f0(a) * s^d exactly; consequently every
-    polar-curve branch meets V(f0) with multiplicity d and V(z1) with
-    multiplicity w1, so the polar ratio is d/w1."""
-    if f0.context.parameters:
-        raise ContextError("the identity is checked on parameter-free germs")
-    for m in f0.terms:
-        if w.weighted_degree(m) != w.degree:
-            raise DegenerateInputError(
-                "polynomial is not weighted homogeneous for the given weights")
-    # every term c*z^m has weighted degree d, so the substitution sends it
-    # to c*a^m*s^d; distinct monomials m give distinct a^m, so no two terms
-    # cancel and the image is f0(a)*s^d, nonzero, exactly when f0 is
-    identity = not f0.is_zero()
-    return PolarRatioLemmaReport(identity, w.degree, w.weights[0],
-                                 Fraction(w.degree, w.weights[0]), rho_computed)
-
-
-# ---------------------------------------------------------------------------
 # the full record
 
 @dataclass(frozen=True)
 class InvariantRecord:
     order: int
     multiplicity: int
-    weights: WeightSystem | None
     lambda0: int
     lambda1: int
     gamma1: int
@@ -543,11 +503,9 @@ def germ_record(f: Polynomial, rng: Random) -> InvariantRecord:
     # cycle is a k-cycle supported on it, so lambda^k = 0 for every k >= 2
     # (Massey, Le Cycles and Hypersurface Singularities, LNM 1615)
     lamk = (True,) * (n - 2)
-    weights = None if f.context.parameters else detect_weights(f)
     return InvariantRecord(
         order=order,
         multiplicity=order,
-        weights=weights,
         lambda0=l0,
         lambda1=l1,
         gamma1=g1,

@@ -504,11 +504,15 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise DegenerateInputError("negative polynomial power")
-        if n == 0:
-            return Polynomial.one(self.context)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
+        # square and multiply: at most 2 log2(n) + 1 products
+        out = Polynomial.one(self.context)
+        square = self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def divide_exact(self, other: "Polynomial"):

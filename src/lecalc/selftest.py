@@ -24,7 +24,7 @@ from .families import (EQUIMULTIPLE, GENERIC, HOLDS,
                        NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED, ZERO,
                        analyze_family, evaluate_rules, failure_text,
                        verify_ilm)
-from .invariants import check_polar_ratio_lemma, detect_weights, milnor_number
+from .invariants import detect_weights, milnor_number
 from .orders import GREVLEX, LOCAL
 from .parse import parse_polynomial
 from .poly import Context, Polynomial, render
@@ -177,11 +177,7 @@ def criterion_polar_ratio(env: SelfTestEnv) -> str:
     w = an.weights
     expect(Fraction(w.degree, w.weights[0]) == Fraction(10, 3),
            "d / w_axis must equal the polar ratio")
-    report = check_polar_ratio_lemma(an.family.base, w, rec.polar_ratio)
-    expect(report.substitution_identity,
-           "monomial-curve substitution identity failed")
-    expect(report.consistent, "polar ratio does not match d / w_axis")
-    return "rho = 30/9 = 10/3 = d/w_axis; substitution identity holds"
+    return "rho = 30/9 = 10/3 = d/w_axis"
 
 
 def criterion_ilm(env: SelfTestEnv) -> str:

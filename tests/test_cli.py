@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lecalc
-from lecalc import errors, report
+from lecalc import cli, errors, families, invariants, report
 from lecalc.cli import entrypoint, read_input_file
 
 WORKED_BASE = "z1^2*z2^2 + z2^5 + z3^4"
@@ -240,6 +240,51 @@ def test_weight_search_draws_on_the_budget(capsys):
     assert code == 2 and out == ""
     assert err == ("refused: BUDGET_EXCEEDED: reduction budget of 2000 "
                    "steps exhausted\n")
+
+
+@pytest.mark.parametrize("exponent", [200000, 1000000])
+def test_high_transverse_powers_take_no_linear_loop(capsys, exponent):
+    # parsing z2^e and saturating dz2 = e*z2^(e-1) by z2 each take a
+    # bounded number of steps, not e - 1 products or e - 1 gcds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariants", "-e",
+                         f"z2^{exponent} + z3^2", "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert json.loads(out)["invariants"]["lambda1"] == exponent - 1
+
+
+def _weight_detections(monkeypatch, capsys, *argv) -> int:
+    """How many times one command detects weights, over every module that
+    imports detect_weights."""
+    calls = []
+    detect = invariants.detect_weights
+
+    def spy(f):
+        calls.append(f)
+        return detect(f)
+
+    for module in (invariants, families, cli):
+        monkeypatch.setattr(module, "detect_weights", spy)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return len(calls)
+
+
+def test_weights_are_detected_only_where_a_report_uses_them(monkeypatch,
+                                                           capsys):
+    # family: once, for the base (the weights line and the weight rules);
+    # ilm reports no weights; invariants over QQ(t) skips them
+    nonupper = str(Path(lecalc.__file__).parent / "corpus"
+                   / "nonupper_family.lec")
+    assert _weight_detections(monkeypatch, capsys, "family", "-f",
+                              nonupper) == 1
+    assert _weight_detections(monkeypatch, capsys, "ilm", "-f",
+                              nonupper) == 0
+    assert _weight_detections(monkeypatch, capsys, "invariants", "-e",
+                              WORKED_BASE) == 1
+    assert _weight_detections(monkeypatch, capsys, "invariants", "-e",
+                              WORKED_FAMILY, "--param", "t") == 0
 
 
 def test_higher_le_numbers_need_no_hyperplane_cut(capsys):

@@ -16,9 +16,9 @@ from lecalc.engine import (Ideal, colength_at_origin, contains_local_unit,
 from lecalc.errors import (BudgetExceededError, DegenerateInputError,
                            NonIsolatedError, NonReducedError,
                            NotLineSingularityError, PolarDimensionError)
-from lecalc.invariants import (_jacobian, _line_check,
-                               check_polar_ratio_lemma, detect_weights,
-                               draw_rational, euler_reduced, gamma1,
+from lecalc.invariants import (_jacobian, _line_check, _vanishes_on_axis,
+                               detect_weights, draw_rational,
+                               euler_reduced, gamma1,
                                germ_record, is_line_singularity, lambda1,
                                milnor_number, milnor_orlik, order_at_origin,
                                polar_ratio, polar_variety_1)
@@ -225,6 +225,54 @@ def test_failed_first_test_builds_no_basis_and_no_saturation(monkeypatch,
         germ_record(f, Random(0))
 
 
+@st.composite
+def _germs_through_the_origin(draw):
+    """A germ in 2 to 4 variables over QQ or QQ(t), with no constant term:
+    one to five terms of degree at most 3 in each variable."""
+    n = draw(st.integers(2, 4))
+    params = draw(st.sampled_from(((), ("t",))))
+    ctx = Context(tuple(f"z{i}" for i in range(1, n + 1)), params)
+    text = "0"
+    for _ in range(draw(st.integers(1, 5))):
+        e = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                 .filter(any))
+        coefficient = draw(st.sampled_from(("1", "2", "1/3") + tuple(
+            c for p in params for c in (p, f"(1 + {p}^2)"))))
+        text += draw(st.sampled_from((" + ", " - "))) + "*".join(
+            [coefficient] + [f"z{i + 1}^{a}" for i, a in enumerate(e) if a])
+    return parse_polynomial(text, ctx)
+
+
+def _partials_vanish_on_the_axis(f: Polynomial) -> bool:
+    """The definition the exponent test replaces: every partial of f,
+    restricted to the z1-axis, is zero."""
+    def on_axis(p):
+        for v in p.context.variables[1:]:
+            p = p.eval_variable(v, 0)
+        return p
+    return all(on_axis(f.partial(v)).is_zero() for v in f.context.variables)
+
+
+def _check_axis_test(axis_test) -> None:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_germs_through_the_origin())
+    def agrees(f):
+        assert axis_test(f) == _partials_vanish_on_the_axis(f)
+
+    agrees()
+
+
+def test_axis_test_reads_the_exponents():
+    _check_axis_test(_vanishes_on_axis)
+
+
+def test_axis_test_property_rejects_transverse_degree_one():
+    # a term such as z1*z2 has df/dz2 = z1 on the axis, so a test that
+    # asks only for degree >= 1 in z2, ..., zn must fail the property
+    with pytest.raises(AssertionError):
+        _check_axis_test(lambda f: all(sum(m[1:]) >= 1 for m in f.terms))
+
+
 def test_line_singularity_requires_reduced_input():
     with pytest.raises(NonReducedError):
         is_line_singularity(parse_polynomial("z2^2*z3^2", C3))
@@ -307,8 +355,9 @@ def _line_singularities(draw):
 def test_hyperplane_cuts_of_the_polar_cycles_agree(f, seed):
     # germ_record sets lambda^k = 0 for k >= 2 by theorem; in its
     # hyperplane-cut form the two cut ideals are equal, since z2 is a unit
-    # modulo either one (p2 != 0), so saturating by J changes nothing
-    if not is_reduced(f):
+    # modulo either one (p2 != 0), so saturating by J changes nothing.
+    # The drawn terms may cancel to 0, which has no reducedness
+    if f.is_zero() or not is_reduced(f):
         reject()
     rng = Random(seed)
     try:
@@ -351,15 +400,6 @@ def test_lambda1_is_the_generic_transverse_milnor_number(f, seed):
     except (BudgetExceededError, NotLineSingularityError):
         reject()
     assert rec.lambda1 == generic
-
-
-def test_polar_ratio_lemma_report():
-    w = detect_weights(BASE)
-    report = check_polar_ratio_lemma(BASE, w, Fraction(10, 3))
-    assert report.substitution_identity
-    assert report.consistent
-    bad = check_polar_ratio_lemma(BASE, w, Fraction(7, 2))
-    assert not bad.consistent
 
 
 def test_germ_record_of_base():

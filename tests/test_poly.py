@@ -52,6 +52,15 @@ def test_pow_and_degree():
     assert (z1 ** 0) == Polynomial.one(CTX)
 
 
+def test_pow_matches_repeated_products():
+    # square and multiply builds the same polynomial as n - 1 products
+    p = parse_polynomial("t*z1 - 2/3*z2^2 + 1", CTXP)
+    product = Polynomial.one(CTXP)
+    for n in range(9):
+        assert p ** n == product
+        product = product * p
+
+
 def test_partial_derivative():
     z1, z2 = v("z1"), v("z2")
     f = z1 ** 2 * z2 ** 2 + z2 ** 5
