@@ -247,8 +247,7 @@ def cmd_family(cfg: rp.RunConfig) -> int:
             doc[key] = rp.record_json(sl.record)
             doc[f"{key}_extra"] = rp.record_json_extra(sl.record)
     if an.generic is not None:
-        doc["generic_witnesses"] = [rp.json_rational(w)
-                                    for w in an.generic.t_witnesses]
+        doc["generic_witnesses"] = rp.points_json(an.generic.t_witnesses)
     if evidence is not None:
         doc["irreducibility_evidence"] = {
             "verdict": evidence.verdict,

@@ -1,13 +1,14 @@
 """One-parameter deformation families and the equimultiplicity checkers.
 
 A family F(t, z) = f0(z) + sum_j t^j g_j(z) is analyzed in two slices: at
-t = 0 (exact) and at generic t (over the rational function field, with every
-generic value cross-checked at two random rational specializations of t).
-The generic rows of the augmentation (ILM) table are the exception: each
-mu(f_t + z1^j) is evaluated modulo the two fixed primes in PRIMES, at a
-value of t drawn uniformly from [1, p - 1] for each prime, and the two
-values must agree; the table then cross-checks them against the exact
-lambda0 and lambda1.
+t = 0 (exact) and at generic t (over the rational function field).  The
+family draws its generic points once: one value of t, uniform in [1, p - 1],
+for each of the two fixed primes p in PRIMES.  Every generic value is
+cross-checked over GF(p) at those points: the slice record is recomputed
+there, and the generic rows of the augmentation (ILM) table are evaluated
+there only (the table then cross-checks them against the exact lambda0 and
+lambda1).  A repeated factor is refused by the slice records themselves:
+germ_record checks f0 over QQ and F over QQ(t).
 The theorem checkers record each hypothesis with a HOLDS / FAILS /
 USER_ASSERTED / NOT_CHECKED status and only emit a conclusion licensed by
 those statuses; user assertions are always listed, never silently mixed
@@ -25,12 +26,9 @@ from .engine import Ideal, _strip_common_factors
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      InternalCheckError, MathRefusal, NonIsolatedError,
                      NonReducedError, UnluckySpecializationError, UsageError)
-from .invariants import (InvariantRecord, WeightSystem,
-                         cross_checked_witnesses, detect_weights,
-                         draw_distinct_rationals, germ_record, milnor_number,
-                         order_at_origin)
-from .poly import (Modular, Polynomial, multivariate_gcd,
-                   render, require_reduced)
+from .invariants import (InvariantRecord, WeightSystem, detect_weights,
+                         germ_record, milnor_number, order_at_origin)
+from .poly import Modular, Polynomial, multivariate_gcd, render
 
 ZERO = "ZERO"
 GENERIC = "GENERIC"
@@ -47,8 +45,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 IRREDUCIBLE_POLAR_CURVE = "generic_polar_curve_irreducible"
 
-# the two prime fields of the generic augmented Milnor numbers (2^31 - 1 and
-# the largest prime below it; the tests check both by Miller-Rabin)
+# the two prime fields of the generic cross-checks (2^31 - 1 and the largest
+# prime below it; the tests check both by Miller-Rabin)
 PRIMES = (2147483647, 2147483629)
 
 
@@ -61,7 +59,7 @@ class Family:
     full: Polynomial                 # over QQ(t)
     base: Polynomial                 # the t = 0 member, over QQ
     deformation: tuple[tuple[int, Polynomial], ...]   # (j, g_j), j >= 1
-    reduced_witnesses: tuple[Fraction, Fraction]
+    points: tuple[tuple[int, int], ...]   # (p, t mod p) for each p in PRIMES
 
     def member(self, value: Fraction | Modular) -> Polynomial:
         """The member at a rational value, over QQ, or at a residue mod p,
@@ -69,9 +67,16 @@ class Family:
         return self.full.specialize_parameter(self.parameter, value)
 
 
+def _draw_mod_points(rng: Random) -> tuple[tuple[int, int], ...]:
+    """One parameter value per prime of PRIMES, uniform in [1, p - 1]."""
+    return tuple((p, rng.randint(1, p - 1)) for p in PRIMES)
+
+
 def decompose_family(f: Polynomial, rng: Random) -> Family:
     """Split F = f0 + sum t^j g_j, checking that the origin stays on every
-    member and that f0 and two random members are reduced."""
+    member, and draw the family's generic points with _draw_mod_points.
+    Reducedness is not checked here: the slice records refuse a repeated
+    factor of f0 over QQ and of F over QQ(t)."""
     ctx = f.context
     if ctx.nparams != 1:
         raise ContextError("a family needs exactly one declared parameter")
@@ -97,7 +102,6 @@ def decompose_family(f: Polynomial, rng: Random) -> Family:
     if base.is_zero():
         raise DegenerateInputError(
             f"the {t} = 0 member is the zero polynomial")
-    require_reduced(base)
     deformation = tuple((j, g) for j, g in sorted(members.items()) if j >= 1)
 
     rebuilt = Polynomial.zero(ctx)
@@ -107,17 +111,7 @@ def decompose_family(f: Polynomial, rng: Random) -> Family:
         rebuilt = rebuilt + embedded
     if rebuilt != f:
         raise InternalCheckError("family decomposition does not reconstruct")
-
-    witnesses = draw_distinct_rationals(rng, 2)
-    for tau in witnesses:
-        member = f.specialize_parameter(t, tau)
-        try:
-            require_reduced(member)
-        except NonReducedError as exc:
-            raise NonReducedError(
-                f"family member at {t} = {tau} is not reduced "
-                f"(repeated factor {exc.witness})", witness=exc.witness) from exc
-    return Family(t, f, base, deformation, (witnesses[0], witnesses[1]))
+    return Family(t, f, base, deformation, _draw_mod_points(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +147,7 @@ def is_upper(fam: Family, w: WeightSystem) -> UpperReport:
 class SliceRecord:
     where: str
     record: InvariantRecord
-    t_witnesses: tuple[Fraction, ...]
+    t_witnesses: tuple[tuple[int, int], ...]   # (p, t mod p); () at ZERO
 
 
 def _comparable(rec: InvariantRecord):
@@ -163,31 +157,49 @@ def _comparable(rec: InvariantRecord):
     return (rec.order, rec.lambda0, rec.lambda1, rec.gamma1, rec.slice_milnor)
 
 
+def _at_generic_points(fam: Family, rng: Random, compute, refusal,
+                       expected=None):
+    """compute(member) at the members over GF(p) at the family's points,
+    and the points used.  The two values must agree, and equal expected
+    when one is given; otherwise every value is recomputed once at a
+    redrawn pair, and a second failure raises UnluckySpecializationError
+    with refusal(values) naming what disagreed."""
+    points = fam.points
+    for attempt in range(2):
+        if attempt:
+            points = _draw_mod_points(rng)
+        values = [compute(fam.member(Modular(tau, p))) for p, tau in points]
+        if values[0] == values[1] and (expected is None
+                                       or values[0] == expected):
+            return values[0], points
+    raise UnluckySpecializationError(refusal(values) + " at " + " and ".join(
+        f"{fam.parameter} = {tau} mod {p}" for p, tau in points))
+
+
 def invariants_at(fam: Family, where: str, rng: Random) -> SliceRecord:
     """The full invariant record of one slice.  GENERIC works over the
-    fraction field and re-derives every invariant at two random rational
-    parameter values; a disagreeing draw is redrawn once and then refused."""
+    fraction field and recomputes the record over GF(p) at the family's
+    points (_at_generic_points), where it must compare equal; a refused
+    record over GF(p) disagrees."""
     if where == ZERO:
         return SliceRecord(ZERO, germ_record(fam.base, rng), ())
     if where != GENERIC:
         raise UsageError(f"unknown slice {where!r}")
     rec = germ_record(fam.full, rng)
-    expected = _comparable(rec)
 
-    def agrees(tau: Fraction) -> bool:
+    def comparable(member: Polynomial):
         try:
-            spec = germ_record(fam.member(tau), rng)
+            return _comparable(germ_record(member, rng))
         except BudgetExceededError:
             raise
         except MathRefusal:
-            return False
-        return _comparable(spec) == expected
+            return None
 
-    witnesses = cross_checked_witnesses(
-        rng, agrees,
-        lambda tau: f"invariants at {fam.parameter} = {tau} disagree with "
-                    f"the generic values")
-    return SliceRecord(GENERIC, rec, witnesses)
+    _, points = _at_generic_points(
+        fam, rng, comparable,
+        lambda _: "the invariants disagree with the generic values",
+        _comparable(rec))
+    return SliceRecord(GENERIC, rec, points)
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +272,6 @@ def _augmented_milnor(g: Polynomial, j: int) -> int | None:
         return None
 
 
-def _draw_mod_points(rng: Random) -> tuple[tuple[int, int], ...]:
-    """One parameter value per prime of PRIMES, uniform in [1, p - 1]."""
-    return tuple((p, rng.randint(1, p - 1)) for p in PRIMES)
-
-
-def _generic_ilm_values(
-        fam: Family, js: list[int], rng: Random
-) -> tuple[list[int | None], tuple[tuple[int, int], ...]]:
-    """mu(f_t + z1^j) over GF(p) for every j in js, all at one pair of
-    points from _draw_mod_points, and that pair.  The family is specialized
-    once per point.  If the two primes disagree on any row, every row is
-    recomputed at a redrawn pair; then refuse."""
-    for _ in range(2):
-        points = _draw_mod_points(rng)
-        members = [fam.member(Modular(tau, p)) for p, tau in points]
-        pairs = [[_augmented_milnor(g, j) for g in members] for j in js]
-        split = [j for j, (a, b) in zip(js, pairs) if a != b]
-        if not split:
-            return [a for a, _ in pairs], points
-    axis = fam.base.context.variables[0]
-    raise UnluckySpecializationError(
-        f"mu(f + {axis}^{split[0]}) disagrees at " + " and ".join(
-            f"{fam.parameter} = {tau} mod {p}" for p, tau in points))
-
-
 def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
                j_values: tuple[int, ...] | None = None) -> IlmTable:
     """mu(f_t + z1^j) for each j against the two augmentation identities
@@ -295,11 +282,11 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
     second identity restates the first, and its column stays only because
     it is part of the schema-1 report.
 
-    At GENERIC each mu is evaluated modulo each prime of PRIMES, at a
-    parameter value drawn uniformly from [1, p - 1] (over QQ(t), or at
-    rational t, the augmented Jacobian bases drag enormous coefficients
-    around; mod p they stay word-sized).  The two values must agree; one
-    joint redraw is allowed before refusing.  The t = 0 rows stay over QQ."""
+    At GENERIC each mu is evaluated over GF(p) at the family's points
+    (over QQ(t), or at rational t, the augmented Jacobian bases drag
+    enormous coefficients around; mod p they stay word-sized).  The two
+    values must agree; _at_generic_points recomputes every row once at a
+    redrawn pair before refusing.  The t = 0 rows stay over QQ."""
     rec = slice_rec.record
     if j_values is None:
         j_values = default_j_values(rec.lambda0)
@@ -324,7 +311,15 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
     if where == ZERO:
         mus, witnesses = [_augmented_milnor(fam.base, j) for j in js], ()
     else:
-        mus, witnesses = _generic_ilm_values(fam, js, rng)
+        axis = fam.base.context.variables[0]
+
+        def first_split(values) -> str:
+            j = next(j for j, a, b in zip(js, *values) if a != b)
+            return f"mu(f + {axis}^{j}) disagrees"
+
+        mus, witnesses = _at_generic_points(
+            fam, rng, lambda g: [_augmented_milnor(g, j) for j in js],
+            first_split)
 
     rows = []
     values: dict[int, int] = {}
@@ -470,20 +465,22 @@ class FamilyAnalysis:
 
 def analyze_family(f: Polynomial, rng: Random) -> FamilyAnalysis:
     """Both slices and the family-wide checks.  A slice's refusal is kept as
-    its failure; an exhausted step budget is not a property of the slice and
-    propagates."""
+    its failure, with two exceptions that propagate: an exhausted step
+    budget, which is not a property of the slice, and a repeated factor
+    (of f0 over QQ, or of F over QQ(t)), which makes the whole family
+    unreduced; the slice records are where reducedness is checked."""
     fam = decompose_family(f, rng)
     zero = zero_failure = None
     try:
         zero = invariants_at(fam, ZERO, rng)
-    except BudgetExceededError:
+    except (BudgetExceededError, NonReducedError):
         raise
     except MathRefusal as exc:
         zero_failure = exc
     generic = generic_failure = None
     try:
         generic = invariants_at(fam, GENERIC, rng)
-    except BudgetExceededError:
+    except (BudgetExceededError, NonReducedError):
         raise
     except MathRefusal as exc:
         generic_failure = exc
@@ -609,9 +606,8 @@ def _axis_weight_note(an: FamilyAnalysis) -> str:
     """When the smallest weight sits on the axis variable, the weighted
     augmentation z_min^{d/w_min} coincides with the axis form z_axis^j;
     report the Milnor numbers of both slices' augmented germs rather than
-    privileging one reading.  The generic side is evaluated at the family's
-    two stored witness values, reduced modulo the two primes of PRIMES (one
-    each, as in the generic ILM rows); the two values must agree."""
+    privileging one reading.  The generic side is evaluated over GF(p) at
+    the family's points; the two values must agree."""
     fam, w = an.family, an.weights
     e = w.degree // w.smallest_weight
     axis, t = fam.base.context.variables[0], fam.parameter
@@ -623,8 +619,8 @@ def _axis_weight_note(an: FamilyAnalysis) -> str:
         for where, members in (
                 (f"{t} = 0", lambda: [fam.base]),
                 (f"generic {t}",
-                 lambda: [fam.member(Modular.from_rational(tau, p))
-                          for p, tau in zip(PRIMES, fam.reduced_witnesses)])):
+                 lambda: [fam.member(Modular(tau, p))
+                          for p, tau in fam.points])):
             mus = {_augmented_milnor(g, e) for g in members()}
             note += f"; mu at {where} with {axis}^{e} added"
             if len(mus) > 1:

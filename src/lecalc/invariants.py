@@ -26,9 +26,8 @@ from .engine import (Ideal, colength_at_origin, current_budget,
                      dimension_at_origin, saturate)
 from .errors import (ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
-                     NonIntegerResultError, NonIsolatedError,
-                     NotLineSingularityError, PolarDimensionError,
-                     UnluckySpecializationError)
+                     NonIsolatedError, NotLineSingularityError,
+                     PolarDimensionError, UnluckySpecializationError)
 from .poly import Polynomial, require_reduced
 
 
@@ -259,20 +258,6 @@ def milnor_number(f: Polynomial,
     return mu
 
 
-def milnor_orlik(w: WeightSystem, indices: tuple[int, ...]) -> int:
-    """Product of (d/w_i - 1) over the given variable indices; the classical
-    Milnor number of a weighted homogeneous isolated singularity in those
-    variables.  A non-integer or negative product signals a hypothesis
-    violation."""
-    acc = Fraction(1)
-    for i in indices:
-        acc *= Fraction(w.degree, w.weights[i]) - 1
-    if acc.denominator != 1 or acc < 0:
-        raise NonIntegerResultError(
-            f"weight product {acc} is not a non-negative integer")
-    return int(acc)
-
-
 # ---------------------------------------------------------------------------
 # line-singularity verification
 
@@ -304,9 +289,11 @@ class LineSingularityCheck:
 
 def _vanishes_on_axis(f: Polynomial) -> bool:
     """Whether every partial of f vanishes identically on the z1-axis.  Over
-    a field of characteristic 0 that holds exactly when every term has
-    degree >= 2 in z2, ..., zn: a term of lower degree leaves a nonzero term
-    of some partial on the axis, and distinct terms leave distinct ones."""
+    a field of characteristic 0, or of characteristic p above every
+    exponent (the primes of the generic cross-checks exceed 2^30), that
+    holds exactly when every term has degree >= 2 in z2, ..., zn: a term of
+    lower degree leaves a nonzero term of some partial on the axis, and
+    distinct terms leave distinct ones."""
     return all(sum(m[1:]) >= 2 for m in f.terms)
 
 

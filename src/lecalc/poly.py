@@ -708,12 +708,6 @@ def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.context, sparse.pgcd(f.terms, g.terms))
 
 
-def is_reduced(f: Polynomial) -> bool:
-    """True when f is squarefree (char 0: gcd with all first partials is
-    constant), i.e. the equation defines a reduced hypersurface germ."""
-    return reduced_witness(f) is None
-
-
 def reduced_witness(f: Polynomial) -> Polynomial | None:
     """The nonconstant gcd of f with its partials, when one exists; one gcd
     per nonzero partial, stopping once the gcd is constant."""

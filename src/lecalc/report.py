@@ -101,11 +101,16 @@ def verdict_json(v: TheoremVerdict) -> dict:
     }
 
 
+def points_json(points: tuple[tuple[int, int], ...]) -> list[dict]:
+    """Specialization points (p, t mod p) as [{"prime": p, "t": t}, ...]."""
+    return [{"prime": p, "t": t} for p, t in points]
+
+
 def ilm_json(table: IlmTable) -> dict:
     return {
         "where": table.where,
         "mu_slice": table.slice_milnor,
-        "t_witnesses": [{"prime": p, "t": t} for p, t in table.t_witnesses],
+        "t_witnesses": points_json(table.t_witnesses),
         "rows": [asdict(r) for r in table.rows],
         "inferred": list(table.inferred) if table.inferred else None,
         "expected": list(table.expected),
@@ -365,7 +370,8 @@ def _family_text(doc: dict) -> list[str]:
         lines.append(f"invariants at {t} = 0: unavailable "
                      f"({fam['slice_errors']['zero']})")
     if "invariants_generic" in doc:
-        witnesses = ", ".join(f"{t} = {w}" for w in doc["generic_witnesses"])
+        witnesses = ", ".join(f"{t} = {w['t']} mod {w['prime']}"
+                              for w in doc["generic_witnesses"])
         lines.append(f"invariants at generic {t} (cross-checked at "
                      f"{witnesses}):")
         lines += record_text(doc["invariants_generic"],

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lecalc
-from lecalc import cli, errors, families, invariants, report
+from lecalc import cli, errors, families, invariants, poly, report
 from lecalc.cli import entrypoint, read_input_file
 
 WORKED_BASE = "z1^2*z2^2 + z2^5 + z3^4"
@@ -213,10 +213,10 @@ def _family_refuses_for_budget(capsys, expr, budget):
 
 
 def test_slice_cross_check_does_not_hide_budget_exhaustion(capsys):
-    # the budget runs out while the generic slice is re-derived at a
-    # rational t, which must read neither as a disagreeing specialization
-    # nor as a slice failure; the cross-check runs from step 17 to step 42
-    # of 49
+    # the budget runs out while the generic slice is re-derived over GF(p)
+    # at the family's points, which must read neither as a disagreeing
+    # specialization nor as a slice failure; the cross-check runs from step
+    # 17 to step 42 of 49
     _family_refuses_for_budget(capsys, "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2",
                                40)
 
@@ -351,6 +351,65 @@ def test_family_with_zero_base_refused(capsys):
     code, out, err = run(capsys, "family", "-e", "t*z2^2", "--param", "t")
     assert code == 2
     assert err.startswith("refused:")
+
+
+def test_family_reducedness_is_not_refused_at_a_rational_t(capsys):
+    # the member at t = 9 is z2^3 + z1*z2^2*z3, which has the repeated
+    # factor z2; seed 0 once drew t = 9 and refused the whole family
+    code, out, err = run(capsys, "family", "-e",
+                         "z2^3 + t*z3^3 - 9*z3^3 + z1*z2^2*z3", "--param", "t",
+                         "--seed", "0")
+    assert code == 0 and err == ""
+    assert "orders at origin: 3 at t = 0, 3 at generic t" in out
+
+
+@pytest.mark.parametrize("command", ["family", "ilm"])
+def test_family_with_a_repeated_factor_over_qq_t_is_refused(capsys, command):
+    # the t = 0 member is reduced; the generic slice record finds the
+    # repeated factor over QQ(t), and the refusal is not kept as a slice
+    # failure
+    code, out, err = run(capsys, command, "-e", "(1 + t*z2)^2*(z2^3 + z3^3)",
+                         "--param", "t")
+    assert code == 2 and out == ""
+    assert err == ("refused: NON_REDUCED: equation is not reduced; repeated "
+                   "factor z2 + (1)/(t)\n")
+
+
+def _field(ctx) -> str:
+    if ctx.modulus:
+        return f"GF({ctx.modulus})"
+    return f"QQ({ctx.parameters[0]})" if ctx.parameters else "QQ"
+
+
+@pytest.mark.parametrize("command", ["family", "ilm"])
+@pytest.mark.parametrize("name", ["constant", "homogeneous", "nonupper",
+                                  "suspension"])
+def test_reducedness_is_walked_once_per_field(monkeypatch, capsys, command,
+                                              name):
+    # the t = 0 record over QQ, the generic record over QQ(t) and its two
+    # cross-checks over GF(p); no record at a rational t
+    fields = []
+    real = poly.reduced_witness
+
+    def spy(f):
+        fields.append(_field(f.context))
+        return real(f)
+
+    monkeypatch.setattr(poly, "reduced_witness", spy)
+    path = Path(lecalc.__file__).parent / "corpus" / f"{name}_family.lec"
+    code, _, _ = run(capsys, command, "-f", str(path))
+    assert code == 0
+    assert sorted(fields) == ["GF(2147483629)", "GF(2147483647)", "QQ",
+                              "QQ(t)"]
+
+
+def test_family_and_ilm_name_the_same_generic_points(capsys):
+    docs = [json.loads(run(capsys, command, "-e", SUSPENSION, "--param", "t",
+                           "--format", "json")[1])
+            for command in ("family", "ilm")]
+    points = docs[1]["ilm"]["generic"]["t_witnesses"]
+    assert [w["prime"] for w in points] == list(families.PRIMES)
+    assert docs[0]["generic_witnesses"] == points
 
 
 def test_family_requires_parameter(capsys):

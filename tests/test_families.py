@@ -20,10 +20,10 @@ from lecalc.families import (EQUIMULTIPLE, FAILS, GENERIC, HOLDS,
                              INCONCLUSIVE, NOT_CHECKED,
                              NOT_TOPOLOGICALLY_V_EQUISINGULAR, PRIMES,
                              USER_ASSERTED, ZERO, EquimultiplicityResult,
-                             analyze_family, decompose_family, evaluate_rules,
-                             invariants_at, irreducibility_evidence,
-                             verify_ilm)
-from lecalc.invariants import milnor_number
+                             SliceRecord, analyze_family, decompose_family,
+                             evaluate_rules, invariants_at,
+                             irreducibility_evidence, verify_ilm)
+from lecalc.invariants import germ_record, milnor_number
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Modular, Polynomial, render
 
@@ -64,7 +64,8 @@ def test_decompose_splits_base_and_powers_of_t():
     assert render(fam.base) == "z2^5 + z1^2*z2^2 + z3^4"
     assert [(j, render(g)) for j, g in fam.deformation] == [
         (1, "z1*z2^2"), (2, "z1^2*z2^2")]
-    assert len(fam.reduced_witnesses) == 2
+    assert [p for p, _ in fam.points] == list(PRIMES)
+    assert all(1 <= tau < p for p, tau in fam.points)
 
 
 def test_decompose_constant_family_has_empty_deformation():
@@ -79,9 +80,14 @@ def test_decompose_rejects_zero_base():
         decompose_family(fampoly("t*z2^2"), Random(0))
 
 
-def test_decompose_rejects_non_reduced_member():
+def test_analyze_family_rejects_non_reduced_member():
+    # decompose_family does not check reducedness; the zero slice's record
+    # refuses the repeated factor z2, and analyze_family lets the refusal
+    # through instead of keeping it as a slice failure
+    f = fampoly("z2^2*z3 + t*z2^2*z3")
+    assert render(decompose_family(f, Random(0)).base) == "z2^2*z3"
     with pytest.raises(NonReducedError):
-        decompose_family(fampoly("z2^2*z3 + t*z2^2*z3"), Random(0))
+        analyze_family(f, Random(0))
 
 
 def test_equimultiplicity_ground_truth(worked, suspension):
@@ -106,7 +112,7 @@ def test_slice_invariants_of_worked_family(worked):
     assert (rg.lambda0, rg.lambda1, rg.gamma1) == (6, 3, 9)
     assert r0.intersection_with_hypersurface == 30
     assert rg.intersection_with_hypersurface == 15
-    assert len(worked.generic.t_witnesses) == 2
+    assert worked.generic.t_witnesses == worked.family.points
 
 
 def test_mt2_inconclusive_on_worked_family(worked):
@@ -363,24 +369,26 @@ def test_augmented_milnor_mod_p_matches_rational(text, j_values):
 
 
 def test_ilm_refuses_a_prime_dividing_a_denominator():
+    # the member at t mod 2147483647 has no image: the generic slice, which
+    # is cross-checked at the same points as the rows, is refused too
     fam = decompose_family(fampoly(SUSPENSION + " + 1/2147483647*t*z2^5"),
                            Random(0))
-    generic = invariants_at(fam, GENERIC, Random(0))
+    with pytest.raises(UnluckySpecializationError, match="no image"):
+        invariants_at(fam, GENERIC, Random(0))
     assert verify_ilm(fam, ZERO, invariants_at(fam, ZERO, Random(0)),
                       Random(0)).passed
-    with pytest.raises(UnluckySpecializationError):
+    generic = SliceRecord(GENERIC, germ_record(fam.full, Random(0)), ())
+    with pytest.raises(UnluckySpecializationError, match="no image"):
         verify_ilm(fam, GENERIC, generic, Random(0))
 
 
-def _disagreeing_on_rows(monkeypatch, bad_rows):
-    """Spy on the generic ILM rows: record each drawn pair of points, each
-    specialized member's value of t, and (j, prime) per augmented Milnor
-    number; make the two primes disagree on the given row numbers
-    (1-based, counted over both draws)."""
+def _spy_on_redraws(monkeypatch):
+    """Record each pair of points drawn after the family's own (the
+    redraws of _at_generic_points) and each specialized member's value of
+    t."""
     real_draw = families._draw_mod_points
     real_member = families.Family.member
-    real_mu = families._augmented_milnor
-    draws, members, calls = [], [], []
+    draws, members = [], []
 
     def draw(rng):
         draws.append(real_draw(rng))
@@ -390,17 +398,27 @@ def _disagreeing_on_rows(monkeypatch, bad_rows):
         members.append(value)
         return real_member(fam, value)
 
+    monkeypatch.setattr(families, "_draw_mod_points", draw)
+    monkeypatch.setattr(families.Family, "member", member)
+    return draws, members
+
+
+def _disagreeing_on_rows(monkeypatch, bad_rows):
+    """Spy on the generic ILM rows: _spy_on_redraws, and (j, prime) per
+    augmented Milnor number; make the two primes disagree on the given row
+    numbers (1-based, counted over both pairs of points)."""
+    real_mu = families._augmented_milnor
+    calls = []
+
     def mu(g, j):
         calls.append((j, g.context.modulus))
         value = real_mu(g, j)
-        second = g.context.modulus == PRIMES[1]
-        return value + 1 if second and (len(calls) + 1) // 2 in bad_rows \
-            else value
+        row = sum(p == PRIMES[1] for _, p in calls)
+        return value + 1 if g.context.modulus == PRIMES[1] \
+            and row in bad_rows else value
 
-    monkeypatch.setattr(families, "_draw_mod_points", draw)
-    monkeypatch.setattr(families.Family, "member", member)
     monkeypatch.setattr(families, "_augmented_milnor", mu)
-    return draws, members, calls
+    return (*_spy_on_redraws(monkeypatch), calls)
 
 
 def _at(points):
@@ -408,26 +426,72 @@ def _at(points):
 
 
 def test_ilm_redraw_recomputes_every_row(worked, monkeypatch):
-    # the third row disagrees once: every row is then recomputed at the
-    # redrawn points, and the table reports the points its rows used
+    # the third row disagrees at the family's points: every row is then
+    # recomputed at one redrawn pair, and the table reports the points its
+    # rows used
     draws, members, calls = _disagreeing_on_rows(monkeypatch, {3})
-    table = verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
-    first, redrawn = draws
+    # Random(0) would redraw the points the family drew from Random(0)
+    table = verify_ilm(worked.family, GENERIC, worked.generic, Random(1))
+    first = worked.family.points
+    [redrawn] = draws
     assert first != redrawn and table.t_witnesses == redrawn
     # the family is specialized once per point, not once per row
     assert members == _at(first) + _at(redrawn)
-    assert calls == [(j, p) for j in (8, 9, 10, 11) for p in PRIMES] * 2
+    assert calls == [(j, p) for p in PRIMES for j in (8, 9, 10, 11)] * 2
     assert table.passed and [r.mu for r in table.rows] == [27, 30, 33, 36]
 
 
 def test_ilm_refuses_a_second_disagreement(worked, monkeypatch):
     draws, members, calls = _disagreeing_on_rows(monkeypatch, {2, 6})
     with pytest.raises(UnluckySpecializationError,
-                       match=r"z1\^9\) disagrees"):
+                       match=r"z1\^9\) disagrees at t = \d+ mod 2147483647 "
+                             r"and t = \d+ mod 2147483629"):
         verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
-    assert members == _at(draws[0]) + _at(draws[1])
-    assert [j for j, _ in calls] == [j for j in (8, 9, 10, 11)
-                                     for _ in PRIMES] * 2
+    assert len(draws) == 1
+    assert members == _at(worked.family.points) + _at(draws[0])
+    assert calls == [(j, p) for p in PRIMES for j in (8, 9, 10, 11)] * 2
+
+
+def _disagreeing_records(monkeypatch, bad):
+    """Spy on the generic slice's records over GF(p): _spy_on_redraws, and
+    the prime of each record; the records numbered in bad (1-based) read
+    lambda1 one too high."""
+    real_record = families.germ_record
+    primes = []
+
+    def record(g, rng):
+        rec = real_record(g, rng)
+        if not g.context.modulus:
+            return rec
+        primes.append(g.context.modulus)
+        return replace(rec, lambda1=rec.lambda1 + 1) if len(primes) in bad \
+            else rec
+
+    monkeypatch.setattr(families, "germ_record", record)
+    return (*_spy_on_redraws(monkeypatch), primes)
+
+
+def test_generic_slice_recomputes_a_disagreeing_record(worked, monkeypatch):
+    # the record at the family's second point disagrees: both records are
+    # recomputed at one redrawn pair, which the slice then reports
+    draws, members, primes = _disagreeing_records(monkeypatch, {2})
+    sl = invariants_at(worked.family, GENERIC, Random(0))
+    [redrawn] = draws
+    assert sl.t_witnesses == redrawn != worked.family.points
+    assert members == _at(worked.family.points) + _at(redrawn)
+    assert primes == list(PRIMES) * 2
+    assert families._comparable(sl.record) \
+        == families._comparable(worked.generic.record)
+
+
+def test_generic_slice_refuses_a_second_disagreement(worked, monkeypatch):
+    draws, members, primes = _disagreeing_records(monkeypatch, {1, 3})
+    with pytest.raises(UnluckySpecializationError,
+                       match="the invariants disagree with the generic "
+                             r"values at t = \d+ mod 2147483647"):
+        invariants_at(worked.family, GENERIC, Random(0))
+    assert len(draws) == 1 and primes == list(PRIMES) * 2
+    assert members == _at(worked.family.points) + _at(draws[0])
 
 
 def test_ilm_custom_exponents_on_suspension(suspension):

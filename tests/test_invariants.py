@@ -14,16 +14,18 @@ from lecalc.engine import (Ideal, colength_at_origin, contains_local_unit,
                            dimension_at_origin, ideals_equal, saturate,
                            step_budget)
 from lecalc.errors import (BudgetExceededError, DegenerateInputError,
-                           NonIsolatedError, NonReducedError,
+                           NonIntegerResultError, NonIsolatedError,
+                           NonReducedError,
                            NotLineSingularityError, PolarDimensionError)
 from lecalc.invariants import (_jacobian, _line_check, _vanishes_on_axis,
                                detect_weights, draw_rational,
                                euler_reduced, gamma1,
                                germ_record, is_line_singularity, lambda1,
-                               milnor_number, milnor_orlik, order_at_origin,
+                               milnor_number, order_at_origin,
                                polar_ratio, polar_variety_1)
+from lecalc.families import PRIMES
 from lecalc.parse import parse_polynomial
-from lecalc.poly import Context, Polynomial, is_reduced
+from lecalc.poly import Context, Polynomial, reduced_witness
 
 C3 = Context(("z1", "z2", "z3"), ())
 BASE = parse_polynomial("z1^2*z2^2 + z2^5 + z3^4", C3)
@@ -68,6 +70,20 @@ def test_milnor_numbers_brieskorn():
 def test_milnor_number_refuses_non_isolated():
     with pytest.raises(NonIsolatedError):
         milnor_number(BASE)
+
+
+def milnor_orlik(w, indices):
+    """Product of (d/w_i - 1) over the given variable indices; the classical
+    Milnor number of a weighted homogeneous isolated singularity in those
+    variables (Milnor-Orlik).  A non-integer or negative product signals a
+    hypothesis violation."""
+    acc = Fraction(1)
+    for i in indices:
+        acc *= Fraction(w.degree, w.weights[i]) - 1
+    if acc.denominator != 1 or acc < 0:
+        raise NonIntegerResultError(
+            f"weight product {acc} is not a non-negative integer")
+    return int(acc)
 
 
 def test_milnor_orlik_matches_jacobian_colength():
@@ -183,7 +199,7 @@ def test_extra_component_flag_matches_the_per_variable_test(f):
     # the gcds of the reducedness test, which no budget bounds, took
     # minutes on some larger germs and on some z1-free ones in 4 variables
     if (f.is_zero() or len(f.terms) > 6
-            or not any(m[0] for m in f.terms) or not is_reduced(f)):
+            or not any(m[0] for m in f.terms) or reduced_witness(f) is not None):
         reject()
     try:
         with step_budget(1500):
@@ -357,7 +373,7 @@ def test_hyperplane_cuts_of_the_polar_cycles_agree(f, seed):
     # hyperplane-cut form the two cut ideals are equal, since z2 is a unit
     # modulo either one (p2 != 0), so saturating by J changes nothing.
     # The drawn terms may cancel to 0, which has no reducedness
-    if f.is_zero() or not is_reduced(f):
+    if f.is_zero() or reduced_witness(f) is not None:
         reject()
     rng = Random(seed)
     try:
@@ -391,7 +407,7 @@ def test_lambda1_is_the_generic_transverse_milnor_number(f, seed):
     # The filter is the extra-component property's: the unbounded gcds of
     # the reducedness test stall on some larger and some z1-free germs
     if (f.is_zero() or len(f.terms) > 6
-            or not any(m[0] for m in f.terms) or not is_reduced(f)):
+            or not any(m[0] for m in f.terms) or reduced_witness(f) is not None):
         reject()
     try:
         with step_budget(3000):
@@ -400,6 +416,38 @@ def test_lambda1_is_the_generic_transverse_milnor_number(f, seed):
     except (BudgetExceededError, NotLineSingularityError):
         reject()
     assert rec.lambda1 == generic
+
+
+@st.composite
+def _suspensions(draw):
+    """(a, b, i, j, c) for z2^a + z3^b + c*z2^i*z3^j, which leaves z1 free;
+    the extra term has order at least 2."""
+    i, j = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda e: sum(e) >= 2))
+    return (draw(st.integers(2, 6)), draw(st.integers(2, 6)), i, j,
+            draw(st.sampled_from((-3, -1, 1, 2))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_suspensions(), st.integers(0, 2 ** 32))
+def test_germ_record_of_a_suspension_over_qq_and_mod_p(spec, seed):
+    # a suspension of an isolated slice g(z2, z3) is a line singularity with
+    # empty polar curve: lambda0 = gamma1 = 0 and lambda1 = mu_slice = mu(g),
+    # over QQ and over the prime fields of the generic cross-checks
+    a, b, i, j, c = spec
+    for modulus in (0, *PRIMES):
+        ctx = Context(("z1", "z2", "z3"), (), modulus)
+        f = (Polynomial.monomial(ctx, (0, a, 0))
+             + Polynomial.monomial(ctx, (0, 0, b))
+             + Polynomial.monomial(ctx, (0, i, j), c))
+        try:
+            mu = milnor_number(f, ("z2", "z3"))
+        except NonIsolatedError:
+            assert not modulus   # refused over QQ first
+            reject()
+        rec = germ_record(f, Random(seed))
+        assert (rec.lambda0, rec.gamma1) == (0, 0)
+        assert rec.lambda1 == rec.slice_milnor == mu
 
 
 def test_germ_record_of_base():
