@@ -12,9 +12,9 @@ of isolated germs.
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -28,8 +28,7 @@ from lecalc.report import (ilm_json, ilm_text, record_json,
 FAMILY = "z1^2*z2^2 + z2^5 + z3^4 + t*z1*z2^2 + t^2*z1^2*z2^2"
 
 
-@dataclass(frozen=True)
-class ExampleConfig:
+class ExampleConfig(NamedTuple):
     seed: int = 0
 
 

@@ -11,9 +11,9 @@ should come out equimultiple; the table records which rule established it.
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -22,8 +22,7 @@ from lecalc import (Context, analyze_family, evaluate_rules,
 from lecalc.families import EQUIMULTIPLE
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     max_exponent: int = 4
     seed: int = 0
 

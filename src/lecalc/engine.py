@@ -55,10 +55,10 @@ Loops outside the engine draw on `current_budget()` the same way.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import ge
+from typing import NamedTuple
 
 from . import sparse
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
@@ -107,26 +107,33 @@ def current_budget() -> _Budget:
     return _active_budget or _Budget(DEFAULT_BUDGET)
 
 
-@dataclass(frozen=True)
-class Ideal:
+class _IdealFields(NamedTuple):
     context: Context
     generators: tuple[Polynomial, ...]
 
-    def __post_init__(self):
-        if not self.generators:
+
+class Ideal(_IdealFields):
+    __slots__ = ()
+
+    def __new__(cls, context: Context, generators: tuple[Polynomial, ...]):
+        if not generators:
             raise DegenerateInputError("an ideal needs at least one generator")
-        for g in self.generators:
-            if g.context != self.context:
+        for g in generators:
+            if g.context != context:
                 raise ContextError("generator context mismatch")
             if g.is_zero():
                 raise DegenerateInputError("zero polynomial among generators")
+        return super().__new__(cls, context, generators)
+
+    def _replace(self, **changes) -> "Ideal":
+        # the namedtuple _replace would skip the checks in __new__
+        return Ideal(**{**self._asdict(), **changes})
 
     def with_extra(self, *polys: Polynomial) -> "Ideal":
         return Ideal(self.context, self.generators + tuple(polys))
 
 
-@dataclass(frozen=True)
-class StandardBasis:
+class StandardBasis(NamedTuple):
     ideal: Ideal
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
@@ -500,7 +507,7 @@ def eliminate(ideal: Ideal, drop: tuple[str, ...]) -> Ideal | None:
         kept.append(g.restrict_to(remaining))
     if not kept:
         return None
-    return Ideal(replace(ctx, variables=remaining), tuple(kept))
+    return Ideal(ctx._replace(variables=remaining), tuple(kept))
 
 
 def _eliminate_fresh_variable(ctx: Context, generators) -> Ideal:

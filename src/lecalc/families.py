@@ -18,9 +18,9 @@ with computed facts.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
 from .engine import Ideal, _strip_common_factors
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
@@ -53,8 +53,7 @@ PRIMES = (2147483647, 2147483629)
 # ---------------------------------------------------------------------------
 # decomposition
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     parameter: str
     full: Polynomial                 # over QQ(t)
     base: Polynomial                 # the t = 0 member, over QQ
@@ -117,8 +116,7 @@ def decompose_family(f: Polynomial, rng: Random) -> Family:
 # ---------------------------------------------------------------------------
 # upper deformations
 
-@dataclass(frozen=True)
-class UpperReport:
+class UpperReport(NamedTuple):
     upper: bool
     degree: int
     offenders: tuple[tuple[int, tuple[int, ...], int], ...]  # (j, expo, wdeg)
@@ -143,8 +141,7 @@ def is_upper(fam: Family, w: WeightSystem) -> UpperReport:
 # ---------------------------------------------------------------------------
 # slice records
 
-@dataclass(frozen=True)
-class SliceRecord:
+class SliceRecord(NamedTuple):
     where: str
     record: InvariantRecord
     t_witnesses: tuple[tuple[int, int], ...]   # (p, t mod p); () at ZERO
@@ -205,8 +202,7 @@ def invariants_at(fam: Family, where: str, rng: Random) -> SliceRecord:
 # ---------------------------------------------------------------------------
 # equimultiplicity (the ground truth the theorems predict)
 
-@dataclass(frozen=True)
-class EquimultiplicityResult:
+class EquimultiplicityResult(NamedTuple):
     order_zero: int
     order_generic: int
 
@@ -230,8 +226,7 @@ def is_equimultiple(fam: Family) -> EquimultiplicityResult:
 # ---------------------------------------------------------------------------
 # augmentation table: Milnor numbers of f + z1^j recover the Le numbers
 
-@dataclass(frozen=True)
-class IlmRow:
+class IlmRow(NamedTuple):
     j: int
     mu: int | None
     predicted: int            # lambda0 + (j-1) * lambda1
@@ -243,8 +238,7 @@ class IlmRow:
     error: str | None
 
 
-@dataclass(frozen=True)
-class IlmTable:
+class IlmTable(NamedTuple):
     where: str
     rows: tuple[IlmRow, ...]
     slice_milnor: int
@@ -351,8 +345,7 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
 # ---------------------------------------------------------------------------
 # irreducibility evidence (heuristic, never a certificate)
 
-@dataclass(frozen=True)
-class EvidenceReport:
+class EvidenceReport(NamedTuple):
     verdict: str                 # SUPPORTING | COUNTER
     details: tuple[str, ...]
     certificate: str = "NOT_A_CERTIFICATE"
@@ -432,15 +425,13 @@ def irreducibility_evidence(ideal: Ideal) -> EvidenceReport:
 # ---------------------------------------------------------------------------
 # theorem verdicts
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     name: str
     status: str
     detail: str
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     theorem: str
     hypotheses: tuple[HypothesisCheck, ...]
     conclusion: str
@@ -451,8 +442,7 @@ class TheoremVerdict:
         return tuple(h.name for h in self.hypotheses if h.status == USER_ASSERTED)
 
 
-@dataclass(frozen=True)
-class FamilyAnalysis:
+class FamilyAnalysis(NamedTuple):
     family: Family
     zero: SliceRecord | None
     zero_failure: MathRefusal | None
@@ -510,11 +500,15 @@ def _hypotheses(an: FamilyAnalysis, equisingular_asserted: bool,
     t = an.family.parameter
     zero = an.zero.record if an.zero is not None else None
     generic = an.generic.record if an.generic is not None else None
-    failures = [f"{where}: {failure_text(exc)}" for where, rec, exc in (
+    failures = [(where, exc) for where, rec, exc in (
         (f"{t} = 0", zero, an.zero_failure),
         (f"generic {t}", generic, an.generic_failure)) if rec is None]
     if failures:
-        add(_LINE, FAILS, "; ".join(failures))
+        # an unlucky specialization refuses the field, not the slice
+        unlucky = all(isinstance(exc, UnluckySpecializationError)
+                      for _, exc in failures)
+        add(_LINE, NOT_CHECKED if unlucky else FAILS, "; ".join(
+            f"{where}: {failure_text(exc)}" for where, exc in failures))
     else:
         axis = an.family.base.context.variables[0]
         add(_LINE, HOLDS,
@@ -635,8 +629,7 @@ def _axis_weight_note(an: FamilyAnalysis) -> str:
     return note
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One verdict rule as data; it lists its premises, then its triggers.
     A hypothesis holds when it is HOLDS or USER_ASSERTED.  If every premise
     holds, agreeing orders give EQUIMULTIPLE when there is no trigger or one

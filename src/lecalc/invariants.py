@@ -16,11 +16,11 @@ k-cycle supported on the critical locus, which is a curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
 from random import Random
+from typing import NamedTuple
 
 from .engine import (Ideal, colength_at_origin, current_budget,
                      dimension_at_origin, saturate)
@@ -79,8 +79,15 @@ def order_at_origin(f: Polynomial) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class _WeightFields(NamedTuple):
+    variables: tuple[str, ...]
+    weights: tuple[int, ...]
+    degree: int
+    free: tuple[bool, ...]
+    unique: bool
+
+
+class WeightSystem(_WeightFields):
     """Positive integer weights making every monomial of the attested
     polynomial weighted-homogeneous of the same degree; normalized so
     gcd(w1, ..., wn, d) = 1.
@@ -89,15 +96,17 @@ class WeightSystem:
     max(determined weights) + 1 and are flagged free; free weights never
     serve as the smallest weight."""
 
-    variables: tuple[str, ...]
-    weights: tuple[int, ...]
-    degree: int
-    free: tuple[bool, ...]
-    unique: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if gcd(*self.weights, self.degree) != 1:
+    def __new__(cls, variables: tuple[str, ...], weights: tuple[int, ...],
+                degree: int, free: tuple[bool, ...], unique: bool):
+        if gcd(*weights, degree) != 1:
             raise InternalCheckError("weight system not normalized")
+        return super().__new__(cls, variables, weights, degree, free, unique)
+
+    def _replace(self, **changes) -> "WeightSystem":
+        # the namedtuple _replace would skip the check in __new__
+        return WeightSystem(**{**self._asdict(), **changes})
 
     @property
     def smallest_weight(self) -> int:
@@ -261,8 +270,7 @@ def milnor_number(f: Polynomial,
 # ---------------------------------------------------------------------------
 # line-singularity verification
 
-@dataclass(frozen=True)
-class LineSingularityCheck:
+class LineSingularityCheck(NamedTuple):
     """The three tests of is_line_singularity.  The third runs only when
     the first two pass, and extra_critical_component_at_origin is None (not
     tested) otherwise."""
@@ -448,8 +456,7 @@ def euler_reduced(lambda0_value: int, lambda1_value: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # the full record
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     order: int
     multiplicity: int
     lambda0: int

@@ -24,9 +24,6 @@ All three are multiplicative: m1 < m2 implies m1*m < m2*m.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
-
 
 def _grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
@@ -74,26 +71,43 @@ class _KeyTable(dict):
         return k
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
-    kind: str
-    drop: tuple[int, ...] = field(default=())
-    key: Callable = field(init=False, repr=False, compare=False)
-    neg_key: Callable = field(init=False, repr=False, compare=False)
+    """An order of one kind (and drop block); equal and hashed by
+    (kind, drop).  ``key`` and ``neg_key`` are its memo tables' lookups,
+    built once here; no attribute is reassigned."""
 
-    def __post_init__(self):
-        if self.kind == "grevlex":
+    __slots__ = ("kind", "drop", "key", "neg_key")
+
+    def __init__(self, kind: str, drop: tuple[int, ...] = ()):
+        if kind == "grevlex":
             keys = (_grevlex_key, _grevlex_neg_key)
-        elif self.kind == "local":
+        elif kind == "local":
             keys = (_local_key, _local_neg_key)
-        elif self.kind == "elimination":
-            if not self.drop:
+        elif kind == "elimination":
+            if not drop:
                 raise ValueError("elimination order needs a nonempty drop block")
-            keys = _block_keys(self.drop)
+            keys = _block_keys(drop)
         else:
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        object.__setattr__(self, "key", _KeyTable(keys[0]).__getitem__)
-        object.__setattr__(self, "neg_key", _KeyTable(keys[1]).__getitem__)
+            raise ValueError(f"unknown order kind {kind!r}")
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "drop", drop)
+        init(self, "key", _KeyTable(keys[0]).__getitem__)
+        init(self, "neg_key", _KeyTable(keys[1]).__getitem__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to MonomialOrder.{name}")
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialOrder):
+            return NotImplemented
+        return (self.kind, self.drop) == (other.kind, other.drop)
+
+    def __hash__(self):
+        return hash((self.kind, self.drop))
+
+    def __repr__(self):
+        return f"MonomialOrder(kind={self.kind!r}, drop={self.drop!r})"
 
     @property
     def is_global(self) -> bool:

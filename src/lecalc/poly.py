@@ -23,9 +23,9 @@ and never mutate term dicts that have been handed out.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import sparse
 from .errors import ContextError, DegenerateInputError, NonReducedError, UnluckySpecializationError
@@ -34,30 +34,38 @@ from .orders import GREVLEX
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Context:
-    """Ordered ring variables, ordered coefficient-field parameters, and the
-    field's characteristic: modulus 0 is QQ(parameters), a prime p is GF(p)
-    (no parameters allowed; primality is the caller's promise)."""
-
+class _ContextFields(NamedTuple):
     variables: tuple[str, ...]
     parameters: tuple[str, ...] = ()
     modulus: int = 0
 
-    def __post_init__(self):
-        names = list(self.variables) + list(self.parameters)
-        if not self.variables:
+
+class Context(_ContextFields):
+    """Ordered ring variables, ordered coefficient-field parameters, and the
+    field's characteristic: modulus 0 is QQ(parameters), a prime p is GF(p)
+    (no parameters allowed; primality is the caller's promise).  No
+    __slots__: `unit` is cached in the instance dict."""
+
+    def __new__(cls, variables: tuple[str, ...],
+                parameters: tuple[str, ...] = (), modulus: int = 0):
+        names = list(variables) + list(parameters)
+        if not variables:
             raise ContextError("a context needs at least one ring variable")
-        if self.modulus < 0 or self.modulus == 1:
-            raise ContextError(f"bad modulus {self.modulus}")
-        if self.modulus and self.parameters:
+        if modulus < 0 or modulus == 1:
+            raise ContextError(f"bad modulus {modulus}")
+        if modulus and parameters:
             raise ContextError(
-                f"a context over GF({self.modulus}) allows no parameters")
+                f"a context over GF({modulus}) allows no parameters")
         for n in names:
             if not _IDENT_RE.match(n):
                 raise ContextError(f"bad identifier {n!r}")
         if len(set(names)) != len(names):
             raise ContextError(f"duplicate identifier among {names}")
+        return super().__new__(cls, variables, parameters, modulus)
+
+    def _replace(self, **changes) -> "Context":
+        # the namedtuple _replace would skip the checks in __new__
+        return Context(**{**self._asdict(), **changes})
 
     @property
     def nvars(self) -> int:
@@ -83,11 +91,11 @@ class Context:
     def without_parameter(self, name: str) -> "Context":
         if name not in self.parameters:
             raise ContextError(f"{name!r} is not a parameter of {self}")
-        return replace(self, parameters=tuple(p for p in self.parameters
-                                              if p != name))
+        return self._replace(parameters=tuple(p for p in self.parameters
+                                             if p != name))
 
     def with_prepended_variable(self, name: str) -> "Context":
-        return replace(self, variables=(name,) + self.variables)
+        return self._replace(variables=(name,) + self.variables)
 
     def coefficient(self, q) -> "Fraction | Coefficient | Modular":
         """The rational q (an int or Fraction) as an element of this
@@ -559,7 +567,7 @@ class Polynomial:
             if ctx.parameters != (name,):
                 raise ContextError(
                     f"{name!r} is not the only parameter of {ctx}")
-            target = replace(ctx, parameters=(), modulus=value.modulus)
+            target = ctx._replace(parameters=(), modulus=value.modulus)
         else:
             value = Fraction(value)
             target = ctx.without_parameter(name)
@@ -602,7 +610,7 @@ class Polynomial:
                 if m[i]:
                     raise ContextError(
                         f"polynomial involves dropped variable {ctx.variables[i]!r}")
-        target = replace(ctx, variables=tuple(variables))
+        target = ctx._replace(variables=tuple(variables))
         out = {tuple(m[i] for i in keep): c for m, c in self.terms.items()}
         return Polynomial(target, out)
 

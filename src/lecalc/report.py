@@ -11,8 +11,8 @@ integers stay integers.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import DEFAULT_BUDGET
 from .errors import BudgetExceededError
@@ -28,8 +28,7 @@ TEXT = "text"
 JSON = "json"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything that determines a run; equal configs give equal bytes."""
 
     expression: str | None = None
@@ -96,7 +95,7 @@ def verdict_json(v: TheoremVerdict) -> dict:
     return {
         "rule": v.theorem,
         "conclusion": v.conclusion,
-        "hypotheses": [asdict(h) for h in v.hypotheses],
+        "hypotheses": [h._asdict() for h in v.hypotheses],
         "notes": list(v.notes),
     }
 
@@ -111,7 +110,7 @@ def ilm_json(table: IlmTable) -> dict:
         "where": table.where,
         "mu_slice": table.slice_milnor,
         "t_witnesses": points_json(table.t_witnesses),
-        "rows": [asdict(r) for r in table.rows],
+        "rows": [r._asdict() for r in table.rows],
         "inferred": list(table.inferred) if table.inferred else None,
         "expected": list(table.expected),
         "passed": table.passed,

@@ -2,6 +2,8 @@
 determinism, and input-file handling."""
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -447,6 +449,27 @@ def test_ilm_refuses_a_prime_dividing_a_denominator(capsys):
                    "image in GF(2147483647)\n")
 
 
+def test_an_unlucky_generic_slice_leaves_the_line_hypothesis_unchecked(
+        capsys):
+    # a denominator the first prime divides refuses the generic slice for
+    # the field it is checked over, which says nothing about the slice
+    code, out, err = run(capsys, "family", "-e",
+                         "z2^3 + z3^3 + 1/2147483647*t*z2^5", "--param", "t",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["summary"] == ("equimultiple (orders 3 = 3); verified "
+                              "directly, no rule applies")
+    for verdict in doc["verdicts"]:
+        assert verdict["conclusion"] == "INCONCLUSIVE"
+        line = verdict["hypotheses"][0]
+        assert line == {
+            "name": "line_singularities_at_both_slices",
+            "status": "NOT_CHECKED",
+            "detail": "generic t: UnluckySpecializationError: 1/2147483647 "
+                      "has no image in GF(2147483647)"}
+
+
 def test_ilm_rejects_small_exponents(capsys):
     code, _, err = run(capsys, "ilm", "-e", SUSPENSION, "--param", "t",
                        "--j", "1,2")
@@ -496,3 +519,14 @@ def test_missing_input_file(capsys):
     code, _, err = run(capsys, "invariants", "-f", "/nonexistent/x.lec")
     assert code == 1
     assert "error:" in err
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # records are NamedTuples: a dataclass execs generated methods when its
+    # class is built, and dataclasses imports inspect, on every start
+    src = Path(lecalc.__file__).resolve().parent.parent
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import lecalc.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -18,7 +18,8 @@ from lecalc.engine import (DEFAULT_BUDGET, Ideal, _Budget, _reduce,
                            dimension_at_origin, eliminate, ideals_equal,
                            intersect, normal_form, saturate, standard_basis,
                            step_budget)
-from lecalc.errors import BudgetExceededError, DegenerateInputError
+from lecalc.errors import (BudgetExceededError, ContextError,
+                           DegenerateInputError)
 from lecalc.orders import GREVLEX, LOCAL
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, render
@@ -27,6 +28,17 @@ C2 = Context(("z1", "z2"), ())
 X = Polynomial.variable(C2, "z1")
 Y = Polynomial.variable(C2, "z2")
 C3 = Context(("z1", "z2", "z3"), ())
+
+
+def test_every_path_to_an_ideal_keeps_its_checks():
+    ideal = Ideal(C2, (X,))
+    for bad in (lambda: Ideal(C2, ()), lambda: ideal._replace(generators=()),
+                lambda: Ideal(C2, (X, X - X))):
+        with pytest.raises(DegenerateInputError):
+            bad()
+    with pytest.raises(ContextError, match="context mismatch"):
+        ideal._replace(context=C3)
+    assert ideal._replace(generators=(Y,)) == Ideal(C2, (Y,))
 
 
 def gens(basis):

@@ -2,7 +2,6 @@
 invariants, the verdict rules, and the augmentation identity tables."""
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 from time import perf_counter
@@ -24,8 +23,10 @@ from lecalc.families import (EQUIMULTIPLE, FAILS, GENERIC, HOLDS,
                              evaluate_rules, invariants_at,
                              irreducibility_evidence, verify_ilm)
 from lecalc.invariants import germ_record, milnor_number
+from lecalc.orders import LOCAL
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Modular, Polynomial, render
+from lecalc.report import RunConfig
 
 CTX = Context(("z1", "z2", "z3"), ("t",))
 
@@ -56,6 +57,20 @@ def suspension():
 @pytest.fixture(scope="module")
 def homogeneous():
     return analyze_family(fampoly(HOMOGENEOUS), Random(0))
+
+
+def test_records_refuse_assignment(worked):
+    rec = worked.zero.record
+    verdict = verdicts(worked)["mt2"]
+    for obj, name in ((worked, "zero"), (worked.zero, "record"),
+                      (worked.family, "points"), (worked.weights, "degree"),
+                      (rec, "lambda1"), (rec.line_check, "slice_milnor"),
+                      (rec.polar_ideal, "generators"),
+                      (rec.polar_ideal.context, "variables"),
+                      (verdict, "conclusion"), (verdict.hypotheses[0], "status"),
+                      (LOCAL, "key"), (RunConfig(), "seed")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
 
 
 def test_decompose_splits_base_and_powers_of_t():
@@ -152,10 +167,10 @@ def test_contradicted_orders_under_verified_premises(suspension, homogeneous):
     mt3 with the assertion) hold while the computed orders differ."""
     differ = EquimultiplicityResult(4, 3)
     with pytest.raises(InternalCheckError):
-        evaluate_rules(replace(suspension, equimultiplicity=differ),
+        evaluate_rules(suspension._replace(equimultiplicity=differ),
                        False, False)
     # the homogeneous family misses mt2's threshold but meets mt3's premises
-    verdict = verdicts(replace(homogeneous, equimultiplicity=differ),
+    verdict = verdicts(homogeneous._replace(equimultiplicity=differ),
                        irreducible=True)["mt3"]
     assert verdict.conclusion == INCONCLUSIVE
     assert verdict.notes == (
@@ -464,7 +479,7 @@ def _disagreeing_records(monkeypatch, bad):
         if not g.context.modulus:
             return rec
         primes.append(g.context.modulus)
-        return replace(rec, lambda1=rec.lambda1 + 1) if len(primes) in bad \
+        return rec._replace(lambda1=rec.lambda1 + 1) if len(primes) in bad \
             else rec
 
     monkeypatch.setattr(families, "germ_record", record)

@@ -14,11 +14,11 @@ from lecalc.engine import (Ideal, colength_at_origin, contains_local_unit,
                            dimension_at_origin, ideals_equal, saturate,
                            step_budget)
 from lecalc.errors import (BudgetExceededError, DegenerateInputError,
-                           NonIntegerResultError, NonIsolatedError,
-                           NonReducedError,
+                           InternalCheckError, NonIntegerResultError,
+                           NonIsolatedError, NonReducedError,
                            NotLineSingularityError, PolarDimensionError)
-from lecalc.invariants import (_jacobian, _line_check, _vanishes_on_axis,
-                               detect_weights, draw_rational,
+from lecalc.invariants import (WeightSystem, _jacobian, _line_check,
+                               _vanishes_on_axis, detect_weights, draw_rational,
                                euler_reduced, gamma1,
                                germ_record, is_line_singularity, lambda1,
                                milnor_number, order_at_origin,
@@ -51,6 +51,15 @@ def test_detect_weights_free_variable():
     assert (w.weights, w.degree) == ((2, 1, 1), 3)
     assert w.free == (True, False, False)
     assert w.free_variables == ("z1",)
+
+
+def test_weight_system_must_be_normalized():
+    w = detect_weights(BASE)
+    for bad in (lambda: WeightSystem(("z1", "z2"), (2, 4), 6, (False,) * 2,
+                                     True),
+                lambda: w._replace(weights=(12, 8, 10), degree=40)):
+        with pytest.raises(InternalCheckError, match="not normalized"):
+            bad()
 
 
 def test_detect_weights_rejects_inhomogeneous():

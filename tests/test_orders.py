@@ -1,9 +1,11 @@
 """Monomial orders: the memoized keys against keys written out here."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecalc.orders import GREVLEX, LOCAL, clear_key_tables, elimination
+from lecalc.orders import (GREVLEX, LOCAL, MonomialOrder, clear_key_tables,
+                           elimination)
 
 
 def grevlex(m):
@@ -53,3 +55,17 @@ def test_memoized_keys_match_the_reference(case):
     clear_key_tables()  # the next example fills the tables again
     assert not any(order.key.__self__ or order.neg_key.__self__
                    for order, _ in orders)
+
+
+def test_orders_are_equal_and_hashed_by_kind_and_drop():
+    assert MonomialOrder("local") == LOCAL
+    assert hash(MonomialOrder("local")) == hash(LOCAL)
+    assert MonomialOrder("elimination", (0, 2)) == elimination([2, 0])
+    assert LOCAL != GREVLEX and elimination([0]) != elimination([1])
+    assert repr(elimination([1])) == \
+        "MonomialOrder(kind='elimination', drop=(1,))"
+    for kind, drop in (("bogus", ()), ("elimination", ())):
+        with pytest.raises(ValueError):
+            MonomialOrder(kind, drop)
+    with pytest.raises(AttributeError):
+        LOCAL.kind = "grevlex"

@@ -29,6 +29,30 @@ def test_context_rejects_duplicate_names():
         Context(("z1",), ("z1",))
 
 
+def test_every_path_to_a_context_keeps_its_checks():
+    # _replace, and the two methods built on it, rerun the constructor's
+    # checks (the namedtuple _replace would skip them)
+    for bad in (lambda: Context(("z1", "z2"), ("z2",)),
+                lambda: CTX._replace(parameters=("z3",)),
+                lambda: CTX.with_prepended_variable("z2"),
+                lambda: v("z1").restrict_to(("z1", "z1"))):
+        with pytest.raises(ContextError, match="duplicate"):
+            bad()
+    for bad in (lambda: Context(("z1", "2z")),
+                lambda: CTX._replace(variables=("z1", "z 2")),
+                lambda: CTX.with_prepended_variable("1u")):
+        with pytest.raises(ContextError, match="bad identifier"):
+            bad()
+    with pytest.raises(ContextError, match="allows no parameters"):
+        CTXP._replace(modulus=7)
+    with pytest.raises(ContextError, match="at least one ring variable"):
+        Polynomial.one(CTX).restrict_to(())
+    image = CTX._replace(modulus=7)
+    assert type(image) is Context and image == Context(CTX.variables, (), 7)
+    # the cached unit lives in the instance, one per context
+    assert image.unit is image.unit and CTX.unit == 1
+
+
 def test_context_fresh_name_avoids_collisions():
     assert CTX.fresh_name("u") == "u0"
     taken = Context(("u0", "z1"), ())
