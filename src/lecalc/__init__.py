@@ -7,6 +7,10 @@ of the axis, polar ratios, and the reduced Euler characteristic of the
 Milnor fibre.  On one-parameter deformation families it checks a small
 battery of sufficient conditions for equimultiplicity and reports a
 conservative verdict per rule.
+
+The family names (``Family``, ``analyze_family``, ``verify_ilm``, ...) load
+``lecalc.families`` on first access, so ``import lecalc`` and the
+``invariants`` command do not compile the family layer.
 """
 
 from .engine import (DEFAULT_BUDGET, Ideal, StandardBasis, colength_at_origin,
@@ -21,10 +25,6 @@ from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      NotLineSingularityError, ParseError,
                      PolarDimensionError, UnluckySpecializationError,
                      UsageError)
-from .families import (Family, FamilyAnalysis, IlmTable, TheoremVerdict,
-                       analyze_family, decompose_family, evaluate_rules,
-                       irreducibility_evidence,
-                       is_equimultiple, is_upper, verify_ilm)
 from .invariants import (InvariantRecord, WeightSystem, detect_weights,
                          germ_record, is_line_singularity, milnor_number,
                          order_at_origin, polar_variety_1)
@@ -53,3 +53,17 @@ __all__ = [
     "parse_polynomial", "polar_variety_1", "render", "saturate",
     "standard_basis", "step_budget", "verify_ilm",
 ]
+
+_FAMILY_NAMES = frozenset({
+    "Family", "FamilyAnalysis", "IlmTable", "TheoremVerdict",
+    "analyze_family", "decompose_family", "evaluate_rules",
+    "irreducibility_evidence", "is_equimultiple", "is_upper", "verify_ilm",
+})
+
+
+def __getattr__(name):
+    # PEP 562: called only for names the package does not bind
+    if name in _FAMILY_NAMES:
+        from . import families
+        return getattr(families, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

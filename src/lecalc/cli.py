@@ -4,6 +4,9 @@ Subcommands: ``invariants`` (single germ), ``family`` (one-parameter
 deformation with all theorem verdicts), ``ilm`` (augmentation tables),
 ``selftest`` (bundled corpus and acceptance checks).  Exit codes: 0 success,
 1 usage or input error, 2 typed mathematical refusal or failed check.
+
+``family``, ``ilm`` and ``selftest`` import the family layer when they run,
+so importing this module, or running ``invariants``, never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from . import report as rp
 from .engine import DEFAULT_BUDGET, step_budget
 from .errors import (ContextError, MathRefusal, NonIsolatedError,
                      NotLineSingularityError, UsageError)
-from .families import (GENERIC, ZERO, analyze_family, decompose_family,
-                       evaluate_rules, invariants_at, verify_ilm)
 from .invariants import detect_weights, germ_record, milnor_number
 from .orders import clear_key_tables
 from .parse import parse_polynomial
@@ -229,6 +230,7 @@ def cmd_invariants(cfg: rp.RunConfig) -> int:
 # family
 
 def cmd_family(cfg: rp.RunConfig) -> int:
+    from .families import analyze_family, evaluate_rules
     if not cfg.parameter:
         raise UsageError(
             "family analysis needs a parameter (--param or a param: line)")
@@ -267,6 +269,8 @@ def cmd_family(cfg: rp.RunConfig) -> int:
 # ilm
 
 def cmd_ilm(cfg: rp.RunConfig) -> int:
+    from .families import (GENERIC, ZERO, decompose_family, invariants_at,
+                           verify_ilm)
     if not cfg.parameter:
         raise UsageError(
             "ilm needs a parameter (--param or a param: line)")

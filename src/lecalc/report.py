@@ -5,7 +5,8 @@ Every command fills in one JSON-shaped document from its computed objects;
 report.  The text layout reads the document alone, so the two formats show
 the same numbers, and two runs with the same RunConfig produce
 byte-identical output.  Exact rationals are "p/q" strings (never floats);
-integers stay integers.
+integers stay integers.  The functions that read family constants import
+them when they run, so an ``invariants`` report never loads the family layer.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from typing import NamedTuple
 
 from .engine import DEFAULT_BUDGET
 from .errors import BudgetExceededError
-from .families import (EQUIMULTIPLE, IRREDUCIBLE_POLAR_CURVE,
-                       NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED, ZERO,
-                       FamilyAnalysis, IlmTable, TheoremVerdict, failure_text)
 from .invariants import InvariantRecord, WeightSystem
 from .poly import render as render_poly
 
@@ -141,6 +139,7 @@ def base_json(command: str, cfg: RunConfig) -> dict:
 
 
 def family_json(an: FamilyAnalysis) -> dict:
+    from .families import failure_text
     fam = an.family
     return {
         "parameter": fam.parameter,
@@ -164,6 +163,8 @@ def family_json(an: FamilyAnalysis) -> dict:
 
 def family_summary(doc: dict) -> str:
     """The one-line summary of a family document's orders and verdicts."""
+    from .families import (EQUIMULTIPLE, IRREDUCIBLE_POLAR_CURVE,
+                           NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED)
     fam = doc["family"]
     zero, generic = fam["order_zero"], fam["order_generic"]
     if fam["equimultiplicity"] == EQUIMULTIPLE:
@@ -258,6 +259,7 @@ def verdict_text(v: dict) -> list[str]:
 
 
 def ilm_text(table: dict, parameter: str) -> list[str]:
+    from .families import ZERO
     where = f"{parameter} = 0" if table["where"] == ZERO \
         else f"generic {parameter}"
     head = f"ILM table at {where} (mu_slice = {table['mu_slice']}"

@@ -521,12 +521,69 @@ def test_missing_input_file(capsys):
     assert "error:" in err
 
 
+def _probe(*lines: str) -> str:
+    """Run LINES in a fresh isolated interpreter that imports lecalc from
+    this checkout; return its stdout."""
+    src = Path(lecalc.__file__).resolve().parent.parent
+    probe = "\n".join(["import sys", "sys.path.insert(0, sys.argv[1])",
+                       *lines])
+    return subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(src)],
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_startup_imports_neither_dataclasses_nor_inspect():
     # records are NamedTuples: a dataclass execs generated methods when its
     # class is built, and dataclasses imports inspect, on every start
-    src = Path(lecalc.__file__).resolve().parent.parent
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import lecalc.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(src)],
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    out = _probe(
+        "import lecalc.cli",
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out == "[]\n"
+
+
+def test_startup_and_invariants_leave_the_family_layer_unloaded():
+    # family, ilm and selftest import lecalc.families when they run; the
+    # import and the invariants command never compile it
+    loaded = ("print(sorted({'lecalc.families', 'lecalc.selftest'}"
+              " & set(sys.modules)))")
+    invariants = f"cli.entrypoint(['invariants', '-e', {WORKED_BASE!r}"
+    out = _probe(
+        "import contextlib, io",
+        "import lecalc.cli as cli",
+        loaded,
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert {invariants}]) == 0",
+        f"    assert {invariants}, '--format', 'json']) == 0",
+        loaded,
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert cli.entrypoint(['ilm', '-e', {SUSPENSION!r},"
+        " '--param', 't']) == 0",
+        loaded)
+    assert out == "[]\n[]\n['lecalc.families']\n"
+
+
+def test_family_names_are_exported_lazily():
+    out = _probe(
+        "import lecalc",
+        "print('lecalc.families' in sys.modules)",
+        "namespace = {}",
+        "exec('from lecalc import *', namespace)",
+        "print(sorted(set(lecalc.__all__) - set(namespace)))",
+        "import lecalc.families",
+        "print(lecalc.analyze_family is lecalc.families.analyze_family)",
+        "try:",
+        "    lecalc.no_such_name",
+        "except AttributeError as exc:",
+        "    print(exc)")
+    assert out == ("False\n[]\nTrue\n"
+                   "module 'lecalc' has no attribute 'no_such_name'\n")
+
+
+def test_permuting_the_transverse_variables_keeps_the_numbers(capsys):
+    def numbers(*flags):
+        code, out, _ = run(capsys, "invariants", "-e",
+                           "z1^2*z2^2 + z2^5 + z3^4", "--format", "json",
+                           *flags)
+        assert code == 0
+        return json.loads(out)["invariants"]
+
+    assert numbers("--permute", "1,3,2") == numbers()
