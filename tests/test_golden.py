@@ -59,6 +59,8 @@ COMMAND_CASES = {
     # need the highest-corner cutoff of the local standard bases
     "ilm_corner": ("ilm", ["-e", "z1^3*z2^3 + z2^7 + z3^6 + t*z1*z2^4",
                            "--param", "t"], 0),
+    # the ten acceptance criteria and the tally line
+    "selftest": ("selftest", [], 0),
 }
 
 
