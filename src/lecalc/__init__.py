@@ -54,16 +54,11 @@ __all__ = [
     "standard_basis", "step_budget", "verify_ilm",
 ]
 
-_FAMILY_NAMES = frozenset({
-    "Family", "FamilyAnalysis", "IlmTable", "TheoremVerdict",
-    "analyze_family", "decompose_family", "evaluate_rules",
-    "irreducibility_evidence", "is_equimultiple", "is_upper", "verify_ilm",
-})
-
 
 def __getattr__(name):
-    # PEP 562: called only for names the package does not bind
-    if name in _FAMILY_NAMES:
+    # PEP 562: called only for names the package does not bind, and every
+    # name in __all__ is bound at import except the family layer's
+    if name in __all__:
         from . import families
         return getattr(families, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,10 @@ deformation with all theorem verdicts), ``ilm`` (augmentation tables),
 ``selftest`` (bundled corpus and acceptance checks).  Exit codes: 0 success,
 1 usage or input error, 2 typed mathematical refusal or failed check.
 
+Each command maps a RunConfig to its report document, built by
+`lecalc.report`, and its exit code; `entrypoint` alone opens the command's
+step budget, renders the document and writes it to stdout.
+
 ``family``, ``ilm`` and ``selftest`` import the family layer when they run,
 so importing this module, or running ``invariants``, never loads it.
 """
@@ -192,83 +196,34 @@ def _parse_expression(cfg: rp.RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# invariants
+# commands: each returns its report document and exit code
 
-def cmd_invariants(cfg: rp.RunConfig) -> int:
+def cmd_invariants(cfg: rp.RunConfig) -> tuple[dict, int]:
     f = _parse_expression(cfg)
-    rng = Random(cfg.seed)
-    doc = rp.base_json("invariants", cfg)
-    if cfg.parameter:
-        doc["warnings"].append(
-            f"coefficients live in the fraction field of {cfg.parameter}; "
-            "weight detection is skipped and the values are computed over "
-            f"QQ({cfg.parameter}) with no specialization cross-check "
-            "('lecalc family' performs one)")
     try:
-        rec = germ_record(f, rng)
+        rec = germ_record(f, Random(cfg.seed))
     except NotLineSingularityError as exc:
         try:
             mu = milnor_number(f)
         except NonIsolatedError:
             mu = None
-        doc["refusal"] = {"token": exc.token,
-                          "message": str(exc),
-                          "failing_check": exc.failing_check,
-                          "fallback_milnor": mu,
-                          "order": f.min_total_degree()}
-        sys.stdout.write(rp.render(doc, cfg.fmt))
-        return 2
-    if not cfg.parameter:
-        doc["weights"] = rp.weights_json(detect_weights(f))
-    doc["invariants"] = rp.record_json(rec)
-    doc["invariants_extra"] = rp.record_json_extra(rec)
-    sys.stdout.write(rp.render(doc, cfg.fmt))
-    return 0
+        return rp.refusal_report(cfg, exc, mu, f.min_total_degree()), 2
+    weights = None if cfg.parameter else detect_weights(f)
+    return rp.invariants_report(cfg, rec, weights), 0
 
 
-# ---------------------------------------------------------------------------
-# family
-
-def cmd_family(cfg: rp.RunConfig) -> int:
+def cmd_family(cfg: rp.RunConfig) -> tuple[dict, int]:
     from .families import analyze_family, evaluate_rules
     if not cfg.parameter:
         raise UsageError(
             "family analysis needs a parameter (--param or a param: line)")
-    f = _parse_expression(cfg)
-    rng = Random(cfg.seed)
-    an = analyze_family(f, rng)
+    an = analyze_family(_parse_expression(cfg), Random(cfg.seed))
     verdicts, evidence = evaluate_rules(an, cfg.assert_equisingular,
                                         cfg.assert_irreducible)
-
-    doc = rp.base_json("family", cfg)
-    doc["family"] = rp.family_json(an)
-    doc["weights"] = rp.weights_json(an.weights)
-    for key, sl in (("invariants", an.zero),
-                    ("invariants_generic", an.generic)):
-        if sl is not None:
-            doc[key] = rp.record_json(sl.record)
-            doc[f"{key}_extra"] = rp.record_json_extra(sl.record)
-    if an.generic is not None:
-        doc["generic_witnesses"] = rp.points_json(an.generic.t_witnesses)
-    if evidence is not None:
-        doc["irreducibility_evidence"] = {
-            "verdict": evidence.verdict,
-            "details": list(evidence.details),
-            "certificate": evidence.certificate,
-        }
-    doc["verdicts"] = [rp.verdict_json(v) for v in verdicts]
-    doc["summary"] = rp.family_summary(doc)
-    if cfg.assert_irreducible or cfg.assert_equisingular:
-        doc["warnings"].append("user assertions are recorded as USER_ASSERTED "
-                               "hypotheses, never verified")
-    sys.stdout.write(rp.render(doc, cfg.fmt))
-    return 0
+    return rp.family_report(cfg, an, verdicts, evidence), 0
 
 
-# ---------------------------------------------------------------------------
-# ilm
-
-def cmd_ilm(cfg: rp.RunConfig) -> int:
+def cmd_ilm(cfg: rp.RunConfig) -> tuple[dict, int]:
     from .families import (GENERIC, ZERO, decompose_family, invariants_at,
                            verify_ilm)
     if not cfg.parameter:
@@ -281,39 +236,40 @@ def cmd_ilm(cfg: rp.RunConfig) -> int:
     sliceg = invariants_at(fam, GENERIC, rng)
     table0 = verify_ilm(fam, ZERO, slice0, rng, cfg.j_values)
     tableg = verify_ilm(fam, GENERIC, sliceg, rng, cfg.j_values)
-    passed = table0.passed and tableg.passed
-    doc = rp.base_json("ilm", cfg)
-    doc["ilm"] = {"zero": rp.ilm_json(table0),
-                  "generic": rp.ilm_json(tableg),
-                  "passed": passed}
-    sys.stdout.write(rp.render(doc, cfg.fmt))
-    return 0 if passed else 2
+    code = 0 if table0.passed and tableg.passed else 2
+    return rp.ilm_report(cfg, table0, tableg), code
+
+
+def cmd_selftest(cfg: rp.RunConfig) -> tuple[dict, int]:
+    from .selftest import run_selftest
+    return run_selftest(cfg)
+
+
+_COMMANDS = {"invariants": cmd_invariants, "family": cmd_family,
+             "ilm": cmd_ilm, "selftest": cmd_selftest}
 
 
 # ---------------------------------------------------------------------------
 # entry
 
 def entrypoint(argv=None) -> int:
+    """Run one command under one step budget and write its report."""
     # each command starts with empty key tables, so a process that runs many
     # commands holds the monomials of one command at a time
     clear_key_tables()
     try:
         args = _shared_parser().parse_args(argv)
         cfg = _config_from_args(args)
-        if args.command == "selftest":
-            from .selftest import run_selftest
-            return run_selftest(seed=cfg.seed, budget=cfg.budget,
-                                fmt=cfg.fmt)
-        command = {"invariants": cmd_invariants, "family": cmd_family,
-                   "ilm": cmd_ilm}[args.command]
         with step_budget(cfg.budget):
-            return command(cfg)
+            doc, code = _COMMANDS[args.command](cfg)
     except (UsageError, ContextError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MathRefusal as exc:
         print(f"refused: {exc.token}: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(rp.render(doc, cfg.fmt))
+    return code
 
 
 if __name__ == "__main__":

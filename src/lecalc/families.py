@@ -361,16 +361,12 @@ def _distinct_prime_summary(g: Polynomial) -> tuple[int, list[str]]:
     primes = 0
     rest = g
 
-    # split off coordinate factors
+    # split off coordinate factors, each power of a variable in one division
     for v in ctx.variables:
         var = Polynomial.variable(ctx, v)
-        hits = 0
-        while True:
-            q = rest.divide_exact(var)
-            if q is None:
-                break
-            rest = q
-            hits += 1
+        q = _strip_common_factors(rest, var)
+        hits = rest.total_degree() - q.total_degree()
+        rest = q
         if hits:
             primes += 1
             notes.append(f"coordinate factor {render(var ** hits)}")
@@ -460,24 +456,17 @@ def analyze_family(f: Polynomial, rng: Random) -> FamilyAnalysis:
     (of f0 over QQ, or of F over QQ(t)), which makes the whole family
     unreduced; the slice records are where reducedness is checked."""
     fam = decompose_family(f, rng)
-    zero = zero_failure = None
-    try:
-        zero = invariants_at(fam, ZERO, rng)
-    except (BudgetExceededError, NonReducedError):
-        raise
-    except MathRefusal as exc:
-        zero_failure = exc
-    generic = generic_failure = None
-    try:
-        generic = invariants_at(fam, GENERIC, rng)
-    except (BudgetExceededError, NonReducedError):
-        raise
-    except MathRefusal as exc:
-        generic_failure = exc
+    slices = []                  # (record, failure) at t = 0, then generic
+    for where in (ZERO, GENERIC):
+        try:
+            slices += (invariants_at(fam, where, rng), None)
+        except (BudgetExceededError, NonReducedError):
+            raise
+        except MathRefusal as exc:
+            slices += (None, exc)
     weights = detect_weights(fam.base)
     upper = is_upper(fam, weights) if weights is not None else None
-    return FamilyAnalysis(fam, zero, zero_failure, generic, generic_failure,
-                          is_equimultiple(fam), weights, upper)
+    return FamilyAnalysis(fam, *slices, is_equimultiple(fam), weights, upper)
 
 
 def failure_text(exc: MathRefusal | None) -> str | None:

@@ -1,12 +1,13 @@
 """One report document per command, rendered to JSON or to text.
 
-Every command fills in one JSON-shaped document from its computed objects;
-`render` prints that document as JSON or, through `text`, as the plain-text
-report.  The text layout reads the document alone, so the two formats show
-the same numbers, and two runs with the same RunConfig produce
-byte-identical output.  Exact rationals are "p/q" strings (never floats);
-integers stay integers.  The functions that read family constants import
-them when they run, so an ``invariants`` report never loads the family layer.
+The `*_report` functions build each command's JSON-shaped document from the
+objects it computed, `render` prints a document as JSON or, through `text`,
+as the plain-text report, and `lecalc.cli.entrypoint` writes it.  The text
+layout reads the document alone, so the two formats show the same numbers,
+and two runs with the same RunConfig produce byte-identical output.  Exact
+rationals are "p/q" strings (never floats); integers stay integers.  The
+functions that read family constants import them when they run, so an
+``invariants`` report never loads the family layer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .engine import DEFAULT_BUDGET
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, NotLineSingularityError
 from .invariants import InvariantRecord, WeightSystem
 from .poly import render as render_poly
 
@@ -115,29 +116,6 @@ def ilm_json(table: IlmTable) -> dict:
     }
 
 
-def base_json(command: str, cfg: RunConfig) -> dict:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "input": cfg.expression,
-        "variables": list(cfg.variables),
-        "parameter": cfg.parameter,
-        "seed": cfg.seed,
-        "budget": cfg.budget,
-        "weights": None,
-        "invariants": None,
-        "verdicts": [],
-        "ilm": None,
-        "warnings": [],
-    }
-    if command == "family":
-        doc["assertions"] = {
-            "topologically_equisingular": cfg.assert_equisingular,
-            "gamma1_irreducible": cfg.assert_irreducible,
-        }
-    return doc
-
-
 def family_json(an: FamilyAnalysis) -> dict:
     from .families import failure_text
     fam = an.family
@@ -159,6 +137,73 @@ def family_json(an: FamilyAnalysis) -> dict:
         "slice_errors": {"zero": failure_text(an.zero_failure),
                          "generic": failure_text(an.generic_failure)},
     }
+
+
+# ---------------------------------------------------------------------------
+# one document per command
+
+def _document(command: str, cfg: RunConfig, **fields) -> dict:
+    """The keys every document of COMMAND has, then FIELDS."""
+    doc = {"schema": SCHEMA_VERSION, "command": command, "seed": cfg.seed,
+           "budget": cfg.budget}
+    if command != "selftest":
+        doc.update(input=cfg.expression, variables=list(cfg.variables),
+                   parameter=cfg.parameter, weights=None, invariants=None,
+                   verdicts=[], ilm=None, warnings=[])
+    doc.update(fields)
+    if command == "invariants" and cfg.parameter:
+        doc["warnings"].append(
+            f"coefficients live in the fraction field of {cfg.parameter}; "
+            "weight detection is skipped and the values are computed over "
+            f"QQ({cfg.parameter}) with no specialization cross-check "
+            "('lecalc family' performs one)")
+    return doc
+
+
+def invariants_report(cfg: RunConfig, rec: InvariantRecord,
+                      weights: WeightSystem | None) -> dict:
+    return _document("invariants", cfg, weights=weights_json(weights),
+                     invariants=record_json(rec),
+                     invariants_extra=record_json_extra(rec))
+
+
+def refusal_report(cfg: RunConfig, exc: NotLineSingularityError,
+                   fallback_milnor: int | None, order: int) -> dict:
+    """The report of a germ that is no line singularity: the failed check,
+    and its Milnor number when it is an isolated singularity."""
+    return _document("invariants", cfg, refusal={
+        "token": exc.token,
+        "message": str(exc),
+        "failing_check": exc.failing_check,
+        "fallback_milnor": fallback_milnor,
+        "order": order,
+    })
+
+
+def family_report(cfg: RunConfig, an: FamilyAnalysis,
+                  verdicts: list[TheoremVerdict],
+                  evidence: EvidenceReport | None) -> dict:
+    doc = _document("family", cfg, family=family_json(an),
+                    weights=weights_json(an.weights),
+                    verdicts=[verdict_json(v) for v in verdicts],
+                    assertions={
+                        "topologically_equisingular": cfg.assert_equisingular,
+                        "gamma1_irreducible": cfg.assert_irreducible,
+                    })
+    for key, sl in (("invariants", an.zero),
+                    ("invariants_generic", an.generic)):
+        if sl is not None:
+            doc[key] = record_json(sl.record)
+            doc[f"{key}_extra"] = record_json_extra(sl.record)
+    if an.generic is not None:
+        doc["generic_witnesses"] = points_json(an.generic.t_witnesses)
+    if evidence is not None:
+        doc["irreducibility_evidence"] = evidence._asdict()
+    doc["summary"] = family_summary(doc)
+    if cfg.assert_irreducible or cfg.assert_equisingular:
+        doc["warnings"].append("user assertions are recorded as USER_ASSERTED "
+                               "hypotheses, never verified")
+    return doc
 
 
 def family_summary(doc: dict) -> str:
@@ -190,6 +235,22 @@ def family_summary(doc: dict) -> str:
                       "not a certificate)"
         head += clause
     return head
+
+
+def ilm_report(cfg: RunConfig, zero: IlmTable, generic: IlmTable) -> dict:
+    return _document("ilm", cfg, ilm={"zero": ilm_json(zero),
+                                      "generic": ilm_json(generic),
+                                      "passed": zero.passed and generic.passed})
+
+
+def selftest_report(cfg: RunConfig, corpus_files: int, criteria: int,
+                    results, passed: bool) -> dict:
+    """RESULTS are the criteria run, in order, as (index, description,
+    status, detail) tuples."""
+    keys = ("index", "description", "status", "detail")
+    return _document("selftest", cfg, corpus_files=corpus_files,
+                     criteria=criteria, passed=passed,
+                     results=[dict(zip(keys, r)) for r in results])
 
 
 # ---------------------------------------------------------------------------

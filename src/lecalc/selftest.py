@@ -2,23 +2,23 @@
 
 Every criterion is an independent callable returning a one-line detail
 string (or raising CheckFailure), so the pytest acceptance module can run
-exactly the same code; the CLI runs them in order and prints a pass/fail
-matrix.  All comparisons are exact.
+exactly the same code; `run_selftest` runs them in order and returns the
+pass/fail matrix as a report document (`lecalc.report.selftest_report`)
+with its exit code, which the CLI writes like any other command's.  All
+comparisons are exact.
 """
 
 from __future__ import annotations
 
 import io
-import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 from . import engine
-from .engine import (DEFAULT_BUDGET, Ideal, colength_at_origin,
-                     colength_by_truncation, ideals_equal, saturate,
-                     standard_basis, step_budget)
+from .engine import (Ideal, colength_at_origin, colength_by_truncation,
+                     ideals_equal, saturate, standard_basis)
 from .errors import BudgetExceededError, MathRefusal, UsageError
 from .families import (EQUIMULTIPLE, GENERIC, HOLDS,
                        NOT_TOPOLOGICALLY_V_EQUISINGULAR, USER_ASSERTED, ZERO,
@@ -28,7 +28,7 @@ from .invariants import detect_weights, milnor_number
 from .orders import GREVLEX, LOCAL
 from .parse import parse_polynomial
 from .poly import Context, Polynomial, render
-from .report import SCHEMA_VERSION, render as render_report
+from .report import RunConfig, selftest_report
 
 CORPUS_FILES = ("nonupper_family.lec", "suspension_family.lec",
                 "homogeneous_family.lec", "constant_family.lec")
@@ -422,28 +422,24 @@ CRITERIA: tuple[tuple[str, object], ...] = (
 )
 
 
-def run_selftest(seed: int = 0, budget: int = DEFAULT_BUDGET,
-                 fmt: str = "text") -> int:
-    env = SelfTestEnv(seed)
+def run_selftest(cfg: RunConfig) -> tuple[dict, int]:
+    """Every criterion in order, stopping at one that exhausts the budget;
+    the report and exit code 0 when all pass, else 2."""
+    env = SelfTestEnv(cfg.seed)
     count = env.load_corpus()
     results = []
-    with step_budget(budget):
-        for index, (description, criterion) in enumerate(CRITERIA, start=1):
-            try:
-                status, detail = "PASS", criterion(env)
-            except CheckFailure as exc:
-                status, detail = "FAIL", str(exc)
-            except BudgetExceededError as exc:
-                status, detail = exc.token, str(exc)
-            except MathRefusal as exc:
-                status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
-            results.append({"index": index, "description": description,
-                            "status": status, "detail": detail})
-            if status == BudgetExceededError.token:
-                break
-    passed = all(r["status"] == "PASS" for r in results)
-    doc = {"schema": SCHEMA_VERSION, "command": "selftest", "seed": seed,
-           "budget": budget, "corpus_files": count,
-           "criteria": len(CRITERIA), "results": results, "passed": passed}
-    sys.stdout.write(render_report(doc, fmt))
-    return 0 if passed else 2
+    for index, (description, criterion) in enumerate(CRITERIA, start=1):
+        try:
+            status, detail = "PASS", criterion(env)
+        except CheckFailure as exc:
+            status, detail = "FAIL", str(exc)
+        except BudgetExceededError as exc:
+            status, detail = exc.token, str(exc)
+        except MathRefusal as exc:
+            status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
+        results.append((index, description, status, detail))
+        if status == BudgetExceededError.token:
+            break
+    passed = all(status == "PASS" for _, _, status, _ in results)
+    return (selftest_report(cfg, count, len(CRITERIA), results, passed),
+            0 if passed else 2)

@@ -260,6 +260,19 @@ def test_irreducibility_evidence_is_fast_on_large_constants(text):
     assert report.verdict == "SUPPORTING"
 
 
+def test_irreducibility_evidence_splits_a_coordinate_power_at_once():
+    # z3^e leaves in one division by its least power over the terms; one
+    # division per unit of e took 2.7 s at e = 100000, outside any budget
+    ctx = Context(("z1", "z2", "z3"), ())
+    g = parse_polynomial("z3^100000*(z1^2 + z2^3)", ctx)
+    start = perf_counter()
+    report = irreducibility_evidence(Ideal(ctx, (g,)))
+    assert perf_counter() - start < 1.0
+    assert report.verdict == "COUNTER"
+    assert report.details == (f"{render(g)}: coordinate factor z3^100000; "
+                              "no factorization found for z2^3 + z1^2",)
+
+
 def _small_factors(ctx):
     """At most two monomials of degree 1 or 2, plus a constant term that may
     be 0, raised to a power 1..3.  Larger factors are left out: the

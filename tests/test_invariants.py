@@ -3,6 +3,9 @@ Le numbers, and the tabulated record for the worked examples."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
+from operator import mul
 from random import Random
 
 import pytest
@@ -494,6 +497,55 @@ def test_relabelling_the_transverse_variables_keeps_the_numbers(f, seed,
     except BudgetExceededError:
         reject()
     assert actual == expected
+
+
+@st.composite
+def _weighted_homogeneous_line_singularities(draw):
+    """A germ in 3 or 4 variables whose transverse pure powers z_i^a_i fix
+    the weights w_i = d / a_i, d = lcm(a_i), plus one or two z1-terms of
+    transverse degree at least 2 and at most one z1-free term, each of
+    weighted degree d: w1 is the gcd of the z1-terms' weight gaps."""
+    n = draw(st.sampled_from((3, 4)))
+    powers = [draw(st.integers(2, 5)) for _ in range(n - 1)]
+    d = lcm(*powers)
+    w = [d // a for a in powers]
+    transverse = [e for e in product(*(range(a + 1) for a in powers))
+                  if sum(e) >= 2 and sum(map(mul, e, w)) <= d]
+    gapped = [e for e in transverse if sum(map(mul, e, w)) < d]
+    if not gapped:       # every a_i = 2: no z1-term can have degree d
+        reject()
+    terms = draw(st.lists(st.sampled_from(gapped), min_size=1, max_size=2,
+                          unique=True))
+    terms += draw(st.lists(st.sampled_from(
+        [e for e in transverse if e not in gapped]), max_size=1))
+    gaps = [d - sum(map(mul, e, w)) for e in terms]
+    w1 = gcd(*gaps)
+    ctx = Context(tuple(f"z{i}" for i in range(1, n + 1)), ())
+    f = Polynomial.zero(ctx)
+    for i, a in enumerate(powers):
+        f = f + Polynomial.monomial(ctx, tuple(
+            a if j == i + 1 else 0 for j in range(n)))
+    for e, gap in zip(terms, gaps):
+        f = f + Polynomial.monomial(ctx, (gap // w1, *e),
+                                    draw(st.sampled_from((1, 2, 3, -1))))
+    return f
+
+
+@settings(_MOSTLY_REJECTED, max_examples=40)
+@given(_weighted_homogeneous_line_singularities(), st.integers(0, 2 ** 32))
+def test_weighted_homogeneous_slice_is_the_milnor_orlik_product(f, seed):
+    # at z1 = 0 a weighted homogeneous line singularity leaves a weighted
+    # homogeneous germ in z2, ..., zn of the same weights; where it is
+    # isolated, its Milnor number is prod (d/w_i - 1) (Milnor-Orlik)
+    if not _tractable(f):
+        reject()
+    try:
+        with step_budget(500):
+            rec = germ_record(f, Random(seed))
+    except (BudgetExceededError, NotLineSingularityError):
+        reject()
+    w = detect_weights(f)
+    assert rec.slice_milnor == milnor_orlik(w, range(1, f.context.nvars))
 
 
 @st.composite
