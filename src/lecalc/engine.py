@@ -15,6 +15,12 @@ leading terms off a heap of the remainder's monomials (Monagan-Pearce,
 CASC 2007) instead of rescanning it.  Monomial orders memoize their keys
 in one table per key and order (see `lecalc.orders`).
 
+One rule, `_remainder`, reduces S-polynomials, normal forms and checks:
+Mora's weak normal form under the local order while no bound is known,
+full reduction (modulo m^bound once known) otherwise, both subtracting rows
+through `_sub_scaled`.  `verify_basis(sb)` checks a basis on request: every
+S-polynomial and every generator of sb.ideal must have remainder zero.
+
 Reduced bases: one rule builds every reduced element, lt - NF(lt) =
 lt + NF(tail) for each leading term lt of a minimal basis (Greuel-Pfister,
 1.7).  Under a global order this is the classical reduced Groebner basis.
@@ -23,7 +29,9 @@ ideal is zero-dimensional: the normal form is then taken modulo m^N,
 N = 1 + the largest degree of a standard monomial, because every monomial of
 degree N is a leading monomial and so m^N lies in the ideal locally.
 Otherwise the basis is minimal, monic and deterministically sorted, with
-tails as computed.  A colength is an int, or None when it is infinite.
+tails as computed.  Standard monomials come in the (deterministic) order
+the staircase walk meets them.  A colength is an int, or None when it is
+infinite.
 
 Saturation: I : K^infinity is the intersection of the factors
 I : g^infinity over the generators g of K, and `saturate` returns its
@@ -67,10 +75,6 @@ from .orders import GREVLEX, LOCAL, MonomialOrder, elimination
 from .poly import Context, Polynomial, multivariate_gcd
 
 DEFAULT_BUDGET = 100_000
-
-# test builds flip this: every emitted basis re-verifies the Buchberger
-# criterion (all S-polynomial normal forms vanish) and generator membership.
-CHECK_BASES = False
 
 
 class _Budget:
@@ -139,7 +143,7 @@ class StandardBasis(NamedTuple):
     elements: tuple[Polynomial, ...]
     leading_exponents: tuple[tuple[int, ...], ...]
     # local zero-dimensional bases only: the monomials outside the leading
-    # ideal, sorted by degree and then grevlex
+    # ideal, in the deterministic order the staircase walk meets them
     standard_monomials: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -157,10 +161,13 @@ def _lt(terms, order):
     return max(terms, key=order.key)
 
 
-def _sub_scaled(h, c, shift, g_terms, queue, neg_key):
-    """h -= c * x^shift * g, in place; monomials new to h go on the queue."""
+def _sub_scaled(h, c, shift, g_terms, queue, neg_key, bound=None):
+    """h -= c * x^shift * g, in place; monomials new to h go on the queue.
+    With a bound, product terms of total degree >= bound are dropped."""
     for m, v in g_terms.items():
         k = sparse.mmul(m, shift)
+        if bound is not None and sum(k) >= bound:
+            continue
         w = h.get(k)
         if w is None:
             h[k] = -(c * v)
@@ -200,7 +207,7 @@ def _reduce(p_terms, rows, order, budget, bound=None):
     nf = {}
     while queue:
         m = heappop(queue)[1]
-        c = r.pop(m, None)
+        c = r.get(m)
         if c is None:
             continue
         for terms, lt in rows:
@@ -208,23 +215,11 @@ def _reduce(p_terms, rows, order, budget, bound=None):
             if shift is not None:
                 break
         else:
-            nf[m] = c
+            nf[m] = r.pop(m)
             continue
         budget.tick()
-        for gm, gv in terms.items():
-            k = sparse.mmul(gm, shift)
-            if k == m or (bound is not None and sum(k) >= bound):
-                continue
-            w = r.get(k)
-            if w is None:
-                r[k] = -(c * gv)
-                heappush(queue, (neg_key(k), k))
-            else:
-                w = w - c * gv
-                if w:
-                    r[k] = w
-                else:
-                    del r[k]
+        # the row is monic, so the subtraction cancels m itself
+        _sub_scaled(r, c, shift, terms, queue, neg_key, bound)
     return nf
 
 
@@ -261,6 +256,14 @@ def _mora_nf(p_terms, rows, order, budget):
         c = h[lm] / best[0][best[1]]
         _sub_scaled(h, c, best_shift, best[0], queue, neg_key)
     return h
+
+
+def _remainder(terms, rows, order, budget, bound=None):
+    """Mora's weak normal form under the local order while no bound is
+    known, full reduction (modulo m^bound when given) otherwise."""
+    if order.is_global or bound is not None:
+        return _reduce(terms, rows, order, budget, bound)
+    return _mora_nf(terms, rows, order, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +334,7 @@ def _pair_loop(input_rows, order, budget):
         s = _s_polynomial(rows[i], rows[j], lcm)
         if not s:
             continue
-        if local and bound is None:
-            h = _mora_nf(s, rows, order, budget)
-        else:
-            h = _reduce(s, rows, order, budget, bound)
+        h = _remainder(s, rows, order, budget, bound)
         if h:
             lt_h = _lt(h, order)
             inv = h[lt_h]
@@ -387,8 +387,8 @@ def _pure_powers(exps):
 
 
 def _staircase(exps, nvars):
-    """Monomials outside the monomial ideal generated by exps, sorted by
-    degree and then grevlex; None when there are infinitely many.
+    """Monomials outside the monomial ideal generated by exps, in the order
+    the walk meets them; None when there are infinitely many.
 
     The walk goes outward from 1: the children of a standard monomial m are
     m * z_i for i at or after the last variable of m, so each monomial has
@@ -406,7 +406,7 @@ def _staircase(exps, nvars):
             # m is standard, so a generator dividing c matches it in z_i
             if not any(e[i] == c[i] and all(map(ge, c, e)) for e in exps):
                 stack.append(c)
-    return tuple(sorted(out, key=GREVLEX.key))
+    return tuple(out)
 
 
 def _truncation_bound(stairs):
@@ -418,8 +418,8 @@ def _truncation_bound(stairs):
 def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:
     bud = current_budget()
     ctx = ideal.context
-    input_rows = _canonical_input(ideal.generators, order)
-    kept = _minimalize(_pair_loop(input_rows, order, bud), order)
+    kept = _minimalize(_pair_loop(_canonical_input(ideal.generators, order),
+                                  order, bud), order)
 
     stairs = (None if order.is_global
               else _staircase([lt for _, lt in kept], ctx.nvars))
@@ -436,23 +436,23 @@ def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:
     kept.sort(key=lambda r: order.key(r[1]))
     elements = tuple(Polynomial(ctx, dict(t)) for t, _ in kept)
     lts = tuple(lt for _, lt in kept)
-    sb = StandardBasis(ideal, order, elements, lts, stairs)
-    if CHECK_BASES:
-        _verify_basis(sb, input_rows, bud)
-    return sb
+    return StandardBasis(ideal, order, elements, lts, stairs)
 
 
-def _verify_basis(sb: StandardBasis, input_rows, bud):
-    order = sb.order
-    rows = [(g.terms, lt) for g, lt in zip(sb.elements, sb.leading_exponents)]
-    reduce_ = _reduce if order.is_global else _mora_nf
+def verify_basis(sb: StandardBasis) -> StandardBasis:
+    """sb, once every S-polynomial of its elements and every generator of
+    its ideal has remainder zero (Buchberger's criterion, under Mora's
+    normal form for the local order); raises InternalCheckError otherwise."""
+    order, bud = sb.order, current_budget()
+    rows = list(zip((g.terms for g in sb.elements), sb.leading_exponents))
     for r1, r2 in combinations(rows, 2):
         s = _s_polynomial(r1, r2, sparse.mlcm(r1[1], r2[1]))
-        if s and reduce_(s, rows, order, bud):
+        if s and _remainder(s, rows, order, bud):
             raise InternalCheckError("S-polynomial does not reduce to zero")
-    for t in input_rows:
-        if reduce_(dict(t), rows, order, bud):
+    for t in _canonical_input(sb.ideal.generators, order):
+        if _remainder(t, rows, order, bud):
             raise InternalCheckError("ideal generator does not reduce to zero")
+    return sb
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +469,9 @@ def normal_form(p: Polynomial, basis: StandardBasis) -> Polynomial:
     tails need not exist as polynomials in the local case)."""
     if p.context != basis.ideal.context:
         raise ContextError("normal form across different contexts")
-    bud = current_budget()
     rows = list(zip((g.terms for g in basis.elements), basis.leading_exponents))
-    if basis.order.is_global or basis.truncation_bound is not None:
-        out = _reduce(p.terms, rows, basis.order, bud,
-                      basis.truncation_bound)
-    else:
-        out = _mora_nf(p.terms, rows, basis.order, bud)
+    out = _remainder(p.terms, rows, basis.order, current_budget(),
+                     basis.truncation_bound)
     return Polynomial(p.context, out)
 
 

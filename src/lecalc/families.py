@@ -148,9 +148,8 @@ class SliceRecord(NamedTuple):
 
 
 def _comparable(rec: InvariantRecord):
-    # the polar ratio, the Euler characteristic and polar_empty are functions
-    # of these, and germ_record refuses a record whose intersection number
-    # differs from gamma1 + lambda0
+    # the record's other numbers are properties of these, and germ_record
+    # refuses a record whose intersection number differs from gamma1 + lambda0
     return (rec.order, rec.lambda0, rec.lambda1, rec.gamma1, rec.slice_milnor)
 
 

@@ -457,20 +457,40 @@ def euler_reduced(lambda0_value: int, lambda1_value: int, n: int) -> int:
 # the full record
 
 class InvariantRecord(NamedTuple):
+    """The computed invariants of a line singularity; the numbers derived
+    from them are properties, so no copy of one can go stale."""
     order: int
-    multiplicity: int
     lambda0: int
     lambda1: int
     gamma1: int
-    polar_ratio: Fraction | None
-    euler_reduced: int
     slice_milnor: int
     intersection_with_hypersurface: int  # ([polar curve] . [V(f)]) at 0
     polar_ideal: Ideal
-    polar_empty: bool
     line_check: LineSingularityCheck
-    lambda_k_zero: tuple[bool, ...]  # k = 2, ..., n-1
     axis_witnesses: tuple[Fraction, Fraction]
+
+    @property
+    def multiplicity(self) -> int:
+        return self.order
+
+    @property
+    def polar_ratio(self) -> Fraction | None:
+        return polar_ratio(self.gamma1, self.lambda0)
+
+    @property
+    def euler_reduced(self) -> int:
+        return euler_reduced(self.lambda0, self.lambda1,
+                             self.polar_ideal.context.nvars)
+
+    @property
+    def polar_empty(self) -> bool:
+        return self.gamma1 == 0  # a curve through 0 meets V(z1) there
+
+    @property
+    def lambda_k_zero(self) -> tuple[bool, ...]:
+        # k = 2, ..., n-1: the k-th Le cycle is a k-cycle on the critical
+        # curve (Massey, Le Cycles and Hypersurface Singularities, LNM 1615)
+        return (True,) * (self.polar_ideal.context.nvars - 2)
 
 
 def germ_record(f: Polynomial, rng: Random) -> InvariantRecord:
@@ -491,25 +511,14 @@ def germ_record(f: Polynomial, rng: Random) -> InvariantRecord:
     if inter != g1 + l0:
         raise InternalCheckError(
             f"intersection number {inter} != gamma1 + lambda0 = {g1 + l0}")
-
-    n = f.context.nvars
-    # the critical locus of a line singularity is a curve, and the k-th Le
-    # cycle is a k-cycle supported on it, so lambda^k = 0 for every k >= 2
-    # (Massey, Le Cycles and Hypersurface Singularities, LNM 1615)
-    lamk = (True,) * (n - 2)
     return InvariantRecord(
         order=order,
-        multiplicity=order,
         lambda0=l0,
         lambda1=l1,
         gamma1=g1,
-        polar_ratio=polar_ratio(g1, l0),
-        euler_reduced=euler_reduced(l0, l1, n),
         slice_milnor=check.slice_milnor,
         intersection_with_hypersurface=inter,
         polar_ideal=gamma,
-        polar_empty=g1 == 0,  # a curve through 0 meets V(z1) there
         line_check=check,
-        lambda_k_zero=lamk,
         axis_witnesses=witnesses,
     )

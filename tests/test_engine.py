@@ -17,10 +17,10 @@ from lecalc.engine import (DEFAULT_BUDGET, Ideal, _Budget, _reduce,
                            colength_global, contains_local_unit,
                            dimension_at_origin, eliminate, ideals_equal,
                            intersect, normal_form, saturate, standard_basis,
-                           step_budget)
+                           step_budget, verify_basis)
 from lecalc.errors import (BudgetExceededError, ContextError,
-                           DegenerateInputError)
-from lecalc.orders import GREVLEX, LOCAL
+                           DegenerateInputError, InternalCheckError)
+from lecalc.orders import GREVLEX, LOCAL, clear_key_tables
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, render
 
@@ -55,7 +55,7 @@ def test_ideal_rejects_empty_and_zero_generators():
 def test_local_basis_tangent_cone_example(checked_bases):
     # x^2 = y^3 cusp relation plus x*y^2: the S-pair contributes y^5
     ideal = Ideal(C2, (X ** 2 - Y ** 3, X * Y ** 2))
-    basis = standard_basis(ideal, LOCAL)
+    basis = checked_bases(ideal, LOCAL)
     assert sorted(basis.leading_exponents) == [(0, 5), (1, 2), (2, 0)]
     # standard monomials reach degree 4, so m^5 lies in the ideal
     assert basis.truncation_bound == 5
@@ -67,7 +67,7 @@ def test_local_basis_tangent_cone_example(checked_bases):
 
 def test_global_reduced_basis_is_canonical(checked_bases):
     ideal = Ideal(C2, (X ** 2 + X * Y, Y ** 2 - 1, X * Y ** 3))
-    reference = standard_basis(ideal, GREVLEX)
+    reference = checked_bases(ideal, GREVLEX)
     rng = Random(7)
     for _ in range(5):
         shuffled = list(ideal.generators)
@@ -75,7 +75,7 @@ def test_global_reduced_basis_is_canonical(checked_bases):
         rescaled = tuple(Fraction(rng.randrange(1, 9),
                                   rng.randrange(1, 9)) * g
                          for g in shuffled)
-        again = standard_basis(Ideal(C2, rescaled), GREVLEX)
+        again = checked_bases(Ideal(C2, rescaled), GREVLEX)
         assert again.elements == reference.elements
 
 
@@ -157,10 +157,40 @@ def test_bases_over_a_prime_field(checked_bases):
     assert colength_at_origin(cusp) == 7
     # the reduced basis over QQ is z2^2 + 2*z1, z1*z2 - 1, z1^2 + 1/2*z2;
     # 7 is a lucky prime for it, so its image mod 7 is the basis over GF(7)
-    basis = standard_basis(Ideal(c7, (2 * x ** 2 + y, x * y - 1)), GREVLEX)
+    basis = checked_bases(Ideal(c7, (2 * x ** 2 + y, x * y - 1)), GREVLEX)
     assert gens(basis) == ["z1*z2 + 6", "z1^2 + 4*z2", "z2^2 + 2*z1"]
-    over_q = standard_basis(Ideal(C2, (2 * X ** 2 + Y, X * Y - 1)), GREVLEX)
+    over_q = checked_bases(Ideal(C2, (2 * X ** 2 + Y, X * Y - 1)), GREVLEX)
     assert gens(over_q) == ["z1*z2 - 1", "z1^2 + 1/2*z2", "z2^2 + 2*z1"]
+
+
+def test_the_verifier_rejects_a_wrong_basis():
+    ideal = Ideal(C2, (X ** 2 + X * Y, Y ** 2 - 1, X * Y ** 3))
+    basis = standard_basis(ideal, GREVLEX)
+    assert verify_basis(basis) is basis
+    dropped = basis._replace(elements=basis.elements[1:],
+                             leading_exponents=basis.leading_exponents[1:])
+    with pytest.raises(InternalCheckError, match="generator"):
+        verify_basis(dropped)
+    # the generators themselves: each reduces to zero, an S-pair does not
+    rows = tuple(g.monic(GREVLEX) for g in ideal.generators)
+    unfinished = basis._replace(
+        elements=rows,
+        leading_exponents=tuple(g.leading(GREVLEX)[0] for g in rows))
+    with pytest.raises(InternalCheckError, match="S-polynomial"):
+        verify_basis(unfinished)
+    cusp = standard_basis(Ideal(C2, (X ** 2 - Y ** 3, X * Y ** 2)), LOCAL)
+    assert verify_basis(cusp) is cusp
+    # z2^4 is a standard monomial of the cusp basis, so not in its ideal
+    with pytest.raises(InternalCheckError, match="generator"):
+        verify_basis(cusp._replace(ideal=cusp.ideal.with_extra(Y ** 4)))
+
+
+def test_the_staircase_walk_reads_no_order_key():
+    # the staircase has 10001 monomials; sorting them filled GREVLEX's key
+    # table with one entry each
+    clear_key_tables()
+    assert colength_at_origin(Ideal(C2, (X ** 10000, Y ** 2, X * Y))) == 10001
+    assert len(GREVLEX.key.__self__) < 100
 
 
 def test_saturation_strips_axis_factor():
@@ -393,7 +423,7 @@ def test_highest_corner_waits_only_for_the_variables_in_use(checked_bases):
     for ctx in (c3_t, C4_T):
         ideal = Ideal(ctx, tuple(parse_polynomial(e, ctx) for e in exprs))
         start = perf_counter()
-        bases.append(standard_basis(ideal, LOCAL))
+        bases.append(checked_bases(ideal, LOCAL))
         assert perf_counter() - start < 0.5
     three, four = bases
     assert sorted(three.leading_exponents) == [(0, 0, 3), (0, 1, 0),
@@ -526,7 +556,7 @@ def test_highest_corner_keeps_colength_and_normal_forms(checked_bases, case):
     colength = colength_at_origin(ideal)
     assume(colength is not None)
     assert colength == colength_by_truncation(ideal)
-    basis = standard_basis(ideal, LOCAL)
+    basis = checked_bases(ideal, LOCAL)
     assert basis.truncation_bound <= colength
     # the old bound (the colength) gives the same canonical normal form
     rows = list(zip((g.terms for g in basis.elements),
