@@ -27,7 +27,7 @@ from .errors import (ContextError, MathRefusal, NonIsolatedError,
 from .invariants import detect_weights, germ_record, milnor_number
 from .orders import clear_key_tables
 from .parse import parse_polynomial
-from .poly import Context
+from .poly import Context, clear_contexts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,9 +254,11 @@ _COMMANDS = {"invariants": cmd_invariants, "family": cmd_family,
 
 def entrypoint(argv=None) -> int:
     """Run one command under one step budget and write its report."""
-    # each command starts with empty key tables, so a process that runs many
-    # commands holds the monomials of one command at a time
+    # each command starts with empty key and context tables, so a process
+    # that runs many commands holds the monomials and contexts of one
+    # command at a time
     clear_key_tables()
+    clear_contexts()
     try:
         args = _shared_parser().parse_args(argv)
         cfg = _config_from_args(args)

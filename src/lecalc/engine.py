@@ -21,17 +21,19 @@ full reduction (modulo m^bound once known) otherwise, both subtracting rows
 through `_sub_scaled`.  `verify_basis(sb)` checks a basis on request: every
 S-polynomial and every generator of sb.ideal must have remainder zero.
 
-Reduced bases: one rule builds every reduced element, lt - NF(lt) =
-lt + NF(tail) for each leading term lt of a minimal basis (Greuel-Pfister,
-1.7).  Under a global order this is the classical reduced Groebner basis.
-Under the local order a fully reduced basis only exists when the leading
-ideal is zero-dimensional: the normal form is then taken modulo m^N,
-N = 1 + the largest degree of a standard monomial, because every monomial of
-degree N is a leading monomial and so m^N lies in the ideal locally.
-Otherwise the basis is minimal, monic and deterministically sorted, with
-tails as computed.  Standard monomials come in the (deterministic) order
-the staircase walk meets them.  A colength is an int, or None when it is
-infinite.
+Global bases are reduced: each element of a minimal basis becomes
+lt - NF(lt) = lt + NF(tail), lt its leading term, which is the classical
+reduced Groebner basis.  Local bases are minimal, monic and
+deterministically sorted, with tails as computed: their callers read the
+leading ideal (colengths, dimensions) or normal forms, and neither depends
+on the tails (Greuel-Pfister, 1.7: tails need reducing only where elements
+must be unique).  A normal form modulo a zero-dimensional local basis is still
+canonical: it is taken modulo m^N, N = 1 + the largest degree of a standard
+monomial, because every monomial of degree N is a leading monomial and so
+m^N lies in the ideal locally, and full reduction modulo m^N leaves the
+unique representative on standard monomials whatever the tails.  Standard
+monomials come in the (deterministic) order the staircase walk meets them.
+A colength is an int, or None when it is infinite.
 
 Saturation: I : K^infinity is the intersection of the factors
 I : g^infinity over the generators g of K, and `saturate` returns its
@@ -138,6 +140,9 @@ class Ideal(_IdealFields):
 
 
 class StandardBasis(NamedTuple):
+    """A minimal, monic basis sorted by leading exponent: the reduced
+    Groebner basis under a global order; under the local order its tails
+    are as the pair loop left them."""
     ideal: Ideal
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
@@ -149,8 +154,8 @@ class StandardBasis(NamedTuple):
     @property
     def truncation_bound(self) -> int | None:
         """N = 1 + the largest degree of a standard monomial, so that m^N
-        lies in the ideal; tails and normal forms are reduced modulo m^N.
-        None unless the basis is local and zero-dimensional."""
+        lies in the ideal; normal forms are reduced modulo m^N.  None unless
+        the basis is local and zero-dimensional."""
         return _truncation_bound(self.standard_monomials)
 
 
@@ -319,8 +324,7 @@ def _pair_loop(input_rows, order, budget):
         if local:
             for i, a in _pure_powers([lt]).items():
                 corner[i] = min(a, corner.get(i, a))
-            if used <= corner.keys():
-                bound = 1 + sum(corner[i] - 1 for i in used)
+            bound = _corner_bound(corner, used)
 
     for t in input_rows:
         push(t)
@@ -386,26 +390,43 @@ def _pure_powers(exps):
     return out
 
 
+def _corner_bound(corner, variables: set[int]):
+    """D = 1 + sum(a_i - 1) over the variables when corner, {i: a_i} (see
+    _pure_powers), holds a pure power z_i^a_i of each of them, else None.
+    Every monomial in those variables of degree D is then divisible by one
+    of the pure powers."""
+    if not corner.keys() >= variables:
+        return None
+    return 1 + sum(corner[i] - 1 for i in variables)
+
+
 def _staircase(exps, nvars):
     """Monomials outside the monomial ideal generated by exps, in the order
     the walk meets them; None when there are infinitely many.
 
     The walk goes outward from 1: the children of a standard monomial m are
     m * z_i for i at or after the last variable of m, so each monomial has
-    one parent and the walk tests O(nvars * colength) monomials."""
+    one parent and the walk tests O(nvars * colength) monomials.  m is
+    standard, so a generator dividing the child m * z_i matches it in z_i:
+    the generators are indexed by (i, e[i]), and a child is tested against
+    those that match it there only."""
     if len(_pure_powers(exps)) < nvars:
         return None
+    matching: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for e in exps:
+        for i, a in enumerate(e):
+            if a:
+                matching.setdefault((i, a), []).append(e)
     out = []
-    stack = [(0,) * nvars] if all(any(e) for e in exps) else []
+    stack = [((0,) * nvars, 0)] if all(any(e) for e in exps) else []
     while stack:
-        m = stack.pop()
+        m, last = stack.pop()
         out.append(m)
-        last = max((i for i, a in enumerate(m) if a), default=0)
         for i in range(last, nvars):
-            c = m[:i] + (m[i] + 1,) + m[i + 1:]
-            # m is standard, so a generator dividing c matches it in z_i
-            if not any(e[i] == c[i] and all(map(ge, c, e)) for e in exps):
-                stack.append(c)
+            a = m[i] + 1
+            c = m[:i] + (a,) + m[i + 1:]
+            if not any(all(map(ge, c, e)) for e in matching.get((i, a), ())):
+                stack.append((c, i))
     return tuple(out)
 
 
@@ -421,17 +442,17 @@ def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:
     kept = _minimalize(_pair_loop(_canonical_input(ideal.generators, order),
                                   order, bud), order)
 
-    stairs = (None if order.is_global
-              else _staircase([lt for _, lt in kept], ctx.nvars))
-    if order.is_global or stairs is not None:
-        # reduced element lt - NF(lt) = lt + NF(tail), modulo m^bound under
-        # the local order; under a global order an element's own leading
-        # term never divides its tail, so this is the reduced Groebner basis
-        bound = _truncation_bound(stairs)
+    if order.is_global:
+        # reduced element lt - NF(lt) = lt + NF(tail): an element's own
+        # leading term never divides its tail, so this is the reduced
+        # Groebner basis
+        stairs = None
         kept = [({lt: ctx.unit}
                  | _reduce({m: c for m, c in terms.items() if m != lt},
-                           kept, order, bud, bound), lt)
+                           kept, order, bud), lt)
                 for terms, lt in kept]
+    else:
+        stairs = _staircase([lt for _, lt in kept], ctx.nvars)
 
     kept.sort(key=lambda r: order.key(r[1]))
     elements = tuple(Polynomial(ctx, dict(t)) for t, _ in kept)
@@ -442,15 +463,24 @@ def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:
 def verify_basis(sb: StandardBasis) -> StandardBasis:
     """sb, once every S-polynomial of its elements and every generator of
     its ideal has remainder zero (Buchberger's criterion, under Mora's
-    normal form for the local order); raises InternalCheckError otherwise."""
+    normal form for the local order); raises InternalCheckError otherwise.
+
+    When the leading exponents of a local basis show a pure power z_i^a_i
+    of every variable, m^D lies in the ideal the elements generate
+    locally, D = 1 + sum(a_i - 1), whatever their tails (the highest corner
+    of `_pair_loop`), and remainders are taken modulo m^D as the pair loop
+    takes them past the corner: Mora's normal forms of S-polynomials of
+    unreduced tails can swell for seconds."""
     order, bud = sb.order, current_budget()
+    bound = None if order.is_global else _corner_bound(
+        _pure_powers(sb.leading_exponents), set(range(sb.ideal.context.nvars)))
     rows = list(zip((g.terms for g in sb.elements), sb.leading_exponents))
     for r1, r2 in combinations(rows, 2):
         s = _s_polynomial(r1, r2, sparse.mlcm(r1[1], r2[1]))
-        if s and _remainder(s, rows, order, bud):
+        if s and _remainder(s, rows, order, bud, bound):
             raise InternalCheckError("S-polynomial does not reduce to zero")
     for t in _canonical_input(sb.ideal.generators, order):
-        if _remainder(t, rows, order, bud):
+        if _remainder(t, rows, order, bud, bound):
             raise InternalCheckError("ideal generator does not reduce to zero")
     return sb
 
@@ -742,7 +772,8 @@ def contains_local_unit(ideal: Ideal) -> bool:
     """Whether the ideal is the whole local ring at the origin: exactly when
     some generator has a nonzero constant term, for otherwise every
     generator, and with them the ideal, lies in the maximal ideal."""
-    return any(g.constant_coefficient() for g in ideal.generators)
+    zero = (0,) * ideal.context.nvars
+    return any(zero in g.terms for g in ideal.generators)
 
 
 def colength_global(ideal: Ideal) -> int | None:

@@ -40,15 +40,27 @@ class _ContextFields(NamedTuple):
     modulus: int = 0
 
 
+_CONTEXTS: dict[tuple, "Context"] = {}
+
+
 class Context(_ContextFields):
     """Ordered ring variables, ordered coefficient-field parameters, and the
     field's characteristic: modulus 0 is QQ(parameters), a prime p is GF(p)
     (no parameters allowed; primality is the caller's promise).  No
-    __slots__: `unit` is cached in the instance dict."""
+    __slots__: `unit` and `zero` are cached in the instance dict.
+
+    Contexts are interned: one table holds one context per
+    (variables, parameters, modulus), checked once when first built, so a
+    context rebuilt on every basis costs one lookup.  `clear_contexts()`
+    empties the table without changing any result."""
 
     def __new__(cls, variables: tuple[str, ...],
                 parameters: tuple[str, ...] = (), modulus: int = 0):
-        names = list(variables) + list(parameters)
+        fields = (tuple(variables), tuple(parameters), modulus)
+        ctx = _CONTEXTS.get(fields)
+        if ctx is not None:
+            return ctx
+        names = [*fields[0], *fields[1]]
         if not variables:
             raise ContextError("a context needs at least one ring variable")
         if modulus < 0 or modulus == 1:
@@ -61,7 +73,8 @@ class Context(_ContextFields):
                 raise ContextError(f"bad identifier {n!r}")
         if len(set(names)) != len(names):
             raise ContextError(f"duplicate identifier among {names}")
-        return super().__new__(cls, variables, parameters, modulus)
+        ctx = _CONTEXTS[fields] = super().__new__(cls, *fields)
+        return ctx
 
     def _replace(self, **changes) -> "Context":
         # the namedtuple _replace would skip the checks in __new__
@@ -111,6 +124,17 @@ class Context(_ContextFields):
         """1 in this context's coefficient field, built once per context
         (field elements are never mutated, so it can be shared)."""
         return self.coefficient(1)
+
+    @cached_property
+    def zero(self) -> "Fraction | Coefficient | Modular":
+        """0 in this context's coefficient field, built once per context."""
+        return self.coefficient(0)
+
+
+def clear_contexts():
+    """Empty the context table; contexts built before stay valid and equal
+    to the ones built after."""
+    _CONTEXTS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +473,8 @@ class Polynomial:
         return sparse.min_total_degree(self.terms)
 
     def constant_coefficient(self) -> "Fraction | Coefficient | Modular":
-        z = (0,) * self.context.nvars
-        c = self.terms.get(z)
-        return self.context.coefficient(0) if c is None else c
+        c = self.terms.get((0,) * self.context.nvars)
+        return self.context.zero if c is None else c
 
     def leading(self, order) -> tuple[tuple[int, ...], "Fraction | Coefficient | Modular"]:
         if not self.terms:
@@ -536,13 +559,16 @@ class Polynomial:
     def partial(self, name: str) -> "Polynomial":
         i = self.context.var_index(name)
         out = {}
-        field = self.context.coefficient
+        scales = {}  # one field element per distinct exponent of z_i
         for m, c in self.terms.items():
             e = m[i]
             if not e:
                 continue
             nm = m[:i] + (e - 1,) + m[i + 1:]
-            scaled = c * field(e)
+            scale = scales.get(e)
+            if scale is None:
+                scale = scales[e] = self.context.coefficient(e)
+            scaled = c * scale
             w = out.get(nm)
             w = scaled if w is None else w + scaled
             if w:
@@ -601,8 +627,12 @@ class Polynomial:
 
     def restrict_to(self, variables: tuple[str, ...]) -> "Polynomial":
         """Transplant into the subring on the given variables; the polynomial
-        must not involve any dropped variable."""
+        must not involve any dropped variable.  Onto its own variables, in
+        their order, the polynomial is returned itself."""
         ctx = self.context
+        variables = tuple(variables)
+        if variables == ctx.variables:
+            return self
         keep = [ctx.var_index(v) for v in variables]
         dropped = [i for i in range(ctx.nvars) if i not in keep]
         for m in self.terms:
@@ -610,7 +640,7 @@ class Polynomial:
                 if m[i]:
                     raise ContextError(
                         f"polynomial involves dropped variable {ctx.variables[i]!r}")
-        target = ctx._replace(variables=tuple(variables))
+        target = ctx._replace(variables=variables)
         out = {tuple(m[i] for i in keep): c for m, c in self.terms.items()}
         return Polynomial(target, out)
 

@@ -12,6 +12,7 @@ import pytest
 import lecalc
 from lecalc import cli, errors, families, invariants, poly, report
 from lecalc.cli import entrypoint, read_input_file
+from lecalc.orders import LOCAL
 
 WORKED_BASE = "z1^2*z2^2 + z2^5 + z3^4"
 WORKED_FAMILY = "z1^2*z2^2 + z2^5 + z3^4 + t*z1*z2^2 + t^2*z1^2*z2^2"
@@ -52,6 +53,18 @@ def test_invariants_json_schema(capsys):
     assert inv["mu_slice"] == 12
     assert doc["weights"]["weights"] == [6, 4, 5]
     assert doc["warnings"] == []
+
+
+def test_each_command_starts_with_empty_tables(capsys):
+    # the monomial keys and contexts of earlier work are dropped, so a
+    # process that runs many commands holds those of one command at a time
+    stale = poly.Context(("q1", "q2"))
+    LOCAL.key((7, 7))
+    code, _, _ = run(capsys, "invariants", "-e", WORKED_BASE)
+    assert code == 0
+    assert stale not in poly._CONTEXTS.values()
+    assert (("z1", "z2", "z3"), (), 0) in poly._CONTEXTS
+    assert (7, 7) not in LOCAL.key.__self__
 
 
 def test_reports_are_deterministic(capsys):
@@ -218,16 +231,16 @@ def test_slice_cross_check_does_not_hide_budget_exhaustion(capsys):
     # the budget runs out while the generic slice is re-derived over GF(p)
     # at the family's points, which must read neither as a disagreeing
     # specialization nor as a slice failure; the cross-check runs from step
-    # 17 to step 42 of 49
+    # 5 to step 8 of 9
     _family_refuses_for_budget(capsys, "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2",
-                               40)
+                               6)
 
 
 def test_axis_weight_note_does_not_hide_budget_exhaustion(capsys):
     # the budget runs out in the augmented Milnor numbers of mt2's note,
-    # which take steps 5 to 7 of 7
+    # which take steps 1 to 3 of 3
     _family_refuses_for_budget(capsys, "z1*z2^2 + z2^3 + z3^3 + t*z1*z2^2",
-                               6)
+                               2)
 
 
 def test_weight_search_draws_on_the_budget(capsys):

@@ -131,7 +131,11 @@ def test_quotient_normalizes_local_units():
     t = Polynomial.parameter(ctx, "t")
     ideal = Ideal(ctx, (3 * y ** 2 + 4 * t * y ** 3, z ** 2))
     q = ideal_quotient(ideal, Ideal(ctx, (y, z)))
-    assert gens(standard_basis(q, LOCAL)) == ["z2*z3", "z2^2", "z3^2"]
+    basis = standard_basis(q, LOCAL)
+    assert sorted(basis.leading_exponents) == [(0, 2), (1, 1), (2, 0)]
+    assert colength_at_origin(q) == 3
+    for e in ((2, 0), (1, 1), (0, 2)):
+        assert normal_form(Polynomial.monomial(ctx, e), basis).is_zero()
 
 
 def test_eliminate_auxiliary_variable():
@@ -183,6 +187,12 @@ def test_the_verifier_rejects_a_wrong_basis():
     # z2^4 is a standard monomial of the cusp basis, so not in its ideal
     with pytest.raises(InternalCheckError, match="generator"):
         verify_basis(cusp._replace(ideal=cusp.ideal.with_extra(Y ** 4)))
+    # the cusp's generators and z2^6 show a corner, so remainders are taken
+    # modulo m^7, and the S-pair of the generators still leaves z2^5
+    unfinished = cusp._replace(elements=(X ** 2 - Y ** 3, X * Y ** 2, Y ** 6),
+                               leading_exponents=((2, 0), (1, 2), (0, 6)))
+    with pytest.raises(InternalCheckError, match="S-polynomial"):
+        verify_basis(unfinished)
 
 
 def test_the_staircase_walk_reads_no_order_key():
@@ -564,6 +574,59 @@ def test_highest_corner_keeps_colength_and_normal_forms(checked_bases, case):
     expected = _reduce(p.terms, rows, LOCAL, _Budget(DEFAULT_BUDGET),
                        colength)
     assert normal_form(p, basis).terms == expected
+
+
+C2_P = Context(C2.variables, (), 32003)
+C3_P = Context(C3.variables, (), 32003)
+
+
+@st.composite
+def _two_presentations(draw):
+    """An ideal of the origin in 2 or 3 variables over QQ or GF(32003),
+    presented twice: with its generators shuffled, and with a combination
+    of the other generators added to the first; and pairs of polynomials
+    in the maximal ideal, congruent modulo the ideal, to reduce."""
+    ctx = draw(st.sampled_from((C2, C3, C2_P, C3_P)))
+    gens = draw(st.lists(_small_polynomials(ctx, 1), min_size=ctx.nvars,
+                         max_size=ctx.nvars + 1))
+    shuffled = draw(st.permutations(gens))
+    first = gens[0]
+    for g in gens[1:]:
+        first = first + draw(_small_polynomials(ctx, 0)) * g
+    assume(not first.is_zero())
+    # p = a * b + c with no constant term, so that reduction has work to
+    # do, and p plus an element h * g of the ideal
+    terms = _small_polynomials(ctx, 1)
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(terms) * draw(terms) + draw(terms)
+        shift = draw(_small_polynomials(ctx, 0)) * draw(st.sampled_from(gens))
+        pairs.append((p, p + shift))
+    return (Ideal(ctx, tuple(shuffled)),
+            Ideal(ctx, (first,) + tuple(gens[1:])), pairs)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_two_presentations())
+def test_local_normal_forms_are_canonical_without_reduced_tails(
+        checked_bases, case):
+    # local bases keep their tails as computed, so two presentations of one
+    # ideal may give different elements; the normal forms modulo m^N of two
+    # congruent polynomials, and the colength, must not differ
+    shuffled, combined, pairs = case
+    colength = colength_at_origin(shuffled)
+    assume(colength is not None)
+    assert colength_at_origin(combined) == colength
+    assert colength_by_truncation(combined) == colength
+    first = checked_bases(shuffled, LOCAL)
+    second = checked_bases(combined, LOCAL)
+    assert first.leading_exponents == second.leading_exponents
+    for p, q in pairs:
+        expected = normal_form(p, first).terms
+        assert normal_form(p, second).terms == expected
+        assert normal_form(q, first).terms == expected
+        assert normal_form(q, second).terms == expected
 
 
 def _rabinowitsch(i: Ideal, g: Polynomial) -> Ideal:

@@ -53,6 +53,42 @@ def test_every_path_to_a_context_keeps_its_checks():
     assert image.unit is image.unit and CTX.unit == 1
 
 
+def test_contexts_are_interned_and_still_checked():
+    poly.clear_contexts()
+    ring = Context(("y1", "y2"), ("s",))
+    assert Context(["y1", "y2"], ["s"]) is ring
+    assert ring._replace(parameters=()) is Context(("y1", "y2"))
+    # a refused context never enters the table, whatever shares its shape
+    for bad in (lambda: Context(("y1", "2y"), ("s",)),
+                lambda: Context(("y1", "y2"), ("s s",)),
+                lambda: ring._replace(variables=("y1", "y 2"))):
+        with pytest.raises(ContextError, match="bad identifier"):
+            bad()
+    with pytest.raises(ContextError, match="duplicate"):
+        Context(("y1", "y2"), ("y1",))
+    assert set(poly._CONTEXTS.values()) == {ring, Context(("y1", "y2"))}
+    # a cleared table builds an equal context, and the old one still works
+    poly.clear_contexts()
+    again = Context(("y1", "y2"), ("s",))
+    assert again is not ring and again == ring
+    assert Polynomial.variable(ring, "y1") + Polynomial.variable(again, "y2") \
+        == Polynomial.variable(again, "y1") + Polynomial.variable(again, "y2")
+    # the cached zero lives in the instance, one per context
+    assert again.zero is again.zero and not again.zero
+    y1 = Polynomial.variable(again, "y1")
+    assert y1.constant_coefficient() is again.zero
+
+
+def test_restrict_to_its_own_variables_is_the_polynomial_itself():
+    f = v("z1") ** 2 + 3 * v("z2") * v("z3")
+    assert f.restrict_to(CTX.variables) is f
+    assert f.restrict_to(list(CTX.variables)) is f
+    swapped = f.restrict_to(("z2", "z1", "z3"))
+    assert swapped.context.variables == ("z2", "z1", "z3")
+    assert swapped == v("z1", swapped.context) ** 2 \
+        + 3 * v("z2", swapped.context) * v("z3", swapped.context)
+
+
 def test_context_fresh_name_avoids_collisions():
     assert CTX.fresh_name("u") == "u0"
     taken = Context(("u0", "z1"), ())
