@@ -65,12 +65,9 @@ def main(cfg: ExampleConfig) -> int:
             print(line)
         print()
 
-    # assert irreducibility (the evidence supports it but cannot certify it)
-    # so the contrapositive rule may fire
-    verdicts, evidence = evaluate_rules(an, False, True)
-    print(f"irreducibility evidence for the generic polar curve: "
-          f"{evidence.verdict} ({evidence.certificate})")
-    print()
+    # assert irreducibility (the engine cannot certify it) so the
+    # contrapositive rule may fire
+    verdicts = evaluate_rules(an, False, True)
     print("--- verdicts ---")
     for verdict in verdicts:
         for line in verdict_text(verdict_json(verdict)):

@@ -45,7 +45,7 @@ def main(cfg: SweepConfig) -> int:
             an = analyze_family(f, Random(cfg.seed))
             rec = an.zero.record
             expected = (a - 1) * (b - 1)
-            verdicts, _ = evaluate_rules(an, False, False)
+            verdicts = evaluate_rules(an, False, False)
             verdict = {v.theorem: v for v in verdicts}["mt2"]
             orders = f"{an.equimultiplicity.order_zero}={an.equimultiplicity.order_generic}" \
                 if an.equimultiplicity.equimultiple else \

@@ -48,10 +48,10 @@ __all__ = [
     "colength_by_truncation", "colength_global", "contains_local_unit",
     "decompose_family", "detect_weights", "dimension_at_origin",
     "eliminate", "evaluate_rules", "germ_record", "ideals_equal",
-    "intersect", "irreducibility_evidence", "is_equimultiple",
-    "is_line_singularity", "is_upper", "milnor_number", "order_at_origin",
-    "parse_polynomial", "polar_variety_1", "render", "saturate",
-    "standard_basis", "step_budget", "verify_ilm",
+    "intersect", "is_equimultiple", "is_line_singularity", "is_upper",
+    "milnor_number", "order_at_origin", "parse_polynomial",
+    "polar_variety_1", "render", "saturate", "standard_basis",
+    "step_budget", "verify_ilm",
 ]
 
 

@@ -218,9 +218,9 @@ def cmd_family(cfg: rp.RunConfig) -> tuple[dict, int]:
         raise UsageError(
             "family analysis needs a parameter (--param or a param: line)")
     an = analyze_family(_parse_expression(cfg), Random(cfg.seed))
-    verdicts, evidence = evaluate_rules(an, cfg.assert_equisingular,
-                                        cfg.assert_irreducible)
-    return rp.family_report(cfg, an, verdicts, evidence), 0
+    verdicts = evaluate_rules(an, cfg.assert_equisingular,
+                              cfg.assert_irreducible)
+    return rp.family_report(cfg, an, verdicts), 0
 
 
 def cmd_ilm(cfg: rp.RunConfig) -> tuple[dict, int]:

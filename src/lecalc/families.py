@@ -12,7 +12,8 @@ germ_record checks f0 over QQ and F over QQ(t).
 The theorem checkers record each hypothesis with a HOLDS / FAILS /
 USER_ASSERTED / NOT_CHECKED status and only emit a conclusion licensed by
 those statuses; user assertions are always listed, never silently mixed
-with computed facts.
+with computed facts.  Irreducibility of the generic polar curve, a premise
+of mt3 and cmt3, is never computed: it holds only when the user asserts it.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
-from .engine import Ideal, _strip_common_factors
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      InternalCheckError, MathRefusal, NonIsolatedError,
                      NonReducedError, UnluckySpecializationError, UsageError)
 from .invariants import (InvariantRecord, WeightSystem, detect_weights,
                          germ_record, milnor_number, order_at_origin)
-from .poly import Modular, Polynomial, multivariate_gcd, render
+from .poly import Modular, Polynomial
 
 ZERO = "ZERO"
 GENERIC = "GENERIC"
@@ -230,10 +230,6 @@ class IlmRow(NamedTuple):
     mu: int | None
     predicted: int            # lambda0 + (j-1) * lambda1
     residual: int | None      # mu - predicted
-    # (mu + mu_slice) - ((gamma1+lambda0) + j*lambda1), which is residual
-    # since lambda1 = mu_slice - gamma1; kept as a column of the schema-1
-    # report
-    residual_sum: int | None
     error: str | None
 
 
@@ -270,10 +266,7 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
     """mu(f_t + z1^j) for each j against the two augmentation identities
     mu = lambda0 + (j-1) lambda1 and mu + mu_slice = (gamma1+lambda0) +
     j lambda1; also re-derives (lambda0, lambda1, gamma1+lambda0) from the
-    table alone and compares with the direct record.  Since lambda1 is read
-    off the slice as mu_slice - gamma1, residual_sum equals residual: the
-    second identity restates the first, and its column stays only because
-    it is part of the schema-1 report.
+    table alone and compares with the direct record.
 
     At GENERIC each mu is evaluated over GF(p) at the family's points
     (over QQ(t), or at rational t, the augmented Jacobian bases drag
@@ -319,12 +312,12 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
     for j, mu in zip(js, mus):
         predicted = rec.lambda0 + (j - 1) * rec.lambda1
         if mu is None:
-            rows.append(IlmRow(j, None, predicted, None, None,
+            rows.append(IlmRow(j, None, predicted, None,
                                "augmented germ is not an isolated singularity"))
             continue
         values[j] = mu
         residual = mu - predicted
-        rows.append(IlmRow(j, mu, predicted, residual, residual, None))
+        rows.append(IlmRow(j, mu, predicted, residual, None))
 
     inferred = None
     found = sorted(values)
@@ -342,83 +335,7 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
 
 
 # ---------------------------------------------------------------------------
-# irreducibility evidence (heuristic, never a certificate)
-
-class EvidenceReport(NamedTuple):
-    verdict: str                 # SUPPORTING | COUNTER
-    details: tuple[str, ...]
-    certificate: str = "NOT_A_CERTIFICATE"
-
-
-def _distinct_prime_summary(g: Polynomial) -> tuple[int, list[str]]:
-    """(number of distinct prime factors through the origin found, human
-    notes); counts are a lower bound obtained by monomial-content splitting
-    and a factor shared with a partial.  A factor with a nonzero constant
-    term is a unit in the local ring: it counts no prime."""
-    ctx = g.context
-    notes: list[str] = []
-    primes = 0
-    rest = g
-
-    # split off coordinate factors, each power of a variable in one division
-    for v in ctx.variables:
-        var = Polynomial.variable(ctx, v)
-        q = _strip_common_factors(rest, var)
-        hits = rest.total_degree() - q.total_degree()
-        rest = q
-        if hits:
-            primes += 1
-            notes.append(f"coordinate factor {render(var ** hits)}")
-
-    def through_origin(p: Polynomial) -> bool:
-        """Whether p vanishes at 0; a nonconstant unit is noted."""
-        unit = bool(p.constant_coefficient())
-        if unit and p.total_degree():
-            notes.append(f"unit at the origin {render(p)}")
-        return not unit
-
-    # no variable divides rest, so one in a single variable is a unit
-    if not through_origin(rest):
-        return primes, notes
-
-    # look for a repeated factor shared with a partial
-    for v in ctx.variables:
-        d = rest.partial(v)
-        if d.is_zero():
-            continue
-        common = multivariate_gcd(rest, d)
-        if common.total_degree() > 0:
-            probe = _strip_common_factors(rest, common)
-            found = [p for p in (common, probe) if through_origin(p)]
-            if len(found) == 2:
-                notes.append(
-                    f"splits as {render(common)} times {render(probe)} "
-                    "(up to multiplicity)")
-            elif found[0] is common:
-                notes.append(f"prime power of {render(common)}")
-            else:
-                notes.append(f"no factorization found for {render(probe)}")
-            return primes + len(found), notes
-    notes.append(f"no factorization found for {render(rest)}")
-    return primes + 1, notes
-
-
-def irreducibility_evidence(ideal: Ideal) -> EvidenceReport:
-    """Heuristic evidence about irreducibility of the variety the ideal
-    presents: SUPPORTING when each generator shows a single prime factor,
-    COUNTER when some generator visibly splits.  Never a certificate."""
-    details = []
-    verdict = "SUPPORTING"
-    for g in ideal.generators:
-        count, notes = _distinct_prime_summary(g)
-        details.append(f"{render(g)}: " + "; ".join(notes))
-        if count > 1:
-            verdict = "COUNTER"
-    return EvidenceReport(verdict, tuple(details))
-
-
-# ---------------------------------------------------------------------------
-# theorem verdicts
+# theorem verdicts (the polar curve's irreducibility is only ever asserted)
 
 class HypothesisCheck(NamedTuple):
     name: str
@@ -477,8 +394,7 @@ _LINE = "line_singularities_at_both_slices"
 
 
 def _hypotheses(an: FamilyAnalysis, equisingular_asserted: bool,
-                irreducible_asserted: bool,
-                evidence: EvidenceReport | None) -> dict[str, HypothesisCheck]:
+                irreducible_asserted: bool) -> dict[str, HypothesisCheck]:
     """Every hypothesis any rule lists, each built once, keyed by name."""
     checks: dict[str, HypothesisCheck] = {}
 
@@ -552,12 +468,9 @@ def _hypotheses(an: FamilyAnalysis, equisingular_asserted: bool,
     else:
         add("base_homogeneous", FAILS, f"term degrees {sorted(degs)}")
 
-    irreducible = ("irreducibility of the generic polar curve asserted by "
-                   "the user")
-    if evidence is not None:
-        irreducible += f" (heuristic evidence: {evidence.verdict})"
     for name, asserted, detail, missing in (
-            (IRREDUCIBLE_POLAR_CURVE, irreducible_asserted, irreducible,
+            (IRREDUCIBLE_POLAR_CURVE, irreducible_asserted,
+             "irreducibility of the generic polar curve asserted by the user",
              "irreducibility"),
             ("topologically_V_equisingular", equisingular_asserted,
              "topological V-equisingularity asserted by the user",
@@ -669,16 +582,9 @@ RULES = (
 
 
 def evaluate_rules(an: FamilyAnalysis, equisingular_asserted: bool,
-                   irreducible_asserted: bool
-                   ) -> tuple[tuple[TheoremVerdict, ...], EvidenceReport | None]:
-    """The verdicts of every rule in RULES, in order, and the heuristic
-    irreducibility evidence for the generic polar curve they cite (None
-    when the generic slice is unavailable or its polar curve is empty)."""
-    evidence = None
-    if an.generic is not None and not an.generic.record.polar_empty:
-        evidence = irreducibility_evidence(an.generic.record.polar_ideal)
-    checks = _hypotheses(an, equisingular_asserted, irreducible_asserted,
-                         evidence)
+                   irreducible_asserted: bool) -> tuple[TheoremVerdict, ...]:
+    """The verdicts of every rule in RULES, in order."""
+    checks = _hypotheses(an, equisingular_asserted, irreducible_asserted)
 
     held = {h.name for h in checks.values()
             if h.status in (HOLDS, USER_ASSERTED)}
@@ -704,4 +610,4 @@ def evaluate_rules(an: FamilyAnalysis, equisingular_asserted: bool,
         hypotheses = tuple(checks[h] for h in rule.premises + rule.triggers)
         verdicts.append(TheoremVerdict(rule.name, hypotheses, conclusion,
                                        tuple(notes)))
-    return tuple(verdicts), evidence
+    return tuple(verdicts)

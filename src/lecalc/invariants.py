@@ -439,20 +439,6 @@ def lambda1(f: Polynomial, slice_milnor: int, gamma1_value: int,
                       f"with the generic value {generic}")
 
 
-def polar_ratio(gamma1_value: int, lambda0_value: int) -> Fraction | None:
-    """(intersection with V(f)) / (intersection with V(z1)) for the polar
-    curve; undefined when the curve misses the origin."""
-    if gamma1_value == 0:
-        return None
-    return Fraction(gamma1_value + lambda0_value, gamma1_value)
-
-
-def euler_reduced(lambda0_value: int, lambda1_value: int, n: int) -> int:
-    if n < 2:
-        raise DegenerateInputError("need at least 2 variables")
-    return ((-1) ** (n - 1)) * lambda0_value + ((-1) ** (n - 2)) * lambda1_value
-
-
 # ---------------------------------------------------------------------------
 # the full record
 
@@ -475,12 +461,16 @@ class InvariantRecord(NamedTuple):
 
     @property
     def polar_ratio(self) -> Fraction | None:
-        return polar_ratio(self.gamma1, self.lambda0)
+        """(intersection with V(f)) / (intersection with V(z1)) for the
+        polar curve; undefined when the curve misses the origin."""
+        if self.polar_empty:
+            return None
+        return Fraction(self.gamma1 + self.lambda0, self.gamma1)
 
     @property
     def euler_reduced(self) -> int:
-        return euler_reduced(self.lambda0, self.lambda1,
-                             self.polar_ideal.context.nvars)
+        n = self.polar_ideal.context.nvars
+        return (-1) ** (n - 1) * self.lambda0 + (-1) ** (n - 2) * self.lambda1
 
     @property
     def polar_empty(self) -> bool:

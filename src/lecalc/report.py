@@ -109,7 +109,12 @@ def ilm_json(table: IlmTable) -> dict:
         "where": table.where,
         "mu_slice": table.slice_milnor,
         "t_witnesses": points_json(table.t_witnesses),
-        "rows": [r._asdict() for r in table.rows],
+        # schema 1 also writes the second identity's residual,
+        # (mu + mu_slice) - ((gamma1+lambda0) + j*lambda1), which equals
+        # residual since lambda1 = mu_slice - gamma1
+        "rows": [{"j": r.j, "mu": r.mu, "predicted": r.predicted,
+                  "residual": r.residual, "residual_sum": r.residual,
+                  "error": r.error} for r in table.rows],
         "inferred": list(table.inferred) if table.inferred else None,
         "expected": list(table.expected),
         "passed": table.passed,
@@ -181,8 +186,7 @@ def refusal_report(cfg: RunConfig, exc: NotLineSingularityError,
 
 
 def family_report(cfg: RunConfig, an: FamilyAnalysis,
-                  verdicts: list[TheoremVerdict],
-                  evidence: EvidenceReport | None) -> dict:
+                  verdicts: list[TheoremVerdict]) -> dict:
     doc = _document("family", cfg, family=family_json(an),
                     weights=weights_json(an.weights),
                     verdicts=[verdict_json(v) for v in verdicts],
@@ -197,8 +201,6 @@ def family_report(cfg: RunConfig, an: FamilyAnalysis,
             doc[f"{key}_extra"] = record_json_extra(sl.record)
     if an.generic is not None:
         doc["generic_witnesses"] = points_json(an.generic.t_witnesses)
-    if evidence is not None:
-        doc["irreducibility_evidence"] = evidence._asdict()
     doc["summary"] = family_summary(doc)
     if cfg.assert_irreducible or cfg.assert_equisingular:
         doc["warnings"].append("user assertions are recorded as USER_ASSERTED "
@@ -222,17 +224,14 @@ def family_summary(doc: dict) -> str:
             head += "; verified directly, no rule applies"
         return head
     head = f"NOT equimultiple (orders {zero} vs {generic})"
-    evidence = doc.get("irreducibility_evidence")
     for v in doc["verdicts"]:
         if v["conclusion"] != NOT_TOPOLOGICALLY_V_EQUISINGULAR:
             continue
         clause = f"; rule {v['rule']} => NOT topologically V-equisingular"
         if any(h["name"] == IRREDUCIBLE_POLAR_CURVE
                and h["status"] == USER_ASSERTED for h in v["hypotheses"]):
-            ev = "no evidence computed" if evidence is None \
-                else f"evidence {evidence['verdict']}"
-            clause += f" (polar curve irreducibility: asserted, {ev}, " \
-                      "not a certificate)"
+            clause += " (polar curve irreducibility: asserted, not a " \
+                      "certificate)"
         head += clause
     return head
 
@@ -442,11 +441,6 @@ def _family_text(doc: dict) -> list[str]:
     else:
         lines.append(f"invariants at generic {t}: unavailable "
                      f"({fam['slice_errors']['generic']})")
-    evidence = doc.get("irreducibility_evidence")
-    if evidence is not None:
-        lines += ["", f"irreducibility evidence for the generic polar curve "
-                      f"({evidence['certificate']}): {evidence['verdict']}"]
-        lines += [f"  {d}" for d in evidence["details"]]
     for v in doc["verdicts"]:
         lines += [""] + verdict_text(v)
     return lines + ["", f"summary: {doc['summary']}"]

@@ -138,9 +138,7 @@ def criterion_verdict(env: SelfTestEnv) -> str:
     expect((eq.order_zero, eq.order_generic) == (4, 3),
            f"orders ({eq.order_zero}, {eq.order_generic}), expected (4, 3)")
     env.slice_record("nonupper_family", GENERIC)
-    verdicts, evidence = evaluate_rules(an, False, True)
-    expect(evidence.verdict == "SUPPORTING",
-           f"evidence verdict {evidence.verdict}")
+    verdicts = evaluate_rules(an, False, True)
     c3 = {v.theorem: v for v in verdicts}["cmt3"]
     expect(c3.conclusion == NOT_TOPOLOGICALLY_V_EQUISINGULAR,
            f"cmt3 concluded {c3.conclusion}")
@@ -149,7 +147,7 @@ def criterion_verdict(env: SelfTestEnv) -> str:
            "gamma1-constancy must hold")
     expect(status["generic_polar_curve_irreducible"] == USER_ASSERTED,
            "irreducibility must be recorded as user-asserted")
-    return "orders (4, 3); cmt3 contrapositive fires with SUPPORTING evidence"
+    return "orders (4, 3); cmt3 contrapositive fires on asserted irreducibility"
 
 
 def criterion_le_numbers(env: SelfTestEnv) -> str:
@@ -211,7 +209,7 @@ def criterion_suspension(env: SelfTestEnv) -> str:
                f"({rec.lambda0}, {rec.gamma1}, {rec.lambda1})")
     expect(an.equimultiplicity.equimultiple, "family must be equimultiple")
     verdict = {v.theorem: v
-               for v in evaluate_rules(an, False, False)[0]}["mt2"]
+               for v in evaluate_rules(an, False, False)}["mt2"]
     expect(verdict.conclusion == EQUIMULTIPLE,
            f"mt2 concluded {verdict.conclusion}")
     detail = {h.name: h.detail for h in verdict.hypotheses}

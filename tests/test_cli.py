@@ -257,6 +257,23 @@ def test_weight_search_draws_on_the_budget(capsys):
                    "steps exhausted\n")
 
 
+def test_family_runs_no_factor_search_on_the_polar_curve(capsys):
+    # the generic polar ideal has seven generators with coefficients in
+    # QQ(t); a gcd-based factor search over them once took 34 s outside the
+    # budget, and no verdict read it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family", "-e",
+                         "z1^3*z2^2 + z2^5 + z3^3 + t*z1^2*z2^3*z3^2",
+                         "--param", "t", "--format", "json")
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["summary"] == ("equimultiple (orders 3 = 3); verified "
+                              "directly, no rule applies")
+    assert [v["conclusion"] for v in doc["verdicts"]] == ["INCONCLUSIVE"] * 5
+    assert "irreducibility_evidence" not in doc
+
+
 @pytest.mark.parametrize("exponent", [200000, 1000000])
 def test_high_transverse_powers_take_no_linear_loop(capsys, exponent):
     # parsing z2^e and saturating dz2 = e*z2^(e-1) by z2 each take a
@@ -359,7 +376,8 @@ def test_family_summary_fires_contrapositive(capsys):
     assert code == 0
     assert "NOT equimultiple (orders 4 vs 3)" in out
     assert "rule cmt3 => NOT topologically V-equisingular" in out
-    assert "evidence SUPPORTING, not a certificate" in out
+    assert "(polar curve irreducibility: asserted, not a certificate)" in out
+    assert "evidence" not in out
 
 
 def test_family_with_zero_base_refused(capsys):

@@ -33,7 +33,8 @@ CASES = {
     "axis_weight": ["-e", "z1*z2^2 + z2^3 + z3^3 + t*z1*z2^2",
                     "--param", "t"],
     # cmt3 and homogeneous contrapositives, the contradicted assertion, the
-    # irreducibility evidence and the summary's cmt3 clause
+    # asserted (never computed) polar curve irreducibility and the summary's
+    # cmt3 clause
     "contrapositive": ["-e", "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2",
                        "--param", "t", "--assert-equisingular",
                        "--assert-gamma1-irreducible"],

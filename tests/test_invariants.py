@@ -22,10 +22,9 @@ from lecalc.errors import (BudgetExceededError, DegenerateInputError,
                            NotLineSingularityError, PolarDimensionError)
 from lecalc.invariants import (WeightSystem, _jacobian, _line_check,
                                _vanishes_on_axis, detect_weights, draw_rational,
-                               euler_reduced, gamma1,
-                               germ_record, is_line_singularity, lambda1,
-                               milnor_number, order_at_origin,
-                               polar_ratio, polar_variety_1)
+                               gamma1, germ_record, is_line_singularity,
+                               lambda1, milnor_number, order_at_origin,
+                               polar_variety_1)
 from lecalc.families import PRIMES, default_j_values
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, reduced_witness
@@ -330,10 +329,10 @@ def test_le_and_polar_numbers_of_base():
     gamma = polar_variety_1(BASE)
     assert gamma1(gamma) == 9
     assert _line_check(BASE)[2] == 21      # lambda0
-    assert polar_ratio(9, 21) == Fraction(10, 3)
-    assert polar_ratio(0, 0) is None
-    assert euler_reduced(21, 3, 3) == 18
-    assert euler_reduced(0, 4, 3) == -4
+    rec = germ_record(BASE, Random(0))
+    assert (rec.polar_ratio, rec.euler_reduced) == (Fraction(10, 3), 18)
+    rec = germ_record(SUSPENSION, Random(0))
+    assert (rec.polar_ratio, rec.euler_reduced) == (None, -4)
 
 
 def _hyperplane_cut_sides(f: Polynomial, k: int,
