@@ -20,14 +20,12 @@ from .engine import (DEFAULT_BUDGET, Ideal, StandardBasis, colength_at_origin,
                      step_budget)
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
-                     LecalcError, MathRefusal, NonIntegerResultError,
-                     NonIsolatedError, NonReducedError,
-                     NotLineSingularityError, ParseError,
-                     PolarDimensionError, UnluckySpecializationError,
-                     UsageError)
+                     LecalcError, MathRefusal, NonIsolatedError,
+                     NonReducedError, NotLineSingularityError, ParseError,
+                     UnluckySpecializationError, UsageError)
 from .invariants import (InvariantRecord, WeightSystem, detect_weights,
                          germ_record, is_line_singularity, milnor_number,
-                         order_at_origin, polar_variety_1)
+                         order_at_origin)
 from .orders import GREVLEX, LOCAL, MonomialOrder
 from .parse import parse_polynomial
 from .poly import Coefficient, Context, Modular, Polynomial, render
@@ -40,9 +38,8 @@ __all__ = [
     "FamilyAnalysis", "GREVLEX", "Ideal", "IlmTable",
     "ImproperIntersectionError", "InternalCheckError", "InvariantRecord",
     "LOCAL", "LecalcError", "MathRefusal", "Modular", "MonomialOrder",
-    "NonIntegerResultError", "NonIsolatedError", "NonReducedError",
-    "NotLineSingularityError", "ParseError", "PolarDimensionError",
-    "Polynomial", "StandardBasis", "TheoremVerdict",
+    "NonIsolatedError", "NonReducedError", "NotLineSingularityError",
+    "ParseError", "Polynomial", "StandardBasis", "TheoremVerdict",
     "UnluckySpecializationError", "UsageError", "WeightSystem",
     "analyze_family", "colength_at_origin",
     "colength_by_truncation", "colength_global", "contains_local_unit",
@@ -50,7 +47,7 @@ __all__ = [
     "eliminate", "evaluate_rules", "germ_record", "ideals_equal",
     "intersect", "is_equimultiple", "is_line_singularity", "is_upper",
     "milnor_number", "order_at_origin", "parse_polynomial",
-    "polar_variety_1", "render", "saturate", "standard_basis",
+    "render", "saturate", "standard_basis",
     "step_budget", "verify_ilm",
 ]
 

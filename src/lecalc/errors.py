@@ -68,16 +68,6 @@ class ImproperIntersectionError(MathRefusal):
     token = "IMPROPER_INTERSECTION"
 
 
-class PolarDimensionError(MathRefusal):
-    """Relative polar variety has unexpected dimension (coordinates not generic)."""
-    token = "POLAR_DIMENSION"
-
-
-class NonIntegerResultError(MathRefusal):
-    """A quantity that must be a non-negative integer evaluated otherwise."""
-    token = "NON_INTEGER_RESULT"
-
-
 class DegenerateInputError(MathRefusal):
     """Zero polynomial, nonvanishing constant term, or similar degeneracies."""
     token = "DEGENERATE_INPUT"

@@ -17,17 +17,17 @@ k-cycle supported on the critical locus, which is a curve.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from random import Random
 from typing import NamedTuple
 
-from .engine import (Ideal, colength_at_origin, current_budget,
-                     dimension_at_origin, saturate)
+from .engine import Ideal, colength_at_origin, current_budget, saturate
 from .errors import (ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
                      NonIsolatedError, NotLineSingularityError,
-                     PolarDimensionError, UnluckySpecializationError)
+                     UnluckySpecializationError)
 from .poly import Polynomial, require_reduced
 
 
@@ -128,55 +128,57 @@ class WeightSystem(_WeightFields):
         return sum(e * w for e, w in zip(expo, self.weights))
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the rational nullspace via Gauss-Jordan elimination."""
+def _nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Integer basis of the rational nullspace of an integer matrix, by
+    Gauss-Jordan elimination without division: a row is cleared by
+    cross-multiplication and kept primitive."""
     mat = [row[:] for row in rows]
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
+        p = mat[r][c]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+                a = mat[i][c]
+                row = [x * p - a * y for x, y in zip(mat[i], mat[r])]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g else row
         pivots.append(c)
-        r += 1
-        if r == len(mat):
+        if len(pivots) == len(mat):
             break
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    scale = lcm(*(mat[ri][pc] for ri, pc in enumerate(pivots)))
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = scale
         for ri, pc in enumerate(pivots):
-            v[pc] = -mat[ri][fc]
+            v[pc] = -mat[ri][fc] * scale // mat[ri][pc]
         basis.append(v)
     return basis
-
-
-def _integerize(vec: list[Fraction]) -> list[int] | None:
-    if any(x <= 0 for x in vec):
-        return None
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    g = gcd(*ints)
-    return [x // g for x in ints]
 
 
 def detect_weights(f: Polynomial) -> WeightSystem | None:
     """Positive weights (w, d) with every monomial of f of weighted degree d,
     or None when no positive solution exists.
 
-    When the solution cone has dimension greater than one, a deterministic
-    search over small integer combinations of a nullspace basis picks a
-    representative (flagged non-unique).  Each combination it evaluates
-    costs one step of the current budget: a cone of dimension 5, as for a
-    product of 5 variables, evaluates about 1.6e5 before its first hit."""
+    The solutions (w, d) form a space of some dimension r, and those with
+    w_i >= 1 for each variable of f a polyhedron P in it.  P is pointed and
+    d is bounded below on it, so P is empty exactly when no positive
+    weights exist, and otherwise d is least at a vertex of P, where r
+    independent constraints w_i = 1 are tight.  So each r-subset of the
+    variables is solved for the point of P with weight 1 on the subset,
+    and the result is the vertex of least d, ties broken by the
+    lexicographically least w, scaled to primitive integers.  Every vertex
+    has w_min = 1, so the result has the least d/w_min.  When r = 1 the
+    system is flagged unique, P is the ray scaled to w_min = 1, and
+    detection costs no step; when r >= 2 each subset it solves costs one
+    step of the current budget."""
     if f.is_zero():
         raise DegenerateInputError("cannot weight the zero polynomial")
     if f.context.parameters:
@@ -186,39 +188,34 @@ def detect_weights(f: Polynomial) -> WeightSystem | None:
     if not present:
         raise DegenerateInputError("germ does not vanish at the origin")
     ncols = len(present) + 1  # unknowns: weights of present variables, then d
-    rows = [[Fraction(m[i]) for i in present] + [Fraction(-1)]
-            for m in f.terms]
+    rows = [[m[i] for i in present] + [-1] for m in f.terms]
     basis = _nullspace(rows, ncols)
-    if not basis:
+    r = len(basis)
+    if not r:
         return None
-    unique = len(basis) == 1
-
-    solution = None
-    if unique:
-        v = basis[0]
-        if all(x < 0 for x in v):
-            v = [-x for x in v]
-        solution = _integerize(v)
-    else:
-        # bounded deterministic search of the positive cone
-        dim = len(basis)
-        budget = current_budget()
-        for bound in range(1, 9):
-            hit = None
-            for combo in iter_product(range(-bound, bound + 1), repeat=dim):
-                if max(abs(c) for c in combo) != bound:
-                    continue  # covered by a smaller bound
-                budget.tick()
-                v = [sum(Fraction(c) * b[k] for c, b in zip(combo, basis))
-                     for k in range(ncols)]
-                cand = _integerize(v)
-                if cand is not None and (hit is None or cand < hit):
-                    hit = cand
-            if hit is not None:
-                solution = hit
-                break
-    if solution is None:
+    coords = list(zip(*basis))  # coords[j][k] = basis[k][j]
+    tick = current_budget().tick if r > 1 else (lambda: None)
+    best = None
+    for first, *rest in combinations(range(len(present)), r):
+        tick()
+        # the solutions with equal weights on the subset: a line through
+        # the subset's vertex when the r constraints are independent
+        kernel = _nullspace([[a - b for a, b in zip(coords[i], coords[first])]
+                             for i in rest], r)
+        if len(kernel) != 1:
+            continue
+        u = [sum(map(mul, kernel[0], c)) for c in coords]
+        if u[first] < 0:
+            u = [-x for x in u]
+        if not u[first] or min(u[:-1]) < u[first]:
+            continue  # no vertex, or some weight below 1 there
+        key = [Fraction(x, u[first]) for x in (u[-1], *u[:-1])]
+        if best is None or key < best[0]:
+            best = key, u
+    if best is None:
         return None
+    g = gcd(*best[1])
+    solution = [x // g for x in best[1]]
 
     det_weights = solution[:-1]
     degree = solution[-1]
@@ -233,7 +230,8 @@ def detect_weights(f: Polynomial) -> WeightSystem | None:
         else:
             weights.append(w_free)
             free.append(True)
-    ws = WeightSystem(ctx.variables, tuple(weights), degree, tuple(free), unique)
+    ws = WeightSystem(ctx.variables, tuple(weights), degree, tuple(free),
+                      r == 1)
     for m in f.terms:
         if ws.weighted_degree(m) != degree:
             raise InternalCheckError("weight system fails on its own input")
@@ -325,7 +323,7 @@ def is_line_singularity(f: Polynomial) -> LineSingularityCheck:
 
     The third runs only when the first two pass, and is read off the polar
     curve.  Let P = (df/dz2, ..., df/dzn), Gamma = P : (z2, ..., zn)^infinity
-    (the ideal of polar_variety_1) and d1 = df/dz1.  Then V(P) = V(Gamma) union
+    (the ideal of the polar curve) and d1 = df/dz1.  Then V(P) = V(Gamma) union
     (V(P) meet the axis), so V(Jac) = V(P) meet V(d1) agrees with
     V(Gamma + (d1)) off the axis, and an extra component passes through 0
     exactly when 0 lies in the closure of V(Gamma + (d1)) minus the axis.
@@ -383,19 +381,6 @@ def _polar_ideal(f: Polynomial) -> Ideal:
         raise DegenerateInputError("germ depends only on the axis variable")
     axis_ideal = Ideal(ctx, tuple(Polynomial.variable(ctx, v) for v in others))
     return saturate(Ideal(ctx, tuple(gens)), axis_ideal)
-
-
-def polar_variety_1(f: Polynomial) -> Ideal:
-    """The relative polar curve: components of V(partials transverse to the
-    axis) not contained in the singular line, as the saturation by
-    (z2, ..., zn).  Its germ must be a curve or empty."""
-    gamma = _polar_ideal(f)
-    dim = dimension_at_origin(gamma)
-    if dim not in (None, 1):
-        raise PolarDimensionError(
-            f"polar variety has dimension {dim} at the origin (expected a "
-            "curve or empty); the coordinates are not prepolar")
-    return gamma
 
 
 def gamma1(gamma: Ideal) -> int:

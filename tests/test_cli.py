@@ -124,8 +124,6 @@ def test_not_line_singularity_extra_critical_component(capsys):
     (errors.NonIsolatedError, "NON_ISOLATED"),
     (errors.NotLineSingularityError, "NOT_LINE_SINGULARITY"),
     (errors.ImproperIntersectionError, "IMPROPER_INTERSECTION"),
-    (errors.PolarDimensionError, "POLAR_DIMENSION"),
-    (errors.NonIntegerResultError, "NON_INTEGER_RESULT"),
     (errors.DegenerateInputError, "DEGENERATE_INPUT"),
     (errors.UnluckySpecializationError, "UNLUCKY_SPECIALIZATION"),
     (errors.BudgetExceededError, "BUDGET_EXCEEDED"),
@@ -243,18 +241,33 @@ def test_axis_weight_note_does_not_hide_budget_exhaustion(capsys):
                                2)
 
 
-def test_weight_search_draws_on_the_budget(capsys):
-    # the base's weight cone has dimension 5, and the search evaluates
-    # about 1.6e5 candidates before its first hit, far past the default
-    # budget; the first 2000 take a fraction of a second
+def test_five_dimensional_weight_cone_fits_the_default_budget(capsys):
+    # the base's weight cone has dimension 5, so its one vertex (1, ..., 1)
+    # is the one 5-subset of the variables; a search over small
+    # combinations of a nullspace basis once ran out of the default budget
     start = time.perf_counter()
     code, out, err = run(capsys, "family", "-e",
                          "z1*z2*z3*z4*z5 + t*z1^2*z2", "--param", "t",
-                         "--vars", "z1,z2,z3,z4,z5", "--budget", "2000")
+                         "--vars", "z1,z2,z3,z4,z5", "--format", "json")
     assert time.perf_counter() - start < 1
-    assert code == 2 and out == ""
-    assert err == ("refused: BUDGET_EXCEEDED: reduction budget of 2000 "
-                   "steps exhausted\n")
+    assert code == 0 and err == ""
+    weights = json.loads(out)["weights"]
+    assert (weights["weights"], weights["degree"]) == ([1] * 5, 5)
+    assert weights["unique"] is False
+
+
+def test_base_with_a_far_weight_vertex_is_weighted_homogeneous(capsys):
+    # the weights (1, 1, 1) of z1*z2^9 + z3^10 need a coefficient ratio of
+    # 9 in the nullspace basis, past the bound of a small-combination search
+    code, out, err = run(capsys, "family", "-e", "z1*z2^9 + z3^10 + t*z2^10",
+                         "--param", "t", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["weights"]["weights"], doc["weights"]["degree"]) == \
+        ([1, 1, 1], 10)
+    statuses = {h["name"]: h["status"] for v in doc["verdicts"]
+                for h in v["hypotheses"]}
+    assert statuses["base_weighted_homogeneous"] == "HOLDS"
 
 
 def test_family_runs_no_factor_search_on_the_polar_curve(capsys):

@@ -9,7 +9,7 @@ from operator import mul
 from random import Random
 
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from lecalc import engine, invariants
@@ -17,14 +17,13 @@ from lecalc.engine import (Ideal, colength_at_origin, contains_local_unit,
                            dimension_at_origin, ideals_equal, saturate,
                            step_budget)
 from lecalc.errors import (BudgetExceededError, DegenerateInputError,
-                           InternalCheckError, NonIntegerResultError,
-                           NonIsolatedError, NonReducedError,
-                           NotLineSingularityError, PolarDimensionError)
+                           InternalCheckError, NonIsolatedError,
+                           NonReducedError, NotLineSingularityError)
 from lecalc.invariants import (WeightSystem, _jacobian, _line_check,
-                               _vanishes_on_axis, detect_weights, draw_rational,
-                               gamma1, germ_record, is_line_singularity,
-                               lambda1, milnor_number, order_at_origin,
-                               polar_variety_1)
+                               _polar_ideal, _vanishes_on_axis,
+                               detect_weights, draw_rational, gamma1,
+                               germ_record, is_line_singularity, lambda1,
+                               milnor_number, order_at_origin)
 from lecalc.families import PRIMES, default_j_values
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, reduced_witness
@@ -69,6 +68,107 @@ def test_detect_weights_rejects_inhomogeneous():
         parse_polynomial("z1^3 + z1^2*z2 + z2^4", C3)) is None
 
 
+@pytest.mark.parametrize("expr, weights, degree", [
+    # a small-combination search of the nullspace missed the first two
+    # and gave (4, 1, 5, 5, 5; 20) for the third
+    ("z1*z2^9 + z3^10", (1, 1, 1), 10),
+    ("z1*z2^8 + z3^9", (1, 1, 1), 9),
+    ("z1*z2*z3*z4*z5 + z1^5", (1, 1, 1, 1, 1), 5),
+])
+def test_detect_weights_takes_the_least_degree_vertex(expr, weights, degree):
+    ctx = Context(tuple(f"z{i}" for i in range(1, len(weights) + 1)), ())
+    w = detect_weights(parse_polynomial(expr, ctx))
+    assert (w.weights, w.degree) == (weights, degree)
+    assert not w.unique
+
+
+def test_detect_weights_charges_only_a_cone_wider_than_a_ray():
+    # a unique system takes no step; z1*z2^9 + z3^10 has a 2-dimensional
+    # cone and solves the three 2-subsets of its variables
+    with step_budget(1) as budget:
+        detect_weights(BASE)
+        assert budget.used == 0
+    with step_budget(3):
+        detect_weights(parse_polynomial("z1*z2^9 + z3^10", C3))
+    with step_budget(2), pytest.raises(BudgetExceededError):
+        detect_weights(parse_polynomial("z1*z2^9 + z3^10", C3))
+
+
+def _monomials_of_degree(w: list[int], d: int) -> list[tuple[int, ...]]:
+    if len(w) == 1:
+        return [(d // w[0],)] if d % w[0] == 0 else []
+    return [(e, *rest) for e in range(d // w[0] + 1)
+            for rest in _monomials_of_degree(w[1:], d - e * w[0])]
+
+
+@st.composite
+def _weighted_homogeneous_polynomials(draw):
+    """A polynomial in 2 to 4 variables whose monomials all have degree d
+    for weights w_i <= 6 drawn with it."""
+    n = draw(st.integers(2, 4))
+    w = [draw(st.integers(1, 6)) for _ in range(n)]
+    monomials = _monomials_of_degree(w, draw(st.integers(max(w), 30)))
+    if not monomials:
+        reject()
+    ctx = Context(tuple(f"z{i}" for i in range(1, n + 1)), ())
+    f = Polynomial.zero(ctx)
+    for m in draw(st.lists(st.sampled_from(monomials), min_size=1,
+                           max_size=4, unique=True)):
+        f = f + Polynomial.monomial(ctx, m, draw(st.sampled_from((1, -2, 3))))
+    return f
+
+
+def _rank(rows: list[list[int]]) -> int:
+    """Rank over QQ by Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            q = rows[i][c] / rows[rank][c]
+            rows[i] = [a - q * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_weighted_homogeneous_polynomials())
+@example(parse_polynomial("z2^7 + z1^6*z3", C3))
+def test_detect_weights_agrees_with_a_brute_force_oracle(f):
+    # the oracle tries every weight vector in [1, 6] on the variables of f
+    present = [i for i in range(f.context.nvars)
+               if any(m[i] for m in f.terms)]
+    found = [v for v in product(range(1, 7), repeat=len(present))
+             if len({sum(m[i] * x for i, x in zip(present, v))
+                     for m in f.terms}) == 1]
+    assert found       # the drawn weights are among them
+    w = detect_weights(f)
+    assert w is not None
+    assert all(w.weighted_degree(m) == w.degree for m in f.terms)
+    assert min(w.weights) >= 1 and gcd(*w.weights, w.degree) == 1
+    ours = [w.weights[i] for i in present]
+    first = [next(iter(f.terms))[i] for i in present]
+    # each oracle solution scaled to w_min = 1 is a point of the polyhedron
+    # on which the result has the least degree
+    assert all(Fraction(w.degree, w.smallest_weight)
+               <= Fraction(sum(map(mul, first, v)), min(v)) for v in found)
+    # a unique system leaves the oracle nothing else to find
+    proportional = all(a * ours[0] == b * v[0]
+                       for v in found for a, b in zip(v, ours))
+    assert proportional or not w.unique
+    # the converse needs more than the box: z2^7 + z1^6*z3 has a cone of
+    # dimension 2, yet 6*w1 - 7*w2 + w3 = 0 has no solution in [1, 6]^3
+    # off the diagonal; so the cone's dimension is read off the rank of
+    # the degree equations
+    differences = [[m[i] - e for i, e in zip(present, first)]
+                   for m in f.terms]
+    assert w.unique == (_rank(differences) == len(present) - 1)
+
+
 def test_milnor_numbers_brieskorn():
     ctx = Context(("z2", "z3"), ())
     a_ = Polynomial.variable(ctx, "z2")
@@ -91,9 +191,8 @@ def milnor_orlik(w, indices):
     acc = Fraction(1)
     for i in indices:
         acc *= Fraction(w.degree, w.weights[i]) - 1
-    if acc.denominator != 1 or acc < 0:
-        raise NonIntegerResultError(
-            f"weight product {acc} is not a non-negative integer")
+    assert acc.denominator == 1 and acc >= 0, \
+        f"weight product {acc} is not a non-negative integer"
     return int(acc)
 
 
@@ -152,12 +251,11 @@ def test_line_singularity_check_fails_on_extra_critical_line():
 
 
 def test_extra_critical_component_off_a_surface_polar_variety():
-    # Gamma = (z1) is a surface, which polar_variety_1 refuses; the slice is
-    # zero, so the check stops at its second test and leaves the third
-    # untested, though the z2- and z3-axes are extra components through 0
+    # Gamma = (z1) is a surface, not a curve; the slice is zero, so the
+    # check stops at its second test and leaves the third untested, though
+    # the z2- and z3-axes are extra components through 0
     f = parse_polynomial("z1*z2*z3", C3)
-    with pytest.raises(PolarDimensionError):
-        polar_variety_1(f)
+    assert dimension_at_origin(_polar_ideal(f)) == 2
     check, gamma, l0 = _line_check(f)
     assert gamma is None and l0 is None
     assert check.vanishes_on_axis and not check.slice_isolated
@@ -318,7 +416,7 @@ def test_line_singularity_needs_vanishing_at_origin():
 
 
 def test_polar_variety_of_base():
-    gamma = polar_variety_1(BASE)
+    gamma = _line_check(BASE)[1]
     expected = Ideal(C3, (
         parse_polynomial("z2^3 + 2/5*z1^2", C3),
         parse_polynomial("z3^3", C3)))
@@ -326,9 +424,9 @@ def test_polar_variety_of_base():
 
 
 def test_le_and_polar_numbers_of_base():
-    gamma = polar_variety_1(BASE)
+    _, gamma, l0 = _line_check(BASE)
     assert gamma1(gamma) == 9
-    assert _line_check(BASE)[2] == 21      # lambda0
+    assert l0 == 21                        # lambda0
     rec = germ_record(BASE, Random(0))
     assert (rec.polar_ratio, rec.euler_reduced) == (Fraction(10, 3), 18)
     rec = germ_record(SUSPENSION, Random(0))
