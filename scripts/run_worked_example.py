@@ -75,8 +75,8 @@ def main(cfg: ExampleConfig) -> int:
         print()
 
     print("--- augmentation tables ---")
-    for where, sl in ((ZERO, an.zero), (GENERIC, an.generic)):
-        table = verify_ilm(fam, where, sl, Random(cfg.seed))
+    for sl in (an.zero, an.generic):
+        table = verify_ilm(fam, sl, Random(cfg.seed))
         for line in ilm_text(ilm_json(table), fam.parameter):
             print(line)
         print()

@@ -234,8 +234,8 @@ def cmd_ilm(cfg: rp.RunConfig) -> tuple[dict, int]:
     fam = decompose_family(f, rng)
     slice0 = invariants_at(fam, ZERO, rng)
     sliceg = invariants_at(fam, GENERIC, rng)
-    table0 = verify_ilm(fam, ZERO, slice0, rng, cfg.j_values)
-    tableg = verify_ilm(fam, GENERIC, sliceg, rng, cfg.j_values)
+    table0 = verify_ilm(fam, slice0, rng, cfg.j_values)
+    tableg = verify_ilm(fam, sliceg, rng, cfg.j_values)
     code = 0 if table0.passed and tableg.passed else 2
     return rp.ilm_report(cfg, table0, tableg), code
 

@@ -28,12 +28,11 @@ deterministically sorted, with tails as computed: their callers read the
 leading ideal (colengths, dimensions) or normal forms, and neither depends
 on the tails (Greuel-Pfister, 1.7: tails need reducing only where elements
 must be unique).  A normal form modulo a zero-dimensional local basis is still
-canonical: it is taken modulo m^N, N = 1 + the largest degree of a standard
-monomial, because every monomial of degree N is a leading monomial and so
-m^N lies in the ideal locally, and full reduction modulo m^N leaves the
-unique representative on standard monomials whatever the tails.  Standard
-monomials come in the (deterministic) order the staircase walk meets them.
-A colength is an int, or None when it is infinite.
+canonical: its leading exponents show a highest corner, so m^D lies in the
+ideal locally, and full reduction modulo m^D leaves the unique
+representative on standard monomials whatever the tails.  A colength is the
+number of standard monomials, counted where it is taken and never stored:
+an int, or None when it is infinite.
 
 Saturation: I : K^infinity is the intersection of the factors
 I : g^infinity over the generators g of K, and `saturate` returns its
@@ -147,16 +146,18 @@ class StandardBasis(NamedTuple):
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
     leading_exponents: tuple[tuple[int, ...], ...]
-    # local zero-dimensional bases only: the monomials outside the leading
-    # ideal, in the deterministic order the staircase walk meets them
-    standard_monomials: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def truncation_bound(self) -> int | None:
-        """N = 1 + the largest degree of a standard monomial, so that m^N
-        lies in the ideal; normal forms are reduced modulo m^N.  None unless
-        the basis is local and zero-dimensional."""
-        return _truncation_bound(self.standard_monomials)
+        """The highest-corner bound D = 1 + sum(a_i - 1) of a local basis
+        whose leading exponents hold a pure power z_i^a_i of every variable,
+        so that m^D lies in the ideal locally and normal forms and checks
+        are reduced modulo m^D; None for a global basis or one with no
+        corner (see _corner_bound)."""
+        if self.order.is_global:
+            return None
+        return _corner_bound(_pure_powers(self.leading_exponents),
+                             set(range(self.ideal.context.nvars)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +402,9 @@ def _corner_bound(corner, variables: set[int]):
 
 
 def _staircase(exps, nvars):
-    """Monomials outside the monomial ideal generated by exps, in the order
-    the walk meets them; None when there are infinitely many.
+    """The number of monomials outside the monomial ideal generated by exps,
+    counted and not kept; None when there are infinitely many, that is when
+    exps hold no pure power of some variable (_corner_bound).
 
     The walk goes outward from 1: the children of a standard monomial m are
     m * z_i for i at or after the last variable of m, so each monomial has
@@ -410,30 +412,24 @@ def _staircase(exps, nvars):
     standard, so a generator dividing the child m * z_i matches it in z_i:
     the generators are indexed by (i, e[i]), and a child is tested against
     those that match it there only."""
-    if len(_pure_powers(exps)) < nvars:
+    if _corner_bound(_pure_powers(exps), set(range(nvars))) is None:
         return None
     matching: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for e in exps:
         for i, a in enumerate(e):
             if a:
                 matching.setdefault((i, a), []).append(e)
-    out = []
+    count = 0
     stack = [((0,) * nvars, 0)] if all(any(e) for e in exps) else []
     while stack:
         m, last = stack.pop()
-        out.append(m)
+        count += 1
         for i in range(last, nvars):
             a = m[i] + 1
             c = m[:i] + (a,) + m[i + 1:]
             if not any(all(map(ge, c, e)) for e in matching.get((i, a), ())):
                 stack.append((c, i))
-    return tuple(out)
-
-
-def _truncation_bound(stairs):
-    # every monomial of higher degree than the staircase is a leading
-    # monomial, so m^bound lies in the ideal; bound <= colength
-    return None if stairs is None else 1 + max(map(sum, stairs), default=-1)
+    return count
 
 
 def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:
@@ -446,18 +442,15 @@ def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:
         # reduced element lt - NF(lt) = lt + NF(tail): an element's own
         # leading term never divides its tail, so this is the reduced
         # Groebner basis
-        stairs = None
         kept = [({lt: ctx.unit}
                  | _reduce({m: c for m, c in terms.items() if m != lt},
                            kept, order, bud), lt)
                 for terms, lt in kept]
-    else:
-        stairs = _staircase([lt for _, lt in kept], ctx.nvars)
 
     kept.sort(key=lambda r: order.key(r[1]))
     elements = tuple(Polynomial(ctx, dict(t)) for t, _ in kept)
     lts = tuple(lt for _, lt in kept)
-    return StandardBasis(ideal, order, elements, lts, stairs)
+    return StandardBasis(ideal, order, elements, lts)
 
 
 def verify_basis(sb: StandardBasis) -> StandardBasis:
@@ -467,13 +460,11 @@ def verify_basis(sb: StandardBasis) -> StandardBasis:
 
     When the leading exponents of a local basis show a pure power z_i^a_i
     of every variable, m^D lies in the ideal the elements generate
-    locally, D = 1 + sum(a_i - 1), whatever their tails (the highest corner
-    of `_pair_loop`), and remainders are taken modulo m^D as the pair loop
-    takes them past the corner: Mora's normal forms of S-polynomials of
-    unreduced tails can swell for seconds."""
-    order, bud = sb.order, current_budget()
-    bound = None if order.is_global else _corner_bound(
-        _pure_powers(sb.leading_exponents), set(range(sb.ideal.context.nvars)))
+    locally, D = 1 + sum(a_i - 1) = sb.truncation_bound, whatever their
+    tails (the highest corner of `_pair_loop`), and remainders are taken
+    modulo m^D as the pair loop takes them past the corner: Mora's normal
+    forms of S-polynomials of unreduced tails can swell for seconds."""
+    order, bud, bound = sb.order, current_budget(), sb.truncation_bound
     rows = list(zip((g.terms for g in sb.elements), sb.leading_exponents))
     for r1, r2 in combinations(rows, 2):
         s = _s_polynomial(r1, r2, sparse.mlcm(r1[1], r2[1]))
@@ -738,10 +729,10 @@ def colength_at_origin(ideal: Ideal) -> int | None:
             continue
         if len(ps) == 1:
             return None  # a hypersurface germ in two or more variables
-        stairs = _block_basis(vs, ps).standard_monomials
-        if stairs is None:
+        count = _staircase(_block_basis(vs, ps).leading_exponents, len(vs))
+        if count is None:
             return None
-        colength *= len(stairs)
+        colength *= count
     return colength
 
 
@@ -778,9 +769,8 @@ def contains_local_unit(ideal: Ideal) -> bool:
 
 def colength_global(ideal: Ideal) -> int | None:
     """Affine quotient dimension dim_F F[z]/I (all points, with multiplicity)."""
-    sb = standard_basis(ideal, GREVLEX)
-    stairs = _staircase(sb.leading_exponents, ideal.context.nvars)
-    return None if stairs is None else len(stairs)
+    return _staircase(standard_basis(ideal, GREVLEX).leading_exponents,
+                      ideal.context.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -819,19 +809,14 @@ def colength_by_truncation(ideal: Ideal) -> int:
     doubles from 1.  c_N = dim F[z]/(I + m^N), the colength of I + m^N,
     grows strictly with N until m^N lies in I locally (Nakayama) and stays
     put from there, so c_N >= N until then: c_N < N, or two consecutive
-    values that agree, make c_N the colength."""
-    powers: dict[int, int] = {}
-    for g in ideal.generators:
-        if len(g.terms) != 1:
-            continue
-        (m,) = g.terms
-        support = [i for i, a in enumerate(m) if a]
-        if len(support) == 1:
-            i = support[0]
-            powers[i] = min(m[i], powers.get(i, m[i]))
-    if len(powers) == ideal.context.nvars:
-        return _truncated_colength(
-            ideal, 1 + sum(a - 1 for a in powers.values()))
+    values that agree, make c_N the colength.  A constant generator takes
+    the doubling too (_pure_powers would read it as a corner with N < 1)."""
+    bound = _corner_bound(
+        _pure_powers([m for g in ideal.generators if len(g.terms) == 1
+                      for m in g.terms if any(m)]),
+        set(range(ideal.context.nvars)))
+    if bound is not None:
+        return _truncated_colength(ideal, bound)
     n, prev = 1, None
     while n <= 4096:
         cur = _truncated_colength(ideal, n)

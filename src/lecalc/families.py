@@ -261,7 +261,7 @@ def _augmented_milnor(g: Polynomial, j: int) -> int | None:
         return None
 
 
-def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
+def verify_ilm(fam: Family, slice_rec: SliceRecord, rng: Random,
                j_values: tuple[int, ...] | None = None) -> IlmTable:
     """mu(f_t + z1^j) for each j against the two augmentation identities
     mu = lambda0 + (j-1) lambda1 and mu + mu_slice = (gamma1+lambda0) +
@@ -272,8 +272,9 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
     (over QQ(t), or at rational t, the augmented Jacobian bases drag
     enormous coefficients around; mod p they stay word-sized).  The two
     values must agree; _at_generic_points recomputes every row once at a
-    redrawn pair before refusing.  The t = 0 rows stay over QQ."""
-    rec = slice_rec.record
+    redrawn pair before refusing.  The t = 0 rows stay over QQ.
+    slice_rec.where (ZERO or GENERIC) picks the slice."""
+    where, rec = slice_rec.where, slice_rec.record
     if j_values is None:
         j_values = default_j_values(rec.lambda0)
     if len(set(j_values)) < 2:
@@ -288,9 +289,6 @@ def verify_ilm(fam: Family, where: str, slice_rec: SliceRecord, rng: Random,
         raise UsageError(
             f"j values {bad} below the augmentation threshold 2 + lambda0 = "
             f"{threshold}")
-    if where not in (ZERO, GENERIC):
-        raise UsageError(f"unknown slice {where!r}")
-
     mu_slice = rec.slice_milnor
     expected = (rec.lambda0, rec.lambda1, rec.gamma1 + rec.lambda0)
     js = sorted(j_values)

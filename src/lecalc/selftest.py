@@ -179,16 +179,14 @@ def criterion_polar_ratio(env: SelfTestEnv) -> str:
 
 def criterion_ilm(env: SelfTestEnv) -> str:
     an = env.analysis("nonupper_family")
-    t0 = verify_ilm(an.family, ZERO,
-                    env.slice_record("nonupper_family", ZERO),
+    t0 = verify_ilm(an.family, env.slice_record("nonupper_family", ZERO),
                     Random(env.seed))
     expect([r.j for r in t0.rows] == [23, 24, 25, 26],
            f"t = 0 exponents {[r.j for r in t0.rows]}")
     expect(t0.slice_milnor == 12, f"mu_slice {t0.slice_milnor}")
     expect(t0.passed and t0.inferred == (21, 3, 30),
            f"t = 0 table inferred {t0.inferred}, passed = {t0.passed}")
-    tg = verify_ilm(an.family, GENERIC,
-                    env.slice_record("nonupper_family", GENERIC),
+    tg = verify_ilm(an.family, env.slice_record("nonupper_family", GENERIC),
                     Random(env.seed))
     expect([r.j for r in tg.rows] == [8, 9, 10, 11],
            f"generic exponents {[r.j for r in tg.rows]}")

@@ -2,6 +2,7 @@
 and independent oracles (iterated-quotient saturation, jet-space
 truncation)."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -57,11 +58,10 @@ def test_local_basis_tangent_cone_example(checked_bases):
     ideal = Ideal(C2, (X ** 2 - Y ** 3, X * Y ** 2))
     basis = checked_bases(ideal, LOCAL)
     assert sorted(basis.leading_exponents) == [(0, 5), (1, 2), (2, 0)]
-    # standard monomials reach degree 4, so m^5 lies in the ideal
-    assert basis.truncation_bound == 5
+    # the corner y^5, x^2 puts m^(1 + 4 + 1) = m^6 in the ideal
+    assert basis.truncation_bound == 6
+    # standard monomials 1, y, y^2, y^3, y^4, x, x*y
     assert colength_at_origin(ideal) == 7
-    assert sorted(basis.standard_monomials) == [
-        (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)]
     assert colength_by_truncation(ideal) == 7
 
 
@@ -203,6 +203,48 @@ def test_the_staircase_walk_reads_no_order_key():
     assert len(GREVLEX.key.__self__) < 100
 
 
+def test_the_staircase_count_keeps_no_monomials():
+    # the staircase 1, z1, ..., z1^19999, z2 is counted as it is walked;
+    # keeping its 20001 monomials peaked at 2 MB
+    ideal = Ideal(C2, (X ** 20000, Y ** 2, X * Y))
+    tracemalloc.start()
+    try:
+        assert colength_at_origin(ideal) == 20001
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+@st.composite
+def _monomial_generators(draw):
+    """Exponents in 2 or 3 variables, each variable with or without a pure
+    power among them."""
+    n = draw(st.integers(2, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=5))
+    for i in range(n):
+        a = draw(st.none() | st.integers(1, 6))
+        if a is not None:
+            exps.append(tuple(a if j == i else 0 for j in range(n)))
+    return n, exps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_generators())
+def test_the_staircase_count_matches_a_brute_force_count(case):
+    n, exps = case
+    # the least a with z_i^a among exps (1 = z_i^0 included), per variable
+    powers = [min((e[i] for e in exps if not any(e[:i] + e[i + 1:])),
+                  default=None) for i in range(n)]
+    if None in powers:
+        assert engine._staircase(exps, n) is None
+        return
+    box = product(*(range(a) for a in powers))
+    expected = sum(not any(all(a >= b for a, b in zip(m, e)) for e in exps)
+                   for m in box)
+    assert engine._staircase(exps, n) == expected
+
+
 def test_saturation_strips_axis_factor():
     ideal = Ideal(C2, (2 * X ** 2 * Y + 5 * Y ** 4,))
     sat = saturate(ideal, Ideal(C2, (Y,)))
@@ -319,8 +361,7 @@ def _whole_ideal_colength_and_dimension(ideal: Ideal):
     the largest set of variables that carries no leading monomial."""
     basis = standard_basis(ideal, LOCAL)
     exps = basis.leading_exponents
-    stairs = basis.standard_monomials
-    colength = None if stairs is None else len(stairs)
+    colength = engine._staircase(exps, ideal.context.nvars)
     if not all(map(any, exps)):
         return colength, None
     n = ideal.context.nvars
@@ -440,7 +481,7 @@ def test_highest_corner_waits_only_for_the_variables_in_use(checked_bases):
                                                (2, 0, 0)]
     assert sorted(four.leading_exponents) == [
         e + (0,) for e in sorted(three.leading_exponents)]
-    assert four.standard_monomials is None  # z4 is a free direction
+    assert four.truncation_bound is None  # z4 is a free direction
 
 
 def test_global_colength_counts_all_points():

@@ -204,12 +204,12 @@ def test_homogeneous_family_le_numbers(homogeneous):
 
 
 def test_ilm_tables_for_worked_family(worked):
-    t0 = verify_ilm(worked.family, ZERO, worked.zero, Random(0))
+    t0 = verify_ilm(worked.family, worked.zero, Random(0))
     assert [r.j for r in t0.rows] == [23, 24, 25, 26]
     assert [r.mu for r in t0.rows] == [87, 90, 93, 96]
     assert t0.passed and t0.inferred == (21, 3, 30)
     assert t0.slice_milnor == 12
-    tg = verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
+    tg = verify_ilm(worked.family, worked.generic, Random(0))
     assert [r.j for r in tg.rows] == [8, 9, 10, 11]
     assert [r.mu for r in tg.rows] == [27, 30, 33, 36]
     assert tg.passed and tg.inferred == (6, 3, 15)
@@ -229,8 +229,8 @@ def test_ilm_rows_of_a_separable_germ_build_two_variable_bases(
         return standard_basis(ideal, order)
 
     monkeypatch.setattr(engine, "standard_basis", spy)
-    verify_ilm(worked.family, ZERO, worked.zero, Random(0))
-    verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
+    verify_ilm(worked.family, worked.zero, Random(0))
+    verify_ilm(worked.family, worked.generic, Random(0))
     assert Counter(shapes) == {("local", 2): 4 + 4 * len(PRIMES)}
 
 
@@ -296,11 +296,11 @@ def test_ilm_refuses_a_prime_dividing_a_denominator():
                            Random(0))
     with pytest.raises(UnluckySpecializationError, match="no image"):
         invariants_at(fam, GENERIC, Random(0))
-    assert verify_ilm(fam, ZERO, invariants_at(fam, ZERO, Random(0)),
+    assert verify_ilm(fam, invariants_at(fam, ZERO, Random(0)),
                       Random(0)).passed
     generic = SliceRecord(GENERIC, germ_record(fam.full, Random(0)), ())
     with pytest.raises(UnluckySpecializationError, match="no image"):
-        verify_ilm(fam, GENERIC, generic, Random(0))
+        verify_ilm(fam, generic, Random(0))
 
 
 def _spy_on_redraws(monkeypatch):
@@ -352,7 +352,7 @@ def test_ilm_redraw_recomputes_every_row(worked, monkeypatch):
     # rows used
     draws, members, calls = _disagreeing_on_rows(monkeypatch, {3})
     # Random(0) would redraw the points the family drew from Random(0)
-    table = verify_ilm(worked.family, GENERIC, worked.generic, Random(1))
+    table = verify_ilm(worked.family, worked.generic, Random(1))
     first = worked.family.points
     [redrawn] = draws
     assert first != redrawn and table.t_witnesses == redrawn
@@ -367,7 +367,7 @@ def test_ilm_refuses_a_second_disagreement(worked, monkeypatch):
     with pytest.raises(UnluckySpecializationError,
                        match=r"z1\^9\) disagrees at t = \d+ mod 2147483647 "
                              r"and t = \d+ mod 2147483629"):
-        verify_ilm(worked.family, GENERIC, worked.generic, Random(0))
+        verify_ilm(worked.family, worked.generic, Random(0))
     assert len(draws) == 1
     assert members == _at(worked.family.points) + _at(draws[0])
     assert calls == [(j, p) for p in PRIMES for j in (8, 9, 10, 11)] * 2
@@ -416,7 +416,7 @@ def test_generic_slice_refuses_a_second_disagreement(worked, monkeypatch):
 
 
 def test_ilm_custom_exponents_on_suspension(suspension):
-    table = verify_ilm(suspension.family, ZERO, suspension.zero, Random(0),
+    table = verify_ilm(suspension.family, suspension.zero, Random(0),
                        j_values=(2, 3, 4, 5))
     assert [r.mu for r in table.rows] == [4, 8, 12, 16]
     assert table.passed and table.inferred == (0, 4, 0)
@@ -424,5 +424,5 @@ def test_ilm_custom_exponents_on_suspension(suspension):
 
 def test_ilm_rejects_exponents_below_threshold(suspension):
     with pytest.raises(UsageError):
-        verify_ilm(suspension.family, ZERO, suspension.zero, Random(0),
+        verify_ilm(suspension.family, suspension.zero, Random(0),
                    j_values=(1, 2))
