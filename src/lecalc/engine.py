@@ -32,7 +32,10 @@ canonical: its leading exponents show a highest corner, so m^D lies in the
 ideal locally, and full reduction modulo m^D leaves the unique
 representative on standard monomials whatever the tails.  A colength is the
 number of standard monomials, counted where it is taken and never stored:
-an int, or None when it is infinite.
+an int, or None when it is infinite.  `_staircase` counts them column by
+column in the last variable, one slice ideal per height the leading
+exponents show, so the work is bounded by those exponents and not by the
+colength.
 
 Saturation: I : K^infinity is the intersection of the factors
 I : g^infinity over the generators g of K, and `saturate` returns its
@@ -66,7 +69,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import ge
 from typing import NamedTuple
 
 from . import sparse
@@ -406,30 +408,29 @@ def _staircase(exps, nvars):
     counted and not kept; None when there are infinitely many, that is when
     exps hold no pure power of some variable (_corner_bound).
 
-    The walk goes outward from 1: the children of a standard monomial m are
-    m * z_i for i at or after the last variable of m, so each monomial has
-    one parent and the walk tests O(nvars * colength) monomials.  m is
-    standard, so a generator dividing the child m * z_i matches it in z_i:
-    the generators are indexed by (i, e[i]), and a child is tested against
-    those that match it there only."""
+    Counted column by column in the last variable: z'^m * z_n^k is standard
+    exactly when z'^m is standard for the slice at height k, the ideal in
+    the other variables of the e[:-1] with e[-1] <= k.  The slice changes
+    only at the heights e[-1] that exps show, and from the pure power of
+    z_n on it holds the unit, so each run of equal slices is counted once,
+    times its length.  The work is bounded by the leading exponents, not by
+    the colength."""
     if _corner_bound(_pure_powers(exps), set(range(nvars))) is None:
         return None
-    matching: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for e in exps:
-        for i, a in enumerate(e):
-            if a:
-                matching.setdefault((i, a), []).append(e)
-    count = 0
-    stack = [((0,) * nvars, 0)] if all(any(e) for e in exps) else []
-    while stack:
-        m, last = stack.pop()
-        count += 1
-        for i in range(last, nvars):
-            a = m[i] + 1
-            c = m[:i] + (a,) + m[i + 1:]
-            if not any(all(map(ge, c, e)) for e in matching.get((i, a), ())):
-                stack.append((c, i))
-    return count
+    return _columns(exps, nvars)
+
+
+def _columns(exps, nvars):
+    """_staircase's count, exps known to hold a pure power of each
+    variable (which every slice keeps)."""
+    if not all(map(any, exps)):
+        return 0  # the unit
+    if nvars == 1:
+        return min(e[0] for e in exps)
+    heights = sorted({e[-1] for e in exps})
+    return sum((top - k) * _columns([e[:-1] for e in exps if e[-1] <= k],
+                                    nvars - 1)
+               for k, top in zip(heights, heights[1:]))
 
 
 def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:

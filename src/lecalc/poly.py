@@ -737,25 +737,38 @@ def render(p: Polynomial) -> str:
 # ---------------------------------------------------------------------------
 # gcd and reducedness at the ring level
 
-def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """gcd over the coefficient field, leading coefficient one under grevlex."""
+def multivariate_gcd(f: Polynomial, g: Polynomial, tick=None) -> Polynomial:
+    """gcd over the coefficient field, leading coefficient one under grevlex;
+    tick, when given, is called before each pseudo-remainder."""
     if f.context != g.context:
         raise ContextError("gcd across different contexts")
     if f.is_zero() and g.is_zero():
         raise DegenerateInputError("gcd(0, 0) is undefined")
-    return Polynomial(f.context, sparse.pgcd(f.terms, g.terms))
+    return Polynomial(f.context, sparse.pgcd(f.terms, g.terms, tick))
 
 
 def reduced_witness(f: Polynomial) -> Polynomial | None:
-    """The nonconstant gcd of f with its partials, when one exists; one gcd
-    per nonzero partial, stopping once the gcd is constant."""
+    """The nonconstant gcd of f with its partials, when one exists.
+
+    f is first offered to `squarefree.certified_squarefree`, which answers
+    only where the gcd would find none: the gcd is nonconstant exactly when
+    f has a repeated factor, and the image of a repeated factor divides
+    both a certified image and its derivative.  Otherwise one gcd per
+    nonzero partial, stopping once the gcd is constant; each
+    pseudo-remainder draws one step of the active budget, so a long
+    remainder sequence ends in BudgetExceededError."""
     if f.is_zero():
         raise DegenerateInputError("reducedness of the zero polynomial")
+    from .squarefree import certified_squarefree
+    if certified_squarefree(f):
+        return None
+    from .engine import current_budget
+    tick = current_budget().tick
     g = f
     for v in f.context.variables:
         d = f.partial(v)
         if not d.is_zero():
-            g = multivariate_gcd(g, d)
+            g = multivariate_gcd(g, d, tick)
             if not g.total_degree():
                 return None
     return g if g.total_degree() else None

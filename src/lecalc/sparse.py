@@ -199,20 +199,20 @@ def _join(u, v):
     return out
 
 
-def _content(coeffs):
+def _content(coeffs, tick):
     """gcd of a list of polynomials (the content of a univariate view)."""
     g = {}
     for c in coeffs:
-        g = _gcd_rec(g, c)
+        g = _gcd_rec(g, c, tick)
         if _is_constant(g):
             return _one_like(g)
     return g
 
 
-def _primitive(a, v):
+def _primitive(a, v, tick):
     """(content, primitive part) of a with respect to variable v."""
     u = _split(a, v)
-    cont = _content(list(u.values()))
+    cont = _content(list(u.values()), tick)
     if _is_constant(cont):
         return cont, dict(a)
     pp = {d: pdiv_exact(c, cont) for d, c in u.items()}
@@ -249,7 +249,7 @@ def _prem(f, g, v):
     return _join(r, v) if r else {}
 
 
-def _gcd_rec(a, b):
+def _gcd_rec(a, b, tick=None):
     if not a:
         return dict(b)
     if not b:
@@ -258,31 +258,35 @@ def _gcd_rec(a, b):
     if not used:
         return _one_like(a)
     v = max(used)
-    ca, pa = _primitive(a, v)
-    cb, pb = _primitive(b, v)
-    cont = _gcd_rec(ca, cb)
+    ca, pa = _primitive(a, v, tick)
+    cb, pb = _primitive(b, v, tick)
+    cont = _gcd_rec(ca, cb, tick)
     f, g = pa, pb
     if max(_split(f, v)) < max(_split(g, v)):
         f, g = g, f
     while True:
+        if tick:
+            tick()
         r = _prem(f, g, v)
         if not r:
             break
-        _, r = _primitive(r, v)
+        _, r = _primitive(r, v, tick)
         # the content is only found up to a scalar, so scale the remainder
         # too: pseudo-division multiplies the coefficients by powers of a
         # leading coefficient, and without this their size grows
         # exponentially along the sequence
         c = next(iter(r.values()))
         f, g = g, {m: x / c for m, x in r.items()}
-    _, g = _primitive(g, v)
+    _, g = _primitive(g, v, tick)
     if _is_constant(g):
         g = _one_like(g)
     return g if _is_constant(cont) else pmul(cont, g)
 
 
-def pgcd(a, b):
-    """Monic gcd (leading grevlex coefficient one). gcd(0, 0) is an error."""
+def pgcd(a, b, tick=None):
+    """Monic gcd (leading grevlex coefficient one). gcd(0, 0) is an error.
+    tick, when given, is called before each pseudo-remainder, so a caller's
+    step budget can end a long remainder sequence."""
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
     if len(a) == 1 or len(b) == 1:
@@ -291,6 +295,6 @@ def pgcd(a, b):
         e = tuple(map(min, zip(*a, *b)))
         c = next(iter(a.values() or b.values()))
         return {e: c / c}
-    g = _gcd_rec(a, b)
+    g = _gcd_rec(a, b, tick)
     _, lc = lead(g)
     return {m: c / lc for m, c in g.items()}

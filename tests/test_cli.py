@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, report formats,
 determinism, and input-file handling."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lecalc
-from lecalc import cli, errors, families, invariants, poly, report
+from lecalc import cli, errors, families, invariants, poly, report, sparse
 from lecalc.cli import entrypoint, read_input_file
 from lecalc.orders import LOCAL
 
@@ -89,6 +90,78 @@ def test_refusal_non_reduced(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("refused: NON_REDUCED:")
+
+
+def test_a_stalled_reducedness_gcd_ends_in_budget_exhaustion(capsys):
+    # the certificate cannot vouch for a square, so the gcd finds it, one
+    # step per pseudo-remainder (45 here)
+    square = "(z1^2 + z2*z3)^2*(z1 - z3)"
+    code, out, err = run(capsys, "invariants", "-e", square)
+    assert code == 2 and out == ""
+    assert err == ("refused: NON_REDUCED: equation is not reduced; repeated "
+                   "factor z1^2 + z2*z3\n")
+    code, out, err = run(capsys, "invariants", "-e", square, "--budget", "40")
+    assert code == 2 and out == ""
+    assert err == ("refused: BUDGET_EXCEEDED: reduction budget of 40 steps "
+                   "exhausted\n")
+
+
+FOUR_VARIABLES = ("-z1^3*z2*z4^2 + 2*z1^2*z2*z4^3 - z1*z2*z4^4 + z3^4 "
+                  "- z2^2*z3*z4 + z4^2")
+
+
+def test_a_certified_germ_takes_no_reducedness_gcd(monkeypatch, capsys):
+    # its gcd ran for minutes outside the budget
+    def refuse(*args):
+        raise AssertionError("reducedness gcd")
+
+    monkeypatch.setattr(poly, "multivariate_gcd", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariants", "-e", FOUR_VARIABLES,
+                         "--vars", "z1,z2,z3,z4")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and err == ""
+    assert "refused: NOT_LINE_SINGULARITY:" in out
+
+
+def _bench_commands():
+    """The argv of every operation of the two benchmark workloads."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(op["argv"], op["expect"]["exit"])
+            for ops in workloads.WORKLOADS.values() for op in ops]
+
+
+def test_the_benchmark_and_corpus_germs_take_no_reducedness_gcd(
+        monkeypatch, capsys):
+    witnessing, entered = [], []
+    witness, gcd = poly.reduced_witness, sparse._gcd_rec
+
+    def spy_witness(f):
+        witnessing.append(f)
+        try:
+            return witness(f)
+        finally:
+            witnessing.pop()
+
+    def spy_gcd(*args):
+        if witnessing:
+            entered.append(witnessing[-1])
+        return gcd(*args)
+
+    monkeypatch.setattr(poly, "reduced_witness", spy_witness)
+    monkeypatch.setattr(sparse, "_gcd_rec", spy_gcd)
+    monkeypatch.chdir(Path(__file__).parents[1])
+    corpus = Path(lecalc.__file__).parent / "corpus"
+    commands = _bench_commands() + [
+        ([command, "-f", str(corpus / f"{name}_family.lec")], 0)
+        for command in ("family", "ilm")
+        for name in ("constant", "homogeneous", "nonupper", "suspension")]
+    for argv, expected in commands:
+        assert run(capsys, *argv)[0] == expected
+    assert entered == []
 
 
 def test_not_line_singularity_fallback_report(capsys):

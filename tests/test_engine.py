@@ -195,7 +195,7 @@ def test_the_verifier_rejects_a_wrong_basis():
         verify_basis(unfinished)
 
 
-def test_the_staircase_walk_reads_no_order_key():
+def test_the_staircase_count_reads_no_order_key():
     # the staircase has 10001 monomials; sorting them filled GREVLEX's key
     # table with one entry each
     clear_key_tables()
@@ -214,6 +214,23 @@ def test_the_staircase_count_keeps_no_monomials():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def test_the_staircase_is_counted_not_walked():
+    # column by column in the last variable, a slice per height that the
+    # exponents show; a walk takes a step per standard monomial
+    a = 10 ** 12
+    assert colength_at_origin(Ideal(C2, (X ** a, Y ** 2, X * Y))) == a + 1
+    z1, z2, z3 = (Polynomial.variable(C3, n) for n in C3.variables)
+    a, b, c = 10 ** 6, 10 ** 6 + 1, 10 ** 6 + 3
+    start = perf_counter()
+    assert engine._staircase([(a, 0, 0), (0, b, 0), (0, 0, c)], 3) \
+        == a * b * c
+    # z1*z2*z3 couples the three into one block, so one local basis
+    coupled = Ideal(C3, (z1 ** a, z2 ** b, z3 ** c, z1 * z2 * z3))
+    assert colength_at_origin(coupled) \
+        == a * b * c - (a - 1) * (b - 1) * (c - 1)
+    assert perf_counter() - start < 1
 
 
 @st.composite

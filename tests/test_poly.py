@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lecalc import poly, sparse
+from lecalc import poly, sparse, squarefree
 from lecalc.engine import Ideal, eliminate
 from lecalc.errors import ContextError, UnluckySpecializationError
 from lecalc.orders import GREVLEX, LOCAL
@@ -493,18 +493,130 @@ def test_reduced_witness_makes_one_gcd_per_nonzero_partial(monkeypatch):
     calls = []
     gcd = poly.multivariate_gcd
 
-    def spy(a, b):
+    def spy(a, b, tick=None):
         calls.append((a, b))
-        return gcd(a, b)
+        return gcd(a, b, tick)
 
     monkeypatch.setattr(poly, "multivariate_gcd", spy)
     f = parse_polynomial("z2^2*z3^2", CTX)
     assert render(reduced_witness(f)) == "z2*z3"
     assert [b for _, b in calls] == [f.partial("z2"), f.partial("z3")]
     calls.clear()
-    # the gcd with the z1 partial is already constant: the walk stops
+    # the certificate answers for a squarefree germ, with no gcd at all
     assert reduced_witness(parse_polynomial("z1 + z2^2 + z3^2", CTX)) is None
-    assert len(calls) == 1
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the squarefree certificate against sympy
+
+Z3 = ("z1", "z2", "z3")
+_FIELDS = (Context(Z3), Context(Z3, (), 32003), Context(Z3, ("t",)))
+
+
+def _coordinate(ctx, j):
+    if j < ctx.nvars:
+        return Polynomial.variable(ctx, ctx.variables[j])
+    return Polynomial.parameter(ctx, ctx.parameters[j - ctx.nvars])
+
+
+@st.composite
+def _factors(draw, ctx):
+    """One or two terms, each a power of one variable times linear forms
+    that vanish at one of the certificate's two points in one coordinate
+    each: the leading coefficients of such a factor can vanish there."""
+    points = [squarefree.certificate_point(ctx, r) for r in (0, 1)]
+    h = Polynomial.zero(ctx)
+    for _ in range(draw(st.integers(1, 2))):
+        term = Polynomial.variable(ctx, draw(st.sampled_from(ctx.variables))) \
+            ** draw(st.integers(0, 2)) * draw(st.integers(-3, 3))
+        for j in draw(st.sets(st.integers(0, len(points[0]) - 1),
+                              max_size=2)):
+            r = draw(st.integers(0, 1))
+            term = term * (_coordinate(ctx, j) - points[r][j])
+        h = h + term
+    return h
+
+
+def _sympy_squarefree(sympy, g) -> bool:
+    """The oracle: sqf_list over QQ and over QQ(t); over GF(p), where sympy
+    has no multivariate sqf_list, the gcd of g with its partials."""
+    ctx = g.context
+    zs, ts = sympy.symbols(ctx.variables), sympy.symbols(ctx.parameters)
+
+    def monomial(names, m):
+        return sympy.prod(x ** e for x, e in zip(names, m))
+
+    def rational(d):
+        return sum((sympy.Rational(q.numerator, q.denominator)
+                    * monomial(ts, m) for m, q in d.items()), sympy.Integer(0))
+
+    def value(c):
+        if isinstance(c, Modular):
+            return sympy.Integer(c.value)
+        if isinstance(c, Fraction):
+            return rational({(): c})
+        return rational(c.num) / rational(c.den)
+
+    expr = sympy.expand(sum(value(c) * monomial(zs, m)
+                            for m, c in g.terms.items()))
+    if ctx.modulus:
+        common = expr
+        for z in zs:
+            common = sympy.gcd(common, sympy.diff(expr, z),
+                               modulus=ctx.modulus)
+        return not common.free_symbols
+    _, factors = sympy.sqf_list(expr, *zs,
+                                domain="QQ(t)" if ts else "QQ")
+    return all(multiplicity == 1 for _, multiplicity in factors)
+
+
+@st.composite
+def _products(draw):
+    """(h, k, square): g is h^2 * k when square, h * k otherwise."""
+    ctx = draw(st.sampled_from(_FIELDS))
+    return draw(_factors(ctx)), draw(_factors(ctx)), draw(st.booleans())
+
+
+def _trap_case(ctx):
+    """(h, k, True) with h's image at the certificate's first point
+    constant in each of its variables: its leading coefficients vanish
+    there."""
+    a = squarefree.certificate_point(ctx, 0)
+    z1, z2, z3 = (_coordinate(ctx, j) for j in range(3))
+    if ctx.parameters:
+        h = (_coordinate(ctx, 3) - a[3]) * z1 + 1
+    else:
+        h = (z1 - a[0]) * (z3 - a[2]) + 1
+    return h, z1 + z2, True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_products())
+@example(_trap_case(_FIELDS[0]))
+@example(_trap_case(_FIELDS[1]))
+@example(_trap_case(_FIELDS[2]))
+def test_the_squarefree_certificate_agrees_with_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    h, k, square = case
+    g = h * h * k if square else h * k
+    if g.is_zero():
+        return
+    certified = squarefree.certified_squarefree(g)
+    if square and h.total_degree():
+        assert not certified
+    if certified:
+        assert _sympy_squarefree(sympy, g)
+
+
+@pytest.mark.parametrize("ctx", _FIELDS, ids=["QQ", "GF", "QQ(t)"])
+def test_the_gcd_finds_what_the_certificate_cannot(ctx):
+    # the first point leaves the trap constant, the second finds it
+    # nonconstant in each variable, and the gcd finds it
+    h, k, _ = _trap_case(ctx)
+    g = h * h * k
+    assert not squarefree.certified_squarefree(g)
+    assert reduced_witness(g) == h.monic(GREVLEX)
 
 
 @pytest.mark.parametrize("ctx, text", [
