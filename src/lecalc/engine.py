@@ -47,7 +47,11 @@ out of the intersection; principal factors are intersected by lcms, the
 others by an elimination.  So the polar curve of z1^a*z2^b + z2^c + z3^d
 needs no basis at all.
 
-Colengths and dimensions at the origin go block by block too: the local
+Colengths and dimensions at the origin go block by block too, once every
+term divisible by a monomial generator is pruned (`_prune_by_monomials`:
+g less its terms divisible by the generator m is g - m*q, so the ideal
+stays the same).  A coordinate among the generators is then a block of
+its own, so the colength of I + (z1) is that of I at z1 = 0.  The local
 algebra of an ideal is the tensor product of the algebras of its blocks,
 so colengths multiply and dimensions add (Sebastiani-Thom, Invent. Math.
 13, 1971: mu(g(x) + h(y)) = mu(g) * mu(h), here for ideals).  A variable
@@ -686,6 +690,41 @@ def saturate(i: Ideal, k: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 # numerical invariants of ideals
 
+def _prune_by_monomials(gens) -> list[Polynomial]:
+    """Generators of the same ideal in which no generator keeps a term
+    divisible by a one-term generator.  M, the exponents of the one-term
+    generators without duplicates and without any that another divides,
+    keeps one generator each; every other generator loses its terms
+    divisible by a member of M and is dropped when none is left.  Repeated
+    while a generator lost a term, as one may shrink to a single term; each
+    round removes a term, so the loop ends.  The ideal stays the same: g
+    less its terms divisible by m is g - m*q, and over QQ(t) and GF(p) a
+    one-term generator is a nonzero constant times its monomial."""
+    gens = list(gens)
+    while True:
+        ones = {next(iter(g.terms)): g for g in gens if len(g.terms) == 1}
+        if not ones:
+            return gens
+        mons = [m for m in ones if not any(
+            k != m and sparse.mdiv(m, k) is not None for k in ones)]
+        out = [ones[m] for m in mons]
+        pruned = False
+        for g in gens:
+            if len(g.terms) == 1:
+                continue
+            terms = {m: c for m, c in g.terms.items()
+                     if all(sparse.mdiv(m, k) is None for k in mons)}
+            if len(terms) == len(g.terms):
+                out.append(g)
+                continue
+            pruned = True
+            if terms:
+                out.append(Polynomial(g.context, terms))
+        if not pruned:
+            return out
+        gens = out
+
+
 def _block_basis(variables: set[int], gens) -> StandardBasis:
     """The local basis of a block's generators in the ring of the block's
     own variables."""
@@ -711,7 +750,9 @@ def colength_at_origin(ideal: Ideal) -> int | None:
     """dim_F of (local ring at the origin) / ideal, F the coefficient field;
     None when it is infinite.
 
-    Block by block: the local algebra is the tensor product of the
+    Block by block, after pruning every term divisible by a monomial
+    generator, which keeps the ideal (g less its terms divisible by the
+    generator m is g - m*q): the local algebra is the tensor product of the
     algebras of the blocks of generators linked by shared variables, so the
     colengths multiply.  A variable in no generator makes it infinite, and
     so does a block of one generator in two or more variables.  A block in
@@ -720,7 +761,7 @@ def colength_at_origin(ideal: Ideal) -> int | None:
     standard monomials of its local basis in its own variables."""
     if contains_local_unit(ideal):
         return 0
-    blocks = _blocks(ideal.generators)
+    blocks = _blocks(_prune_by_monomials(ideal.generators))
     if sum(len(vs) for vs, _ in blocks) < ideal.context.nvars:
         return None
     colength = 1
@@ -742,14 +783,14 @@ def dimension_at_origin(ideal: Ideal) -> int | None:
     under the local order; None means the germ is empty (the ideal contains
     a local unit).
 
-    Block by block, as for the colength: the dimensions add.  A variable in
-    no generator adds 1.  A block in k variables adds k - 1 when it has one
-    generator (a hypersurface) or one variable (then k = 1), and otherwise
-    the dimension of the leading ideal of its local basis in its own
-    variables."""
+    Block by block after the same pruning, as for the colength: the
+    dimensions add.  A variable in no generator adds 1.  A block in k
+    variables adds k - 1 when it has one generator (a hypersurface) or one
+    variable (then k = 1), and otherwise the dimension of the leading ideal
+    of its local basis in its own variables."""
     if contains_local_unit(ideal):
         return None
-    blocks = _blocks(ideal.generators)
+    blocks = _blocks(_prune_by_monomials(ideal.generators))
     dim = ideal.context.nvars - sum(len(vs) for vs, _ in blocks)
     for vs, ps in blocks:
         if len(ps) == 1 or len(vs) == 1:

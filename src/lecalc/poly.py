@@ -535,6 +535,10 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise DegenerateInputError("negative polynomial power")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            if c == self.context.unit:  # a monic monomial: one step
+                return Polynomial(self.context, {tuple(n * a for a in e): c})
         # square and multiply: at most 2 log2(n) + 1 products
         out = Polynomial.one(self.context)
         square = self

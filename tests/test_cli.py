@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import lecalc
-from lecalc import cli, errors, families, invariants, poly, report, sparse
+from lecalc import (cli, engine, errors, families, invariants, poly, report,
+                    sparse)
 from lecalc.cli import entrypoint, read_input_file
 from lecalc.orders import LOCAL
 
@@ -164,6 +165,25 @@ def test_the_benchmark_and_corpus_germs_take_no_reducedness_gcd(
     assert entered == []
 
 
+def test_the_benchmark_builds_no_local_basis_in_three_variables(
+        monkeypatch, capsys):
+    # gamma1 and the Gamma + (f) cross-check prune the terms that z1 and the
+    # pure power of Gamma divide, so every local basis is in two variables
+    wide = []
+    standard_basis = engine.standard_basis
+
+    def spy(ideal, order):
+        if order.kind == "local" and ideal.context.nvars >= 3:
+            wide.append(ideal)
+        return standard_basis(ideal, order)
+
+    monkeypatch.setattr(engine, "standard_basis", spy)
+    monkeypatch.chdir(Path(__file__).parents[1])
+    for argv, expected in _bench_commands():
+        assert run(capsys, *argv)[0] == expected
+    assert wide == []
+
+
 def test_not_line_singularity_fallback_report(capsys):
     code, out, err = run(capsys, "invariants", "-e", "z1^2 + z2^2 + z3^2")
     assert code == 2
@@ -302,9 +322,9 @@ def test_slice_cross_check_does_not_hide_budget_exhaustion(capsys):
     # the budget runs out while the generic slice is re-derived over GF(p)
     # at the family's points, which must read neither as a disagreeing
     # specialization nor as a slice failure; the cross-check runs from step
-    # 5 to step 8 of 9
-    _family_refuses_for_budget(capsys, "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2",
-                               6)
+    # 161 to step 480 of 743
+    _family_refuses_for_budget(
+        capsys, "z1^2*z2^2 + z2^4 + z3^4 + t*z1*z2^2*z3", 300)
 
 
 def test_axis_weight_note_does_not_hide_budget_exhaustion(capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lecalc import engine
+from lecalc import engine, sparse
 from lecalc.engine import (DEFAULT_BUDGET, Ideal, _Budget, _reduce,
                            colength_at_origin, colength_by_truncation,
                            colength_global, contains_local_unit,
@@ -477,6 +477,79 @@ def test_block_colengths_and_dimensions(exprs, colength, dimension):
     assert _whole_ideal_colength_and_dimension(ideal) == (colength, dimension)
     assert colength_at_origin(ideal) == colength
     assert dimension_at_origin(ideal) == dimension
+
+
+@st.composite
+def _ideals_with_monomial_generators(draw):
+    """(corner, ideal): an ideal in 2 or 3 variables over QQ or GF(32003)
+    whose generators include monomials (mixed ones, and sometimes a
+    duplicate, a multiple of another and a coordinate) and polynomials:
+    some with all their terms divisible by a monomial generator, some with
+    all but one, some with terms that only a divisor of a monomial
+    generator may divide, which must stay.  With corner, a one-term pure
+    power of every variable is among the generators, so the colength is
+    finite and one truncation gives it."""
+    n = draw(st.integers(2, 3))
+    ctx = Context(C3.variables[:n], (), draw(st.sampled_from((0, 32003))))
+    coefficient = st.sampled_from((-2, -1, 1, 3))
+    exponent = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    shift = st.tuples(*[st.integers(0, 2)] * n)
+    mons = draw(st.lists(exponent, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        mons.append(draw(st.sampled_from(mons)))
+    if draw(st.booleans()):
+        mons.append(sparse.mmul(draw(st.sampled_from(mons)), draw(shift)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        mons.append(tuple(int(j == i) for j in range(n)))
+    corner = draw(st.integers(0, 3)) > 0
+    if corner:
+        mons += [tuple(a if j == i else 0 for j in range(n))
+                 for i, a in enumerate(draw(st.tuples(
+                     *[st.integers(2, 4)] * n)))]
+    gens = [Polynomial.monomial(ctx, e, draw(coefficient)) for e in mons]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("free", "near", "covered",
+                                     "all but one")))
+        count = draw(st.integers(1, 3))
+        if kind == "free":
+            exps = [draw(exponent) for _ in range(count)]
+        elif kind == "near":
+            exps = [draw(st.tuples(*map(st.integers, [0] * n,
+                                        draw(st.sampled_from(mons)))
+                                   ).filter(any)) for _ in range(count)]
+        else:
+            exps = [sparse.mmul(draw(st.sampled_from(mons)), draw(shift))
+                    for _ in range(count)]
+            if kind == "all but one":
+                exps.append(draw(exponent))
+        gens.append(Polynomial(ctx, {e: ctx.coefficient(draw(coefficient))
+                                     for e in exps}))
+    return corner, Ideal(ctx, tuple(draw(st.permutations(gens))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ideals_with_monomial_generators())
+def test_pruning_by_monomial_generators_keeps_colength_and_dimension(case):
+    # colength_at_origin and dimension_at_origin prune terms divisible by
+    # a monomial generator first; the references see the generators as drawn
+    corner, ideal = case
+    colength, dimension = _whole_ideal_colength_and_dimension(ideal)
+    if corner:
+        assert colength == colength_by_truncation(ideal)
+    assert colength_at_origin(ideal) == colength
+    assert dimension_at_origin(ideal) == dimension
+
+
+def test_pruning_cascades_through_generators_shrunk_to_one_term():
+    # z1, kept once, prunes z1*z2 and z1*z3 and drops 2*z1^2; then z2^3,
+    # left alone, prunes z2^3*z3: three blocks in one variable each
+    gens = tuple(parse_polynomial(e, C3) for e in (
+        "z1", "z1*z2 + z2^3", "z2^3*z3 + z3^2 + z1*z3", "2*z1^2", "z1"))
+    pruned = engine._prune_by_monomials(gens)
+    assert sorted(map(render, pruned)) == ["z1", "z2^3", "z3^2"]
+    assert colength_at_origin(Ideal(C3, gens)) == 6
+    assert dimension_at_origin(Ideal(C3, gens)) == 0
 
 
 def test_highest_corner_waits_only_for_the_variables_in_use(checked_bases):

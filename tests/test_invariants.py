@@ -704,24 +704,39 @@ def _bases_by_order_kind(monkeypatch, f: Polynomial) -> Counter:
 
 
 def test_germ_record_bases_by_order_kind(monkeypatch):
-    # local: lambda0 (read by the line check and reused) and gamma1 in
-    # (z1, z2), and the intersection cross-check Gamma + (f) in all three
-    # variables; lambda^2 = 0 by theorem needs no basis.  The polar
-    # curve (dz2, dz3) : (z2, z3)^infinity needs no basis: dz3 = 4*z3^3
-    # shares no variable with dz2 and with z2, so the saturation by z2
-    # strips dz2 by gcds and keeps z3^3, and the one by z3 is (1).  The
-    # other colengths and dimensions split into blocks that need no basis:
-    # each in one variable, or of one generator
-    assert _bases_by_order_kind(monkeypatch, BASE) == {"local": 3}
+    # local: lambda0 (read by the line check and reused) and the
+    # intersection cross-check Gamma + (f), both in (z1, z2); lambda^2 = 0
+    # by theorem needs no basis.  The polar curve
+    # (dz2, dz3) : (z2, z3)^infinity needs no basis: dz3 = 4*z3^3 shares no
+    # variable with dz2 and with z2, so the saturation by z2 strips dz2 by
+    # gcds and keeps z3^3, and the one by z3 is (1).  The monomial z3^3 of
+    # Gamma prunes the z3^4 of f, which leaves Gamma + (f) a block in
+    # (z1, z2) and the block z3^3, and the monomial z1 makes gamma1 a
+    # colength of blocks in one variable.  The other colengths and
+    # dimensions split into blocks that need no basis: each in one
+    # variable, or of one generator
+    assert _bases_by_order_kind(monkeypatch, BASE) == {"local": 2}
+
+
+def test_gamma1_of_base_builds_no_basis(monkeypatch):
+    # Gamma + (z1): z1 prunes every term of Gamma that it divides, which
+    # leaves z2^3 and z3^3 in blocks of one variable each, 3 * 3 = 9
+    gamma = invariants._polar_ideal(BASE)
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("gamma1 computed a basis")
+
+    monkeypatch.setattr(engine, "standard_basis", no_basis)
+    assert invariants.gamma1(gamma) == 9
 
 
 def test_separated_four_variable_germ_builds_no_elimination_basis(
         monkeypatch):
-    # dz2, dz3 and dz4 lie in disjoint variables; local: lambda0, gamma1 and
-    # the intersection cross-check, as for BASE
+    # dz2, dz3 and dz4 lie in disjoint variables; local: lambda0 and the
+    # intersection cross-check, both in (z1, z2), as for BASE
     ctx = Context(("z1", "z2", "z3", "z4"), ())
     f = parse_polynomial("z1^2*z2^2 + z2^4 + z3^3 + z4^3", ctx)
-    assert _bases_by_order_kind(monkeypatch, f) == {"local": 3}
+    assert _bases_by_order_kind(monkeypatch, f) == {"local": 2}
 
 
 def test_separable_milnor_number_and_lambda1_build_no_basis(monkeypatch):

@@ -121,6 +121,24 @@ def test_pow_matches_repeated_products():
         product = product * p
 
 
+@pytest.mark.parametrize("ctx", [
+    CTX, CTXP, Context(("z1", "z2"), (), 32003)])
+def test_monomial_pow_matches_repeated_products(ctx):
+    # a monic monomial takes one step; a monomial with another coefficient,
+    # a constant and (over QQ(t)) a power of t take square and multiply
+    bases = [Polynomial.monomial(ctx, (2, 1) + (0,) * (ctx.nvars - 2)),
+             Polynomial.monomial(ctx, (0, 3) + (0,) * (ctx.nvars - 2), -2),
+             Polynomial.variable(ctx, "z1"), Polynomial.one(ctx),
+             Polynomial.constant(ctx, Fraction(3, 2))]
+    if ctx.parameters:
+        bases.append(Polynomial.parameter(ctx, "t"))
+    for p in bases:
+        product = Polynomial.one(ctx)
+        for n in range(7):
+            assert p ** n == product
+            product = product * p
+
+
 def test_partial_derivative():
     z1, z2 = v("z1"), v("z2")
     f = z1 ** 2 * z2 ** 2 + z2 ** 5
