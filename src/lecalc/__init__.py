@@ -13,11 +13,10 @@ The family names (``Family``, ``analyze_family``, ``verify_ilm``, ...) load
 ``invariants`` command do not compile the family layer.
 """
 
-from .engine import (DEFAULT_BUDGET, Ideal, StandardBasis, colength_at_origin,
+from .engine import (Ideal, StandardBasis, colength_at_origin,
                      colength_by_truncation, colength_global,
                      contains_local_unit, dimension_at_origin, eliminate,
-                     ideals_equal, intersect, saturate, standard_basis,
-                     step_budget)
+                     ideals_equal, intersect, saturate, standard_basis)
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
                      LecalcError, MathRefusal, NonIsolatedError,
@@ -29,6 +28,7 @@ from .invariants import (InvariantRecord, WeightSystem, detect_weights,
 from .orders import GREVLEX, LOCAL, MonomialOrder
 from .parse import parse_polynomial
 from .poly import Coefficient, Context, Modular, Polynomial, render
+from .sparse import DEFAULT_BUDGET, step_budget
 
 __version__ = "0.1.0"
 

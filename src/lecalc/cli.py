@@ -21,13 +21,13 @@ from functools import cache
 from random import Random
 
 from . import report as rp
-from .engine import DEFAULT_BUDGET, step_budget
 from .errors import (ContextError, MathRefusal, NonIsolatedError,
                      NotLineSingularityError, UsageError)
 from .invariants import detect_weights, germ_record, milnor_number
 from .orders import clear_key_tables
 from .parse import parse_polynomial
 from .poly import Context, clear_contexts
+from .sparse import DEFAULT_BUDGET, step_budget
 
 
 class _Parser(argparse.ArgumentParser):

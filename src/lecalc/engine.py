@@ -63,59 +63,26 @@ k >= 2.  Any other block takes one local basis in its own variables, so a
 coupled ideal, one block in every variable, takes the one basis it always
 did.
 
-Each term-cancellation step draws on the budget `step_budget` made active,
-or outside any block on a fresh DEFAULT_BUDGET per basis and normal form.
-Loops outside the engine draw on `current_budget()` the same way.
+Each term-cancellation step draws one step of `sparse.current_budget()`:
+the budget `step_budget` made active, or outside any block a fresh
+DEFAULT_BUDGET per basis and normal form.  The gcds that saturation takes
+(`_strip_common_factors`, the lcms of principal factors) and those that
+normalise QQ(params) coefficients draw one step per pseudo-remainder of
+the same budget (see `lecalc.sparse`).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import NamedTuple
 
 from . import sparse
-from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
-                     InternalCheckError)
+from .errors import ContextError, DegenerateInputError, InternalCheckError
 from .orders import GREVLEX, LOCAL, MonomialOrder, elimination
 from .poly import Context, Polynomial, multivariate_gcd
-
-DEFAULT_BUDGET = 100_000
-
-
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise BudgetExceededError(
-                f"reduction budget of {self.limit} steps exhausted")
-
-
-_active_budget: _Budget | None = None
-
-
-@contextmanager
-def step_budget(limit: int):
-    """One budget of `limit` steps for every basis and normal form computed
-    in the block; yields it, and restores the outer budget on exit."""
-    global _active_budget
-    outer, _active_budget = _active_budget, _Budget(limit)
-    try:
-        yield _active_budget
-    finally:
-        _active_budget = outer
-
-
-def current_budget() -> _Budget:
-    """The active budget, or a fresh DEFAULT_BUDGET outside any block."""
-    return _active_budget or _Budget(DEFAULT_BUDGET)
+# step_budget and DEFAULT_BUDGET stay importable from here
+from .sparse import DEFAULT_BUDGET, current_budget, step_budget  # noqa: F401
 
 
 class _IdealFields(NamedTuple):

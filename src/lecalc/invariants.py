@@ -23,12 +23,13 @@ from operator import mul
 from random import Random
 from typing import NamedTuple
 
-from .engine import Ideal, colength_at_origin, current_budget, saturate
+from .engine import Ideal, colength_at_origin, saturate
 from .errors import (ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
                      NonIsolatedError, NotLineSingularityError,
                      UnluckySpecializationError)
 from .poly import Polynomial, require_reduced
+from .sparse import current_budget
 
 
 def draw_rational(rng: Random) -> Fraction:

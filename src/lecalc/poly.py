@@ -16,6 +16,11 @@ rational it maps QQ(params) to QQ(the other params), and at a `Modular`
 residue it maps QQ(t) to GF(p).  `Polynomial.eval_variable` is the one
 evaluator of a ring variable, at a rational, in the same context.
 
+Every gcd here is `sparse.pgcd`, which draws one step of the current
+budget (see `lecalc.sparse`) per pseudo-remainder: the gcd that keeps a
+`Coefficient` reduced, `multivariate_gcd` and the reducedness gcd of
+`reduced_witness`.  Nothing else in this module draws a step.
+
 Everything here is immutable by convention: operations return fresh objects
 and never mutate term dicts that have been handed out.
 """
@@ -741,14 +746,14 @@ def render(p: Polynomial) -> str:
 # ---------------------------------------------------------------------------
 # gcd and reducedness at the ring level
 
-def multivariate_gcd(f: Polynomial, g: Polynomial, tick=None) -> Polynomial:
+def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """gcd over the coefficient field, leading coefficient one under grevlex;
-    tick, when given, is called before each pseudo-remainder."""
+    each pseudo-remainder draws one step of the current budget."""
     if f.context != g.context:
         raise ContextError("gcd across different contexts")
     if f.is_zero() and g.is_zero():
         raise DegenerateInputError("gcd(0, 0) is undefined")
-    return Polynomial(f.context, sparse.pgcd(f.terms, g.terms, tick))
+    return Polynomial(f.context, sparse.pgcd(f.terms, g.terms))
 
 
 def reduced_witness(f: Polynomial) -> Polynomial | None:
@@ -758,21 +763,19 @@ def reduced_witness(f: Polynomial) -> Polynomial | None:
     only where the gcd would find none: the gcd is nonconstant exactly when
     f has a repeated factor, and the image of a repeated factor divides
     both a certified image and its derivative.  Otherwise one gcd per
-    nonzero partial, stopping once the gcd is constant; each
-    pseudo-remainder draws one step of the active budget, so a long
+    nonzero partial, stopping once the gcd is constant; like every gcd,
+    each pseudo-remainder draws one step of the current budget, so a long
     remainder sequence ends in BudgetExceededError."""
     if f.is_zero():
         raise DegenerateInputError("reducedness of the zero polynomial")
     from .squarefree import certified_squarefree
     if certified_squarefree(f):
         return None
-    from .engine import current_budget
-    tick = current_budget().tick
     g = f
     for v in f.context.variables:
         d = f.partial(v)
         if not d.is_zero():
-            g = multivariate_gcd(g, d, tick)
+            g = multivariate_gcd(g, d)
             if not g.total_degree():
                 return None
     return g if g.total_degree() else None

@@ -16,10 +16,10 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import DEFAULT_BUDGET
 from .errors import BudgetExceededError, NotLineSingularityError
 from .invariants import InvariantRecord, WeightSystem
 from .poly import render as render_poly
+from .sparse import DEFAULT_BUDGET
 
 SCHEMA_VERSION = 1
 

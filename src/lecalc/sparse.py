@@ -15,11 +15,61 @@ entirely adequate for desk-scale inputs.  When either argument is a single
 term the gcd is a monomial, x^e with e the componentwise minimum of every
 exponent of both arguments, and `pgcd` returns it in closed form without
 entering the recursion; a QQ(t) coefficient spends most of its gcds there.
+
+The step budget lives here, the lowest layer that charges a step.
+`with step_budget(limit):` makes one budget active for a block, and
+`current_budget()` returns it, or outside any block a fresh budget of
+DEFAULT_BUDGET steps, taken once per basis, normal form and remainder
+sequence.  Two things draw a step: each term-cancellation step of the
+basis engine (`lecalc.engine`), and each pseudo-remainder of the gcd
+here, wherever the gcd is taken: the normalisation of a QQ(params)
+coefficient, the reducedness gcd and the gcds of saturation.  The
+closed-form gcd with a one-term side draws none.  Running out raises
+`BudgetExceededError`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+from .errors import BudgetExceededError
 from .orders import GREVLEX
+
+DEFAULT_BUDGET = 100_000
+
+
+class _Budget:
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def tick(self):
+        self.used += 1
+        if self.used > self.limit:
+            raise BudgetExceededError(
+                f"reduction budget of {self.limit} steps exhausted")
+
+
+_active_budget: _Budget | None = None
+
+
+@contextmanager
+def step_budget(limit: int):
+    """One budget of `limit` steps for every step drawn in the block;
+    yields it, and restores the outer budget on exit."""
+    global _active_budget
+    outer, _active_budget = _active_budget, _Budget(limit)
+    try:
+        yield _active_budget
+    finally:
+        _active_budget = outer
+
+
+def current_budget() -> _Budget:
+    """The active budget, or a fresh DEFAULT_BUDGET outside any block."""
+    return _active_budget or _Budget(DEFAULT_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +249,20 @@ def _join(u, v):
     return out
 
 
-def _content(coeffs, tick):
+def _content(coeffs):
     """gcd of a list of polynomials (the content of a univariate view)."""
     g = {}
     for c in coeffs:
-        g = _gcd_rec(g, c, tick)
+        g = _gcd_rec(g, c)
         if _is_constant(g):
             return _one_like(g)
     return g
 
 
-def _primitive(a, v, tick):
+def _primitive(a, v):
     """(content, primitive part) of a with respect to variable v."""
     u = _split(a, v)
-    cont = _content(list(u.values()), tick)
+    cont = _content(list(u.values()))
     if _is_constant(cont):
         return cont, dict(a)
     pp = {d: pdiv_exact(c, cont) for d, c in u.items()}
@@ -249,7 +299,7 @@ def _prem(f, g, v):
     return _join(r, v) if r else {}
 
 
-def _gcd_rec(a, b, tick=None):
+def _gcd_rec(a, b):
     if not a:
         return dict(b)
     if not b:
@@ -258,35 +308,34 @@ def _gcd_rec(a, b, tick=None):
     if not used:
         return _one_like(a)
     v = max(used)
-    ca, pa = _primitive(a, v, tick)
-    cb, pb = _primitive(b, v, tick)
-    cont = _gcd_rec(ca, cb, tick)
+    ca, pa = _primitive(a, v)
+    cb, pb = _primitive(b, v)
+    cont = _gcd_rec(ca, cb)
     f, g = pa, pb
     if max(_split(f, v)) < max(_split(g, v)):
         f, g = g, f
+    tick = current_budget().tick
     while True:
-        if tick:
-            tick()
+        tick()
         r = _prem(f, g, v)
         if not r:
             break
-        _, r = _primitive(r, v, tick)
+        _, r = _primitive(r, v)
         # the content is only found up to a scalar, so scale the remainder
         # too: pseudo-division multiplies the coefficients by powers of a
         # leading coefficient, and without this their size grows
         # exponentially along the sequence
         c = next(iter(r.values()))
         f, g = g, {m: x / c for m, x in r.items()}
-    _, g = _primitive(g, v, tick)
+    _, g = _primitive(g, v)
     if _is_constant(g):
         g = _one_like(g)
     return g if _is_constant(cont) else pmul(cont, g)
 
 
-def pgcd(a, b, tick=None):
+def pgcd(a, b):
     """Monic gcd (leading grevlex coefficient one). gcd(0, 0) is an error.
-    tick, when given, is called before each pseudo-remainder, so a caller's
-    step budget can end a long remainder sequence."""
+    Each pseudo-remainder draws one step of the current budget."""
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
     if len(a) == 1 or len(b) == 1:
@@ -295,6 +344,6 @@ def pgcd(a, b, tick=None):
         e = tuple(map(min, zip(*a, *b)))
         c = next(iter(a.values() or b.values()))
         return {e: c / c}
-    g = _gcd_rec(a, b, tick)
+    g = _gcd_rec(a, b)
     _, lc = lead(g)
     return {m: c / lc for m, c in g.items()}

@@ -44,11 +44,11 @@ def _residues(f: Polynomial, params, p: int) -> dict | None:
         for i, (name, a) in enumerate(zip(names, params)):
             f = f.specialize_parameter(
                 name, Modular(a, p) if i == len(names) - 1 else a)
-        return {m: c.value if isinstance(c, Modular)
-                else c.numerator * pow(c.denominator, -1, p) % p
+        return {m: (c if isinstance(c, Modular)
+                    else Modular.from_rational(c, p)).value
                 for m, c in f.terms.items()}
-    except (ValueError, UnluckySpecializationError):
-        return None  # pow raises ValueError when p divides a denominator
+    except (ZeroDivisionError, UnluckySpecializationError):
+        return None  # p divides a rational denominator
 
 
 def _coprime(a, b, p):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lecalc import engine, sparse
-from lecalc.engine import (DEFAULT_BUDGET, Ideal, _Budget, _reduce,
+from lecalc.engine import (DEFAULT_BUDGET, Ideal, _reduce,
                            colength_at_origin, colength_by_truncation,
                            colength_global, contains_local_unit,
                            dimension_at_origin, eliminate, ideals_equal,
@@ -24,6 +24,7 @@ from lecalc.errors import (BudgetExceededError, ContextError,
 from lecalc.orders import GREVLEX, LOCAL, clear_key_tables
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, render
+from lecalc.sparse import _Budget
 
 C2 = Context(("z1", "z2"), ())
 X = Polynomial.variable(C2, "z1")
@@ -609,10 +610,10 @@ def test_nested_step_budget_restores_the_outer_one():
         with step_budget(5) as inner, pytest.raises(BudgetExceededError):
             standard_basis(NINE_STEPS, GREVLEX)
         assert inner.used > inner.limit
-        assert engine._active_budget is outer and outer.used == 9
+        assert sparse._active_budget is outer and outer.used == 9
         standard_basis(NINE_STEPS, GREVLEX)
         assert outer.used == 18
-    assert engine._active_budget is None
+    assert sparse._active_budget is None
 
 
 def test_colength_matches_truncation_on_random_zero_dim_ideals():

@@ -303,9 +303,8 @@ def _order_two_along_the_axis(draw):
 
 def _tractable(f: Polynomial, terms: int = 6) -> bool:
     """z1 present (a germ free of it is a suspension), at most TERMS terms
-    and reduced: the gcds of the reducedness test, which no budget bounds,
-    took minutes on some larger germs and on some z1-free ones in 4
-    variables.  A property that draws many germs takes at most 5 terms:
+    and reduced: the gcds of the reducedness test took minutes on some
+    larger germs and on some z1-free ones in 4 variables.  A property that draws many germs takes at most 5 terms:
     about one 6-term draw in a thousand still spent over 5 s in them."""
     return not (f.is_zero() or len(f.terms) > terms
                 or not any(m[0] for m in f.terms)
@@ -502,6 +501,19 @@ def test_hyperplane_cuts_of_the_polar_cycles_agree(f, seed):
     except BudgetExceededError:
         reject()
     assert all(equal)
+
+
+@pytest.mark.parametrize("expr", [
+    "t*z1^2*z2*z3 + z3^4 - 3*z1*z2^2 + t*z2^2*z3 + z2^2",
+    "3*z1^2*z2^2*z3 + 3*z1^2*z2*z3 + t*z1*z2^2*z3 + z2^3 + z3^3"])
+def test_coefficient_gcds_of_a_germ_record_draw_on_the_budget(expr):
+    # the seed-14 draw of the lambda1 property below and the seed-11 draw
+    # of the hyperplane-cut one above: the gcds that keep the QQ(t)
+    # coefficients of one normal-form step reduced once ran for minutes
+    # under this budget, which counted reduction steps alone
+    f = parse_polynomial(expr, Context(("z1", "z2", "z3"), ("t",)))
+    with step_budget(3000), pytest.raises(BudgetExceededError):
+        germ_record(f, Random(0))
 
 
 def _transverse_jacobian_over_qq_z1(f: Polynomial) -> Ideal:

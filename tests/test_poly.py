@@ -511,9 +511,9 @@ def test_reduced_witness_makes_one_gcd_per_nonzero_partial(monkeypatch):
     calls = []
     gcd = poly.multivariate_gcd
 
-    def spy(a, b, tick=None):
+    def spy(a, b):
         calls.append((a, b))
-        return gcd(a, b, tick)
+        return gcd(a, b)
 
     monkeypatch.setattr(poly, "multivariate_gcd", spy)
     f = parse_polynomial("z2^2*z3^2", CTX)

@@ -1,6 +1,6 @@
 """The sparse dict layer: the gcd's monomial closed form against the
-pseudo-remainder recursion, and the size of that recursion's
-coefficients."""
+pseudo-remainder recursion, the size of that recursion's coefficients,
+and the budget steps it draws."""
 
 from fractions import Fraction
 
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from lecalc import sparse
 from lecalc.parse import parse_polynomial
-from lecalc.poly import Context, Modular
+from lecalc.poly import Coefficient, Context, Modular
+from lecalc.sparse import step_budget
 
 FIELDS = (Fraction, lambda n: Modular(n, 7), lambda n: Modular(n, 2147483629))
 
@@ -68,3 +69,19 @@ def test_remainder_sequence_keeps_coefficients_small(monkeypatch):
 
     monkeypatch.setattr(sparse, "_prem", spy)
     assert sparse.pgcd(f.terms, f.partial("z1").terms) == {(0, 0, 0): 1}
+
+
+def test_every_pseudo_remainder_draws_a_budget_step():
+    # (t^2 - 1)/(t + 1): neither side is one term, so the gcd that reduces
+    # the coefficient takes the remainder sequence, and draws on the budget
+    # like every other gcd
+    q = Fraction
+    num = {(2,): q(1), (0,): q(-1)}
+    den = {(1,): q(1), (0,): q(1)}
+    with step_budget(100) as budget:
+        assert sparse.pgcd(num, den) == den
+    assert budget.used > 0
+    with step_budget(100) as budget:
+        c = Coefficient(num, den, 1)
+    assert budget.used > 0
+    assert (c.num, c.den) == ({(1,): q(1), (0,): q(-1)}, {(0,): q(1)})
