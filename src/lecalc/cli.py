@@ -24,7 +24,6 @@ from . import report as rp
 from .errors import (ContextError, MathRefusal, NonIsolatedError,
                      NotLineSingularityError, UsageError)
 from .invariants import detect_weights, germ_record, milnor_number
-from .orders import clear_key_tables
 from .parse import parse_polynomial
 from .poly import Context, clear_contexts
 from .sparse import DEFAULT_BUDGET, step_budget
@@ -254,10 +253,8 @@ _COMMANDS = {"invariants": cmd_invariants, "family": cmd_family,
 
 def entrypoint(argv=None) -> int:
     """Run one command under one step budget and write its report."""
-    # each command starts with empty key and context tables, so a process
-    # that runs many commands holds the monomials and contexts of one
-    # command at a time
-    clear_key_tables()
+    # each command starts with an empty context table, so a process that
+    # runs many commands holds the contexts of one command at a time
     clear_contexts()
     try:
         args = _shared_parser().parse_args(argv)

@@ -6,80 +6,57 @@ pool) until the leading exponents reach a highest corner: a pure power
 z_i^a_i for every variable.  Then m^D lies in the ideal locally, with
 D = 1 + sum(a_i - 1), and the rest of the loop reduces modulo m^D by leading
 terms instead (Greuel-Pfister, A Singular Introduction to Commutative
-Algebra, 1.7).  Every public operation is deterministic for a fixed input:
-generators are canonicalized (monic, deduplicated, sorted) before the pair
-loop, pairs are selected by smallest lcm degree with ties broken by the
-active order (a heap of pairs), and reducers are chosen by position (global
-and truncated) or minimal ecart then position (Mora).  Each reducer takes
-leading terms off a heap of the remainder's monomials (Monagan-Pearce,
-CASC 2007) instead of rescanning it.  Monomial orders memoize their keys
-in one table per key and order (see `lecalc.orders`).
+Algebra, 1.7).  Every operation is deterministic: generators are made
+monic, deduplicated and sorted before the pair loop, pairs are taken by
+smallest lcm degree, ties broken by the order, and reducers by position
+(global and truncated) or least ecart then position (Mora).  One rule,
+`_remainder`, reduces S-polynomials, normal forms and checks.
 
-One rule, `_remainder`, reduces S-polynomials, normal forms and checks:
-Mora's weak normal form under the local order while no bound is known,
-full reduction (modulo m^bound once known) otherwise, both subtracting rows
-through `_sub_scaled`.  `verify_basis(sb)` checks a basis on request: every
-S-polynomial and every generator of sb.ideal must have remainder zero.
+Every loop runs on packed monomials (`lecalc.orders.Packing`): a product
+is a + b, a divisibility test one subtraction and a mask, the ecart
+max(terms) >> shift, and the leading term the smallest integer, so the
+heap of a remainder's monomials (Monagan-Pearce, CASC 2007) holds plain
+integers and the heap of pairs tuples of them.  `standard_basis`,
+`normal_form` and `verify_basis` pack at entry and unpack at exit, and
+`_packed` runs again with wider fields when a product would fill one.
 
 Global bases are reduced: each element of a minimal basis becomes
-lt - NF(lt) = lt + NF(tail), lt its leading term, which is the classical
-reduced Groebner basis.  Local bases are minimal, monic and
-deterministically sorted, with tails as computed: their callers read the
-leading ideal (colengths, dimensions) or normal forms, and neither depends
-on the tails (Greuel-Pfister, 1.7: tails need reducing only where elements
-must be unique).  A normal form modulo a zero-dimensional local basis is still
-canonical: its leading exponents show a highest corner, so m^D lies in the
-ideal locally, and full reduction modulo m^D leaves the unique
-representative on standard monomials whatever the tails.  A colength is the
-number of standard monomials, counted where it is taken and never stored:
-an int, or None when it is infinite.  `_staircase` counts them column by
-column in the last variable, one slice ideal per height the leading
-exponents show, so the work is bounded by those exponents and not by the
-colength.
+lt + NF(tail).  Local bases are minimal, monic and sorted, with tails as
+computed: their callers read the leading ideal or normal forms, neither of
+which depends on the tails (Greuel-Pfister, 1.7), and full reduction
+modulo m^D leaves a canonical normal form whatever the tails.
 
-Saturation: I : K^infinity is the intersection of the factors
-I : g^infinity over the generators g of K, and `saturate` returns its
-reduced GREVLEX basis.  Each factor splits I's generators into blocks linked
-by shared variables.  Only the blocks that share a variable with g are
-saturated, the rest are added back unchanged: one generator by gcds, with
-no basis, several by a Rabinowitsch elimination.  Factors equal to (1) drop
-out of the intersection; principal factors are intersected by lcms, the
-others by an elimination.  So the polar curve of z1^a*z2^b + z2^c + z3^d
-needs no basis at all.
-
-Colengths and dimensions at the origin go block by block too, once every
-term divisible by a monomial generator is pruned (`_prune_by_monomials`:
-g less its terms divisible by the generator m is g - m*q, so the ideal
-stays the same).  A coordinate among the generators is then a block of
-its own, so the colength of I + (z1) is that of I at z1 = 0.  The local
-algebra of an ideal is the tensor product of the algebras of its blocks,
-so colengths multiply and dimensions add (Sebastiani-Thom, Invent. Math.
-13, 1971: mu(g(x) + h(y)) = mu(g) * mu(h), here for ideals).  A variable
-in no generator makes the colength infinite and adds 1 to the dimension; a
-block in one variable has the least order of its generators as colength
-(the local ring is a discrete valuation ring) and dimension 0; a single
-generator in k variables has dimension k - 1, and infinite colength when
-k >= 2.  Any other block takes one local basis in its own variables, so a
-coupled ideal, one block in every variable, takes the one basis it always
-did.
+Saturation and colengths and dimensions at the origin go block by block,
+the generators grouped by shared variables (see `saturate`).  A colength
+or a dimension reads leading exponents only.  Every term divisible by a
+monomial generator is pruned first (g less its terms divisible by the
+generator m is g - m*q), and the local algebra of an ideal is the tensor
+product of those of its blocks, so colengths multiply and dimensions add
+(Sebastiani-Thom, Invent. Math. 13, 1971, here for ideals).  A block that
+needs a basis runs the pair loop on its exponent tuples restricted to its
+own variables and keeps the minimal leading exponents alone
+(`_block_leading_exponents`); `_staircase` counts the standard monomials
+with work bounded by those exponents, not by the colength, an int or None
+when it is infinite.
 
 Each term-cancellation step draws one step of `sparse.current_budget()`:
 the budget `step_budget` made active, or outside any block a fresh
-DEFAULT_BUDGET per basis and normal form.  The gcds that saturation takes
-(`_strip_common_factors`, the lcms of principal factors) and those that
-normalise QQ(params) coefficients draw one step per pseudo-remainder of
-the same budget (see `lecalc.sparse`).
+DEFAULT_BUDGET per basis and normal form.  The gcds of saturation and of
+QQ(params) coefficients draw one step per pseudo-remainder of the same
+budget (see `lecalc.sparse`).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import sparse
 from .errors import ContextError, DegenerateInputError, InternalCheckError
-from .orders import GREVLEX, LOCAL, MonomialOrder, elimination
+from .orders import (GREVLEX, LOCAL, MonomialOrder, Packing, PackingOverflow,
+                     elimination)
 from .poly import Context, Polynomial, multivariate_gcd
 # step_budget and DEFAULT_BUDGET stay importable from here
 from .sparse import DEFAULT_BUDGET, current_budget, step_budget  # noqa: F401
@@ -122,11 +99,9 @@ class StandardBasis(NamedTuple):
 
     @property
     def truncation_bound(self) -> int | None:
-        """The highest-corner bound D = 1 + sum(a_i - 1) of a local basis
-        whose leading exponents hold a pure power z_i^a_i of every variable,
-        so that m^D lies in the ideal locally and normal forms and checks
-        are reduced modulo m^D; None for a global basis or one with no
-        corner (see _corner_bound)."""
+        """The highest-corner bound D of a local basis (see _corner_bound):
+        m^D lies in the ideal locally, so normal forms and checks reduce
+        modulo m^D; None for a global basis or one with no corner."""
         if self.order.is_global:
             return None
         return _corner_bound(_pure_powers(self.leading_exponents),
@@ -134,23 +109,45 @@ class StandardBasis(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# reduction primitives (term dicts; reducer rows are monic)
+# packing; below, a row is (terms, lt) with packed monomials
 
-def _lt(terms, order):
-    return max(terms, key=order.key)
+_MIN_WIDTH = 8
 
 
-def _sub_scaled(h, c, shift, g_terms, queue, neg_key, bound=None):
+def _packed(order: MonomialOrder, nvars: int, term_dicts, run):
+    """run(packing, budget) under the current budget and a packing wide
+    enough for the exponents of term_dicts.  When a product outgrows its
+    fields the run starts again twice as wide and its steps are given back,
+    so it draws the steps of a run that never overflowed."""
+    budget = current_budget()
+    top = max((max(m) for t in term_dicts for m in t), default=0)
+    width = max(_MIN_WIDTH, top.bit_length() + 3)
+    while True:
+        used = budget.used
+        try:
+            return run(Packing(order, nvars, width), budget)
+        except PackingOverflow:
+            budget.used = used
+            width *= 2
+
+
+# ---------------------------------------------------------------------------
+# reduction primitives (reducer rows are monic)
+
+def _sub_scaled(h, c, shift, g_terms, queue, guards, limit=None):
     """h -= c * x^shift * g, in place; monomials new to h go on the queue.
-    With a bound, product terms of total degree >= bound are dropped."""
+    With a limit (bound << shift, local order), product terms of total
+    degree >= the bound are dropped."""
     for m, v in g_terms.items():
-        k = sparse.mmul(m, shift)
-        if bound is not None and sum(k) >= bound:
+        k = m + shift
+        if limit is not None and k >= limit:
             continue
         w = h.get(k)
         if w is None:
+            if k & guards:
+                raise PackingOverflow("a product outgrew its fields")
             h[k] = -(c * v)
-            heappush(queue, (neg_key(k), k))
+            heappush(queue, k)
         else:
             w = w - c * v
             if w:
@@ -159,20 +156,14 @@ def _sub_scaled(h, c, shift, g_terms, queue, neg_key, bound=None):
                 del h[k]
 
 
-# Leading terms come off a heap keyed on order.neg_key, with lazy deletion:
-# an entry whose monomial has since cancelled is skipped when popped.  The
+# Leading terms come off a heap of packed monomials, with lazy deletion: an
+# entry whose monomial has since cancelled is skipped when popped.  The
 # orders are multiplicative, so a reduction step only adds terms below the
 # leading term it cancels, and the heap yields leading terms in order.
 
-def _queue(terms, neg_key):
-    queue = [(neg_key(m), m) for m in terms]
-    heapify(queue)
-    return queue
-
-
-def _reduce(p_terms, rows, order, budget, bound=None):
+def _reduce(p_terms, rows, pk, budget, bound=None):
     """Full division remainder: no term of the result is divisible by any
-    row leading monomial.  Rows are (terms, lt) with monic terms.
+    row leading monomial.
 
     With a bound, m^bound must lie in the (local) ideal: terms of total
     degree >= bound are then discarded outright and the rest reduce by
@@ -180,123 +171,124 @@ def _reduce(p_terms, rows, order, budget, bound=None):
     finitely many monomials of degree < bound, so this terminates under the
     local order too, and the result is the unique representative supported
     on standard monomials."""
-    r = {m: c for m, c in p_terms.items() if bound is None or sum(m) < bound}
-    neg_key = order.neg_key
-    queue = _queue(r, neg_key)
+    guards = pk.guards
+    limit = None if bound is None else bound << pk.shift
+    r = {m: c for m, c in p_terms.items() if limit is None or m < limit}
+    queue = list(r)
+    heapify(queue)
     nf = {}
     while queue:
-        m = heappop(queue)[1]
+        m = heappop(queue)
         c = r.get(m)
         if c is None:
             continue
         for terms, lt in rows:
-            shift = sparse.mdiv(m, lt)
-            if shift is not None:
+            if not (m - lt) & guards:
                 break
         else:
             nf[m] = r.pop(m)
             continue
         budget.tick()
         # the row is monic, so the subtraction cancels m itself
-        _sub_scaled(r, c, shift, terms, queue, neg_key, bound)
+        _sub_scaled(r, c, m - lt, terms, queue, guards, limit)
     return nf
 
 
-def _ecart(terms, lt):
-    return sparse.max_total_degree(terms) - sum(lt)
-
-
-def _mora_nf(p_terms, rows, order, budget):
+def _mora_nf(p_terms, rows, pk, budget):
     """Mora weak normal form: the leading term of the result is irreducible,
     and unit * p - result lies in the ideal generated by the rows (in the
-    ring localized at the order).  Zero result certifies local membership."""
-    pool = [(terms, lt, _ecart(terms, lt)) for terms, lt in rows]
+    ring localized at the order).  Zero result certifies local membership.
+    The ecart of terms led by lt is (max(terms) >> shift) - (lt >> shift)."""
+    guards, shift = pk.guards, pk.shift
+    pool = [(terms, lt, (max(terms) >> shift) - (lt >> shift))
+            for terms, lt in rows]
     h = dict(p_terms)
-    neg_key = order.neg_key
-    queue = _queue(h, neg_key)
+    queue = list(h)
+    heapify(queue)
     while h:
-        lm = queue[0][1]
+        lm = queue[0]
         if lm not in h:
             heappop(queue)
             continue
         best = None
-        best_shift = None
-        for terms, lt, ec in pool:
-            shift = sparse.mdiv(lm, lt)
-            if shift is not None and (best is None or ec < best[2]):
-                best = (terms, lt, ec)
-                best_shift = shift
+        for row in pool:
+            if not (lm - row[1]) & guards and (best is None or row[2] < best[2]):
+                best = row
         if best is None:
             return h
-        ec_h = sparse.max_total_degree(h) - sum(lm)
+        ec_h = (max(h) >> shift) - (lm >> shift)
         if best[2] > ec_h:
-            pool.append(({k: v for k, v in h.items()}, lm, ec_h))
+            pool.append((dict(h), lm, ec_h))
         budget.tick()
-        c = h[lm] / best[0][best[1]]
-        _sub_scaled(h, c, best_shift, best[0], queue, neg_key)
+        terms, lt, _ = best
+        _sub_scaled(h, h[lm] / terms[lt], lm - lt, terms, queue, guards)
     return h
 
 
-def _remainder(terms, rows, order, budget, bound=None):
+def _remainder(terms, rows, pk, budget, bound=None):
     """Mora's weak normal form under the local order while no bound is
     known, full reduction (modulo m^bound when given) otherwise."""
-    if order.is_global or bound is not None:
-        return _reduce(terms, rows, order, budget, bound)
-    return _mora_nf(terms, rows, order, budget)
+    if pk.order.is_global or bound is not None:
+        return _reduce(terms, rows, pk, budget, bound)
+    return _mora_nf(terms, rows, pk, budget)
 
 
 # ---------------------------------------------------------------------------
 # Buchberger / Mora pair loop
 
-def _terms_fingerprint(terms):
-    return tuple(sorted(terms.items()))
+def _canonical_input(gens, pk, unit):
+    """Monic, deduplicated packed rows of the term dicts gens, sorted by
+    (deg lt, order key of lt, length, terms); the order key ascends as the
+    packed monomial descends."""
+    keyed = []
+    for t in gens:
+        packed = {pk.pack(m): m for m in t}
+        k = min(packed)
+        lt = packed[k]
+        if (lc := t[lt]) != unit:
+            t = {m: unit if m == lt else c / lc for m, c in t.items()}
+        if all(t != other for _, other, _ in keyed):
+            keyed.append(((sum(lt), -k, len(t)), t,
+                          {p: t[m] for p, m in packed.items()}))
+    keyed.sort(key=lambda r: (r[0], sorted(r[1].items())))
+    return [row for _, _, row in keyed]
 
 
-def _canonical_input(gens, order):
-    """Monic, deduplicated rows sorted by (deg lt, order key of lt, length,
-    terms)."""
-    keyed = {}
-    for g in gens:
-        t = g.monic(order).terms
-        fp = _terms_fingerprint(t)
-        if fp not in keyed:
-            lt = _lt(t, order)
-            keyed[fp] = ((sum(lt), order.key(lt), len(t), fp), t)
-    return [t for _, t in sorted(keyed.values(), key=lambda kt: kt[0])]
-
-
-def _pair_loop(input_rows, order, budget):
-    """Buchberger's loop, or Mora's under the local order, over monic rows.
-
-    Pairs wait on a heap keyed on (deg lcm, order key of lcm, i, j): the
-    smallest lcm degree first, ties broken by the active order.  Under the
-    local order the loop watches for the highest corner: rows and
-    S-polynomials never leave the variables that the input rows involve, and
-    once the leading exponents show a pure power z_i^a_i for each of these,
-    every monomial in them of degree D = 1 + sum(a_i - 1) is a leading
-    monomial, so m'^D lies in the ideal locally (Nakayama), m' the maximal
-    ideal of those variables.  From then on S-polynomials reduce modulo m'^D
-    with _reduce instead of Mora's normal form, and the loop stops at the
-    first pair whose lcm has degree >= D (its S-polynomial lies in m'^D, and
-    so does every later one)."""
-    rows: list[tuple[dict, tuple[int, ...]]] = []
-    pairs: list[tuple[int, tuple, int, int, tuple[int, ...]]] = []
-    key = order.key
-    local = not order.is_global
+def _pair_loop(input_rows, pk, budget):
+    """Buchberger's loop, or Mora's under the local order, over monic packed
+    rows; every basis goes through here.  Pairs wait on a heap keyed on
+    (deg lcm, order key of lcm, i, j).  Under the local order, once the
+    leading exponents show a pure power z_i^a_i of each variable the input
+    involves, m'^D lies in the ideal locally (Nakayama), m' the maximal
+    ideal of those variables and D = 1 + sum(a_i - 1): from then on
+    S-polynomials reduce modulo m'^D with _reduce instead of Mora's normal
+    form, and the loop stops at the first pair whose lcm has degree >= D."""
+    rows: list[tuple[dict, int]] = []
+    lts: list[tuple[int, ...]] = []  # unpacked, for lcms and the corner
+    pairs: list[tuple[int, int, int, int, int]] = []
+    local = not pk.order.is_global
     corner: dict[int, int] = {}
-    used = {i for t in input_rows for m in t for i, a in enumerate(m) if a}
     bound = None
+    if local:
+        support = 0  # packed local monomials are nonnegative
+        for t in input_rows:
+            for m in t:
+                support |= m
+        used = {i for i, a in enumerate(pk.unpack(support)) if a}
 
     def push(terms):
         nonlocal bound
-        lt = _lt(terms, order)
-        idx = len(rows)
-        for j, (_, lt_j) in enumerate(rows):
-            lcm = sparse.mlcm(lt_j, lt)
-            heappush(pairs, (sum(lcm), key(lcm), j, idx, lcm))
+        lt = min(terms)
+        e = pk.unpack(lt)
+        for j, e_j in enumerate(lts):
+            lcm = sparse.mlcm(e_j, e)
+            k = pk.pack(lcm)
+            heappush(pairs, (sum(lcm), -k, j, len(rows), k))
         rows.append((terms, lt))
-        if local:
-            for i, a in _pure_powers([lt]).items():
+        lts.append(e)
+        powers = _pure_powers([e]) if local else None
+        if powers:
+            for i, a in powers.items():
                 corner[i] = min(a, corner.get(i, a))
             bound = _corner_bound(corner, used)
 
@@ -307,47 +299,39 @@ def _pair_loop(input_rows, order, budget):
         deg, _, i, j, lcm = heappop(pairs)
         if bound is not None and deg >= bound:
             break
-        if sparse.mmul(rows[i][1], rows[j][1]) == lcm:
+        if rows[i][1] + rows[j][1] == lcm:
             continue  # coprime leading terms: S-polynomial reduces to zero
-        s = _s_polynomial(rows[i], rows[j], lcm)
+        s = _s_polynomial(rows[i], rows[j], lcm, pk.guards)
         if not s:
             continue
-        h = _remainder(s, rows, order, budget, bound)
+        h = _remainder(s, rows, pk, budget, bound)
         if h:
-            lt_h = _lt(h, order)
-            inv = h[lt_h]
-            h = {m: v / inv for m, v in h.items()}
-            push(h)
+            inv = h[min(h)]
+            push({m: v / inv for m, v in h.items()})
     return rows
 
 
-def _s_polynomial(row_i, row_j, lcm):
+def _s_polynomial(row_i, row_j, lcm, guards):
     """(lcm / lt_i) * g_i - (lcm / lt_j) * g_j for monic rows (g, lt)."""
     (g_i, lt_i), (g_j, lt_j) = row_i, row_j
-    shift = sparse.mdiv(lcm, lt_i)
-    s = {sparse.mmul(m, shift): v for m, v in g_i.items()}
-    shift = sparse.mdiv(lcm, lt_j)
-    for m, v in g_j.items():
-        k = sparse.mmul(m, shift)
-        w = s.get(k)
-        if w is None:
-            s[k] = -v
-        else:
-            w = w - v
-            if w:
-                s[k] = w
-            else:
-                del s[k]
+    shift_i, shift_j = lcm - lt_i, lcm - lt_j
+    s = sparse.psub({m + shift_i: v for m, v in g_i.items()},
+                    {m + shift_j: v for m, v in g_j.items()})
+    if any(k & guards for k in s):
+        raise PackingOverflow("a product outgrew its fields")
     return s
 
 
-def _minimalize(rows, order):
-    ordered = sorted(rows, key=lambda r: (sum(r[1]), order.key(r[1])))
+def _minimal_rows(gens, pk, unit, budget):
+    """The minimal basis rows of the ideal of the term dicts gens, in the
+    order of (deg lt, order key of lt): a row is dropped when an earlier
+    kept one's leading monomial divides its own, so of equal leading
+    monomials the pair loop's first is kept."""
+    rows = _pair_loop(_canonical_input(gens, pk, unit), pk, budget)
     kept = []
-    for terms, lt in ordered:
-        if any(sparse.mdiv(lt, k_lt) is not None for _, k_lt in kept):
-            continue
-        kept.append((terms, lt))
+    for terms, lt in sorted(rows, key=lambda r: (sum(pk.unpack(r[1])), -r[1])):
+        if all((lt - k) & pk.guards for _, k in kept):
+            kept.append((terms, lt))
     return kept
 
 
@@ -376,16 +360,11 @@ def _corner_bound(corner, variables: set[int]):
 
 def _staircase(exps, nvars):
     """The number of monomials outside the monomial ideal generated by exps,
-    counted and not kept; None when there are infinitely many, that is when
-    exps hold no pure power of some variable (_corner_bound).
-
-    Counted column by column in the last variable: z'^m * z_n^k is standard
-    exactly when z'^m is standard for the slice at height k, the ideal in
-    the other variables of the e[:-1] with e[-1] <= k.  The slice changes
-    only at the heights e[-1] that exps show, and from the pure power of
-    z_n on it holds the unit, so each run of equal slices is counted once,
-    times its length.  The work is bounded by the leading exponents, not by
-    the colength."""
+    counted and not kept; None when exps hold no pure power of some
+    variable.  Column by column in the last variable: z'^m * z_n^k is
+    standard exactly when z'^m is for the slice at height k, the ideal of
+    the e[:-1] with e[-1] <= k, which changes only at the heights exps
+    show, so each run of equal slices is counted once, times its length."""
     if _corner_bound(_pure_powers(exps), set(range(nvars))) is None:
         return None
     return _columns(exps, nvars)
@@ -405,24 +384,33 @@ def _columns(exps, nvars):
 
 
 def standard_basis(ideal: Ideal, order: MonomialOrder) -> StandardBasis:
-    bud = current_budget()
     ctx = ideal.context
-    kept = _minimalize(_pair_loop(_canonical_input(ideal.generators, order),
-                                  order, bud), order)
+    gens = [g.terms for g in ideal.generators]
 
-    if order.is_global:
-        # reduced element lt - NF(lt) = lt + NF(tail): an element's own
-        # leading term never divides its tail, so this is the reduced
-        # Groebner basis
-        kept = [({lt: ctx.unit}
-                 | _reduce({m: c for m, c in terms.items() if m != lt},
-                           kept, order, bud), lt)
-                for terms, lt in kept]
+    def run(pk, budget):
+        kept = _minimal_rows(gens, pk, ctx.unit, budget)
+        if order.is_global:
+            # reduced element lt - NF(lt) = lt + NF(tail): an element's own
+            # leading term never divides its tail, so this is the reduced
+            # Groebner basis
+            kept = [({lt: ctx.unit}
+                     | _reduce({m: c for m, c in terms.items() if m != lt},
+                               kept, pk, budget), lt)
+                    for terms, lt in kept]
+        kept.sort(key=itemgetter(1), reverse=True)  # order key ascending
+        return [({pk.unpack(m): c for m, c in t.items()}, pk.unpack(lt))
+                for t, lt in kept]
 
-    kept.sort(key=lambda r: order.key(r[1]))
-    elements = tuple(Polynomial(ctx, dict(t)) for t, _ in kept)
-    lts = tuple(lt for _, lt in kept)
-    return StandardBasis(ideal, order, elements, lts)
+    rows = _packed(order, ctx.nvars, gens, run)
+    return StandardBasis(ideal, order,
+                         tuple(Polynomial(ctx, t) for t, _ in rows),
+                         tuple(lt for _, lt in rows))
+
+
+def _basis_rows(sb: StandardBasis, pk):
+    """sb's elements as packed rows, led by sb.leading_exponents."""
+    return [({pk.pack(m): c for m, c in g.terms.items()}, pk.pack(lt))
+            for g, lt in zip(sb.elements, sb.leading_exponents)]
 
 
 def verify_basis(sb: StandardBasis) -> StandardBasis:
@@ -430,21 +418,26 @@ def verify_basis(sb: StandardBasis) -> StandardBasis:
     its ideal has remainder zero (Buchberger's criterion, under Mora's
     normal form for the local order); raises InternalCheckError otherwise.
 
-    When the leading exponents of a local basis show a pure power z_i^a_i
-    of every variable, m^D lies in the ideal the elements generate
-    locally, D = 1 + sum(a_i - 1) = sb.truncation_bound, whatever their
-    tails (the highest corner of `_pair_loop`), and remainders are taken
-    modulo m^D as the pair loop takes them past the corner: Mora's normal
+    Remainders are taken modulo m^D, D = sb.truncation_bound, as the pair
+    loop takes them past the highest corner: m^D lies in the ideal that the
+    elements generate locally, whatever their tails, and Mora's normal
     forms of S-polynomials of unreduced tails can swell for seconds."""
-    order, bud, bound = sb.order, current_budget(), sb.truncation_bound
-    rows = list(zip((g.terms for g in sb.elements), sb.leading_exponents))
-    for r1, r2 in combinations(rows, 2):
-        s = _s_polynomial(r1, r2, sparse.mlcm(r1[1], r2[1]))
-        if s and _remainder(s, rows, order, bud, bound):
-            raise InternalCheckError("S-polynomial does not reduce to zero")
-    for t in _canonical_input(sb.ideal.generators, order):
-        if _remainder(t, rows, order, bud, bound):
-            raise InternalCheckError("ideal generator does not reduce to zero")
+    ideal, bound = sb.ideal, sb.truncation_bound
+    gens = [g.terms for g in ideal.generators]
+
+    def run(pk, budget):
+        rows = _basis_rows(sb, pk)
+        for (r1, e1), (r2, e2) in combinations(
+                zip(rows, sb.leading_exponents), 2):
+            s = _s_polynomial(r1, r2, pk.pack(sparse.mlcm(e1, e2)), pk.guards)
+            if s and _remainder(s, rows, pk, budget, bound):
+                raise InternalCheckError("S-polynomial does not reduce to zero")
+        for t in _canonical_input(gens, pk, ideal.context.unit):
+            if _remainder(t, rows, pk, budget, bound):
+                raise InternalCheckError("ideal generator does not reduce to zero")
+
+    _packed(sb.order, ideal.context.nvars,
+            gens + [g.terms for g in sb.elements], run)
     return sb
 
 
@@ -452,20 +445,23 @@ def verify_basis(sb: StandardBasis) -> StandardBasis:
 # membership and normal forms
 
 def normal_form(p: Polynomial, basis: StandardBasis) -> Polynomial:
-    """Remainder of p modulo the basis.
-
-    Global orders and zero-dimensional local bases return the canonical
-    representative supported on standard monomials (a linear map, with
-    p - result in the ideal).  Other local bases return the Mora weak normal
-    form: the leading term is irreducible and a zero result still certifies
-    membership exactly, but tails may keep reducible terms (fully reduced
-    tails need not exist as polynomials in the local case)."""
+    """Remainder of p modulo the basis: under global orders and modulo
+    zero-dimensional local bases the canonical representative supported on
+    standard monomials (p - result lies in the ideal), otherwise the Mora
+    weak normal form, whose leading term is irreducible and whose zero
+    still certifies membership, but whose tail may keep reducible terms."""
     if p.context != basis.ideal.context:
         raise ContextError("normal form across different contexts")
-    rows = list(zip((g.terms for g in basis.elements), basis.leading_exponents))
-    out = _remainder(p.terms, rows, basis.order, current_budget(),
-                     basis.truncation_bound)
-    return Polynomial(p.context, out)
+    bound = basis.truncation_bound
+
+    def run(pk, budget):
+        out = _remainder({pk.pack(m): c for m, c in p.terms.items()},
+                         _basis_rows(basis, pk), pk, budget, bound)
+        return {pk.unpack(m): c for m, c in out.items()}
+
+    return Polynomial(p.context, _packed(
+        basis.order, p.context.nvars,
+        [p.terms, *(g.terms for g in basis.elements)], run))
 
 
 def ideals_equal(a: Ideal, b: Ideal) -> bool:
@@ -542,9 +538,8 @@ def _rabinowitsch(i: Ideal, g: Polynomial) -> Ideal:
 
 def _strip_common_factors(f: Polynomial, g: Polynomial) -> Polynomial:
     """f / d, where d collects every factor of f that divides g, so that
-    (f) : g^infinity = (f / d): divide by gcd(h, g) until it is constant.
-    A monomial g has only its variables as prime factors, so d is the
-    monomial of their least exponents over f's terms, found in one step."""
+    (f) : g^infinity = (f / d): divide by gcd(h, g) until it is constant,
+    or for a monomial g by the least exponents of its variables in f."""
     if len(g.terms) == 1:
         (a,) = g.terms
         low = [min(m[i] for m in f.terms) if a[i] else 0
@@ -624,16 +619,14 @@ def _saturate_by_element(blocks, g: Polynomial) -> tuple[Polynomial, ...]:
 def saturate(i: Ideal, k: Ideal) -> Ideal:
     """I : K^infinity as the intersection of I : g^infinity over the
     generators g of K, returned as the (unique) reduced GREVLEX basis.
-    Idempotent; the result contains I.
 
     Each I : g^infinity splits I's generators into blocks linked by shared
     variables and saturates only the blocks that share a variable with g:
     one generator by gcds, with no basis, several by a Rabinowitsch
-    elimination, whose basis is already reduced under GREVLEX (the block
-    order's second block is grevlex, and u-free tails are reduced against
-    u-free leading terms only).  Factors equal to (1) drop out of the
-    intersection, principal factors are intersected by lcms, and the
-    others by one elimination each."""
+    elimination, whose basis is already reduced under GREVLEX (its u-free
+    tails are reduced against u-free leading terms only).  Factors equal to
+    (1) drop out, principal factors are intersected by lcms, the others by
+    one elimination each."""
     if i.context != k.context:
         raise ContextError("saturation across different contexts")
     ctx = i.context
@@ -659,14 +652,12 @@ def saturate(i: Ideal, k: Ideal) -> Ideal:
 
 def _prune_by_monomials(gens) -> list[Polynomial]:
     """Generators of the same ideal in which no generator keeps a term
-    divisible by a one-term generator.  M, the exponents of the one-term
-    generators without duplicates and without any that another divides,
-    keeps one generator each; every other generator loses its terms
-    divisible by a member of M and is dropped when none is left.  Repeated
-    while a generator lost a term, as one may shrink to a single term; each
-    round removes a term, so the loop ends.  The ideal stays the same: g
-    less its terms divisible by m is g - m*q, and over QQ(t) and GF(p) a
-    one-term generator is a nonzero constant times its monomial."""
+    divisible by a one-term generator.  M, the minimal exponents of the
+    one-term generators, keeps one generator each; every other generator
+    loses its terms divisible by a member of M, and is dropped when none is
+    left.  Repeated while a generator lost a term (it may shrink to one
+    term).  The ideal stays the same: g less its terms divisible by m is
+    g - m*q, and a one-term generator is a nonzero constant times m."""
     gens = list(gens)
     while True:
         ones = {next(iter(g.terms)): g for g in gens if len(g.terms) == 1}
@@ -692,13 +683,20 @@ def _prune_by_monomials(gens) -> list[Polynomial]:
         gens = out
 
 
-def _block_basis(variables: set[int], gens) -> StandardBasis:
-    """The local basis of a block's generators in the ring of the block's
-    own variables."""
-    ctx = gens[0].context
-    names = tuple(ctx.variables[i] for i in sorted(variables))
-    restricted = tuple(p.restrict_to(names) for p in gens)
-    return standard_basis(Ideal(restricted[0].context, restricted), LOCAL)
+def _block_leading_exponents(variables: set[int], gens) -> list[tuple[int, ...]]:
+    """The leading exponents of the minimal local basis of a block's
+    generators, in the block's own variables: their exponent tuples are
+    restricted and packed, and no context, ideal, basis or polynomial is
+    built."""
+    keep = sorted(variables)
+    rows = [{tuple([m[i] for i in keep]): c for m, c in g.terms.items()}
+            for g in gens]
+    unit = gens[0].context.unit
+
+    def run(pk, budget):
+        return [pk.unpack(lt) for _, lt in _minimal_rows(rows, pk, unit, budget)]
+
+    return _packed(LOCAL, len(keep), rows, run)
 
 
 def _monomial_dimension(exps, nvars: int) -> int:
@@ -717,15 +715,12 @@ def colength_at_origin(ideal: Ideal) -> int | None:
     """dim_F of (local ring at the origin) / ideal, F the coefficient field;
     None when it is infinite.
 
-    Block by block, after pruning every term divisible by a monomial
-    generator, which keeps the ideal (g less its terms divisible by the
-    generator m is g - m*q): the local algebra is the tensor product of the
-    algebras of the blocks of generators linked by shared variables, so the
-    colengths multiply.  A variable in no generator makes it infinite, and
-    so does a block of one generator in two or more variables.  A block in
-    one variable contributes the least order of its generators (the local
-    ring is a discrete valuation ring), and any other block the number of
-    standard monomials of its local basis in its own variables."""
+    Block by block after pruning (see the module docstring): the colengths
+    multiply.  A variable in no generator makes it infinite, and so does a
+    block of one generator in two or more variables.  A block in one
+    variable contributes the least order of its generators (the local ring
+    is a discrete valuation ring), and any other block the staircase of its
+    leading exponents."""
     if contains_local_unit(ideal):
         return 0
     blocks = _blocks(_prune_by_monomials(ideal.generators))
@@ -738,7 +733,7 @@ def colength_at_origin(ideal: Ideal) -> int | None:
             continue
         if len(ps) == 1:
             return None  # a hypersurface germ in two or more variables
-        count = _staircase(_block_basis(vs, ps).leading_exponents, len(vs))
+        count = _staircase(_block_leading_exponents(vs, ps), len(vs))
         if count is None:
             return None
         colength *= count
@@ -750,11 +745,10 @@ def dimension_at_origin(ideal: Ideal) -> int | None:
     under the local order; None means the germ is empty (the ideal contains
     a local unit).
 
-    Block by block after the same pruning, as for the colength: the
-    dimensions add.  A variable in no generator adds 1.  A block in k
-    variables adds k - 1 when it has one generator (a hypersurface) or one
-    variable (then k = 1), and otherwise the dimension of the leading ideal
-    of its local basis in its own variables."""
+    Block by block after the same pruning: the dimensions add.  A variable
+    in no generator adds 1, a block in k variables adds k - 1 when it has
+    one generator or one variable, and otherwise the dimension of its
+    leading exponents' monomial ideal."""
     if contains_local_unit(ideal):
         return None
     blocks = _blocks(_prune_by_monomials(ideal.generators))
@@ -763,7 +757,7 @@ def dimension_at_origin(ideal: Ideal) -> int | None:
         if len(ps) == 1 or len(vs) == 1:
             dim += len(vs) - 1
         else:
-            exps = _block_basis(vs, ps).leading_exponents
+            exps = _block_leading_exponents(vs, ps)
             dim += _monomial_dimension(exps, len(vs))
     return dim
 
@@ -809,17 +803,13 @@ def _truncated_colength(ideal: Ideal, n: int) -> int:
 
 
 def colength_by_truncation(ideal: Ideal) -> int:
-    """Colength via global bases of I + m^N.  Independent of the local
-    (Mora) machinery.
-
-    When the generators include a pure power z_i^a_i of every variable,
-    every monomial of degree N = 1 + sum(a_i - 1) is divisible by one of
-    them, so m^N lies in I and one truncation is exact.  Otherwise N
-    doubles from 1.  c_N = dim F[z]/(I + m^N), the colength of I + m^N,
-    grows strictly with N until m^N lies in I locally (Nakayama) and stays
-    put from there, so c_N >= N until then: c_N < N, or two consecutive
-    values that agree, make c_N the colength.  A constant generator takes
-    the doubling too (_pure_powers would read it as a corner with N < 1)."""
+    """Colength via global bases of I + m^N, independent of the local
+    (Mora) machinery.  When the generators include a pure power z_i^a_i of
+    every variable, m^N lies in I for N = 1 + sum(a_i - 1) and one
+    truncation is exact.  Otherwise N doubles from 1: c_N, the colength of
+    I + m^N, grows strictly with N until m^N lies in I locally (Nakayama)
+    and stays put from there, so c_N < N, or two equal consecutive values,
+    make c_N the colength.  A constant generator takes the doubling too."""
     bound = _corner_bound(
         _pure_powers([m for g in ideal.generators if len(g.terms) == 1
                       for m in g.terms if any(m)]),

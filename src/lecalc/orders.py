@@ -1,14 +1,9 @@
-"""Monomial orders on exponent tuples.
+"""Monomial orders on exponent tuples, and monomials packed into integers.
 
-Orders are exposed as key functions: ``order.key(m)`` returns a tuple and
-monomials compare by comparing keys, largest key = leading.
-``order.neg_key(m)`` is the same key with every entry negated, so the
-leading monomial has the *smallest* ``neg_key`` (the order a ``heapq``
-min-heap pops in).  Both are memoized: each order keeps one table per key,
-filled on first use, and ``elimination(drop)`` returns one interned order
-per drop block, so every elimination basis shares its tables.  A key never
-changes, so the tables only save recomputation, and ``clear_key_tables()``
-empties them without changing any result.  Three kinds:
+``order.key(m)`` returns a tuple; monomials compare by their keys, the
+largest key leading.  ``elimination(drop)`` returns one interned order per
+drop block.  Three kinds, all multiplicative (m1 < m2 implies
+m1*m < m2*m):
 
 * ``grevlex``   -- global degree reverse lexicographic.
 * ``local``     -- negative degree reverse lexicographic; lower total degree
@@ -19,81 +14,67 @@ empties them without changing any result.  Three kinds:
                    any polynomial whose leading monomial avoids the drop
                    block avoids it entirely.
 
-All three are multiplicative: m1 < m2 implies m1*m < m2*m.
+The basis engine packs each monomial into one integer (`Packing`), laid
+out so that integers compare as the monomials do and the leading monomial
+is the *smallest*.  The exponent of variable i fills bits [i*w, (i+1)*w),
+w the width, whose top bit is a guard that stays clear.  From bit
+``shift`` = n*w up sits one signed linear form in the exponents that
+decides first: the total degree under ``local``, minus it under
+``grevlex``, and -d_drop*C1 + r_drop*C2 - d_kept under
+``elimination(drop)`` (d a block's degree, r_drop the drop block's
+exponents in fields of their own, C1 and C2 powers of two wide enough that
+each part decides before the next).  Equal forms fall to the variable
+fields, the last variable highest: the grevlex tie-break.  All of it is
+linear, so a product is a + b, b divides a exactly when (a - b) & guards is
+zero (a smaller field borrows its guard), and under ``local`` the total
+degree is m >> shift.  `pack` refuses an exponent that would fill a guard
+and the engine checks the guards of every product it makes, both raising
+`PackingOverflow`: the caller widens and starts again, so no field wraps.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 
 def _grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _grevlex_neg_key(m):
-    return (-sum(m), m[::-1])
-
-
 def _local_key(m):
     return (-sum(m), tuple(-e for e in reversed(m)))
 
 
-def _local_neg_key(m):
-    return (sum(m), m[::-1])
-
-
-def _block_keys(drop):
-    def split(m):
+def _block_key(drop):
+    def key(m):
         head = tuple(m[i] for i in drop)
         tail = tuple(e for i, e in enumerate(m) if i not in drop)
-        return head, tail
-
-    def key(m):
-        head, tail = split(m)
         return (_grevlex_key(head), _grevlex_key(tail))
 
-    def neg_key(m):
-        head, tail = split(m)
-        return (_grevlex_neg_key(head), _grevlex_neg_key(tail))
-
-    return key, neg_key
-
-
-class _KeyTable(dict):
-    """monomial -> key, computed by fn on first lookup."""
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, m):
-        k = self[m] = self.fn(m)
-        return k
+    return key
 
 
 class MonomialOrder:
     """An order of one kind (and drop block); equal and hashed by
-    (kind, drop).  ``key`` and ``neg_key`` are its memo tables' lookups,
-    built once here; no attribute is reassigned."""
+    (kind, drop).  No attribute is reassigned."""
 
-    __slots__ = ("kind", "drop", "key", "neg_key")
+    __slots__ = ("kind", "drop", "key")
 
     def __init__(self, kind: str, drop: tuple[int, ...] = ()):
         if kind == "grevlex":
-            keys = (_grevlex_key, _grevlex_neg_key)
+            key = _grevlex_key
         elif kind == "local":
-            keys = (_local_key, _local_neg_key)
+            key = _local_key
         elif kind == "elimination":
             if not drop:
                 raise ValueError("elimination order needs a nonempty drop block")
-            keys = _block_keys(drop)
+            key = _block_key(drop)
         else:
             raise ValueError(f"unknown order kind {kind!r}")
         init = object.__setattr__
         init(self, "kind", kind)
         init(self, "drop", drop)
-        init(self, "key", _KeyTable(keys[0]).__getitem__)
-        init(self, "neg_key", _KeyTable(keys[1]).__getitem__)
+        init(self, "key", key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to MonomialOrder.{name}")
@@ -129,9 +110,41 @@ def elimination(drop_indices) -> MonomialOrder:
     return order
 
 
-def clear_key_tables():
-    """Empty the key tables of every order (``key`` and ``neg_key`` are the
-    bound ``__getitem__`` of their tables)."""
-    for order in (GREVLEX, LOCAL, *_ELIMINATION.values()):
-        order.key.__self__.clear()
-        order.neg_key.__self__.clear()
+# ---------------------------------------------------------------------------
+# packed monomials
+
+class PackingOverflow(ArithmeticError):
+    """An exponent outgrew its field of a `Packing`."""
+
+
+class Packing:
+    """Monomials in nvars variables under order, packed into integers with
+    fields of width bits (see the module docstring).  ``units[i]`` is the
+    packed variable i, and a monomial packs to sum(e_i * units[i])."""
+
+    __slots__ = ("order", "nvars", "width", "shift", "guards", "units",
+                 "_cap", "_offsets", "_field")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        self.order, self.nvars, self.width = order, nvars, width
+        self.shift = shift = nvars * width
+        form = [1 if order.kind == "local" else -1] * nvars
+        if order.kind == "elimination":
+            span = width - 1 + nvars.bit_length()  # holds d_kept
+            c1 = 1 << (span + len(order.drop) * width + 1)
+            for k, i in enumerate(order.drop):
+                form[i] = (1 << (span + k * width)) - c1
+        self._offsets = range(0, shift, width)
+        self.guards = sum(1 << (k + width - 1) for k in self._offsets)
+        self.units = tuple((1 << k) + (f << shift)
+                           for k, f in zip(self._offsets, form))
+        self._cap, self._field = 1 << (width - 1), (1 << width) - 1
+
+    def pack(self, e) -> int:
+        if max(e) >= self._cap:
+            raise PackingOverflow(f"exponent beyond {self.width}-bit fields")
+        return sum(map(mul, e, self.units))
+
+    def unpack(self, m) -> tuple[int, ...]:
+        field = self._field
+        return tuple([(m >> k) & field for k in self._offsets])

@@ -14,7 +14,6 @@ import lecalc
 from lecalc import (cli, engine, errors, families, invariants, poly, report,
                     sparse)
 from lecalc.cli import entrypoint, read_input_file
-from lecalc.orders import LOCAL
 
 WORKED_BASE = "z1^2*z2^2 + z2^5 + z3^4"
 WORKED_FAMILY = "z1^2*z2^2 + z2^5 + z3^4 + t*z1*z2^2 + t^2*z1^2*z2^2"
@@ -58,15 +57,13 @@ def test_invariants_json_schema(capsys):
 
 
 def test_each_command_starts_with_empty_tables(capsys):
-    # the monomial keys and contexts of earlier work are dropped, so a
-    # process that runs many commands holds those of one command at a time
+    # the contexts of earlier work are dropped, so a process that runs
+    # many commands holds those of one command at a time
     stale = poly.Context(("q1", "q2"))
-    LOCAL.key((7, 7))
     code, _, _ = run(capsys, "invariants", "-e", WORKED_BASE)
     assert code == 0
     assert stale not in poly._CONTEXTS.values()
     assert (("z1", "z2", "z3"), (), 0) in poly._CONTEXTS
-    assert (7, 7) not in LOCAL.key.__self__
 
 
 def test_reports_are_deterministic(capsys):
@@ -170,14 +167,14 @@ def test_the_benchmark_builds_no_local_basis_in_three_variables(
     # gamma1 and the Gamma + (f) cross-check prune the terms that z1 and the
     # pure power of Gamma divide, so every local basis is in two variables
     wide = []
-    standard_basis = engine.standard_basis
+    pair_loop = engine._pair_loop
 
-    def spy(ideal, order):
-        if order.kind == "local" and ideal.context.nvars >= 3:
-            wide.append(ideal)
-        return standard_basis(ideal, order)
+    def spy(rows, packing, budget):
+        if packing.order.kind == "local" and packing.nvars >= 3:
+            wide.append(rows)
+        return pair_loop(rows, packing, budget)
 
-    monkeypatch.setattr(engine, "standard_basis", spy)
+    monkeypatch.setattr(engine, "_pair_loop", spy)
     monkeypatch.chdir(Path(__file__).parents[1])
     for argv, expected in _bench_commands():
         assert run(capsys, *argv)[0] == expected

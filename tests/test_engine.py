@@ -21,7 +21,7 @@ from lecalc.engine import (DEFAULT_BUDGET, Ideal, _reduce,
                            step_budget, verify_basis)
 from lecalc.errors import (BudgetExceededError, ContextError,
                            DegenerateInputError, InternalCheckError)
-from lecalc.orders import GREVLEX, LOCAL, clear_key_tables
+from lecalc.orders import GREVLEX, LOCAL, Packing
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, render
 from lecalc.sparse import _Budget
@@ -196,12 +196,43 @@ def test_the_verifier_rejects_a_wrong_basis():
         verify_basis(unfinished)
 
 
-def test_the_staircase_count_reads_no_order_key():
-    # the staircase has 10001 monomials; sorting them filled GREVLEX's key
-    # table with one entry each
-    clear_key_tables()
-    assert colength_at_origin(Ideal(C2, (X ** 10000, Y ** 2, X * Y))) == 10001
-    assert len(GREVLEX.key.__self__) < 100
+@pytest.mark.parametrize("n", [2 ** 40, 2 ** 70])
+def test_packed_fields_follow_the_exponents_and_never_wrap(n):
+    # fields of a fixed 64 bits would wrap at 2^70; the packing takes its
+    # width from the input's exponents
+    pair = Ideal(C2, (X * Y, Y ** 2 + X ** n))
+    assert colength_at_origin(pair) == n + 2
+    assert sorted(standard_basis(pair, LOCAL).leading_exponents) == [
+        (0, 2), (1, 1), (n + 1, 0)]
+    basis = standard_basis(Ideal(C2, (Y ** 2 - X, X ** n * Y)), GREVLEX)
+    assert basis.leading_exponents == ((0, 2), (n, 1), (n + 1, 0))
+
+
+def test_a_product_that_outgrows_its_fields_restarts_wider(monkeypatch):
+    # z_i - z_(i-1)^2 for i = 1..6 and z6^2: every input exponent is at most
+    # 2, so the fields start 8 bits wide, and the local basis reaches
+    # z0^128, which fills a guard; the pair loop starts again 16 bits wide,
+    # and the steps of the first run are given back
+    ctx = Context(tuple(f"z{i}" for i in range(7)), ())
+    z = [Polynomial.variable(ctx, v) for v in ctx.variables]
+    chain = Ideal(ctx, (*(z[i] - z[i - 1] ** 2 for i in range(1, 7)),
+                        z[6] ** 2))
+    widths = []
+    pair_loop = engine._pair_loop
+
+    def spy(rows, packing, budget):
+        widths.append(packing.width)
+        return pair_loop(rows, packing, budget)
+
+    monkeypatch.setattr(engine, "_pair_loop", spy)
+    with step_budget(DEFAULT_BUDGET) as budget:
+        assert colength_at_origin(chain) == 128
+    assert widths == [8, 16]
+    monkeypatch.setattr(engine, "_MIN_WIDTH", 16)
+    with step_budget(DEFAULT_BUDGET) as wide:
+        assert colength_at_origin(chain) == 128
+    assert widths == [8, 16, 16]
+    assert budget.used == wide.used > 0
 
 
 def test_the_staircase_count_keeps_no_monomials():
@@ -700,12 +731,18 @@ def test_highest_corner_keeps_colength_and_normal_forms(checked_bases, case):
     assert colength == colength_by_truncation(ideal)
     basis = checked_bases(ideal, LOCAL)
     assert basis.truncation_bound <= colength
-    # the old bound (the colength) gives the same canonical normal form
-    rows = list(zip((g.terms for g in basis.elements),
-                    basis.leading_exponents))
-    expected = _reduce(p.terms, rows, LOCAL, _Budget(DEFAULT_BUDGET),
-                       colength)
-    assert normal_form(p, basis).terms == expected
+    # the old bound (the colength) gives the same canonical normal form;
+    # a remainder keeps only terms of degree below the colength, so fields
+    # that hold it and every exponent of the rows and of p never fill
+    top = max(colength, *(max(m) for g in (*basis.elements, p)
+                          for m in g.terms))
+    pk = Packing(LOCAL, ideal.context.nvars, top.bit_length() + 2)
+    rows = [({pk.pack(m): c for m, c in g.terms.items()}, pk.pack(lt))
+            for g, lt in zip(basis.elements, basis.leading_exponents)]
+    expected = _reduce({pk.pack(m): c for m, c in p.terms.items()}, rows, pk,
+                       _Budget(DEFAULT_BUDGET), colength)
+    assert normal_form(p, basis).terms == {pk.unpack(m): c
+                                           for m, c in expected.items()}
 
 
 C2_P = Context(C2.variables, (), 32003)

@@ -222,13 +222,13 @@ def test_ilm_rows_of_a_separable_germ_build_two_variable_bases(
     # every row's Jacobian, at t = 0 and at both generic points, splits
     # into a (z1, z2) block and 4*z3^3, whose colength is its order
     shapes = []
-    standard_basis = engine.standard_basis
+    pair_loop = engine._pair_loop
 
-    def spy(ideal, order):
-        shapes.append((order.kind, ideal.context.nvars))
-        return standard_basis(ideal, order)
+    def spy(rows, packing, budget):
+        shapes.append((packing.order.kind, packing.nvars))
+        return pair_loop(rows, packing, budget)
 
-    monkeypatch.setattr(engine, "standard_basis", spy)
+    monkeypatch.setattr(engine, "_pair_loop", spy)
     verify_ilm(worked.family, worked.zero, Random(0))
     verify_ilm(worked.family, worked.generic, Random(0))
     assert Counter(shapes) == {("local", 2): 4 + 4 * len(PRIMES)}

@@ -345,7 +345,7 @@ def test_failed_first_test_builds_no_basis_and_no_saturation(monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("the line check built a basis or a saturation")
 
-    monkeypatch.setattr(engine, "standard_basis", refuse)
+    monkeypatch.setattr(engine, "_pair_loop", refuse)
     monkeypatch.setattr(engine, "saturate", refuse)
     monkeypatch.setattr(invariants, "saturate", refuse)
     f = parse_polynomial(expr, C3)
@@ -703,14 +703,15 @@ def test_germ_record_of_base():
 
 
 def _bases_by_order_kind(monkeypatch, f: Polynomial) -> Counter:
+    # every basis, a colength's included, goes through the pair loop
     kinds = []
-    standard_basis = engine.standard_basis
+    pair_loop = engine._pair_loop
 
-    def spy(ideal, order, *args, **kwargs):
-        kinds.append(order.kind)
-        return standard_basis(ideal, order, *args, **kwargs)
+    def spy(rows, packing, budget):
+        kinds.append(packing.order.kind)
+        return pair_loop(rows, packing, budget)
 
-    monkeypatch.setattr(engine, "standard_basis", spy)
+    monkeypatch.setattr(engine, "_pair_loop", spy)
     germ_record(f, Random(0))
     return Counter(kinds)
 
@@ -738,7 +739,7 @@ def test_gamma1_of_base_builds_no_basis(monkeypatch):
     def no_basis(*args, **kwargs):
         raise AssertionError("gamma1 computed a basis")
 
-    monkeypatch.setattr(engine, "standard_basis", no_basis)
+    monkeypatch.setattr(engine, "_pair_loop", no_basis)
     assert invariants.gamma1(gamma) == 9
 
 
@@ -758,7 +759,7 @@ def test_separable_milnor_number_and_lambda1_build_no_basis(monkeypatch):
     def no_basis(*args, **kwargs):
         raise AssertionError("a separable colength computed a basis")
 
-    monkeypatch.setattr(engine, "standard_basis", no_basis)
+    monkeypatch.setattr(engine, "_pair_loop", no_basis)
     assert milnor_number(SUSPENSION, ("z2", "z3")) == 4
     assert lambda1(SUSPENSION, 4, 0, Random(0))[0] == 4
 

@@ -1,11 +1,12 @@
-"""Monomial orders: the memoized keys against keys written out here."""
+"""Monomial orders: the keys and the packed monomials against keys written
+out here."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecalc.orders import (GREVLEX, LOCAL, MonomialOrder, clear_key_tables,
-                           elimination)
+from lecalc.orders import (GREVLEX, LOCAL, MonomialOrder, Packing,
+                           PackingOverflow, elimination)
 
 
 def grevlex(m):
@@ -27,14 +28,12 @@ def block(drop):
     return key
 
 
-def negated(k):
-    return -k if isinstance(k, int) else tuple(negated(x) for x in k)
-
-
 @st.composite
 def _monomials_and_drop_blocks(draw):
     n = draw(st.integers(1, 5))
-    monomials = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+    small = st.integers(0, 4)
+    exponent = draw(st.sampled_from((small, small | st.integers(0, 2 ** 70))))
+    monomials = draw(st.lists(st.tuples(*[exponent] * n),
                               min_size=1, max_size=8))
     drop = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
     return monomials, drop
@@ -42,19 +41,35 @@ def _monomials_and_drop_blocks(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_monomials_and_drop_blocks())
-def test_memoized_keys_match_the_reference(case):
+def test_keys_and_packed_monomials_match_the_reference(case):
+    # packed, the leading monomial is the smallest integer, a product is a
+    # sum and divisibility is one subtraction and a mask
     monomials, drop = case
     orders = ((GREVLEX, grevlex), (LOCAL, local),
               (elimination(drop), block(set(drop))))
-    for _ in range(2):  # the first lookup fills the tables, the second reads
-        for order, reference in orders:
-            for m in monomials:
-                assert order.key(m) == reference(m)
-                assert order.neg_key(m) == negated(reference(m))
+    n = len(monomials[0])
+    top = max(max(m) for m in monomials)
+    for order, reference in orders:
+        # the fields hold every product of two monomials
+        pk = Packing(order, n, max(4, (2 * top).bit_length() + 1))
+        packed = {m: pk.pack(m) for m in monomials}
+        for a in monomials:
+            assert order.key(a) == reference(a)
+            assert pk.unpack(packed[a]) == a
+            for b in monomials:
+                assert (packed[a] < packed[b]) == (reference(a) > reference(b))
+                ab = tuple(x + y for x, y in zip(a, b))
+                assert packed[a] + packed[b] == pk.pack(ab)
+                divides = all(x >= y for x, y in zip(a, b))
+                assert (not (packed[a] - packed[b]) & pk.guards) == divides
     assert elimination(drop) is elimination(sorted(drop, reverse=True))
-    clear_key_tables()  # the next example fills the tables again
-    assert not any(order.key.__self__ or order.neg_key.__self__
-                   for order, _ in orders)
+
+
+def test_packing_refuses_an_exponent_that_fills_a_guard():
+    pk = Packing(LOCAL, 2, 8)
+    assert pk.unpack(pk.pack((127, 0))) == (127, 0)
+    with pytest.raises(PackingOverflow):
+        pk.pack((0, 128))
 
 
 def test_orders_are_equal_and_hashed_by_kind_and_drop():
