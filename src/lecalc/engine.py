@@ -18,7 +18,8 @@ max(terms) >> shift, and the leading term the smallest integer, so the
 heap of a remainder's monomials (Monagan-Pearce, CASC 2007) holds plain
 integers and the heap of pairs tuples of them.  `standard_basis`,
 `normal_form` and `verify_basis` pack at entry and unpack at exit, and
-`_packed` runs again with wider fields when a product would fill one.
+`_packed` runs again with wider fields when a product would fill one.  One
+packing is interned per (order, nvars, width) (`lecalc.orders.packing`).
 
 Global bases are reduced: each element of a minimal basis becomes
 lt + NF(tail).  Local bases are minimal, monic and sorted, with tails as
@@ -30,14 +31,15 @@ Saturation and colengths and dimensions at the origin go block by block,
 the generators grouped by shared variables (see `saturate`).  A colength
 or a dimension reads leading exponents only.  Every term divisible by a
 monomial generator is pruned first (g less its terms divisible by the
-generator m is g - m*q), and the local algebra of an ideal is the tensor
-product of those of its blocks, so colengths multiply and dimensions add
-(Sebastiani-Thom, Invent. Math. 13, 1971, here for ideals).  A block that
-needs a basis runs the pair loop on its exponent tuples restricted to its
-own variables and keeps the minimal leading exponents alone
-(`_block_leading_exponents`); `_staircase` counts the standard monomials
-with work bounded by those exponents, not by the colength, an int or None
-when it is infinite.
+generator m is g - m*q); the divisibility test reads only m's support,
+one comparison for a pure power.  The local algebra of an ideal is the
+tensor product of those of its blocks, so colengths multiply and
+dimensions add (Sebastiani-Thom, Invent. Math. 13, 1971, here for
+ideals).  A block that needs a basis runs the pair loop on its exponent
+tuples restricted to its own variables and keeps the minimal leading
+exponents alone (`_block_leading_exponents`); `_staircase` counts the
+standard monomials with work bounded by those exponents, not by the
+colength, an int or None when it is infinite.
 
 Each term-cancellation step draws one step of `sparse.current_budget()`:
 the budget `step_budget` made active, or outside any block a fresh
@@ -55,8 +57,8 @@ from typing import NamedTuple
 
 from . import sparse
 from .errors import ContextError, DegenerateInputError, InternalCheckError
-from .orders import (GREVLEX, LOCAL, MonomialOrder, Packing, PackingOverflow,
-                     elimination)
+from .orders import (GREVLEX, LOCAL, MonomialOrder, PackingOverflow,
+                     elimination, packing)
 from .poly import Context, Polynomial, multivariate_gcd
 # step_budget and DEFAULT_BUDGET stay importable from here
 from .sparse import DEFAULT_BUDGET, current_budget, step_budget  # noqa: F401
@@ -125,7 +127,7 @@ def _packed(order: MonomialOrder, nvars: int, term_dicts, run):
     while True:
         used = budget.used
         try:
-            return run(Packing(order, nvars, width), budget)
+            return run(packing(order, nvars, width), budget)
         except PackingOverflow:
             budget.used = used
             width *= 2
@@ -328,8 +330,16 @@ def _minimal_rows(gens, pk, unit, budget):
     kept one's leading monomial divides its own, so of equal leading
     monomials the pair loop's first is kept."""
     rows = _pair_loop(_canonical_input(gens, pk, unit), pk, budget)
+    if pk.order.is_global:
+        def key(r):
+            return sum(pk.unpack(r[1])), -r[1]
+    else:
+        shift = pk.shift  # a packed local monomial's degree is m >> shift
+
+        def key(r):
+            return r[1] >> shift, -r[1]
     kept = []
-    for terms, lt in sorted(rows, key=lambda r: (sum(pk.unpack(r[1])), -r[1])):
+    for terms, lt in sorted(rows, key=key):
         if all((lt - k) & pk.guards for _, k in kept):
             kept.append((terms, lt))
     return kept
@@ -650,6 +660,32 @@ def saturate(i: Ideal, k: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 # numerical invariants of ideals
 
+def _divisible_by(mons):
+    """A test of whether some member of mons divides an exponent tuple that
+    reads each member's support only: one comparison for a pure power."""
+    powers, mixed = [], []
+    for k in mons:
+        support = [(i, a) for i, a in enumerate(k) if a]
+        if len(support) == 1:
+            powers.append(support[0])
+        else:
+            mixed.append(support)
+
+    def divisible(m):
+        for i, a in powers:
+            if m[i] >= a:
+                return True
+        for support in mixed:
+            for i, a in support:
+                if m[i] < a:
+                    break
+            else:
+                return True
+        return False
+
+    return divisible
+
+
 def _prune_by_monomials(gens) -> list[Polynomial]:
     """Generators of the same ideal in which no generator keeps a term
     divisible by a one-term generator.  M, the minimal exponents of the
@@ -666,12 +702,12 @@ def _prune_by_monomials(gens) -> list[Polynomial]:
         mons = [m for m in ones if not any(
             k != m and sparse.mdiv(m, k) is not None for k in ones)]
         out = [ones[m] for m in mons]
+        divisible = _divisible_by(mons)
         pruned = False
         for g in gens:
             if len(g.terms) == 1:
                 continue
-            terms = {m: c for m, c in g.terms.items()
-                     if all(sparse.mdiv(m, k) is None for k in mons)}
+            terms = {m: c for m, c in g.terms.items() if not divisible(m)}
             if len(terms) == len(g.terms):
                 out.append(g)
                 continue

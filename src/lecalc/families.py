@@ -7,8 +7,12 @@ for each of the two fixed primes p in PRIMES.  Every generic value is
 cross-checked over GF(p) at those points: the slice record is recomputed
 there, and the generic rows of the augmentation (ILM) table are evaluated
 there only (the table then cross-checks them against the exact lambda0 and
-lambda1).  A repeated factor is refused by the slice records themselves:
-germ_record checks f0 over QQ and F over QQ(t).
+lambda1).  Each member over GF(p) is specialized once per command and kept
+with the family (Family.image_at): the slice record, the ILM rows and the
+axis-weight note read the same member.  The ILM rows reuse its Jacobian:
+the member is differentiated once, and row j is (d1 g + j*z1^(j-1), d2 g,
+..., dn g), the Jacobian of g + z1^j.  A repeated factor is refused by the
+slice records themselves: germ_record checks f0 over QQ and F over QQ(t).
 The theorem checkers record each hypothesis with a HOLDS / FAILS /
 USER_ASSERTED / NOT_CHECKED status and only emit a conclusion licensed by
 those statuses; user assertions are always listed, never silently mixed
@@ -27,7 +31,8 @@ from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      InternalCheckError, MathRefusal, NonIsolatedError,
                      NonReducedError, UnluckySpecializationError, UsageError)
 from .invariants import (InvariantRecord, WeightSystem, detect_weights,
-                         germ_record, milnor_number, order_at_origin)
+                         germ_record, gradient, jacobian_colength,
+                         order_at_origin)
 from .poly import Modular, Polynomial
 
 ZERO = "ZERO"
@@ -59,11 +64,24 @@ class Family(NamedTuple):
     base: Polynomial                 # the t = 0 member, over QQ
     deformation: tuple[tuple[int, Polynomial], ...]   # (j, g_j), j >= 1
     points: tuple[tuple[int, int], ...]   # (p, t mod p) for each p in PRIMES
+    # (p, t mod p) -> the member over GF(p), filled by image_at as the
+    # members are first needed; it lives and dies with the family, and a
+    # copy by _replace with another `full` needs a dict of its own
+    images: dict[tuple[int, int], Polynomial]
 
     def member(self, value: Fraction | Modular) -> Polynomial:
         """The member at a rational value, over QQ, or at a residue mod p,
         over GF(p)."""
         return self.full.specialize_parameter(self.parameter, value)
+
+    def image_at(self, p: int, tau: int) -> Polynomial:
+        """The member at t = tau mod p, over GF(p), specialized once per
+        family: the generic slice record, the ILM rows and the axis-weight
+        note all read it."""
+        g = self.images.get((p, tau))
+        if g is None:
+            g = self.images[p, tau] = self.member(Modular(tau, p))
+        return g
 
 
 def _draw_mod_points(rng: Random) -> tuple[tuple[int, int], ...]:
@@ -110,7 +128,7 @@ def decompose_family(f: Polynomial, rng: Random) -> Family:
         rebuilt = rebuilt + embedded
     if rebuilt != f:
         raise InternalCheckError("family decomposition does not reconstruct")
-    return Family(t, f, base, deformation, _draw_mod_points(rng))
+    return Family(t, f, base, deformation, _draw_mod_points(rng), {})
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +173,17 @@ def _comparable(rec: InvariantRecord):
 
 def _at_generic_points(fam: Family, rng: Random, compute, refusal,
                        expected=None):
-    """compute(member) at the members over GF(p) at the family's points,
-    and the points used.  The two values must agree, and equal expected
-    when one is given; otherwise every value is recomputed once at a
-    redrawn pair, and a second failure raises UnluckySpecializationError
-    with refusal(values) naming what disagreed."""
+    """compute(member) at the members over GF(p) at the family's points
+    (Family.image_at), and the points used.  The two values must agree, and
+    equal expected when one is given; otherwise every value is recomputed
+    once at a redrawn pair, and a second failure raises
+    UnluckySpecializationError with refusal(values) naming what
+    disagreed."""
     points = fam.points
     for attempt in range(2):
         if attempt:
             points = _draw_mod_points(rng)
-        values = [compute(fam.member(Modular(tau, p))) for p, tau in points]
+        values = [compute(fam.image_at(p, tau)) for p, tau in points]
         if values[0] == values[1] and (expected is None
                                        or values[0] == expected):
             return values[0], points
@@ -252,11 +271,16 @@ def default_j_values(lambda0_value: int) -> tuple[int, ...]:
     return tuple(range(start, start + 4))
 
 
-def _augmented_milnor(g: Polynomial, j: int) -> int | None:
-    """mu(g + z1^j), or None when the augmented germ stays non-isolated."""
-    z1_j = Polynomial.monomial(g.context, (j,) + (0,) * (g.context.nvars - 1))
+def _augmented_milnor(partials: tuple[Polynomial, ...], j: int) -> int | None:
+    """mu(g + z1^j) from the gradient of g, or None when the augmented germ
+    stays non-isolated.  The partials of g + z1^j are (d1 g + j*z1^(j-1),
+    d2 g, ..., dn g), the generators milnor_number(g + z1^j) would build,
+    in the same order, so g is differentiated once for every j."""
+    d1, *rest = partials
+    ctx = d1.context
+    step = Polynomial.monomial(ctx, (j - 1,) + (0,) * (ctx.nvars - 1), j)
     try:
-        return milnor_number(g + z1_j)
+        return jacobian_colength((d1 + step, *rest))
     except NonIsolatedError:
         return None
 
@@ -292,8 +316,13 @@ def verify_ilm(fam: Family, slice_rec: SliceRecord, rng: Random,
     mu_slice = rec.slice_milnor
     expected = (rec.lambda0, rec.lambda1, rec.gamma1 + rec.lambda0)
     js = sorted(j_values)
+
+    def rows_of(g: Polynomial) -> list[int | None]:
+        partials = gradient(g)
+        return [_augmented_milnor(partials, j) for j in js]
+
     if where == ZERO:
-        mus, witnesses = [_augmented_milnor(fam.base, j) for j in js], ()
+        mus, witnesses = rows_of(fam.base), ()
     else:
         axis = fam.base.context.variables[0]
 
@@ -301,9 +330,7 @@ def verify_ilm(fam: Family, slice_rec: SliceRecord, rng: Random,
             j = next(j for j, a, b in zip(js, *values) if a != b)
             return f"mu(f + {axis}^{j}) disagrees"
 
-        mus, witnesses = _at_generic_points(
-            fam, rng, lambda g: [_augmented_milnor(g, j) for j in js],
-            first_split)
+        mus, witnesses = _at_generic_points(fam, rng, rows_of, first_split)
 
     rows = []
     values: dict[int, int] = {}
@@ -512,9 +539,8 @@ def _axis_weight_note(an: FamilyAnalysis) -> str:
         for where, members in (
                 (f"{t} = 0", lambda: [fam.base]),
                 (f"generic {t}",
-                 lambda: [fam.member(Modular(tau, p))
-                          for p, tau in fam.points])):
-            mus = {_augmented_milnor(g, e) for g in members()}
+                 lambda: [fam.image_at(p, tau) for p, tau in fam.points])):
+            mus = {_augmented_milnor(gradient(g), e) for g in members()}
             note += f"; mu at {where} with {axis}^{e} added"
             if len(mus) > 1:
                 note += ": specializations disagree"

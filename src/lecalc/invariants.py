@@ -247,23 +247,36 @@ def _jacobian(f: Polynomial, variables: tuple[str, ...]) -> list[Polynomial]:
     return [p for p in parts if not p.is_zero()]
 
 
+def gradient(f: Polynomial) -> tuple[Polynomial, ...]:
+    """Every partial derivative of the germ f, in the order of its
+    variables, zeros kept; refuses a germ that does not vanish at the
+    origin."""
+    if f.constant_coefficient():
+        raise DegenerateInputError("germ does not vanish at the origin")
+    return tuple(f.partial(v) for v in f.context.variables)
+
+
+def jacobian_colength(partials: tuple[Polynomial, ...]) -> int:
+    """Colength of the ideal of the nonzero partials, in their order: the
+    Milnor number of a germ whose gradient they are.  Refuses a constant
+    germ (no nonzero partial) and a non-isolated critical point."""
+    parts = tuple(p for p in partials if not p.is_zero())
+    if not parts:
+        raise DegenerateInputError("constant germ has no Milnor number")
+    mu = colength_at_origin(Ideal(parts[0].context, parts))
+    if mu is None:
+        raise NonIsolatedError(
+            "Jacobian ideal has infinite colength (non-isolated critical point)")
+    return mu
+
+
 def milnor_number(f: Polynomial,
                   variables: tuple[str, ...] | None = None) -> int:
     """Colength of the Jacobian ideal in the ring of the given variables;
     refuses non-isolated critical points."""
     if variables is None:
         variables = f.context.variables
-    g = f.restrict_to(tuple(variables))
-    if g.constant_coefficient():
-        raise DegenerateInputError("germ does not vanish at the origin")
-    parts = _jacobian(g, g.context.variables)
-    if not parts:
-        raise DegenerateInputError("constant germ has no Milnor number")
-    mu = colength_at_origin(Ideal(g.context, tuple(parts)))
-    if mu is None:
-        raise NonIsolatedError(
-            "Jacobian ideal has infinite colength (non-isolated critical point)")
-    return mu
+    return jacobian_colength(gradient(f.restrict_to(tuple(variables))))
 
 
 # ---------------------------------------------------------------------------

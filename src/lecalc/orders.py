@@ -120,7 +120,8 @@ class PackingOverflow(ArithmeticError):
 class Packing:
     """Monomials in nvars variables under order, packed into integers with
     fields of width bits (see the module docstring).  ``units[i]`` is the
-    packed variable i, and a monomial packs to sum(e_i * units[i])."""
+    packed variable i, and a monomial packs to sum(e_i * units[i]).
+    `packing` interns them; no attribute changes after __init__."""
 
     __slots__ = ("order", "nvars", "width", "shift", "guards", "units",
                  "_cap", "_offsets", "_field")
@@ -148,3 +149,15 @@ class Packing:
     def unpack(self, m) -> tuple[int, ...]:
         field = self._field
         return tuple([(m >> k) & field for k in self._offsets])
+
+
+_PACKINGS: dict[tuple[MonomialOrder, int, int], Packing] = {}
+
+
+def packing(order: MonomialOrder, nvars: int, width: int) -> Packing:
+    """One interned `Packing` per (order, nvars, width)."""
+    key = (order, nvars, width)
+    pk = _PACKINGS.get(key)
+    if pk is None:
+        pk = _PACKINGS[key] = Packing(order, nvars, width)
+    return pk

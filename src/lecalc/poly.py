@@ -359,6 +359,11 @@ class Modular:
 
     @staticmethod
     def from_rational(q, modulus: int) -> "Modular":
+        """The image of the rational q (an int or Fraction) in GF(modulus);
+        an int needs no inverse.  Raises ZeroDivisionError when modulus
+        divides the denominator."""
+        if isinstance(q, int):
+            return Modular(q, modulus)
         q = Fraction(q)
         if q.denominator % modulus == 0:
             raise ZeroDivisionError(f"{q} has no image in GF({modulus})")
@@ -621,11 +626,15 @@ class Polynomial:
         ctx = self.context
         i = ctx.var_index(name)
         out = {}
+        scales = {}  # one field element per distinct exponent of the variable
         for m, c in self.terms.items():
             e = m[i]
             if e:
                 m = m[:i] + (0,) + m[i + 1:]
-                c = c * ctx.coefficient(value ** e)
+                scale = scales.get(e)
+                if scale is None:
+                    scale = scales[e] = ctx.coefficient(value ** e)
+                c = c * scale
             w = out.get(m)
             w = c if w is None else w + c
             if w:

@@ -9,15 +9,16 @@ import pytest
 
 from lecalc import engine, families
 from lecalc.errors import (DegenerateInputError, InternalCheckError,
-                           NonReducedError, UnluckySpecializationError,
-                           UsageError)
+                           NonIsolatedError, NonReducedError,
+                           UnluckySpecializationError, UsageError)
 from lecalc.families import (EQUIMULTIPLE, FAILS, GENERIC, HOLDS,
                              INCONCLUSIVE, NOT_CHECKED,
                              NOT_TOPOLOGICALLY_V_EQUISINGULAR, PRIMES,
                              USER_ASSERTED, ZERO, EquimultiplicityResult,
                              SliceRecord, analyze_family, decompose_family,
                              evaluate_rules, invariants_at, verify_ilm)
-from lecalc.invariants import germ_record, milnor_number
+from lecalc.cli import entrypoint
+from lecalc.invariants import _jacobian, germ_record, gradient, milnor_number
 from lecalc.orders import LOCAL
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Modular, Polynomial, render
@@ -289,6 +290,54 @@ def test_augmented_milnor_mod_p_matches_rational(text, j_values):
                 assert _augmented_mu(image, j) == over_q
 
 
+def _mu_or_none(g, j):
+    try:
+        return _augmented_mu(g, j)
+    except NonIsolatedError:
+        return None
+
+
+@pytest.mark.parametrize("text, j_values, base_rows", [
+    # from j = 23 = 2 + lambda0 on, lambda0 + (j - 1) lambda1
+    (WORKED, (6, 8, 11, 23), [36, 42, 51, 87]),
+    (HOMOGENEOUS, (2, 3, 4, 5), [9, 18, 27, 30]),
+    # d1 g carries -4*z1^3, which the row's 4*z1^3 cancels: the base's rows
+    # are A_k singularities, z1^(k+1) the lowest power of z1 left
+    ("z1^5 - z1^4 + z2^2 + z3^2 + t*z1^2*z2", (3, 4, 5), [2, 4, 3]),
+    # at j = 4 the whole first generator cancels, and g + z1^4 is
+    # z2^2 + z3^2, singular along the z1-axis: the row is None
+    ("z2^2 + z3^2 - z1^4 + t*z2^3", (2, 4, 6), [1, None, 3]),
+])
+def test_rows_from_a_shared_gradient_are_the_augmented_milnor_numbers(
+        text, j_values, base_rows, monkeypatch):
+    # over QQ at t = 0 and t = 5/3, and over GF(p) at the family's points:
+    # the row built from the gradient of g has mu(g + z1^j), and hands the
+    # colength the generators milnor_number(g + z1^j) builds, in order
+    real = families.jacobian_colength
+    passed = []
+
+    def colength(partials):
+        passed.append([p for p in partials if p])
+        return real(partials)
+
+    monkeypatch.setattr(families, "jacobian_colength", colength)
+    fam = decompose_family(fampoly(text), Random(0))
+    members = [fam.base, fam.member(Fraction(5, 3)),
+               *(fam.image_at(p, tau) for p, tau in fam.points)]
+    rows = []
+    for g in members:
+        partials = gradient(g)
+        for j in j_values:
+            passed.clear()
+            mu = families._augmented_milnor(partials, j)
+            assert mu == _mu_or_none(g, j)
+            [generators] = passed
+            assert generators == _jacobian(g + Polynomial.monomial(
+                g.context, (j, 0, 0)), g.context.variables)
+            rows.append(mu)
+    assert rows[:len(j_values)] == base_rows
+
+
 def test_ilm_refuses_a_prime_dividing_a_denominator():
     # the member at t mod 2147483647 has no image: the generic slice, which
     # is cross-checked at the same points as the rows, is refused too
@@ -303,10 +352,16 @@ def test_ilm_refuses_a_prime_dividing_a_denominator():
         verify_ilm(fam, generic, Random(0))
 
 
+def _fresh(fam):
+    """fam with no member specialized yet: the module's fixtures share one
+    family, whose members earlier tests have already specialized."""
+    return fam._replace(images={})
+
+
 def _spy_on_redraws(monkeypatch):
     """Record each pair of points drawn after the family's own (the
     redraws of _at_generic_points) and each specialized member's value of
-    t."""
+    t; Family.image_at specializes through Family.member once per point."""
     real_draw = families._draw_mod_points
     real_member = families.Family.member
     draws, members = [], []
@@ -325,21 +380,29 @@ def _spy_on_redraws(monkeypatch):
 
 
 def _disagreeing_on_rows(monkeypatch, bad_rows):
-    """Spy on the generic ILM rows: _spy_on_redraws, and (j, prime) per
-    augmented Milnor number; make the two primes disagree on the given row
-    numbers (1-based, counted over both pairs of points)."""
+    """Spy on the generic ILM rows: _spy_on_redraws, the prime of each
+    gradient taken, and (j, prime) per augmented Milnor number; make the two
+    primes disagree on the given row numbers (1-based, counted over both
+    pairs of points)."""
     real_mu = families._augmented_milnor
-    calls = []
+    real_gradient = families.gradient
+    gradients, calls = [], []
 
-    def mu(g, j):
-        calls.append((j, g.context.modulus))
-        value = real_mu(g, j)
+    def gradient(g):
+        gradients.append(g.context.modulus)
+        return real_gradient(g)
+
+    def mu(partials, j):
+        modulus = partials[0].context.modulus
+        calls.append((j, modulus))
+        value = real_mu(partials, j)
         row = sum(p == PRIMES[1] for _, p in calls)
-        return value + 1 if g.context.modulus == PRIMES[1] \
-            and row in bad_rows else value
+        return value + 1 if modulus == PRIMES[1] and row in bad_rows \
+            else value
 
+    monkeypatch.setattr(families, "gradient", gradient)
     monkeypatch.setattr(families, "_augmented_milnor", mu)
-    return (*_spy_on_redraws(monkeypatch), calls)
+    return (*_spy_on_redraws(monkeypatch), gradients, calls)
 
 
 def _at(points):
@@ -350,26 +413,32 @@ def test_ilm_redraw_recomputes_every_row(worked, monkeypatch):
     # the third row disagrees at the family's points: every row is then
     # recomputed at one redrawn pair, and the table reports the points its
     # rows used
-    draws, members, calls = _disagreeing_on_rows(monkeypatch, {3})
+    draws, members, gradients, calls = _disagreeing_on_rows(monkeypatch, {3})
     # Random(0) would redraw the points the family drew from Random(0)
-    table = verify_ilm(worked.family, worked.generic, Random(1))
+    table = verify_ilm(_fresh(worked.family), worked.generic, Random(1))
     first = worked.family.points
     [redrawn] = draws
     assert first != redrawn and table.t_witnesses == redrawn
-    # the family is specialized once per point, not once per row
+    # the family is specialized, and each member differentiated, once per
+    # point, not once per row
     assert members == _at(first) + _at(redrawn)
+    assert gradients == list(PRIMES) * 2
     assert calls == [(j, p) for p in PRIMES for j in (8, 9, 10, 11)] * 2
     assert table.passed and [r.mu for r in table.rows] == [27, 30, 33, 36]
 
 
 def test_ilm_refuses_a_second_disagreement(worked, monkeypatch):
-    draws, members, calls = _disagreeing_on_rows(monkeypatch, {2, 6})
+    draws, members, gradients, calls = _disagreeing_on_rows(monkeypatch,
+                                                            {2, 6})
     with pytest.raises(UnluckySpecializationError,
                        match=r"z1\^9\) disagrees at t = \d+ mod 2147483647 "
                              r"and t = \d+ mod 2147483629"):
-        verify_ilm(worked.family, worked.generic, Random(0))
-    assert len(draws) == 1
-    assert members == _at(worked.family.points) + _at(draws[0])
+        verify_ilm(_fresh(worked.family), worked.generic, Random(0))
+    # Random(0) redraws the points the family drew from Random(0): every
+    # row is recomputed there, but the members are not specialized again
+    assert draws == [worked.family.points]
+    assert members == _at(worked.family.points)
+    assert gradients == list(PRIMES) * 2
     assert calls == [(j, p) for p in PRIMES for j in (8, 9, 10, 11)] * 2
 
 
@@ -396,7 +465,7 @@ def test_generic_slice_recomputes_a_disagreeing_record(worked, monkeypatch):
     # the record at the family's second point disagrees: both records are
     # recomputed at one redrawn pair, which the slice then reports
     draws, members, primes = _disagreeing_records(monkeypatch, {2})
-    sl = invariants_at(worked.family, GENERIC, Random(0))
+    sl = invariants_at(_fresh(worked.family), GENERIC, Random(0))
     [redrawn] = draws
     assert sl.t_witnesses == redrawn != worked.family.points
     assert members == _at(worked.family.points) + _at(redrawn)
@@ -410,9 +479,63 @@ def test_generic_slice_refuses_a_second_disagreement(worked, monkeypatch):
     with pytest.raises(UnluckySpecializationError,
                        match="the invariants disagree with the generic "
                              r"values at t = \d+ mod 2147483647"):
-        invariants_at(worked.family, GENERIC, Random(0))
+        invariants_at(_fresh(worked.family), GENERIC, Random(0))
     assert len(draws) == 1 and primes == list(PRIMES) * 2
     assert members == _at(worked.family.points) + _at(draws[0])
+
+
+def _spy_on_commands(monkeypatch):
+    """Record each family a command decomposes and each member it
+    specializes (the value of t)."""
+    real_decompose = families.decompose_family
+    fams = []
+
+    def decompose(f, rng):
+        fams.append(real_decompose(f, rng))
+        return fams[-1]
+
+    monkeypatch.setattr(families, "decompose_family", decompose)
+    return fams, _spy_on_redraws(monkeypatch)[1]
+
+
+@pytest.mark.parametrize("argv, shown", [
+    # the slice record and the eight generic rows
+    (["ilm", "-e", WORKED, "--param", "t"], "overall: PASS"),
+    # the slice record and the axis-weight note
+    (["family", "-e", "z1*z2^2 + z2^3 + z3^3 + t*z1*z2^2", "--param", "t"],
+     "mu at generic t with z1^3 added = 8"),
+])
+def test_a_command_specializes_each_point_of_its_family_once(
+        argv, shown, monkeypatch, capsys):
+    fams, members = _spy_on_commands(monkeypatch)
+    assert entrypoint([*argv, "--seed", "0"]) == 0
+    assert shown in capsys.readouterr().out
+    [fam] = fams
+    assert members == _at(fam.points)
+    assert sorted(fam.images) == sorted(fam.points)
+
+
+def test_a_prime_dividing_a_denominator_refuses_the_generic_slice(
+        monkeypatch, capsys):
+    # the family decomposes; the generic slice, the first to specialize a
+    # member, refuses it at t mod 2147483647
+    fams, members = _spy_on_commands(monkeypatch)
+    real_at = families.invariants_at
+    slices = []
+
+    def at(fam, where, rng):
+        slices.append(where)
+        return real_at(fam, where, rng)
+
+    monkeypatch.setattr(families, "invariants_at", at)
+    assert entrypoint(["ilm", "-e", SUSPENSION + " + 1/2147483647*t*z2^5",
+                       "--param", "t", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "refused: UNLUCKY_SPECIALIZATION: 1/2147483647 has no image in "
+        "GF(2147483647)\n")
+    [fam] = fams
+    assert slices == [ZERO, GENERIC]
+    assert members == _at(fam.points[:1]) and fam.images == {}
 
 
 def test_ilm_custom_exponents_on_suspension(suspension):

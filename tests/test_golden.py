@@ -56,6 +56,11 @@ COMMAND_CASES = {
     "ilm_suspension": ("ilm", ["-f", str(CORPUS / "suspension_family.lec")],
                        0),
     "ilm_constant": ("ilm", ["-f", str(CORPUS / "constant_family.lec")], 0),
+    # the two heaviest tables: eight generic rows over GF(p) each, from the
+    # members and Jacobians built once per command
+    "ilm_homogeneous": ("ilm",
+                        ["-f", str(CORPUS / "homogeneous_family.lec")], 0),
+    "ilm_nonupper": ("ilm", ["-f", str(CORPUS / "nonupper_family.lec")], 0),
     # weights (8, 6, 7), rows from j = 87 and 62: colengths near 1000 that
     # need the highest-corner cutoff of the local standard bases
     "ilm_corner": ("ilm", ["-e", "z1^3*z2^3 + z2^7 + z3^6 + t*z1*z2^4",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lecalc.orders import (GREVLEX, LOCAL, MonomialOrder, Packing,
-                           PackingOverflow, elimination)
+                           PackingOverflow, elimination, packing)
 
 
 def grevlex(m):
@@ -62,7 +62,19 @@ def test_keys_and_packed_monomials_match_the_reference(case):
                 assert packed[a] + packed[b] == pk.pack(ab)
                 divides = all(x >= y for x, y in zip(a, b))
                 assert (not (packed[a] - packed[b]) & pk.guards) == divides
+            if order is LOCAL:
+                assert packed[a] >> pk.shift == sum(a)
     assert elimination(drop) is elimination(sorted(drop, reverse=True))
+
+
+def test_packings_are_interned_per_order_variables_and_width():
+    pk = packing(elimination([1]), 3, 8)
+    assert pk is packing(elimination((1,)), 3, 8)
+    assert pk is not packing(elimination([1]), 3, 16)
+    assert pk is not packing(GREVLEX, 3, 8)
+    fresh = Packing(elimination([1]), 3, 8)
+    assert (pk.units, pk.guards, pk.shift) \
+        == (fresh.units, fresh.guards, fresh.shift)
 
 
 def test_packing_refuses_an_exponent_that_fills_a_guard():

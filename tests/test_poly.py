@@ -342,6 +342,40 @@ def test_modular_field_axioms(a, b, c):
             a / b
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.sampled_from((7, PRIME)))
+def test_modular_image_of_an_int_is_that_of_its_fraction(n, p):
+    # an int takes no inverse; n divisible by p maps to zero
+    image = Modular.from_rational(n, p)
+    assert image == Modular.from_rational(Fraction(n), p)
+    assert 0 <= image.value < p and image.modulus == p
+    assert not Modular.from_rational(n * p, p)
+
+
+_exponent_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-6, 6).filter(bool), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exponent_terms, st.sampled_from(("QQ", "QQ(t)", "GF(p)")),
+       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+def test_eval_variable_is_the_term_by_term_value(terms, field, value):
+    # one field element per distinct exponent of z1 (shared by every term
+    # that has it) gives what scaling each term by its own power gives
+    ctx = {"QQ": Context(("z1", "z2")), "QQ(t)": CTXP,
+           "GF(p)": Context(("z1", "z2"), (), PRIME)}[field]
+    t = Polynomial.parameter(ctx, "t") if field == "QQ(t)" \
+        else Polynomial.one(ctx)
+    f = sum((Polynomial.monomial(ctx, m, c) * t ** m[1]
+             for m, c in terms.items()), Polynomial.zero(ctx))
+    expected = Polynomial.zero(ctx)
+    for (a, b), c in f.terms.items():
+        expected = expected + Polynomial.monomial(
+            ctx, (0, b), c * ctx.coefficient(value ** a))
+    assert f.eval_variable("z1", value) == expected
+
+
 def _small_param_polys(min_size):
     """Small parameter polynomials, so that equal coefficients turn up often
     and from different num/den representations."""
