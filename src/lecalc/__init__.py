@@ -14,8 +14,7 @@ The family names (``Family``, ``analyze_family``, ``verify_ilm``, ...) load
 """
 
 from .engine import (Ideal, StandardBasis, colength_at_origin,
-                     colength_by_truncation, colength_global,
-                     contains_local_unit, dimension_at_origin, eliminate,
+                     colength_by_truncation, contains_local_unit, eliminate,
                      ideals_equal, intersect, saturate, standard_basis)
 from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
                      ImproperIntersectionError, InternalCheckError,
@@ -42,8 +41,8 @@ __all__ = [
     "ParseError", "Polynomial", "StandardBasis", "TheoremVerdict",
     "UnluckySpecializationError", "UsageError", "WeightSystem",
     "analyze_family", "colength_at_origin",
-    "colength_by_truncation", "colength_global", "contains_local_unit",
-    "decompose_family", "detect_weights", "dimension_at_origin",
+    "colength_by_truncation", "contains_local_unit",
+    "decompose_family", "detect_weights",
     "eliminate", "evaluate_rules", "germ_record", "ideals_equal",
     "intersect", "is_equimultiple", "is_line_singularity", "is_upper",
     "milnor_number", "order_at_origin", "parse_polynomial",

@@ -27,25 +27,24 @@ computed: their callers read the leading ideal or normal forms, neither of
 which depends on the tails (Greuel-Pfister, 1.7), and full reduction
 modulo m^D leaves a canonical normal form whatever the tails.
 
-Saturation and colengths and dimensions at the origin go block by block,
-the generators grouped by shared variables (see `saturate`).  A colength
-or a dimension reads leading exponents only.  Every term divisible by a
-monomial generator is pruned first (g less its terms divisible by the
-generator m is g - m*q); the divisibility test reads only m's support,
-one comparison for a pure power.  The local algebra of an ideal is the
-tensor product of those of its blocks, so colengths multiply and
-dimensions add (Sebastiani-Thom, Invent. Math. 13, 1971, here for
-ideals).  A block that needs a basis runs the pair loop on its exponent
-tuples restricted to its own variables and keeps the minimal leading
-exponents alone (`_block_leading_exponents`); `_staircase` counts the
-standard monomials with work bounded by those exponents, not by the
+Saturation and colengths at the origin go block by block, the generators
+grouped by shared variables (see `saturate`).  A colength reads leading
+exponents only.  Every term divisible by a monomial generator is pruned
+first (g less its terms divisible by the generator m is g - m*q); the
+divisibility test reads only m's support, one comparison for a pure
+power.  The local algebra of an ideal is the tensor product of those of
+its blocks, so colengths multiply (Sebastiani-Thom, Invent. Math. 13,
+1971, here for ideals).  A block that needs a basis runs the pair loop on
+its exponent tuples restricted to its own variables and keeps the minimal
+leading exponents alone (`_block_leading_exponents`); `_staircase` counts
+the standard monomials with work bounded by those exponents, not by the
 colength, an int or None when it is infinite.
 
 Each term-cancellation step draws one step of `sparse.current_budget()`:
-the budget `step_budget` made active, or outside any block a fresh
-DEFAULT_BUDGET per basis and normal form.  The gcds of saturation and of
-QQ(params) coefficients draw one step per pseudo-remainder of the same
-budget (see `lecalc.sparse`).
+the budget `sparse.step_budget` made active, or outside any block a fresh
+`sparse.DEFAULT_BUDGET` per basis and normal form.  The gcds of saturation
+and of QQ(params) coefficients draw one step per pseudo-remainder of the
+same budget (see `lecalc.sparse`).
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ from .errors import ContextError, DegenerateInputError, InternalCheckError
 from .orders import (GREVLEX, LOCAL, MonomialOrder, PackingOverflow,
                      elimination, packing)
 from .poly import Context, Polynomial, multivariate_gcd
-# step_budget and DEFAULT_BUDGET stay importable from here
-from .sparse import DEFAULT_BUDGET, current_budget, step_budget  # noqa: F401
+from .sparse import current_budget
 
 
 class _IdealFields(NamedTuple):
@@ -735,28 +733,16 @@ def _block_leading_exponents(variables: set[int], gens) -> list[tuple[int, ...]]
     return _packed(LOCAL, len(keep), rows, run)
 
 
-def _monomial_dimension(exps, nvars: int) -> int:
-    """Krull dimension of the monomial ideal generated by exps (none of them
-    zero): the largest set of variables that carries none of them."""
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            s = set(subset)
-            if not any(all(i in s for i, ei in enumerate(e) if ei)
-                       for e in exps):
-                return size
-    raise InternalCheckError("dimension search fell through")
-
-
 def colength_at_origin(ideal: Ideal) -> int | None:
     """dim_F of (local ring at the origin) / ideal, F the coefficient field;
     None when it is infinite.
 
     Block by block after pruning (see the module docstring): the colengths
-    multiply.  A variable in no generator makes it infinite, and so does a
-    block of one generator in two or more variables.  A block in one
+    multiply.  A variable in no generator makes it infinite.  A block in one
     variable contributes the least order of its generators (the local ring
     is a discrete valuation ring), and any other block the staircase of its
-    leading exponents."""
+    leading exponents, infinite for a block of one generator: its one
+    leading exponent is a pure power of at most one variable."""
     if contains_local_unit(ideal):
         return 0
     blocks = _blocks(_prune_by_monomials(ideal.generators))
@@ -767,35 +753,11 @@ def colength_at_origin(ideal: Ideal) -> int | None:
         if len(vs) == 1:
             colength *= min(p.min_total_degree() for p in ps)
             continue
-        if len(ps) == 1:
-            return None  # a hypersurface germ in two or more variables
         count = _staircase(_block_leading_exponents(vs, ps), len(vs))
         if count is None:
             return None
         colength *= count
     return colength
-
-
-def dimension_at_origin(ideal: Ideal) -> int | None:
-    """Krull dimension of the germ at the origin, read off the leading terms
-    under the local order; None means the germ is empty (the ideal contains
-    a local unit).
-
-    Block by block after the same pruning: the dimensions add.  A variable
-    in no generator adds 1, a block in k variables adds k - 1 when it has
-    one generator or one variable, and otherwise the dimension of its
-    leading exponents' monomial ideal."""
-    if contains_local_unit(ideal):
-        return None
-    blocks = _blocks(_prune_by_monomials(ideal.generators))
-    dim = ideal.context.nvars - sum(len(vs) for vs, _ in blocks)
-    for vs, ps in blocks:
-        if len(ps) == 1 or len(vs) == 1:
-            dim += len(vs) - 1
-        else:
-            exps = _block_leading_exponents(vs, ps)
-            dim += _monomial_dimension(exps, len(vs))
-    return dim
 
 
 def contains_local_unit(ideal: Ideal) -> bool:
@@ -804,12 +766,6 @@ def contains_local_unit(ideal: Ideal) -> bool:
     generator, and with them the ideal, lies in the maximal ideal."""
     zero = (0,) * ideal.context.nvars
     return any(zero in g.terms for g in ideal.generators)
-
-
-def colength_global(ideal: Ideal) -> int | None:
-    """Affine quotient dimension dim_F F[z]/I (all points, with multiplicity)."""
-    return _staircase(standard_basis(ideal, GREVLEX).leading_exponents,
-                      ideal.context.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +788,8 @@ def _monomials_of_degree(ctx: Context, n: int):
 def _truncated_colength(ideal: Ideal, n: int) -> int:
     ctx = ideal.context
     ms = [Polynomial.monomial(ctx, m) for m in _monomials_of_degree(ctx, n)]
-    colength = colength_global(Ideal(ctx, ideal.generators + tuple(ms)))
+    sb = standard_basis(Ideal(ctx, ideal.generators + tuple(ms)), GREVLEX)
+    colength = _staircase(sb.leading_exponents, ctx.nvars)
     if colength is None:
         raise InternalCheckError("truncated ideal must have finite colength")
     return colength

@@ -122,10 +122,11 @@ def decompose_family(f: Polynomial, rng: Random) -> Family:
     deformation = tuple((j, g) for j, g in sorted(members.items()) if j >= 1)
 
     rebuilt = Polynomial.zero(ctx)
+    param = Polynomial.parameter(ctx, t)
     for j, g in [(0, base), *deformation]:
-        embedded = Polynomial(ctx, {m: ctx.coefficient(c).mul_param_monomial((j,))
+        embedded = Polynomial(ctx, {m: ctx.coefficient(c)
                                     for m, c in g.terms.items()})
-        rebuilt = rebuilt + embedded
+        rebuilt = rebuilt + param ** j * embedded
     if rebuilt != f:
         raise InternalCheckError("family decomposition does not reconstruct")
     return Family(t, f, base, deformation, _draw_mod_points(rng), {})

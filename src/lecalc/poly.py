@@ -331,10 +331,6 @@ class Coefficient:
             return num.get((), lift(0)) / den[()]
         return Coefficient(num, den, self.arity - 1)
 
-    def mul_param_monomial(self, expo: tuple[int, ...]) -> "Coefficient":
-        one = _FR_ONE
-        return Coefficient(sparse.pshift(self.num, expo, one), self.den, self.arity)
-
 
 def _is_den_one(den, arity) -> bool:
     return len(den) == 1 and den.get(_zkey(arity)) == 1

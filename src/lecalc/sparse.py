@@ -136,13 +136,6 @@ def pscale(a, s):
     return {m: v * s for m, v in a.items()}
 
 
-def pshift(a, mono, s):
-    """s * x^mono * a"""
-    if not s:
-        return {}
-    return {mmul(m, mono): v * s for m, v in a.items()}
-
-
 def pmul(a, b):
     if len(a) > len(b):
         a, b = b, a

@@ -13,18 +13,16 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lecalc import engine, sparse
-from lecalc.engine import (DEFAULT_BUDGET, Ideal, _reduce,
-                           colength_at_origin, colength_by_truncation,
-                           colength_global, contains_local_unit,
-                           dimension_at_origin, eliminate, ideals_equal,
-                           intersect, normal_form, saturate, standard_basis,
-                           step_budget, verify_basis)
+from lecalc.engine import (Ideal, _reduce, colength_at_origin,
+                           colength_by_truncation, contains_local_unit,
+                           eliminate, ideals_equal, intersect, normal_form,
+                           saturate, standard_basis, verify_basis)
 from lecalc.errors import (BudgetExceededError, ContextError,
                            DegenerateInputError, InternalCheckError)
 from lecalc.orders import GREVLEX, LOCAL, Packing
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, render
-from lecalc.sparse import _Budget
+from lecalc.sparse import DEFAULT_BUDGET, _Budget, step_budget
 
 C2 = Context(("z1", "z2"), ())
 X = Polynomial.variable(C2, "z1")
@@ -398,27 +396,24 @@ def test_local_unit_detection(monkeypatch):
     assert not contains_local_unit(Ideal(C2, (X ** 2 + X * Y, Y ** 3)))
 
 
-def test_dimension_at_origin():
-    assert dimension_at_origin(Ideal(C2, (X,))) == 1
-    assert dimension_at_origin(Ideal(C2, (X ** 2, Y ** 3))) == 0
-    # empty germ: the ideal is the whole local ring
-    assert dimension_at_origin(Ideal(C2, (X + 1,))) is None
-
-
-def _whole_ideal_colength_and_dimension(ideal: Ideal):
-    """The reference: one local basis in all variables, its staircase and
-    the largest set of variables that carries no leading monomial."""
+def _whole_ideal_colength(ideal: Ideal):
+    """The reference: the staircase of one local basis in all variables."""
     basis = standard_basis(ideal, LOCAL)
-    exps = basis.leading_exponents
-    colength = engine._staircase(exps, ideal.context.nvars)
-    if not all(map(any, exps)):
-        return colength, None
-    n = ideal.context.nvars
-    dimension = max(len(s) for k in range(n + 1)
-                    for s in combinations(range(n), k)
-                    if not any(all(i in s for i, a in enumerate(e) if a)
-                               for e in exps))
-    return colength, dimension
+    return engine._staircase(basis.leading_exponents, ideal.context.nvars)
+
+
+def _least_coordinate_cuts(ideal: Ideal):
+    """The least number of coordinate hyperplanes whose section of the germ
+    has a finite colength, None for the empty germ.  A finite colength
+    after k cuts bounds the germ's dimension by k (Krull's principal ideal
+    theorem)."""
+    if colength_at_origin(ideal) == 0:
+        return None
+    ctx = ideal.context
+    zs = [Polynomial.variable(ctx, v) for v in ctx.variables]
+    return next(k for k in range(ctx.nvars + 1) if any(
+        colength_at_origin(ideal.with_extra(*cut)) is not None
+        for cut in combinations(zs, k)))
 
 
 C4 = Context(("z1", "z2", "z3", "z4"), ())
@@ -486,12 +481,10 @@ def _c4(*exprs):
 @settings(max_examples=60, deadline=None)
 @given(_separable_ideals())
 def test_block_colength_and_dimension_match_the_whole_ideal(ideal):
-    colength, dimension = _whole_ideal_colength_and_dimension(ideal)
-    assert colength_at_origin(ideal) == colength
-    assert dimension_at_origin(ideal) == dimension
+    assert colength_at_origin(ideal) == _whole_ideal_colength(ideal)
 
 
-@pytest.mark.parametrize("exprs, colength, dimension", [
+@pytest.mark.parametrize("exprs, colength, cuts", [
     # z4 absent: infinite colength, and a free direction
     (("z1^2 - z2^3", "z1*z2^2", "z3^4"), None, 1),
     # a unit generator, a constant generator: the empty germ
@@ -503,12 +496,14 @@ def test_block_colength_and_dimension_match_the_whole_ideal(ideal):
     # (z2^3, z2^2 + z2^5) = (z2^2) in one variable: 2, times the cusp's 7
     (("z2^3", "z2^2 + z2^5", "z1^2 - z3^3", "z1*z3^2", "z4"), 14, 0),
     (("z2^3", "z2^2 + z2^5", "z1", "z3", "z4"), 2, 0),
+    # z1^2 - z1 = z1*(z1 - 1): the point z1 = 1 is not at the origin
+    (("z1^2 - z1", "z2", "z3", "z4"), 1, 0),
 ])
-def test_block_colengths_and_dimensions(exprs, colength, dimension):
+def test_block_colengths_and_dimensions(exprs, colength, cuts):
     ideal = _c4(*exprs)
-    assert _whole_ideal_colength_and_dimension(ideal) == (colength, dimension)
+    assert _whole_ideal_colength(ideal) == colength
     assert colength_at_origin(ideal) == colength
-    assert dimension_at_origin(ideal) == dimension
+    assert _least_coordinate_cuts(ideal) == cuts
 
 
 @st.composite
@@ -563,14 +558,13 @@ def _ideals_with_monomial_generators(draw):
 @settings(max_examples=100, deadline=None)
 @given(_ideals_with_monomial_generators())
 def test_pruning_by_monomial_generators_keeps_colength_and_dimension(case):
-    # colength_at_origin and dimension_at_origin prune terms divisible by
-    # a monomial generator first; the references see the generators as drawn
+    # colength_at_origin prunes terms divisible by a monomial generator
+    # first; the references see the generators as drawn
     corner, ideal = case
-    colength, dimension = _whole_ideal_colength_and_dimension(ideal)
+    colength = _whole_ideal_colength(ideal)
     if corner:
         assert colength == colength_by_truncation(ideal)
     assert colength_at_origin(ideal) == colength
-    assert dimension_at_origin(ideal) == dimension
 
 
 @settings(max_examples=100, deadline=None)
@@ -593,7 +587,6 @@ def test_pruning_cascades_through_generators_shrunk_to_one_term():
     pruned = engine._prune_by_monomials(gens)
     assert sorted(map(render, pruned)) == ["z1", "z2^3", "z3^2"]
     assert colength_at_origin(Ideal(C3, gens)) == 6
-    assert dimension_at_origin(Ideal(C3, gens)) == 0
 
 
 def test_highest_corner_waits_only_for_the_variables_in_use(checked_bases):
@@ -616,12 +609,6 @@ def test_highest_corner_waits_only_for_the_variables_in_use(checked_bases):
     assert sorted(four.leading_exponents) == [
         e + (0,) for e in sorted(three.leading_exponents)]
     assert four.truncation_bound is None  # z4 is a free direction
-
-
-def test_global_colength_counts_all_points():
-    ideal = Ideal(C2, ((X - 1) * X, Y))
-    assert colength_global(ideal) == 2
-    assert colength_at_origin(ideal) == 1
 
 
 # leading terms share a factor, so S-pairs genuinely reduce (nine steps)

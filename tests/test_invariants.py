@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from lecalc import engine, invariants
 from lecalc.engine import (Ideal, colength_at_origin, contains_local_unit,
-                           dimension_at_origin, ideals_equal, saturate,
-                           step_budget)
+                           ideals_equal, saturate, standard_basis)
 from lecalc.errors import (BudgetExceededError, DegenerateInputError,
                            InternalCheckError, NonIsolatedError,
                            NonReducedError, NotLineSingularityError)
@@ -25,10 +24,13 @@ from lecalc.invariants import (WeightSystem, _jacobian, _line_check,
                                germ_record, is_line_singularity, lambda1,
                                milnor_number, order_at_origin)
 from lecalc.families import PRIMES, default_j_values
+from lecalc.orders import GREVLEX
 from lecalc.parse import parse_polynomial
 from lecalc.poly import Context, Polynomial, reduced_witness
+from lecalc.sparse import step_budget
 
 C3 = Context(("z1", "z2", "z3"), ())
+Z1 = Polynomial.variable(C3, "z1")
 BASE = parse_polynomial("z1^2*z2^2 + z2^5 + z3^4", C3)
 SUSPENSION = parse_polynomial("z2^3 + z3^3", C3)
 
@@ -241,7 +243,10 @@ def test_line_singularity_check_fails_on_extra_critical_line():
     check, gamma, l0 = _line_check(f)
     assert check.vanishes_on_axis and check.slice_isolated
     assert check.slice_milnor == 3
-    assert l0 is None and dimension_at_origin(gamma) == 1
+    # Gamma is a curve: its colength is infinite, so dim >= 1, and cut by
+    # z1 it is finite, so dim <= 1 (Krull's principal ideal theorem)
+    assert l0 is None and colength_at_origin(gamma) is None
+    assert colength_at_origin(gamma.with_extra(Z1)) is not None
     assert check.extra_critical_component_at_origin
     assert extra_component_oracle(f)
     assert check.failing_check == "no_extra_critical_component"
@@ -255,7 +260,7 @@ def test_extra_critical_component_off_a_surface_polar_variety():
     # check stops at its second test and leaves the third untested, though
     # the z2- and z3-axes are extra components through 0
     f = parse_polynomial("z1*z2*z3", C3)
-    assert dimension_at_origin(_polar_ideal(f)) == 2
+    assert standard_basis(_polar_ideal(f), GREVLEX).elements == (Z1,)
     check, gamma, l0 = _line_check(f)
     assert gamma is None and l0 is None
     assert check.vanishes_on_axis and not check.slice_isolated
@@ -321,7 +326,9 @@ def test_extra_component_flag_matches_the_per_variable_test(f):
             check, gamma, l0 = _line_check(f)
             if check.slice_isolated:
                 expected = extra_component_oracle(f)
-                dim = dimension_at_origin(gamma)
+                colength = colength_at_origin(gamma)
+                cut = colength_at_origin(gamma.with_extra(
+                    Polynomial.variable(f.context, "z1")))
     except BudgetExceededError:
         reject()
     assert check.vanishes_on_axis
@@ -329,8 +336,10 @@ def test_extra_component_flag_matches_the_per_variable_test(f):
         assert check.extra_critical_component_at_origin is None
         return
     # read off the polar curve, which an isolated slice keeps a curve or
-    # empty (Krull), so the check needs no dimension of its own
-    assert dim in (None, 1)
+    # empty (Krull), so the check needs no dimension of its own: cut by z1
+    # its colength is finite (dim <= 1), and it is 0 (the empty germ) or
+    # infinite (dim >= 1)
+    assert cut is not None and colength in (0, None)
     assert check.extra_critical_component_at_origin == expected
     assert (l0 is None) == expected
 
