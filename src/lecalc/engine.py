@@ -16,10 +16,13 @@ Every loop runs on packed monomials (`lecalc.orders.Packing`): a product
 is a + b, a divisibility test one subtraction and a mask, the ecart
 max(terms) >> shift, and the leading term the smallest integer, so the
 heap of a remainder's monomials (Monagan-Pearce, CASC 2007) holds plain
-integers and the heap of pairs tuples of them.  `standard_basis`,
-`normal_form` and `verify_basis` pack at entry and unpack at exit, and
-`_packed` runs again with wider fields when a product would fill one.  One
-packing is interned per (order, nvars, width) (`lecalc.orders.packing`).
+integers and the heap of pairs tuples of them.  An order enters the engine
+only through its packing.  `standard_basis`, `normal_form` and
+`verify_basis` pack at entry and unpack at exit, and `_packed` runs again
+with wider fields when a product would fill one.  One packing is interned
+per (order, nvars, width) (`lecalc.orders.packing`).  Outside the loops,
+leading terms are grevlex (`Polynomial.leading`): saturation makes its
+generators monic and sorts its bases by them.
 
 Global bases are reduced: each element of a minimal basis becomes
 lt + NF(tail).  Local bases are minimal, monic and sorted, with tails as
@@ -42,9 +45,9 @@ colength, an int or None when it is infinite.
 
 Each term-cancellation step draws one step of `sparse.current_budget()`:
 the budget `sparse.step_budget` made active, or outside any block a fresh
-`sparse.DEFAULT_BUDGET` per basis and normal form.  The gcds of saturation
-and of QQ(params) coefficients draw one step per pseudo-remainder of the
-same budget (see `lecalc.sparse`).
+`sparse.DEFAULT_BUDGET` per basis and normal form.  The gcds of the lcms
+of saturation and of QQ(params) coefficients draw one step per
+pseudo-remainder of the same budget (see `lecalc.sparse`).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import NamedTuple
 from . import sparse
 from .errors import ContextError, DegenerateInputError, InternalCheckError
 from .orders import (GREVLEX, LOCAL, MonomialOrder, PackingOverflow,
-                     elimination, packing)
+                     elimination, grevlex_key, packing)
 from .poly import Context, Polynomial, multivariate_gcd
 from .sparse import current_budget
 
@@ -544,23 +547,13 @@ def _rabinowitsch(i: Ideal, g: Polynomial) -> Ideal:
     return _eliminate_fresh_variable(i.context, generators)
 
 
-def _strip_common_factors(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / d, where d collects every factor of f that divides g, so that
-    (f) : g^infinity = (f / d): divide by gcd(h, g) until it is constant,
-    or for a monomial g by the least exponents of its variables in f."""
-    if len(g.terms) == 1:
-        (a,) = g.terms
-        low = [min(m[i] for m in f.terms) if a[i] else 0
-               for i in range(len(a))]
-        return Polynomial(f.context, {
-            tuple(e - d for e, d in zip(m, low)): c
-            for m, c in f.terms.items()})
-    h = f
-    while True:
-        d = multivariate_gcd(h, g)
-        if not d.total_degree():
-            return h
-        h = h.divide_exact(d)
+def _strip_monomial_factor(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / d for a monomial g, d the monomial of the least exponents over
+    f's terms of g's variables, so that (f) : g^infinity = (f / d)."""
+    (a,) = g.terms
+    low = [min(m[i] for m in f.terms) if a[i] else 0 for i in range(len(a))]
+    return Polynomial(f.context, {
+        tuple(e - d for e, d in zip(m, low)): c for m, c in f.terms.items()})
 
 
 def _variables(p: Polynomial) -> set[int]:
@@ -587,7 +580,7 @@ def _blocks(gens) -> list[tuple[set[int], list[Polynomial]]]:
 def _reduced_basis(gens) -> tuple[Polynomial, ...]:
     """The reduced GREVLEX basis of (gens); one generator is made monic."""
     if len(gens) == 1:
-        return (gens[0].monic(GREVLEX),)
+        return (gens[0].monic(),)
     return standard_basis(Ideal(gens[0].context, tuple(gens)),
                           GREVLEX).elements
 
@@ -606,8 +599,8 @@ def _saturate_by_element(blocks, g: Polynomial) -> tuple[Polynomial, ...]:
     they form the reduced basis of the sum, unless one of them is (1)."""
     touched = _variables(g)
     near = [p for vs, ps in blocks if not vs.isdisjoint(touched) for p in ps]
-    if len(near) == 1:
-        basis = (_strip_common_factors(near[0], g).monic(GREVLEX),)
+    if len(near) == 1 and len(g.terms) == 1:
+        basis = (_strip_monomial_factor(near[0], g).monic(),)
     elif near:
         basis = _rabinowitsch(Ideal(g.context, tuple(near)), g).generators
     else:
@@ -620,8 +613,7 @@ def _saturate_by_element(blocks, g: Polynomial) -> tuple[Polynomial, ...]:
             if _is_unit_basis(far):
                 return far
             basis += far
-    return tuple(sorted(basis,
-                        key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0])))
+    return tuple(sorted(basis, key=lambda p: grevlex_key(p.leading()[0])))
 
 
 def saturate(i: Ideal, k: Ideal) -> Ideal:
@@ -630,11 +622,12 @@ def saturate(i: Ideal, k: Ideal) -> Ideal:
 
     Each I : g^infinity splits I's generators into blocks linked by shared
     variables and saturates only the blocks that share a variable with g:
-    one generator by gcds, with no basis, several by a Rabinowitsch
-    elimination, whose basis is already reduced under GREVLEX (its u-free
-    tails are reduced against u-free leading terms only).  Factors equal to
-    (1) drop out, principal factors are intersected by lcms, the others by
-    one elimination each."""
+    one generator and a monomial g by stripping g's variables, with no
+    basis, anything else by a Rabinowitsch elimination, whose basis is
+    already reduced under GREVLEX (its u-free tails are reduced against
+    u-free leading terms only).  Factors equal to (1) drop out, principal
+    factors are intersected by lcms (a gcd each), the others by one
+    elimination each."""
     if i.context != k.context:
         raise ContextError("saturation across different contexts")
     ctx = i.context
@@ -649,7 +642,7 @@ def saturate(i: Ideal, k: Ideal) -> Ideal:
         elif len(acc.generators) == len(part) == 1:
             a, b = acc.generators[0], part[0]
             lcm = (a * b).divide_exact(multivariate_gcd(a, b))
-            acc = Ideal(ctx, (lcm.monic(GREVLEX),))
+            acc = Ideal(ctx, (lcm.monic(),))
         else:
             acc = intersect(acc, Ideal(ctx, part))
     return Ideal(ctx, (Polynomial.one(ctx),)) if acc is None else acc

@@ -1,9 +1,9 @@
-"""Monomial orders on exponent tuples, and monomials packed into integers.
+"""Monomial orders, and monomials packed into integers.
 
-``order.key(m)`` returns a tuple; monomials compare by their keys, the
-largest key leading.  ``elimination(drop)`` returns one interned order per
-drop block.  Three kinds, all multiplicative (m1 < m2 implies
-m1*m < m2*m):
+A `MonomialOrder` names an order by its kind and drop block, and its
+`Packing` (below) is its one definition: the basis engine compares
+monomials only as packed integers.  ``elimination(drop)`` sorts the drop
+block.  Three kinds, all multiplicative (m1 < m2 implies m1*m < m2*m):
 
 * ``grevlex``   -- global degree reverse lexicographic.
 * ``local``     -- negative degree reverse lexicographic; lower total degree
@@ -30,65 +30,29 @@ zero (a smaller field borrows its guard), and under ``local`` the total
 degree is m >> shift.  `pack` refuses an exponent that would fill a guard
 and the engine checks the guards of every product it makes, both raising
 `PackingOverflow`: the caller widens and starts again, so no field wraps.
+
+Outside the engine grevlex is the one order: `grevlex_key(m)` returns a
+tuple, the largest key leading, by which leading terms, gcds and rendered
+terms are taken.
 """
 
 from __future__ import annotations
 
 from operator import mul
+from typing import NamedTuple
 
 
-def _grevlex_key(m):
+def grevlex_key(m):
+    """The grevlex key of an exponent tuple; the largest key leads."""
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _local_key(m):
-    return (-sum(m), tuple(-e for e in reversed(m)))
+class MonomialOrder(NamedTuple):
+    """An order of one kind, ``grevlex``, ``local`` or ``elimination``,
+    and, for ``elimination``, its sorted drop block."""
 
-
-def _block_key(drop):
-    def key(m):
-        head = tuple(m[i] for i in drop)
-        tail = tuple(e for i, e in enumerate(m) if i not in drop)
-        return (_grevlex_key(head), _grevlex_key(tail))
-
-    return key
-
-
-class MonomialOrder:
-    """An order of one kind (and drop block); equal and hashed by
-    (kind, drop).  No attribute is reassigned."""
-
-    __slots__ = ("kind", "drop", "key")
-
-    def __init__(self, kind: str, drop: tuple[int, ...] = ()):
-        if kind == "grevlex":
-            key = _grevlex_key
-        elif kind == "local":
-            key = _local_key
-        elif kind == "elimination":
-            if not drop:
-                raise ValueError("elimination order needs a nonempty drop block")
-            key = _block_key(drop)
-        else:
-            raise ValueError(f"unknown order kind {kind!r}")
-        init = object.__setattr__
-        init(self, "kind", kind)
-        init(self, "drop", drop)
-        init(self, "key", key)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to MonomialOrder.{name}")
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialOrder):
-            return NotImplemented
-        return (self.kind, self.drop) == (other.kind, other.drop)
-
-    def __hash__(self):
-        return hash((self.kind, self.drop))
-
-    def __repr__(self):
-        return f"MonomialOrder(kind={self.kind!r}, drop={self.drop!r})"
+    kind: str
+    drop: tuple[int, ...] = ()
 
     @property
     def is_global(self) -> bool:
@@ -99,15 +63,8 @@ GREVLEX = MonomialOrder("grevlex")
 LOCAL = MonomialOrder("local")
 
 
-_ELIMINATION: dict[tuple[int, ...], MonomialOrder] = {}
-
-
 def elimination(drop_indices) -> MonomialOrder:
-    drop = tuple(sorted(drop_indices))
-    order = _ELIMINATION.get(drop)
-    if order is None:
-        order = _ELIMINATION[drop] = MonomialOrder("elimination", drop)
-    return order
+    return MonomialOrder("elimination", tuple(sorted(drop_indices)))
 
 
 # ---------------------------------------------------------------------------

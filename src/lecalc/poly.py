@@ -15,6 +15,9 @@ between fields and `render` look at the field; the arithmetic never does.
 rational it maps QQ(params) to QQ(the other params), and at a `Modular`
 residue it maps QQ(t) to GF(p).  `Polynomial.eval_variable` is the one
 evaluator of a ring variable, at a rational, in the same context.
+Leading terms (`Polynomial.leading`, `Polynomial.monic`) and `render` take
+the grevlex order (`lecalc.orders.grevlex_key`), the one order used outside
+the basis engine.
 
 Every gcd here is `sparse.pgcd`, which draws one step of the current
 budget (see `lecalc.sparse`) per pseudo-remainder: the gcd that keeps a
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 from . import sparse
 from .errors import ContextError, DegenerateInputError, NonReducedError, UnluckySpecializationError
-from .orders import GREVLEX
+from .orders import grevlex_key
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -482,10 +485,11 @@ class Polynomial:
         c = self.terms.get((0,) * self.context.nvars)
         return self.context.zero if c is None else c
 
-    def leading(self, order) -> tuple[tuple[int, ...], "Fraction | Coefficient | Modular"]:
+    def leading(self) -> tuple[tuple[int, ...], "Fraction | Coefficient | Modular"]:
+        """The grevlex leading exponents and coefficient."""
         if not self.terms:
             raise DegenerateInputError("leading term of the zero polynomial")
-        m = max(self.terms, key=order.key)
+        m = max(self.terms, key=grevlex_key)
         return m, self.terms[m]
 
     def __eq__(self, other):
@@ -660,10 +664,11 @@ class Polynomial:
 
     # -- normal forms under scaling ------------------------------------------
 
-    def monic(self, order) -> "Polynomial":
-        """self / lc, or self when lc is already one (polynomials are never
-        mutated, so the result may be shared)."""
-        lt, lc = self.leading(order)
+    def monic(self) -> "Polynomial":
+        """self / lc, lc the grevlex leading coefficient, or self when lc is
+        already one (polynomials are never mutated, so the result may be
+        shared)."""
+        lt, lc = self.leading()
         unit = self.context.unit
         if lc == unit:
             return self
@@ -688,7 +693,7 @@ def _render_frac(q: Fraction) -> str:
 
 def _render_param_poly(d, names) -> str:
     parts = []
-    for m in sorted(d, key=GREVLEX.key, reverse=True):
+    for m in sorted(d, key=grevlex_key, reverse=True):
         q = d[m]
         body = [x for x in
                 (f"{n}^{e}" if e > 1 else n for n, e in zip(names, m) if e)]
@@ -714,7 +719,7 @@ def render(p: Polynomial) -> str:
     pnames = p.context.parameters
     modular = bool(p.context.modulus)
     chunks: list[tuple[str, str]] = []  # (sign, body)
-    for m in sorted(p.terms, key=GREVLEX.key, reverse=True):
+    for m in sorted(p.terms, key=grevlex_key, reverse=True):
         c = p.terms[m]
         mono = _mono_str(m, vnames)
         if modular:  # reduced residues, always added

@@ -15,6 +15,8 @@ entirely adequate for desk-scale inputs.  When either argument is a single
 term the gcd is a monomial, x^e with e the componentwise minimum of every
 exponent of both arguments, and `pgcd` returns it in closed form without
 entering the recursion; a QQ(t) coefficient spends most of its gcds there.
+Leading terms (`lead`) and monic gcds are taken under grevlex
+(`lecalc.orders.grevlex_key`).
 
 The step budget lives here, the lowest layer that charges a step.
 `with step_budget(limit):` makes one budget active for a block, and
@@ -23,7 +25,7 @@ DEFAULT_BUDGET steps, taken once per basis, normal form and remainder
 sequence.  Two things draw a step: each term-cancellation step of the
 basis engine (`lecalc.engine`), and each pseudo-remainder of the gcd
 here, wherever the gcd is taken: the normalisation of a QQ(params)
-coefficient, the reducedness gcd and the gcds of saturation.  The
+coefficient, the reducedness gcd and the lcms of saturation.  The
 closed-form gcd with a one-term side draws none.  Running out raises
 `BudgetExceededError`.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .errors import BudgetExceededError
-from .orders import GREVLEX
+from .orders import grevlex_key
 
 DEFAULT_BUDGET = 100_000
 
@@ -155,9 +157,9 @@ def pmul(a, b):
     return c
 
 
-def lead(a, key=GREVLEX.key):
-    """(monomial, coefficient) of the largest term under the key."""
-    m = max(a, key=key)
+def lead(a):
+    """(monomial, coefficient) of the grevlex leading term."""
+    m = max(a, key=grevlex_key)
     return m, a[m]
 
 

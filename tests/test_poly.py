@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lecalc import poly, sparse, squarefree
 from lecalc.engine import Ideal, eliminate
 from lecalc.errors import ContextError, UnluckySpecializationError
-from lecalc.orders import GREVLEX, LOCAL
 from lecalc.parse import parse_polynomial
 from lecalc.poly import (Coefficient, Context, Modular, Polynomial,
                          multivariate_gcd, reduced_witness, render)
@@ -162,16 +161,14 @@ def test_render_with_parameter():
     x, y = v("z1", CTXP), v("z2", CTXP)
     q = (t ** 2 + 1) * x * y - t * y ** 2
     assert render(q) == "(t^2+1)*z1*z2 - t*z2^2"
-    assert render(q.monic(GREVLEX)) == "z1*z2 + (-t)/(t^2+1)*z2^2"
+    assert render(q.monic()) == "z1*z2 + (-t)/(t^2+1)*z2^2"
 
 
 def test_leading_term_orders():
+    # grevlex, the one order outside the engine; the packing property of
+    # tests/test_orders.py checks the local leading term
     z1, z2 = v("z1"), v("z2")
-    f = z1 ** 3 + z2 ** 2
-    expo_global, _ = f.leading(GREVLEX)
-    expo_local, _ = f.leading(LOCAL)
-    assert expo_global == (3, 0, 0)
-    assert expo_local == (0, 2, 0)
+    assert (z1 ** 3 + z2 ** 2).leading()[0] == (3, 0, 0)
 
 
 def test_divide_exact_round_trip():
@@ -241,7 +238,7 @@ def test_rational_coefficients_are_fractions():
     f = parse_polynomial("z1^3 - 2/3*z1*z2 + z2^2", ctx)
     assert rational(f)
     assert rational(f * f - 3 * f + Fraction(1, 2)) and rational(f.partial("z1"))
-    assert rational(f.monic(GREVLEX))
+    assert rational(f.monic())
     g = parse_polynomial("t*z1^2 + (t^2 - 1)*z2 + 5", Context(("z1", "z2"), ("t",)))
     assert all(isinstance(c, Coefficient) for c in g.terms.values())
     assert rational(g.specialize_parameter("t", Fraction(2, 3)))
@@ -292,7 +289,7 @@ def test_constructors_follow_the_field():
     assert f.constant_coefficient() == Modular(0, 7)
     assert (f + 1).constant_coefficient() == Modular(1, 7)
     assert 7 * f == Polynomial.zero(CTX7)
-    assert f.monic(GREVLEX).leading(GREVLEX)[1] == Modular(1, 7)
+    assert f.monic().leading()[1] == Modular(1, 7)
     assert Polynomial.monomial(CTX7, (0, 1, 0), 8) == z2
     with pytest.raises(ZeroDivisionError):
         Polynomial.constant(CTX7, Fraction(1, 7))
@@ -668,7 +665,7 @@ def test_the_gcd_finds_what_the_certificate_cannot(ctx):
     h, k, _ = _trap_case(ctx)
     g = h * h * k
     assert not squarefree.certified_squarefree(g)
-    assert reduced_witness(g) == h.monic(GREVLEX)
+    assert reduced_witness(g) == h.monic()
 
 
 @pytest.mark.parametrize("ctx, text", [
@@ -678,11 +675,11 @@ def test_the_gcd_finds_what_the_certificate_cannot(ctx):
 ])
 def test_monic_divides_by_the_leading_coefficient(ctx, text):
     f = parse_polynomial(text, ctx)
-    _, lc = f.leading(GREVLEX)
-    g = f.monic(GREVLEX)
-    assert g.leading(GREVLEX)[1] == ctx.unit
+    _, lc = f.leading()
+    g = f.monic()
+    assert g.leading()[1] == ctx.unit
     assert g.terms == sparse.pscale(f.terms, ctx.unit / lc)
-    assert g.monic(GREVLEX) is g
+    assert g.monic() is g
 
 
 @settings(max_examples=40, deadline=None)
