@@ -25,7 +25,7 @@ from .errors import (ContextError, MathRefusal, NonIsolatedError,
                      NotLineSingularityError, UsageError)
 from .invariants import detect_weights, germ_record, milnor_number
 from .parse import parse_polynomial
-from .poly import Context, clear_contexts
+from .poly import Context
 from .sparse import DEFAULT_BUDGET, step_budget
 
 
@@ -253,9 +253,6 @@ _COMMANDS = {"invariants": cmd_invariants, "family": cmd_family,
 
 def entrypoint(argv=None) -> int:
     """Run one command under one step budget and write its report."""
-    # each command starts with an empty context table, so a process that
-    # runs many commands holds the contexts of one command at a time
-    clear_contexts()
     try:
         args = _shared_parser().parse_args(argv)
         cfg = _config_from_args(args)

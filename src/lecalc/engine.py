@@ -33,11 +33,11 @@ modulo m^D leaves a canonical normal form whatever the tails.
 Saturation and colengths at the origin go block by block, the generators
 grouped by shared variables (see `saturate`).  A colength reads leading
 exponents only.  Every term divisible by a monomial generator is pruned
-first (g less its terms divisible by the generator m is g - m*q); the
-divisibility test reads only m's support, one comparison for a pure
-power.  The local algebra of an ideal is the tensor product of those of
-its blocks, so colengths multiply (Sebastiani-Thom, Invent. Math. 13,
-1971, here for ideals).  A block that needs a basis runs the pair loop on
+first (g less its terms divisible by the generator m is g - m*q), each
+term tested by `sparse.mdiv` against every minimal monomial generator.
+The local algebra of an ideal is the tensor product of those of its
+blocks, so colengths multiply (Sebastiani-Thom, Invent. Math. 13, 1971,
+here for ideals).  A block that needs a basis runs the pair loop on
 its exponent tuples restricted to its own variables and keeps the minimal
 leading exponents alone (`_block_leading_exponents`); `_staircase` counts
 the standard monomials with work bounded by those exponents, not by the
@@ -651,32 +651,6 @@ def saturate(i: Ideal, k: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 # numerical invariants of ideals
 
-def _divisible_by(mons):
-    """A test of whether some member of mons divides an exponent tuple that
-    reads each member's support only: one comparison for a pure power."""
-    powers, mixed = [], []
-    for k in mons:
-        support = [(i, a) for i, a in enumerate(k) if a]
-        if len(support) == 1:
-            powers.append(support[0])
-        else:
-            mixed.append(support)
-
-    def divisible(m):
-        for i, a in powers:
-            if m[i] >= a:
-                return True
-        for support in mixed:
-            for i, a in support:
-                if m[i] < a:
-                    break
-            else:
-                return True
-        return False
-
-    return divisible
-
-
 def _prune_by_monomials(gens) -> list[Polynomial]:
     """Generators of the same ideal in which no generator keeps a term
     divisible by a one-term generator.  M, the minimal exponents of the
@@ -693,12 +667,12 @@ def _prune_by_monomials(gens) -> list[Polynomial]:
         mons = [m for m in ones if not any(
             k != m and sparse.mdiv(m, k) is not None for k in ones)]
         out = [ones[m] for m in mons]
-        divisible = _divisible_by(mons)
         pruned = False
         for g in gens:
             if len(g.terms) == 1:
                 continue
-            terms = {m: c for m, c in g.terms.items() if not divisible(m)}
+            terms = {m: c for m, c in g.terms.items() if not any(
+                sparse.mdiv(m, k) is not None for k in mons)}
             if len(terms) == len(g.terms):
                 out.append(g)
                 continue

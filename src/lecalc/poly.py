@@ -48,27 +48,19 @@ class _ContextFields(NamedTuple):
     modulus: int = 0
 
 
-_CONTEXTS: dict[tuple, "Context"] = {}
-
-
 class Context(_ContextFields):
     """Ordered ring variables, ordered coefficient-field parameters, and the
     field's characteristic: modulus 0 is QQ(parameters), a prime p is GF(p)
     (no parameters allowed; primality is the caller's promise).  No
     __slots__: `unit` and `zero` are cached in the instance dict.
 
-    Contexts are interned: one table holds one context per
-    (variables, parameters, modulus), checked once when first built, so a
-    context rebuilt on every basis costs one lookup.  `clear_contexts()`
-    empties the table without changing any result."""
+    Contexts are values: every construction runs the checks below, and two
+    contexts with the same fields are equal and hash alike, as tuples."""
 
     def __new__(cls, variables: tuple[str, ...],
                 parameters: tuple[str, ...] = (), modulus: int = 0):
-        fields = (tuple(variables), tuple(parameters), modulus)
-        ctx = _CONTEXTS.get(fields)
-        if ctx is not None:
-            return ctx
-        names = [*fields[0], *fields[1]]
+        variables, parameters = tuple(variables), tuple(parameters)
+        names = [*variables, *parameters]
         if not variables:
             raise ContextError("a context needs at least one ring variable")
         if modulus < 0 or modulus == 1:
@@ -81,8 +73,7 @@ class Context(_ContextFields):
                 raise ContextError(f"bad identifier {n!r}")
         if len(set(names)) != len(names):
             raise ContextError(f"duplicate identifier among {names}")
-        ctx = _CONTEXTS[fields] = super().__new__(cls, *fields)
-        return ctx
+        return super().__new__(cls, variables, parameters, modulus)
 
     def _replace(self, **changes) -> "Context":
         # the namedtuple _replace would skip the checks in __new__
@@ -139,25 +130,8 @@ class Context(_ContextFields):
         return self.coefficient(0)
 
 
-def clear_contexts():
-    """Empty the context table; contexts built before stay valid and equal
-    to the ones built after."""
-    _CONTEXTS.clear()
-
-
 # ---------------------------------------------------------------------------
 # the coefficient field QQ(parameters), at least one parameter
-
-_ZERO_KEY_CACHE: dict[int, tuple[int, ...]] = {}
-
-
-def _zkey(arity: int) -> tuple[int, ...]:
-    k = _ZERO_KEY_CACHE.get(arity)
-    if k is None:
-        k = (0,) * arity
-        _ZERO_KEY_CACHE[arity] = k
-    return k
-
 
 _FR_ONE = Fraction(1)
 
@@ -176,7 +150,7 @@ class Coefficient:
             raise ZeroDivisionError("coefficient with zero denominator")
         if not num:
             self.num = {}
-            self.den = {_zkey(arity): _FR_ONE}
+            self.den = {(0,) * arity: _FR_ONE}
             self.arity = arity
             return
         if not _reduced:
@@ -197,19 +171,19 @@ class Coefficient:
 
     @staticmethod
     def zero(arity: int) -> "Coefficient":
-        return Coefficient({}, {_zkey(arity): _FR_ONE}, arity, _reduced=True)
+        return Coefficient({}, {(0,) * arity: _FR_ONE}, arity, _reduced=True)
 
     @staticmethod
     def from_fraction(q, arity: int) -> "Coefficient":
         q = Fraction(q)
-        z = _zkey(arity)
+        z = (0,) * arity
         if q == 0:
             return Coefficient.zero(arity)
         return Coefficient({z: q}, {z: _FR_ONE}, arity, _reduced=True)
 
     @staticmethod
     def from_param_poly(num, arity: int) -> "Coefficient":
-        return Coefficient(dict(num), {_zkey(arity): _FR_ONE}, arity, _reduced=True)
+        return Coefficient(dict(num), {(0,) * arity: _FR_ONE}, arity, _reduced=True)
 
     # -- predicates ---------------------------------------------------------
 
@@ -262,7 +236,7 @@ class Coefficient:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero coefficient")
-        q = other.num.get(_zkey(self.arity))
+        q = other.num.get((0,) * self.arity)
         if q is not None and len(other.num) == 1 and other.den_is_one:
             # by a rational constant: scale the numerator
             return Coefficient({m: c / q for m, c in self.num.items()},
@@ -336,7 +310,7 @@ class Coefficient:
 
 
 def _is_den_one(den, arity) -> bool:
-    return len(den) == 1 and den.get(_zkey(arity)) == 1
+    return len(den) == 1 and den.get((0,) * arity) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +441,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def involves(self, name: str) -> bool:
-        i = self.context.var_index(name)
-        return any(m[i] for m in self.terms)
-
     def total_degree(self) -> int:
         if not self.terms:
             raise DegenerateInputError("total degree of the zero polynomial")
@@ -573,16 +543,12 @@ class Polynomial:
     def partial(self, name: str) -> "Polynomial":
         i = self.context.var_index(name)
         out = {}
-        scales = {}  # one field element per distinct exponent of z_i
         for m, c in self.terms.items():
             e = m[i]
             if not e:
                 continue
             nm = m[:i] + (e - 1,) + m[i + 1:]
-            scale = scales.get(e)
-            if scale is None:
-                scale = scales[e] = self.context.coefficient(e)
-            scaled = c * scale
+            scaled = c * self.context.coefficient(e)
             w = out.get(nm)
             w = scaled if w is None else w + scaled
             if w:
@@ -626,15 +592,11 @@ class Polynomial:
         ctx = self.context
         i = ctx.var_index(name)
         out = {}
-        scales = {}  # one field element per distinct exponent of the variable
         for m, c in self.terms.items():
             e = m[i]
             if e:
                 m = m[:i] + (0,) + m[i + 1:]
-                scale = scales.get(e)
-                if scale is None:
-                    scale = scales[e] = ctx.coefficient(value ** e)
-                c = c * scale
+                c = c * ctx.coefficient(value ** e)
             w = out.get(m)
             w = c if w is None else w + c
             if w:
@@ -695,12 +657,10 @@ def _render_param_poly(d, names) -> str:
     parts = []
     for m in sorted(d, key=grevlex_key, reverse=True):
         q = d[m]
-        body = [x for x in
-                (f"{n}^{e}" if e > 1 else n for n, e in zip(names, m) if e)]
+        piece = render_monomial(m, names)
         aq = abs(q)
-        if aq != 1 or not body:
-            body.insert(0, _render_frac(aq))
-        piece = "*".join(body)
+        if aq != 1 or not piece:
+            piece = f"{_render_frac(aq)}*{piece}" if piece else _render_frac(aq)
         if not parts:
             parts.append(piece if q > 0 else "-" + piece)
         else:
@@ -708,7 +668,8 @@ def _render_param_poly(d, names) -> str:
     return "".join(parts)
 
 
-def _mono_str(m, names) -> str:
+def render_monomial(m, names) -> str:
+    """The exponent tuple m as a product of powers of names, '' for 1."""
     return "*".join(f"{n}^{e}" if e > 1 else n for n, e in zip(names, m) if e)
 
 
@@ -721,7 +682,7 @@ def render(p: Polynomial) -> str:
     chunks: list[tuple[str, str]] = []  # (sign, body)
     for m in sorted(p.terms, key=grevlex_key, reverse=True):
         c = p.terms[m]
-        mono = _mono_str(m, vnames)
+        mono = render_monomial(m, vnames)
         if modular:  # reduced residues, always added
             factors = [str(c.value)] if c.value != 1 or not mono else []
             if mono:
@@ -730,7 +691,7 @@ def render(p: Polynomial) -> str:
         elif isinstance(c, Fraction) or (c.den_is_one and len(c.num) == 1):
             # a rational times a parameter monomial
             pm, q = ((), c) if isinstance(c, Fraction) else next(iter(c.num.items()))
-            pmono = _mono_str(pm, pnames)
+            pmono = render_monomial(pm, pnames)
             sign = "+" if q > 0 else "-"
             factors = []
             if abs(q) != 1 or (not pmono and not mono):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceededError, NotLineSingularityError
 from .invariants import InvariantRecord, WeightSystem
-from .poly import render as render_poly
+from .poly import render as render_poly, render_monomial
 from .sparse import DEFAULT_BUDGET
 
 SCHEMA_VERSION = 1
@@ -401,8 +401,7 @@ def _upper_text(fam: dict, variables: list[str]) -> str:
         return f"yes (every deformation monomial has weighted degree >= " \
                f"{upper['degree']})"
     first = upper["offenders"][0]
-    mono = "*".join(f"{v}^{e}" if e > 1 else v
-                    for v, e in zip(variables, first["monomial"]) if e) or "1"
+    mono = render_monomial(first["monomial"], variables) or "1"
     return (f"no ({fam['parameter']}^{first['power']} carries {mono} of "
             f"weighted degree {first['weighted_degree']} < "
             f"{upper['degree']}; {len(upper['offenders'])} offending "

@@ -9,11 +9,11 @@ def checked_bases(monkeypatch):
     """A standard_basis that re-verifies every basis it returns
     (`engine.verify_basis`), also installed in the engine for the duration
     of a test, so the bases the engine builds on its own way to an
-    elimination are verified too.  A colength or a dimension reads a block's
-    leading exponents without building a basis; for the duration of a test
-    each block also builds its basis here, verifies it and checks that its
-    leading exponents are the ones read.  Slow, so only the small unit tests
-    use it, calling it for their own bases."""
+    elimination are verified too.  A colength reads a block's leading
+    exponents without building a basis; for the duration of a test each
+    block also builds its basis here, verifies it and checks that its
+    leading exponents are the ones read.  Slow, so only the small unit
+    tests use it, calling it for their own bases."""
     compute = engine.standard_basis
     read = engine._block_leading_exponents
 

@@ -56,16 +56,6 @@ def test_invariants_json_schema(capsys):
     assert doc["warnings"] == []
 
 
-def test_each_command_starts_with_empty_tables(capsys):
-    # the contexts of earlier work are dropped, so a process that runs
-    # many commands holds those of one command at a time
-    stale = poly.Context(("q1", "q2"))
-    code, _, _ = run(capsys, "invariants", "-e", WORKED_BASE)
-    assert code == 0
-    assert stale not in poly._CONTEXTS.values()
-    assert (("z1", "z2", "z3"), (), 0) in poly._CONTEXTS
-
-
 def test_reports_are_deterministic(capsys):
     for fmt in ("text", "json"):
         first = run(capsys, "invariants", "-e", WORKED_BASE, "--format", fmt)

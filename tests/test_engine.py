@@ -574,18 +574,6 @@ def test_pruning_by_monomial_generators_keeps_colength_and_dimension(case):
     assert colength_at_origin(ideal) == colength
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
-                          st.integers(0, 3)).filter(any),
-                min_size=1, max_size=4),
-       st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)))
-def test_divisibility_on_the_support_is_division(mons, m):
-    # a pure power takes one comparison, any other monomial one per
-    # variable it involves; the answer is that of exponent division
-    divisible = engine._divisible_by(mons)
-    assert divisible(m) == any(sparse.mdiv(m, k) is not None for k in mons)
-
-
 def test_pruning_cascades_through_generators_shrunk_to_one_term():
     # z1, kept once, prunes z1*z2 and z1*z3 and drops 2*z1^2; then z2^3,
     # left alone, prunes z2^3*z3: three blocks in one variable each
