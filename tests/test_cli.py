@@ -56,6 +56,20 @@ def test_invariants_json_schema(capsys):
     assert doc["warnings"] == []
 
 
+def test_upper_line_names_the_first_offending_monomial():
+    # the one monomial renderer writes 1 as '', which the line shows as 1
+    fam = {"parameter": "t", "upper": {"upper": False, "degree": 6,
+                                       "offenders": []}}
+    for monomial, shown in (([0, 2, 0], "z2^2"), ([1, 2, 0], "z1*z2^2"),
+                            ([0, 0, 0], "1")):
+        fam["upper"]["offenders"] = [
+            {"power": 2, "monomial": monomial, "weighted_degree": 0},
+            {"power": 1, "monomial": [0, 0, 1], "weighted_degree": 2}]
+        assert report._upper_text(fam, ["z1", "z2", "z3"]) == (
+            f"no (t^2 carries {shown} of weighted degree 0 < 6; "
+            "2 offending monomial(s))")
+
+
 def test_reports_are_deterministic(capsys):
     for fmt in ("text", "json"):
         first = run(capsys, "invariants", "-e", WORKED_BASE, "--format", fmt)

@@ -574,6 +574,27 @@ def test_pruning_by_monomial_generators_keeps_colength_and_dimension(case):
     assert colength_at_origin(ideal) == colength
 
 
+@settings(max_examples=100, deadline=None)
+@given(_ideals_with_monomial_generators())
+def test_pruned_generators_keep_no_term_divisible_by_a_monomial_one(case):
+    # the one-term generators left are minimal and divide no term of any
+    # other generator, and every other generator is one of the drawn ones
+    # with some of its terms dropped
+    _, ideal = case
+    pruned = engine._prune_by_monomials(ideal.generators)
+    mons = [next(iter(g.terms)) for g in pruned if len(g.terms) == 1]
+    assert mons
+    assert not any(k != m and sparse.mdiv(m, k) is not None
+                   for m in mons for k in mons)
+    for g in pruned:
+        if len(g.terms) == 1:
+            continue
+        assert not any(sparse.mdiv(m, k) is not None
+                       for m in g.terms for k in mons)
+        assert any(g.terms.items() <= h.terms.items()
+                   for h in ideal.generators)
+
+
 def test_pruning_cascades_through_generators_shrunk_to_one_term():
     # z1, kept once, prunes z1*z2 and z1*z3 and drops 2*z1^2; then z2^3,
     # left alone, prunes z2^3*z3: three blocks in one variable each
