@@ -576,7 +576,7 @@ def test_pruning_by_monomial_generators_keeps_colength_and_dimension(case):
 
 @settings(max_examples=100, deadline=None)
 @given(_ideals_with_monomial_generators())
-def test_pruned_generators_keep_no_term_divisible_by_a_monomial_one(case):
+def test_pruned_generators_keep_no_term_a_monomial_one_divides(case):
     # the one-term generators left are minimal and divide no term of any
     # other generator, and every other generator is one of the drawn ones
     # with some of its terms dropped

@@ -1,9 +1,7 @@
 """Germ invariants: weights, Milnor numbers, the polar curve of the axis,
 Le numbers, and the tabulated record for the worked examples."""
 
-import signal
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -308,26 +306,6 @@ def _order_two_along_the_axis(draw):
     return f
 
 
-@contextmanager
-def _draw_budget(steps: int, seconds: float = 10):
-    """step_budget(steps) that also runs out after SECONDS of wall-clock
-    time.  The budget counts steps, not their cost: at two Hypothesis
-    seeds in sixty a drawn germ's colength took minutes, its Mora normal
-    forms over QQ slowing from hundreds of steps a second to one every few
-    seconds as their rationals swelled, still short of the step limit."""
-    def expire(signum, frame):
-        raise BudgetExceededError(f"a draw ran out of its {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        with step_budget(steps):
-            yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _tractable(f: Polynomial, terms: int = 6) -> bool:
     """z1 present (a germ free of it is a suspension), at most TERMS terms
     and reduced: the gcds of the reducedness test took minutes on some
@@ -344,7 +322,7 @@ def test_extra_component_flag_matches_the_per_variable_test(f):
     if not _tractable(f):
         reject()
     try:
-        with _draw_budget(1500):
+        with step_budget(1500):
             check, gamma, l0 = _line_check(f)
             if check.slice_isolated:
                 expected = extra_component_oracle(f)
@@ -524,7 +502,7 @@ def test_hyperplane_cuts_of_the_polar_cycles_agree(f, seed):
         reject()
     rng = Random(seed)
     try:
-        with _draw_budget(3000):
+        with step_budget(3000):
             if not is_line_singularity(f).is_line_singularity:
                 reject()
             equal = [ideals_equal(*_hyperplane_cut_sides(f, k, rng))
@@ -567,7 +545,7 @@ def test_lambda1_is_the_generic_transverse_milnor_number(f, seed):
     if not _tractable(f):
         reject()
     try:
-        with _draw_budget(3000):
+        with step_budget(3000):
             rec = germ_record(f, Random(seed))
             generic = colength_at_origin(_transverse_jacobian_over_qq_z1(f))
     except (BudgetExceededError, NotLineSingularityError):
@@ -597,7 +575,7 @@ def test_ilm_identity_at_the_first_default_exponents(f, seed):
         reject()
     z1 = Polynomial.variable(f.context, "z1")
     try:
-        with _draw_budget(500):
+        with step_budget(500):
             rec = germ_record(f, Random(seed))
             for j in default_j_values(rec.lambda0)[:2]:
                 assert (milnor_number(f + z1 ** j)
@@ -624,7 +602,7 @@ def test_relabelling_the_transverse_variables_keeps_the_numbers(f, seed,
 
     def numbers(g):
         try:
-            with _draw_budget(500):
+            with step_budget(500):
                 rec = germ_record(g, Random(seed))
         except NotLineSingularityError as exc:
             return exc.failing_check
@@ -680,7 +658,7 @@ def test_weighted_homogeneous_slice_is_the_milnor_orlik_product(f, seed):
     if not _tractable(f):
         reject()
     try:
-        with _draw_budget(500):
+        with step_budget(500):
             rec = germ_record(f, Random(seed))
     except (BudgetExceededError, NotLineSingularityError):
         reject()

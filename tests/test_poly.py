@@ -586,11 +586,8 @@ def _factors(draw, ctx):
 
 
 def _sympy_squarefree(sympy, g) -> bool:
-    """The oracle: sqf_list over QQ; over QQ(t), sqf_list of g's numerator
-    in QQ[t, z], where a repeated factor free of z is a unit of QQ(t)[z]
-    (Gauss's lemma), since sqf_list over the domain QQ(t) itself can take
-    minutes; over GF(p), where sympy has no multivariate sqf_list, the gcd
-    of g with its partials."""
+    """The oracle: sqf_list over QQ and over QQ(t); over GF(p), where sympy
+    has no multivariate sqf_list, the gcd of g with its partials."""
     ctx = g.context
     zs, ts = sympy.symbols(ctx.variables), sympy.symbols(ctx.parameters)
 
@@ -616,10 +613,9 @@ def _sympy_squarefree(sympy, g) -> bool:
             common = sympy.gcd(common, sympy.diff(expr, z),
                                modulus=ctx.modulus)
         return not common.free_symbols
-    numerator, _ = sympy.fraction(sympy.together(expr))
-    _, factors = sympy.sqf_list(numerator, *zs, *ts, domain="QQ")
-    return all(multiplicity == 1 or not factor.free_symbols & set(zs)
-               for factor, multiplicity in factors)
+    _, factors = sympy.sqf_list(expr, *zs,
+                                domain="QQ(t)" if ts else "QQ")
+    return all(multiplicity == 1 for _, multiplicity in factors)
 
 
 @st.composite
