@@ -4,12 +4,17 @@ A family F(t, z) = f0(z) + sum_j t^j g_j(z) is analyzed in two slices: at
 t = 0 (exact) and at generic t (over the rational function field).  The
 family draws its generic points once: one value of t, uniform in [1, p - 1],
 for each of the two fixed primes p in PRIMES.  Every generic value is
-cross-checked over GF(p) at those points: the slice record is recomputed
-there, and the generic rows of the augmentation (ILM) table are evaluated
-there only (the table then cross-checks them against the exact lambda0 and
-lambda1).  Each member over GF(p) is specialized once per command and kept
-with the family (Family.image_at): the slice record, the ILM rows and the
-axis-weight note read the same member.  The ILM rows reuse its Jacobian:
+cross-checked at those points: the slice record is recomputed there, and
+the generic rows of the augmentation (ILM) table are evaluated there only
+(the table then cross-checks them against the exact lambda0 and lambda1).
+Both points are computed in one run (_generic_values), on the joint member
+over Z/(p1 p2) = GF(p1) x GF(p2) at the Chinese-remainder lift of the two
+values of t, the only composite modulus lecalc computes over.  A run that
+meets a residue zero mod one prime only (poly.ZeroDivisor) is run again
+over each GF(p), from the same step count and random state.  Each member
+is specialized once per command and kept with the family
+(Family.image_at): the slice record, the ILM rows and the axis-weight note
+read the same member.  The ILM rows reuse its Jacobian:
 the member is differentiated once, and row j is (d1 g + j*z1^(j-1), d2 g,
 ..., dn g), the Jacobian of g + z1^j.  A repeated factor is refused by the
 slice records themselves: germ_record checks f0 over QQ and F over QQ(t).
@@ -33,7 +38,8 @@ from .errors import (BudgetExceededError, ContextError, DegenerateInputError,
 from .invariants import (InvariantRecord, WeightSystem, detect_weights,
                          germ_record, gradient, jacobian_colength,
                          order_at_origin)
-from .poly import Modular, Polynomial
+from .poly import Modular, Polynomial, ZeroDivisor
+from .sparse import current_budget
 
 ZERO = "ZERO"
 GENERIC = "GENERIC"
@@ -64,20 +70,21 @@ class Family(NamedTuple):
     base: Polynomial                 # the t = 0 member, over QQ
     deformation: tuple[tuple[int, Polynomial], ...]   # (j, g_j), j >= 1
     points: tuple[tuple[int, int], ...]   # (p, t mod p) for each p in PRIMES
-    # (p, t mod p) -> the member over GF(p), filled by image_at as the
-    # members are first needed; it lives and dies with the family, and a
-    # copy by _replace with another `full` needs a dict of its own
+    # (modulus, t mod modulus) -> the member mod a prime or mod p1 p2,
+    # filled by image_at as the members are first needed; it lives and
+    # dies with the family, and a copy by _replace with another `full`
+    # needs a dict of its own
     images: dict[tuple[int, int], Polynomial]
 
     def member(self, value: Fraction | Modular) -> Polynomial:
-        """The member at a rational value, over QQ, or at a residue mod p,
-        over GF(p)."""
+        """The member at a rational value, over QQ, or at a residue, over
+        GF(p) or Z/(p1 p2)."""
         return self.full.specialize_parameter(self.parameter, value)
 
     def image_at(self, p: int, tau: int) -> Polynomial:
-        """The member at t = tau mod p, over GF(p), specialized once per
-        family: the generic slice record, the ILM rows and the axis-weight
-        note all read it."""
+        """The member at t = tau mod p, p a prime or p1 p2, specialized
+        once per family: the generic slice record, the ILM rows and the
+        axis-weight note all read it."""
         g = self.images.get((p, tau))
         if g is None:
             g = self.images[p, tau] = self.member(Modular(tau, p))
@@ -172,19 +179,54 @@ def _comparable(rec: InvariantRecord):
     return (rec.order, rec.lambda0, rec.lambda1, rec.gamma1, rec.slice_milnor)
 
 
+def _joint_point(points) -> tuple[int, int]:
+    """(p1 p2, tau) for the points ((p1, tau1), (p2, tau2)), where tau is
+    the Chinese-remainder lift: tau = tau_i mod p_i.  The member at tau over
+    Z/(p1 p2) is the pair of the members at the two points."""
+    (p1, tau1), (p2, tau2) = points
+    return p1 * p2, tau1 + p1 * ((tau2 - tau1) * pow(p1, -1, p2) % p2)
+
+
+def _generic_values(fam: Family, points, compute,
+                    rng: Random | None = None) -> list:
+    """[compute(member) for the members at points, over GF(p1) and
+    GF(p2)], from one run on the joint member over Z/(p1 p2) when it
+    completes: it then took the same branches as the run over each GF(p)
+    (see poly.Modular), so its one value is both.  When building the joint
+    member meets a zero divisor or a denominator with no image, or
+    computing on it meets a zero divisor, compute runs on each prime's
+    member instead, from the budget's step count and rng's state at which
+    the joint run started."""
+    try:
+        joint = fam.image_at(*_joint_point(points))
+    except (ZeroDivisor, UnluckySpecializationError):
+        joint = None
+    if joint is not None:
+        budget = current_budget()
+        used = budget.used
+        state = None if rng is None else rng.getstate()
+        try:
+            value = compute(joint)
+            return [value, value]
+        except ZeroDivisor:
+            budget.used = used
+            if rng is not None:
+                rng.setstate(state)
+    return [compute(fam.image_at(p, tau)) for p, tau in points]
+
+
 def _at_generic_points(fam: Family, rng: Random, compute, refusal,
                        expected=None):
-    """compute(member) at the members over GF(p) at the family's points
-    (Family.image_at), and the points used.  The two values must agree, and
-    equal expected when one is given; otherwise every value is recomputed
-    once at a redrawn pair, and a second failure raises
-    UnluckySpecializationError with refusal(values) naming what
-    disagreed."""
+    """compute(member) at the family's points (_generic_values), and the
+    points used.  The two values must agree, and equal expected when one is
+    given; otherwise every value is recomputed once at a redrawn pair, and
+    a second failure raises UnluckySpecializationError with refusal(values)
+    naming what disagreed."""
     points = fam.points
     for attempt in range(2):
         if attempt:
             points = _draw_mod_points(rng)
-        values = [compute(fam.image_at(p, tau)) for p, tau in points]
+        values = _generic_values(fam, points, compute, rng)
         if values[0] == values[1] and (expected is None
                                        or values[0] == expected):
             return values[0], points
@@ -194,9 +236,9 @@ def _at_generic_points(fam: Family, rng: Random, compute, refusal,
 
 def invariants_at(fam: Family, where: str, rng: Random) -> SliceRecord:
     """The full invariant record of one slice.  GENERIC works over the
-    fraction field and recomputes the record over GF(p) at the family's
-    points (_at_generic_points), where it must compare equal; a refused
-    record over GF(p) disagrees."""
+    fraction field and recomputes the record at the family's points
+    (_at_generic_points), where it must compare equal; a refused record
+    there disagrees."""
     if where == ZERO:
         return SliceRecord(ZERO, germ_record(fam.base, rng), ())
     if where != GENERIC:
@@ -293,12 +335,12 @@ def verify_ilm(fam: Family, slice_rec: SliceRecord, rng: Random,
     j lambda1; also re-derives (lambda0, lambda1, gamma1+lambda0) from the
     table alone and compares with the direct record.
 
-    At GENERIC each mu is evaluated over GF(p) at the family's points
-    (over QQ(t), or at rational t, the augmented Jacobian bases drag
-    enormous coefficients around; mod p they stay word-sized).  The two
-    values must agree; _at_generic_points recomputes every row once at a
-    redrawn pair before refusing.  The t = 0 rows stay over QQ.
-    slice_rec.where (ZERO or GENERIC) picks the slice."""
+    At GENERIC each mu is evaluated at the family's points, in one run mod
+    p1 p2 (_generic_values; over QQ(t), or at rational t, the augmented
+    Jacobian bases drag enormous coefficients around; mod p1 p2 they stay
+    below 2^62).  The two values must agree; _at_generic_points recomputes
+    every row once at a redrawn pair before refusing.  The t = 0 rows stay
+    over QQ.  slice_rec.where (ZERO or GENERIC) picks the slice."""
     where, rec = slice_rec.where, slice_rec.record
     if j_values is None:
         j_values = default_j_values(rec.lambda0)
@@ -527,8 +569,8 @@ def _axis_weight_note(an: FamilyAnalysis) -> str:
     """When the smallest weight sits on the axis variable, the weighted
     augmentation z_min^{d/w_min} coincides with the axis form z_axis^j;
     report the Milnor numbers of both slices' augmented germs rather than
-    privileging one reading.  The generic side is evaluated over GF(p) at
-    the family's points; the two values must agree."""
+    privileging one reading.  The generic side is evaluated at the
+    family's points (_generic_values); the two values must agree."""
     fam, w = an.family, an.weights
     e = w.degree // w.smallest_weight
     axis, t = fam.base.context.variables[0], fam.parameter
@@ -536,12 +578,16 @@ def _axis_weight_note(an: FamilyAnalysis) -> str:
             f"augmentation forms coincide at exponent {e}")
     if e < 2:
         return note + " (exponent below 2: no Milnor number to report)"
+
+    def augmented(g: Polynomial) -> int | None:
+        return _augmented_milnor(gradient(g), e)
+
     try:
-        for where, members in (
-                (f"{t} = 0", lambda: [fam.base]),
+        for where, values in (
+                (f"{t} = 0", lambda: [augmented(fam.base)]),
                 (f"generic {t}",
-                 lambda: [fam.image_at(p, tau) for p, tau in fam.points])):
-            mus = {_augmented_milnor(gradient(g), e) for g in members()}
+                 lambda: _generic_values(fam, fam.points, augmented))):
+            mus = set(values())
             note += f"; mu at {where} with {axis}^{e} added"
             if len(mus) > 1:
                 note += ": specializations disagree"

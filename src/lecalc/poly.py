@@ -7,7 +7,10 @@ exponent dicts whose values are field elements of a class that
 `Context.coefficient` alone picks: plain `fractions.Fraction`s over QQ (no
 parameters, modulus 0); `Coefficient`s, elements of the fraction field of
 the parameter polynomial ring, over QQ(parameters) (at least one); and
-`Modular` residues over GF(p) (a prime modulus, no parameters).  All three
+`Modular` residues over GF(p) (a prime modulus, no parameters) or over
+Z/(p1 p2), the product of the two primes of `families.PRIMES`, which
+stands for GF(p1) x GF(p2) as long as every residue it tests or divides
+by is zero or a unit (see `ZeroDivisor`).  All three
 share one protocol: + - * /, negation, truthiness as a zero test, ==, hash
 and a total order < for canonical sorting.  Only the constructors, the moves
 between fields and `render` look at the field; the arithmetic never does.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple
 
 from . import sparse
@@ -50,9 +54,11 @@ class _ContextFields(NamedTuple):
 
 class Context(_ContextFields):
     """Ordered ring variables, ordered coefficient-field parameters, and the
-    field's characteristic: modulus 0 is QQ(parameters), a prime p is GF(p)
-    (no parameters allowed; primality is the caller's promise).  No
-    __slots__: `unit` and `zero` are cached in the instance dict.
+    coefficient ring's characteristic: modulus 0 is QQ(parameters), a prime
+    p is GF(p), and the product p1 p2 of the two primes of
+    `families.PRIMES` is Z/(p1 p2), which stands for GF(p1) x GF(p2) (no
+    parameters allowed over either; see `Modular`).  No __slots__: `unit`
+    and `zero` are cached in the instance dict.
 
     Contexts are values: every construction runs the checks below, and two
     contexts with the same fields are equal and hash alike, as tuples."""
@@ -314,15 +320,58 @@ def _is_den_one(den, arity) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the coefficient field GF(p)
+# the coefficient field GF(p), and Z/(p1 p2) for two primes at once
+
+class ZeroDivisor(ArithmeticError):
+    """A residue that is neither zero nor a unit mod a composite modulus
+    was tested for zero, divided by, or taken as the image of a
+    denominator.  Over Z/(p1 p2) = GF(p1) x GF(p2) such a residue is zero in
+    one field and not in the other, so the two fields' runs of the
+    computation would branch apart there.  A prime modulus never raises it.
+    It is neither a MathRefusal nor a ZeroDivisionError, so no handler of
+    those swallows it: `families` catches it where it built the joint
+    member and runs once per prime instead."""
+
+
+def is_nonzero_residue(v: int, modulus: int) -> bool:
+    """Whether the residue v in [0, modulus) is nonzero; raises ZeroDivisor
+    when it is nonzero and not a unit, which only a composite modulus
+    allows."""
+    if v and gcd(v, modulus) != 1:
+        raise ZeroDivisor(f"{v} is a zero divisor mod {modulus}")
+    return v != 0
+
+
+def _inverse(v: int, modulus: int) -> int:
+    """The inverse of the residue v; ZeroDivisionError for 0 and ZeroDivisor
+    for a nonzero non-unit."""
+    try:
+        return pow(v, -1, modulus)
+    except ValueError:
+        if v:
+            raise ZeroDivisor(f"{v} is a zero divisor mod {modulus}") from None
+        raise ZeroDivisionError(f"division by zero in GF({modulus})") from None
+
 
 class Modular:
-    """An element of the prime field GF(modulus), stored as its residue in
-    [0, modulus).  It offers what `sparse.py` and the basis engine use
-    (+ - * /, negation, truthiness as a zero test, == and hash) and the
-    integer powers of parameter specialization.  Both
-    operands of an operation come from one context, so the moduli agree and
-    are not compared."""
+    """An element of GF(modulus), modulus prime, or of Z/(modulus), modulus
+    the product p1 p2 of the two primes of `families.PRIMES`, stored as its
+    residue in [0, modulus).  It offers what `sparse.py` and the basis
+    engine use (+ - * /, negation, truthiness as a zero test, == and hash)
+    and the integer powers of parameter specialization.  Both operands of an
+    operation come from one context, so the moduli agree and are not
+    compared.
+
+    Over Z/(p1 p2) every operation acts on the two residues mod p1 and mod
+    p2 at once (Chinese remainder theorem).  The zero test, division and
+    `from_rational` raise ZeroDivisor on a residue that is zero mod one
+    prime only, so a computation that completes kept every coefficient it
+    tested or divided by zero or a unit: it took the same branches, and has
+    the same supports and leading terms, as its run over each GF(p_i)
+    (dynamic evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL '85).
+    `==` and the order `<` take no such care: they only deduplicate, skip a
+    division by one and sort, which reorders work but changes no leading
+    ideal or colength."""
 
     __slots__ = ("value", "modulus")
 
@@ -332,18 +381,19 @@ class Modular:
 
     @staticmethod
     def from_rational(q, modulus: int) -> "Modular":
-        """The image of the rational q (an int or Fraction) in GF(modulus);
-        an int needs no inverse.  Raises ZeroDivisionError when modulus
-        divides the denominator."""
+        """The image of the rational q (an int or Fraction) in
+        Z/(modulus); an int needs no inverse.  Raises ZeroDivisionError
+        when modulus divides the denominator, and ZeroDivisor when they
+        share a factor otherwise."""
         if isinstance(q, int):
             return Modular(q, modulus)
         q = Fraction(q)
         if q.denominator % modulus == 0:
             raise ZeroDivisionError(f"{q} has no image in GF({modulus})")
-        return Modular(q.numerator * pow(q.denominator, -1, modulus), modulus)
+        return Modular(q.numerator * _inverse(q.denominator, modulus), modulus)
 
     def __bool__(self):
-        return self.value != 0
+        return is_nonzero_residue(self.value, self.modulus)
 
     def __add__(self, other):
         return Modular(self.value + other.value, self.modulus)
@@ -358,9 +408,7 @@ class Modular:
         return Modular(self.value * other.value, self.modulus)
 
     def __truediv__(self, other):
-        if not other.value:
-            raise ZeroDivisionError(f"division by zero in GF({self.modulus})")
-        return Modular(self.value * pow(other.value, -1, self.modulus),
+        return Modular(self.value * _inverse(other.value, self.modulus),
                        self.modulus)
 
     def __pow__(self, n: int):

@@ -6,9 +6,12 @@ For each variable v in which f has degree at least 2, the univariate image
 u of f in GF(P)[v] must keep f's leading coefficient in v and satisfy
 gcd(u, u') = 1, at one of two fixed points (`certificate_point`) for the
 other variables and the parameters.  P is the context's own modulus over
-GF(p), and the prime 2^61 - 1, outside `families.PRIMES`, over QQ and
-QQ(params).  The points are fixed, not drawn from the command's generator,
-so every report stays the same whatever the seed.
+GF(p) or Z/(p1 p2), and the prime 2^61 - 1, outside `families.PRIMES`,
+over QQ and QQ(params).  The points are fixed, not drawn from the
+command's generator, so every report stays the same whatever the seed.
+Mod p1 p2 each leading coefficient the answer relies on must be a unit, as
+`poly.Modular` requires of the coefficients it tests (`ZeroDivisor`
+otherwise), so the answer is the one each GF(p_i) would give.
 
 Why it is sound: a repeated factor h of f has positive degree in some
 variable v, and then f has degree at least 2 in v.  By Gauss's lemma over
@@ -23,7 +26,7 @@ not 1.  Every f certified here is one that the gcd would call reduced.
 from __future__ import annotations
 
 from .errors import UnluckySpecializationError
-from .poly import Context, Modular, Polynomial
+from .poly import Context, Modular, Polynomial, is_nonzero_residue
 
 PRIME = 2 ** 61 - 1
 _POINTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -54,10 +57,13 @@ def _residues(f: Polynomial, params, p: int) -> dict | None:
 def _coprime(a, b, p):
     """Whether a and b, univariate over GF(p) as dicts degree -> nonzero
     residue with a nonzero, are coprime: Euclid on plain ints, each step
-    a <- lc(b) * a - lc(a) * z^s * b, so no step takes an inverse."""
+    a <- lc(b) * a - lc(a) * z^s * b, so no step takes an inverse.  Each
+    lc(b) must be a unit (ZeroDivisor otherwise), so that b's degree is the
+    same mod every prime factor of p."""
     while b:
         top = max(b)
         lb = b[top]
+        is_nonzero_residue(lb, p)
         rest = [(d - top, c) for d, c in b.items() if d != top]
         while (lead := max(a, default=-1)) >= top:
             q = a.pop(lead)
@@ -84,7 +90,7 @@ def _squarefree_image(residues, v, top, point, p):
                 c = c * pow(point[i], e, p) % p
         d = m[v]
         u[d] = (u.get(d, 0) + c) % p
-    if not u.get(top):
+    if not is_nonzero_residue(u.get(top, 0), p):
         return False
     du = {d - 1: w for d, c in u.items() if (w := d * c % p)}
     return _coprime({d: c for d, c in u.items() if c}, du, p)

@@ -290,9 +290,9 @@ def test_selftest_budget_failure_in_a_slice_is_reraised(capsys):
     # the largest basis takes 6 steps, the whole record 14
     ("invariants", "-e", "z1^2*z2^2 + z2^5 + z3^4 + z3*z4^3",
      "--vars", "z1,z2,z3,z4", "--budget", "10"),
-    # the largest basis takes 3 steps, the whole command 48
+    # the largest basis takes 3 steps, the whole command 26
     ("ilm", "-f", str(Path(lecalc.__file__).parent / "corpus"
-                      / "homogeneous_family.lec"), "--budget", "30"),
+                      / "homogeneous_family.lec"), "--budget", "20"),
 ])
 def test_budget_bounds_the_whole_command(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -516,6 +516,8 @@ def test_family_with_a_repeated_factor_over_qq_t_is_refused(capsys, command):
 
 
 def _field(ctx) -> str:
+    if ctx.modulus == families.PRIMES[0] * families.PRIMES[1]:
+        return "Z/(2147483647*2147483629)"
     if ctx.modulus:
         return f"GF({ctx.modulus})"
     return f"QQ({ctx.parameters[0]})" if ctx.parameters else "QQ"
@@ -526,8 +528,9 @@ def _field(ctx) -> str:
                                   "suspension"])
 def test_reducedness_is_walked_once_per_field(monkeypatch, capsys, command,
                                               name):
-    # the t = 0 record over QQ, the generic record over QQ(t) and its two
-    # cross-checks over GF(p); no record at a rational t
+    # the t = 0 record over QQ, the generic record over QQ(t) and its
+    # cross-check at both generic points in one record mod p1 p2; no record
+    # over a single GF(p), none at a rational t
     fields = []
     real = poly.reduced_witness
 
@@ -539,8 +542,7 @@ def test_reducedness_is_walked_once_per_field(monkeypatch, capsys, command,
     path = Path(lecalc.__file__).parent / "corpus" / f"{name}_family.lec"
     code, _, _ = run(capsys, command, "-f", str(path))
     assert code == 0
-    assert sorted(fields) == ["GF(2147483629)", "GF(2147483647)", "QQ",
-                              "QQ(t)"]
+    assert sorted(fields) == ["QQ", "QQ(t)", "Z/(2147483647*2147483629)"]
 
 
 def test_family_and_ilm_name_the_same_generic_points(capsys):

@@ -3,26 +3,32 @@ invariants, the verdict rules, and the augmentation identity tables."""
 
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lecalc import engine, families
 from lecalc.errors import (DegenerateInputError, InternalCheckError,
-                           NonIsolatedError, NonReducedError,
+                           MathRefusal, NonIsolatedError, NonReducedError,
                            UnluckySpecializationError, UsageError)
 from lecalc.families import (EQUIMULTIPLE, FAILS, GENERIC, HOLDS,
                              INCONCLUSIVE, NOT_CHECKED,
                              NOT_TOPOLOGICALLY_V_EQUISINGULAR, PRIMES,
                              USER_ASSERTED, ZERO, EquimultiplicityResult,
                              SliceRecord, analyze_family, decompose_family,
-                             evaluate_rules, invariants_at, verify_ilm)
+                             default_j_values, evaluate_rules, invariants_at,
+                             verify_ilm)
 from lecalc.cli import entrypoint
-from lecalc.invariants import _jacobian, germ_record, gradient, milnor_number
+from lecalc.invariants import (_jacobian, draw_rational, germ_record,
+                               gradient, milnor_number)
 from lecalc.orders import LOCAL
 from lecalc.parse import parse_polynomial
-from lecalc.poly import Context, Modular, Polynomial, render
+from lecalc.poly import Context, Modular, Polynomial, ZeroDivisor, render
 from lecalc.report import RunConfig
+from lecalc.sparse import step_budget
 
 CTX = Context(("z1", "z2", "z3"), ("t",))
 
@@ -232,7 +238,8 @@ def test_ilm_rows_of_a_separable_germ_build_two_variable_bases(
     monkeypatch.setattr(engine, "_pair_loop", spy)
     verify_ilm(worked.family, worked.zero, Random(0))
     verify_ilm(worked.family, worked.generic, Random(0))
-    assert Counter(shapes) == {("local", 2): 4 + 4 * len(PRIMES)}
+    # the generic rows of both points come from one run mod p1 p2
+    assert Counter(shapes) == {("local", 2): 4 + 4}
 
 
 def _is_prime(n):
@@ -361,7 +368,8 @@ def _fresh(fam):
 def _spy_on_redraws(monkeypatch):
     """Record each pair of points drawn after the family's own (the
     redraws of _at_generic_points) and each specialized member's value of
-    t; Family.image_at specializes through Family.member once per point."""
+    t; Family.image_at specializes through Family.member once per point,
+    and once per pair for the joint member mod p1 p2."""
     real_draw = families._draw_mod_points
     real_member = families.Family.member
     draws, members = [], []
@@ -379,11 +387,15 @@ def _spy_on_redraws(monkeypatch):
     return draws, members
 
 
-def _disagreeing_on_rows(monkeypatch, bad_rows):
-    """Spy on the generic ILM rows: _spy_on_redraws, the prime of each
-    gradient taken, and (j, prime) per augmented Milnor number; make the two
-    primes disagree on the given row numbers (1-based, counted over both
-    pairs of points)."""
+JOINT = PRIMES[0] * PRIMES[1]
+
+
+def _disagreeing_on_rows(monkeypatch, bad_rows, zero_divisors):
+    """Spy on the generic ILM rows: _spy_on_redraws, the modulus of each
+    gradient taken, and (j, modulus) per augmented Milnor number.  The
+    joint rows mod p1 p2 numbered in zero_divisors meet a zero divisor, and
+    the two primes disagree on the rows numbered in bad_rows (both 1-based,
+    counted over every pair of points)."""
     real_mu = families._augmented_milnor
     real_gradient = families.gradient
     gradients, calls = [], []
@@ -395,6 +407,9 @@ def _disagreeing_on_rows(monkeypatch, bad_rows):
     def mu(partials, j):
         modulus = partials[0].context.modulus
         calls.append((j, modulus))
+        if modulus == JOINT and sum(
+                p == JOINT for _, p in calls) in zero_divisors:
+            raise ZeroDivisor("a row met a zero divisor")
         value = real_mu(partials, j)
         row = sum(p == PRIMES[1] for _, p in calls)
         return value + 1 if modulus == PRIMES[1] and row in bad_rows \
@@ -409,79 +424,210 @@ def _at(points):
     return [Modular(tau, p) for p, tau in points]
 
 
+def _joint_at(points):
+    """The joint member's value of t: tau mod p1 p2 with tau = tau_i mod
+    p_i, by the Chinese remainder theorem."""
+    tau = sum(tau * (JOINT // p) * pow(JOINT // p, -1, p)
+              for p, tau in points)
+    return [Modular(tau, JOINT)]
+
+
 def test_ilm_redraw_recomputes_every_row(worked, monkeypatch):
-    # the third row disagrees at the family's points: every row is then
-    # recomputed at one redrawn pair, and the table reports the points its
-    # rows used
-    draws, members, gradients, calls = _disagreeing_on_rows(monkeypatch, {3})
+    # the joint run meets a zero divisor at the third row, so every row is
+    # computed at each prime, where the third row disagrees: every row is
+    # then recomputed at one redrawn pair, in one joint run that completes,
+    # and the table reports the points its rows used
+    draws, members, gradients, calls = _disagreeing_on_rows(
+        monkeypatch, {3}, {3})
     # Random(0) would redraw the points the family drew from Random(0)
     table = verify_ilm(_fresh(worked.family), worked.generic, Random(1))
     first = worked.family.points
     [redrawn] = draws
     assert first != redrawn and table.t_witnesses == redrawn
     # the family is specialized, and each member differentiated, once per
-    # point, not once per row
-    assert members == _at(first) + _at(redrawn)
-    assert gradients == list(PRIMES) * 2
-    assert calls == [(j, p) for p in PRIMES for j in (8, 9, 10, 11)] * 2
+    # point and once per joint pair, not once per row; the primes' members
+    # only after the zero divisor
+    assert members == _joint_at(first) + _at(first) + _joint_at(redrawn)
+    assert gradients == [JOINT, *PRIMES, JOINT]
+    rows = (8, 9, 10, 11)
+    assert calls == ([(j, JOINT) for j in rows[:3]]
+                     + [(j, p) for p in PRIMES for j in rows]
+                     + [(j, JOINT) for j in rows])
     assert table.passed and [r.mu for r in table.rows] == [27, 30, 33, 36]
 
 
 def test_ilm_refuses_a_second_disagreement(worked, monkeypatch):
-    draws, members, gradients, calls = _disagreeing_on_rows(monkeypatch,
-                                                            {2, 6})
+    # both joint runs meet a zero divisor at their first row, and the
+    # primes disagree on the second row each time
+    draws, members, gradients, calls = _disagreeing_on_rows(
+        monkeypatch, {2, 6}, {1, 2})
     with pytest.raises(UnluckySpecializationError,
                        match=r"z1\^9\) disagrees at t = \d+ mod 2147483647 "
                              r"and t = \d+ mod 2147483629"):
         verify_ilm(_fresh(worked.family), worked.generic, Random(0))
     # Random(0) redraws the points the family drew from Random(0): every
     # row is recomputed there, but the members are not specialized again
-    assert draws == [worked.family.points]
-    assert members == _at(worked.family.points)
-    assert gradients == list(PRIMES) * 2
-    assert calls == [(j, p) for p in PRIMES for j in (8, 9, 10, 11)] * 2
+    points = worked.family.points
+    assert draws == [points]
+    assert members == _joint_at(points) + _at(points)
+    assert gradients == [JOINT, *PRIMES] * 2
+    assert calls == ([(8, JOINT)] + [(j, p) for p in PRIMES
+                                     for j in (8, 9, 10, 11)]) * 2
 
 
-def _disagreeing_records(monkeypatch, bad):
-    """Spy on the generic slice's records over GF(p): _spy_on_redraws, and
-    the prime of each record; the records numbered in bad (1-based) read
+def _disagreeing_records(monkeypatch, bad, zero_divisors=()):
+    """Spy on the generic slice's records over GF(p) and mod p1 p2:
+    _spy_on_redraws, and the modulus of each record; the records numbered
+    in zero_divisors (1-based) meet a zero divisor, and those in bad read
     lambda1 one too high."""
     real_record = families.germ_record
-    primes = []
+    moduli = []
 
     def record(g, rng):
         rec = real_record(g, rng)
         if not g.context.modulus:
             return rec
-        primes.append(g.context.modulus)
-        return rec._replace(lambda1=rec.lambda1 + 1) if len(primes) in bad \
+        moduli.append(g.context.modulus)
+        if len(moduli) in zero_divisors:
+            raise ZeroDivisor("a record met a zero divisor")
+        return rec._replace(lambda1=rec.lambda1 + 1) if len(moduli) in bad \
             else rec
 
     monkeypatch.setattr(families, "germ_record", record)
-    return (*_spy_on_redraws(monkeypatch), primes)
+    return (*_spy_on_redraws(monkeypatch), moduli)
 
 
 def test_generic_slice_recomputes_a_disagreeing_record(worked, monkeypatch):
-    # the record at the family's second point disagrees: both records are
-    # recomputed at one redrawn pair, which the slice then reports
-    draws, members, primes = _disagreeing_records(monkeypatch, {2})
+    # the joint record meets a zero divisor, and the record at the family's
+    # second point then disagrees: both points are recomputed at one
+    # redrawn pair, in one joint record, which the slice then reports
+    draws, members, moduli = _disagreeing_records(monkeypatch, {3}, {1})
     sl = invariants_at(_fresh(worked.family), GENERIC, Random(0))
     [redrawn] = draws
-    assert sl.t_witnesses == redrawn != worked.family.points
-    assert members == _at(worked.family.points) + _at(redrawn)
-    assert primes == list(PRIMES) * 2
+    first = worked.family.points
+    assert sl.t_witnesses == redrawn != first
+    assert members == _joint_at(first) + _at(first) + _joint_at(redrawn)
+    assert moduli == [JOINT, *PRIMES, JOINT]
     assert families._comparable(sl.record) \
         == families._comparable(worked.generic.record)
 
 
+def test_generic_slice_redraws_a_disagreeing_joint_record(worked,
+                                                          monkeypatch):
+    # a joint record that completes stands for both points: when it
+    # disagrees with the generic values, one joint record at a redrawn pair
+    # replaces it, and no record over a single GF(p) is taken
+    draws, members, moduli = _disagreeing_records(monkeypatch, {1})
+    sl = invariants_at(_fresh(worked.family), GENERIC, Random(0))
+    [redrawn] = draws
+    assert sl.t_witnesses == redrawn != worked.family.points
+    assert members == _joint_at(worked.family.points) + _joint_at(redrawn)
+    assert moduli == [JOINT, JOINT]
+
+
 def test_generic_slice_refuses_a_second_disagreement(worked, monkeypatch):
-    draws, members, primes = _disagreeing_records(monkeypatch, {1, 3})
+    draws, members, moduli = _disagreeing_records(monkeypatch, {1, 2})
     with pytest.raises(UnluckySpecializationError,
                        match="the invariants disagree with the generic "
                              r"values at t = \d+ mod 2147483647"):
         invariants_at(_fresh(worked.family), GENERIC, Random(0))
-    assert len(draws) == 1 and primes == list(PRIMES) * 2
-    assert members == _at(worked.family.points) + _at(draws[0])
+    assert len(draws) == 1 and moduli == [JOINT, JOINT]
+    assert members == _joint_at(worked.family.points) + _joint_at(draws[0])
+
+
+def test_a_zero_divisor_met_midway_reruns_each_prime_from_the_same_state(
+        monkeypatch):
+    # the joint record's first axis witness z1 = q is drawn after the
+    # record over QQ(t), and t = -q mod p1 makes the slice there lose its
+    # z2^3 term mod p1 only: the joint record meets the zero divisor q + t
+    # midway, after drawing witnesses and spending 5 steps.  Each prime's
+    # record then runs from the rng state and step count at which the
+    # joint record started, as a run per prime always did
+    fam = decompose_family(
+        fampoly("z1^2*z2^2 + z2^4 + z3^4 + z1*z2^3 + t*z2^3"), Random(0))
+    probe = Random(0)
+    germ_record(fam.full, probe)
+    q = draw_rational(probe)
+    points = ((PRIMES[0], Modular.from_rational(-q, PRIMES[0]).value),
+              (PRIMES[1], 5))
+    fam = fam._replace(points=points, images={})
+    _, members = _spy_on_redraws(monkeypatch)
+    rng = Random(0)
+    with step_budget(10 ** 6) as budget:
+        sl = invariants_at(fam, GENERIC, rng)
+    assert members == _joint_at(points) + _at(points)
+    assert sl.t_witnesses == points
+    reference = Random(0)
+    with step_budget(10 ** 6) as steps:
+        for g in (fam.full, *(fam.image_at(p, tau) for p, tau in points)):
+            germ_record(g, reference)
+    assert rng.getstate() == reference.getstate()
+    assert budget.used == steps.used
+
+
+def _monomial(i, j, k):
+    return "*".join(f"{v}^{e}" for v, e in zip(("z1", "z2", "z3"), (i, j, k))
+                    if e)
+
+
+@st.composite
+def _small_families(draw):
+    """z2^a + z3^b plus one or two terms (c0 + c1*t)*z1^i*z2^j*z3^k with
+    j + k >= 2, so that the axis stays singular; a coefficient may be a
+    prime of PRIMES, and a point's t may be small, so that a term vanishes
+    mod one prime only.  Returns the family and its two points."""
+    coeff = st.sampled_from((-2, -1, 1, 2, 3, *PRIMES))
+    terms = [f"z2^{draw(st.integers(2, 4))}", f"z3^{draw(st.integers(2, 4))}"]
+    for _ in range(draw(st.integers(1, 2))):
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        k = draw(st.integers(max(0, 2 - j), 3))
+        terms.append(f"({draw(coeff)} {draw(coeff):+}*t)*{_monomial(i, j, k)}")
+    points = tuple(
+        (p, draw(st.one_of(st.integers(1, 4), st.integers(1, p - 1))))
+        for p in PRIMES)
+    return " + ".join(terms), points
+
+
+def _record_and_rows(g):
+    """The comparable record of g and its first two ILM rows from
+    j = 2 + lambda0, where the augmented germ is isolated, as verify_ilm
+    takes them; the name of the refusal when one is raised."""
+    try:
+        with step_budget(20_000):
+            rec = germ_record(g, Random(0))
+            partials = gradient(g)
+            return families._comparable(rec), [
+                families._augmented_milnor(partials, j)
+                for j in default_j_values(rec.lambda0)[:2]]
+    except MathRefusal as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_families())
+@example(("z2^3 + z3^3 + (1 + 2147483647*t)*z2^4",
+          ((PRIMES[0], 2), (PRIMES[1], 3))))
+# Random(0) draws the axis witness z1 = 9 first: a zero divisor midway
+@example(("z2^3 + z3^3 + z1*z2^2 + t*z2^2",
+          ((PRIMES[0], PRIMES[0] - 9), (PRIMES[1], 5))))
+# the term vanishes at both points: zero mod p1 p2, not a zero divisor
+@example(("z2^2 + z3^3 + (-2 + t)*z1*z3^2",
+          ((PRIMES[0], 2), (PRIMES[1], 2))))
+# the order is 3 at t = 2 mod p1 and 2 at t = 3 mod p2
+@example(("z2^3 + z3^3 + (t - 2)*z2^2", ((PRIMES[0], 2), (PRIMES[1], 3))))
+def test_the_joint_member_computes_what_each_prime_computes(case):
+    # the joint record and ILM rows mod p1 p2 equal those of each prime's
+    # member, or the joint run meets a zero divisor
+    text, points = case
+    fam = decompose_family(fampoly(text), Random(0))
+    each = [_record_and_rows(fam.member(Modular(tau, p)))
+            for p, tau in points]
+    try:
+        modulus, tau = families._joint_point(points)
+        got = _record_and_rows(fam.member(Modular(tau, modulus)))
+    except ZeroDivisor:
+        return
+    assert got == each[0] == each[1]
 
 
 def _spy_on_commands(monkeypatch):
@@ -511,14 +657,35 @@ def test_a_command_specializes_each_point_of_its_family_once(
     assert entrypoint([*argv, "--seed", "0"]) == 0
     assert shown in capsys.readouterr().out
     [fam] = fams
-    assert members == _at(fam.points)
+    # one joint member mod p1 p2 stands for both points
+    [joint] = _joint_at(fam.points)
+    assert members == [joint]
+    assert list(fam.images) == [(JOINT, joint.value)]
+
+
+def test_a_zero_divisor_in_a_coefficient_falls_back_to_each_prime(
+        monkeypatch, capsys):
+    # 2147483647 is zero mod p1 only, so the joint member cannot be built:
+    # every generic value is computed once per prime, and the report is the
+    # golden one, which a run per prime always printed
+    fams, members = _spy_on_commands(monkeypatch)
+    assert entrypoint(["family", "-e", "z2^3 + z3^3 + 2147483647*t*z2^4",
+                       "--param", "t", "--seed", "0"]) == 0
+    golden = Path(__file__).parent / "golden" / "zero_divisor.txt"
+    out = capsys.readouterr().out
+    assert out == golden.read_text(encoding="utf-8")
+    assert "orders at origin: 3 at t = 0, 3 at generic t => EQUIMULTIPLE" \
+        in out
+    [fam] = fams
+    assert members == _joint_at(fam.points) + _at(fam.points)
     assert sorted(fam.images) == sorted(fam.points)
 
 
 def test_a_prime_dividing_a_denominator_refuses_the_generic_slice(
         monkeypatch, capsys):
     # the family decomposes; the generic slice, the first to specialize a
-    # member, refuses it at t mod 2147483647
+    # member, meets the zero divisor 2147483647 mod p1 p2 in the joint
+    # member's denominator, and then refuses the member at t mod 2147483647
     fams, members = _spy_on_commands(monkeypatch)
     real_at = families.invariants_at
     slices = []
@@ -535,7 +702,8 @@ def test_a_prime_dividing_a_denominator_refuses_the_generic_slice(
         "GF(2147483647)\n")
     [fam] = fams
     assert slices == [ZERO, GENERIC]
-    assert members == _at(fam.points[:1]) and fam.images == {}
+    assert members == _joint_at(fam.points) + _at(fam.points[:1])
+    assert fam.images == {}
 
 
 def test_ilm_custom_exponents_on_suspension(suspension):

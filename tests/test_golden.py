@@ -41,6 +41,10 @@ CASES = {
     # line_singularities_at_both_slices FAILS
     "line_check_fails": ["-e", "z1^3 + z2^2*z1 + z3^2 + t*z2^2",
                          "--param", "t"],
+    # the coefficient 2147483647 is a zero divisor mod p1 p2: every generic
+    # value is computed once per prime, and the report is the one a run per
+    # prime always gave
+    "zero_divisor": ["-e", "z2^3 + z3^3 + 2147483647*t*z2^4", "--param", "t"],
 }
 
 # name -> (command, arguments, exit code)

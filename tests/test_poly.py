@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from lecalc import poly, sparse, squarefree
 from lecalc.engine import Ideal, eliminate
-from lecalc.errors import ContextError, UnluckySpecializationError
+from lecalc.errors import (ContextError, MathRefusal,
+                           UnluckySpecializationError)
 from lecalc.parse import parse_polynomial
 from lecalc.poly import (Coefficient, Context, Modular, Polynomial,
-                         multivariate_gcd, reduced_witness, render)
+                         ZeroDivisor, multivariate_gcd, reduced_witness,
+                         render)
 
 CTX = Context(("z1", "z2", "z3"), ())
 CTXP = Context(("z1", "z2"), ("t",))
@@ -314,6 +316,56 @@ def test_modular_field_operations():
         a / Modular(0, 7)
     with pytest.raises(ZeroDivisionError):
         Modular.from_rational(Fraction(1, 14), 7)
+
+
+P1, P2 = 2147483647, 2147483629   # families.PRIMES
+JOINT = P1 * P2
+
+
+def test_a_zero_divisor_mod_the_two_primes_is_never_tested_or_divided_by():
+    # Z/(p1 p2) stands for GF(p1) x GF(p2) only while every residue it tests
+    # or divides by is zero or a unit; p1 is zero mod p1 alone
+    zero_divisor = Modular(P1, JOINT)
+    with pytest.raises(ZeroDivisor):
+        bool(zero_divisor)
+    with pytest.raises(ZeroDivisor):
+        Modular(1, JOINT) / zero_divisor
+    with pytest.raises(ZeroDivisor):
+        Modular.from_rational(Fraction(1, P1), JOINT)
+    with pytest.raises(ZeroDivisor):
+        Polynomial.constant(Context(("z1",), (), JOINT), P2)
+    # neither a refusal nor a division by zero, which handlers catch
+    assert not issubclass(ZeroDivisor, (ZeroDivisionError, MathRefusal))
+    # zero and units pass, and compute the residues of both primes at once
+    assert not Modular(JOINT, JOINT) and Modular(P1 + 1, JOINT)
+    q = Modular.from_rational(Fraction(-5, 7), JOINT) / Modular(3, JOINT)
+    for p in (P1, P2):
+        assert Modular(q.value, p) \
+            == Modular.from_rational(Fraction(-5, 21), p)
+    with pytest.raises(ZeroDivisionError):
+        Modular(1, JOINT) / Modular(0, JOINT)
+    with pytest.raises(ZeroDivisionError, match="no image"):
+        Modular.from_rational(Fraction(1, JOINT), JOINT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((P1, P2)), st.integers(0, 2 ** 64),
+       st.integers(1, 2 ** 64))
+@example(P1, P1, P1)
+@example(P2, 3 * P2, 2 * P2)
+def test_a_prime_modulus_never_meets_a_zero_divisor(p, a, d):
+    # every residue mod a prime is zero or a unit: the zero test, division
+    # and images of rationals raise ZeroDivisionError at worst
+    x, y = Modular(a, p), Modular(d, p)
+    assert bool(x) == bool(a % p)
+    if d % p:
+        assert (x / y) * y == x
+        assert Modular.from_rational(Fraction(a, d), p) * y == x
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            Modular.from_rational(Fraction(1, d), p)
 
 
 PRIME = 2147483629
@@ -654,6 +706,29 @@ def test_the_squarefree_certificate_agrees_with_sympy(case):
         assert not certified
     if certified:
         assert _sympy_squarefree(sympy, g)
+
+
+@pytest.mark.parametrize("terms, certified", [
+    # z1^2 + p1*z2: its image in z1 is z^2 + c with c a zero divisor, which
+    # Euclid's second remainder leads with; squarefree mod p2 only
+    ({(2, 0, 0): 1, (0, 1, 0): P1}, (False, True)),
+    # p1*z1^2 + z1 + z2: the leading coefficient in z1 is a zero divisor;
+    # mod p1 the polynomial is linear in z1
+    ({(2, 0, 0): P1, (1, 0, 0): 1, (0, 1, 0): 1}, (True, True)),
+])
+def test_the_certificate_mod_the_two_primes_never_relies_on_a_zero_divisor(
+        terms, certified):
+    # the polynomials are built term by term: a Polynomial built through
+    # the field would already refuse the zero divisor
+    def over(modulus):
+        ctx = Context(Z3, (), modulus)
+        return Polynomial(ctx, {m: Modular(c, modulus)
+                                for m, c in terms.items() if c % modulus})
+
+    assert tuple(squarefree.certified_squarefree(over(p))
+                 for p in (P1, P2)) == certified
+    with pytest.raises(ZeroDivisor):
+        squarefree.certified_squarefree(over(JOINT))
 
 
 @pytest.mark.parametrize("ctx", _FIELDS, ids=["QQ", "GF", "QQ(t)"])
